@@ -41,7 +41,6 @@ from .forward import (
     boundary_derivative,
     fd_oracle,
     final_snapshot,
-    response,
     solve_mild,
 )
 from .connecting import (
@@ -49,14 +48,11 @@ from .connecting import (
     ConnectingGram,
     ControlBasis,
     ResponseTable,
-    SeparableField,
-    affine_chain,
+    affine_source,
     blago_solve,
     gram_from_data,
     gram_oracle,
     hat_basis,
-    phi,
-    psi,
     synthesize_table,
 )
 from .identify import (
@@ -68,7 +64,6 @@ from .identify import (
     reconstruct_q,
     steering_control,
     steering_rhs,
-    xi_trace,
 )
 from .dataio import RunConfig, load_bundle, parse_config, save_bundle, synthesize
 

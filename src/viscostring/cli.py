@@ -71,21 +71,15 @@ def _identify_config(cfg: RunConfig, basis) -> IdentifyConfig:
 
 def cmd_synthesize(args) -> int:
     cfg = _load_config(args.config)
-    if args.threads:
-        cfg.threads = args.threads
     out = args.out or cfg.out
     path = synthesize(cfg, out)
     print(f"bundle written to {path}")
     return 0
 
 
-def _threads(args) -> int:
-    return args.threads if args.threads else (os.cpu_count() or 1)
-
-
 def cmd_connect(args) -> int:
     table, _, _ = load_bundle(args.bundle)
-    gram = gram_from_data(table, threads=_threads(args))
+    gram = gram_from_data(table)
     out = args.out or args.bundle
     os.makedirs(out, exist_ok=True)
     horizons = default_horizons(table.basis, min_active=1)
@@ -104,7 +98,7 @@ def cmd_identify(args) -> int:
     table, q_true, _ = load_bundle(args.bundle)
     cfg = _load_config(args.config)
     icfg = _identify_config(cfg, table.basis)
-    result = pipeline(table, icfg, threads=_threads(args))
+    result = pipeline(table, icfg)
     out = args.out or args.bundle
     os.makedirs(out, exist_ok=True)
 
@@ -207,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, bundle=False):
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", type=int, help="worker threads")
         if bundle:
             p.add_argument("bundle", help="dataset bundle directory")
 

@@ -8,11 +8,12 @@ satisfies, after differentiating the model and unwinding the memory
 convolutions with the resolvent, a perturbed wave equation in the two time
 variables.  Substituting H = exp(gamma(s+t)) W(s,t) the equation becomes
 
-    W_tt = W_ss + int_0^t R2(t-r) W(s,r) dr - int_0^s R2(s-r) W(r,t) dr + G
+    W_tt = W_ss + int_0^t K(t-r) W(s,r) dr - int_0^s K(s-r) W(r,t) dr + G
 
-with zero data on s = 0 and t = 0, where R2(r) = exp(-gamma r) R''(r) and the
-affine term collapses (all derivatives expanded through d/dt (N*h) = h + N1*h
-and every resolvent application inverted analytically) to
+with zero data on s = 0 and t = 0, where K(r) = exp(-gamma r) R''(r) is the
+memory kernel of the forward transform and the affine term collapses (all
+derivatives expanded through d/dt (N*h) = h + N1*h and every resolvent
+application inverted analytically) to
 
     G(s,t) = exp(-gamma(s+t)) [ f(t) y^g(s) - y^f(t) g(s) ].
 
@@ -28,7 +29,6 @@ snapshots (it knows q; used for validation only).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,10 +51,7 @@ __all__ = [
     "pw_linear_products",
     "ResponseTable",
     "synthesize_table",
-    "SeparableField",
-    "phi",
-    "psi",
-    "affine_chain",
+    "affine_source",
     "BlagoSolution",
     "blago_solve",
     "ConnectingGram",
@@ -223,7 +220,6 @@ def synthesize_table(
     q,
     L: float,
     res: ResolventData | None = None,
-    threads: int = 1,
     noise_sigma: float = 0.0,
     seed: int = 0,
     meta: dict | None = None,
@@ -242,14 +238,9 @@ def synthesize_table(
     if res is None:
         res = resolvent(kernel)
     p = StringProblem(L=L, q=q, kernel=kernel, T=t2)
-    controls = basis.sampled_on(grid2)
-
-    def one(i: int) -> np.ndarray:
-        f = Sampled1D(grid2, controls[i])
-        return solve_mild(p, f, res=res).y.values
-
-    rows = _parallel_map(one, basis.n, threads)
-    Y = np.vstack(rows)
+    Y = np.vstack(
+        [solve_mild(p, Sampled1D(grid2, c), res=res).y.values for c in basis.sampled_on(grid2)]
+    )
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         noise = noise_sigma * rng.standard_normal(Y.shape)
@@ -261,120 +252,42 @@ def synthesize_table(
     return ResponseTable(basis=basis, kernel=kernel, Y=Y, meta=info)
 
 
-def _parallel_map(fn, count: int, threads: int) -> list:
-    if threads <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 # ---------------------------------------------------------------------------
-# The affine chain, kept in separated-rank form
+# The affine source
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeparableField:
-    """Rank-2 function F(s,t) = sum_k sign_k * s_k(s) * t_k(t).
-
-    Every object in the chain (Phi, Psi, G) separates this way, which is what
-    collapses the per-pair cost from O(m^3) to O(m^2).  ``materialize`` yields
-    the dense Sampled2D on demand.
-    """
-
-    sgrid: TimeGrid
-    tgrid: TimeGrid
-    s_factors: tuple
-    t_factors: tuple
-    signs: tuple
-    raw: dict = field(default_factory=dict, repr=False)
-
-    def materialize(self) -> Sampled2D:
-        vals = np.zeros((self.sgrid.n + 1, self.tgrid.n + 1))
-        for sgn, sf, tf in zip(self.signs, self.s_factors, self.t_factors):
-            vals += sgn * np.outer(sf, tf)
-        return Sampled2D(self.sgrid, self.tgrid, vals)
-
-    def values(self) -> np.ndarray:
-        return self.materialize().values
-
-
-def _chain_grids(f: Sampled1D, kernel: MemoryKernel):
-    grid2 = kernel.grid
-    if not f.grid.same_as(grid2):
-        raise GridMismatchError("chain inputs must live on the doubled response grid")
-    if grid2.n % 2 != 0:
-        raise GridMismatchError("doubled response grid must have an even step count")
-    m = grid2.n // 2
-    return grid2, TimeGrid(grid2.dt, m)
-
-
-def phi(f: Sampled1D, g: Sampled1D, yf: Sampled1D, yg: Sampled1D, k: MemoryKernel) -> SeparableField:
-    """Phi(s,t) = int_0^t N(t-r) [f(r) y^g(s) - y^f(r) g(s)] dr
-                = (N*f)(t) y^g(s) - (N*y^f)(t) g(s).
-
-    All four inputs on the doubled grid; t is truncated to [0, T_max].
-    """
-    grid2, tgrid = _chain_grids(f, k)
-    for other in (g, yf, yg):
-        f.require_same_grid(other, "chain inputs")
-    dt = grid2.dt
-    m = tgrid.n
-    A = convolve_values(k.N.values, f.values, dt)[: m + 1]
-    B = convolve_values(k.N.values, yf.values, dt)[: m + 1]
-    return SeparableField(
-        sgrid=grid2,
-        tgrid=tgrid,
-        s_factors=(yg.values.copy(), g.values.copy()),
-        t_factors=(A, B),
-        signs=(1.0, -1.0),
-        raw={"f": f.values, "yf": yf.values, "g": g.values, "yg": yg.values},
-    )
-
-
-def psi(phi_field: SeparableField, k: MemoryKernel) -> SeparableField:
-    """Psi(s,t) = int_0^s N(s-r) Phi(r,t) dr (convolution in the first slot)."""
-    dt = phi_field.sgrid.dt
-    new_s = tuple(convolve_values(k.N.values, sf, dt) for sf in phi_field.s_factors)
-    return SeparableField(
-        sgrid=phi_field.sgrid,
-        tgrid=phi_field.tgrid,
-        s_factors=new_s,
-        t_factors=phi_field.t_factors,
-        signs=phi_field.signs,
-        raw=phi_field.raw,
-    )
-
-
-def affine_chain(psi_field: SeparableField, res: ResolventData, k: MemoryKernel) -> SeparableField:
-    """Affine term G of the final W-equation.
-
-    Pushing the two exponential substitutions through the derivative/resolvent
-    chain, every step inverts the previous one exactly:
-      d/ds Psi = Phi + N1 *_s Phi, so the s-resolvent application returns Phi;
-      d/dt of (N*h) factors gives h + N1*h, so the t-resolvent returns h.
-    What survives is
+def affine_source(
+    f: Sampled1D, g: Sampled1D, yf: Sampled1D, yg: Sampled1D, res: ResolventData
+) -> Sampled2D:
+    """Affine term of the two-variable wave identity for the control pair (f, g):
 
         G(s,t) = exp(-gamma(s+t)) [ f(t) y^g(s) - y^f(t) g(s) ].
 
+    All four inputs live on the doubled response grid, which is also the s
+    grid; t is truncated to [0, T_max].  The closed form comes from pushing
+    the two exponential substitutions through the derivative/resolvent
+    chain of the product-moment equation, where every step inverts the
+    previous one exactly:
+      d/ds (N *_s h) = h + N1 *_s h, so the s-resolvent application returns h;
+      d/dt (N *_t h) = h + N1 *_t h, so the t-resolvent application returns h.
     No numerical differentiation occurs anywhere (the chain applies up to two
     derivatives, which would cost two orders of accuracy).
     """
-    raw = psi_field.raw
-    if not raw:
-        raise GridMismatchError("affine chain needs the raw control/response factors")
-    sgrid, tgrid = psi_field.sgrid, psi_field.tgrid
-    m = tgrid.n
-    es = np.exp(-res.gamma * sgrid.nodes())
-    et = np.exp(-res.gamma * tgrid.nodes())
-    return SeparableField(
-        sgrid=sgrid,
-        tgrid=tgrid,
-        s_factors=(es * raw["yg"], es * raw["g"]),
-        t_factors=(et * raw["f"][: m + 1], et * raw["yf"][: m + 1]),
-        signs=(1.0, -1.0),
-        raw=raw,
-    )
+    grid2 = f.grid
+    for other in (g, yf, yg):
+        f.require_same_grid(other, "source inputs")
+    if not grid2.same_as(res.grid):
+        raise GridMismatchError("source inputs must live on the doubled response grid")
+    if grid2.n % 2 != 0:
+        raise GridMismatchError("doubled response grid must have an even step count")
+    m = grid2.n // 2
+    es = np.exp(-res.gamma * grid2.nodes())
+    et = es[: m + 1]
+    vals = np.zeros((grid2.n + 1, m + 1))  # a zero start turns -0.0 products into +0.0
+    vals += np.outer(es * yg.values, et * f.values[: m + 1])
+    vals -= np.outer(es * g.values, et * yf.values[: m + 1])
+    return Sampled2D(grid2, TimeGrid(grid2.dt, m), vals)
 
 
 # ---------------------------------------------------------------------------
@@ -413,26 +326,26 @@ def _triangle_field(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _conv_columns(r2: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
-    """(R2 *_t w)(s_i, t_k) for all nodes: causal convolution down each row."""
+def _conv_columns(kmem: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
+    """(K *_t w)(s_i, t_k) for all nodes: causal convolution down each row."""
     n_t = w.shape[1] - 1
     out = np.zeros_like(w)
     for i in range(w.shape[0]):
-        out[i, :] = convolve_values(r2[: n_t + 1], w[i, :], dt)
+        out[i, :] = convolve_values(kmem[: n_t + 1], w[i, :], dt)
     return out
 
 
-def _conv_rows(r2: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
-    """(R2 *_s w)(s_i, t_k) for all nodes: causal convolution up each column."""
+def _conv_rows(kmem: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
+    """(K *_s w)(s_i, t_k) for all nodes: causal convolution up each column."""
     n_s = w.shape[0] - 1
     out = np.zeros_like(w)
     for k in range(w.shape[1]):
-        out[:, k] = convolve_values(r2[: n_s + 1], w[:, k], dt)
+        out[:, k] = convolve_values(kmem[: n_s + 1], w[:, k], dt)
     return out
 
 
 def blago_solve(
-    G,
+    G: Sampled2D,
     res: ResolventData,
     sigma_weight: float = 0.0,
     scheme: str = "auto",
@@ -441,32 +354,31 @@ def blago_solve(
 ) -> BlagoSolution:
     """Solve the integral form of the two-variable wave identity
 
-        W(s,t) = (1/2) int_{D(s,t)} [ (R2 *_t W) - (R2 *_s W) ] + (1/2) int_{D(s,t)} G
+        W(s,t) = (1/2) int_{D(s,t)} [ (K *_t W) - (K *_s W) ] + (1/2) int_{D(s,t)} G
 
     on the trapezoid covered by the data.  Schemes:
 
-      "march"      explicit lozenge marching in t (default for R2 != 0),
-      "quadrature" single triangle quadrature (exact reduction when R2 == 0),
+      "march"      explicit lozenge marching in t (default for K != 0),
+      "quadrature" single triangle quadrature (exact reduction when K == 0),
       "picard"     fixed-point sweeps on the weighted unknown
                    Y = exp(-sigma(s+t)) W; sigma_weight only conditions the
                    iteration, the converged H is independent of it,
-      "auto"       quadrature if R2 vanishes on the window, else march.
+      "auto"       quadrature if K vanishes on the window, else march.
     """
-    Gfield = G if isinstance(G, Sampled2D) else G.materialize()
-    sgrid, tgrid = Gfield.sgrid, Gfield.tgrid
+    sgrid, tgrid = G.sgrid, G.tgrid
     n_s, n_t = sgrid.n, tgrid.n
     dt = sgrid.dt
-    r2 = res.R2.values
-    if len(r2) < n_s + 1:
+    kmem = res.K.values
+    if len(kmem) < n_s + 1:
         raise GridMismatchError("resolvent grid does not cover the s-window")
-    has_r2 = bool(np.any(r2[: n_s + 1]))
+    has_memory = bool(np.any(kmem[: n_s + 1]))
 
     if scheme == "auto":
-        scheme = "march" if has_r2 else "quadrature"
-    if scheme == "quadrature" and has_r2:
-        raise NumericalFailure("quadrature scheme is exact only when R2 vanishes")
+        scheme = "march" if has_memory else "quadrature"
+    if scheme == "quadrature" and has_memory:
+        raise NumericalFailure("quadrature scheme is exact only when K vanishes")
 
-    gvals = Gfield.values
+    gvals = G.values
     iterations = 0
     if scheme == "quadrature":
         W = _triangle_field(gvals, dt)
@@ -482,15 +394,15 @@ def blago_solve(
             )
         for k in range(1, n_t):
             Q = gvals[:, k].copy()
-            if has_r2:
-                Q += _memory_columns_level(r2, W, k, dt)
-                Q -= convolve_values(r2[: n_s + 1], W[:, k], dt)
+            if has_memory:
+                Q += _memory_columns_level(kmem, W, k, dt)
+                Q -= convolve_values(kmem[: n_s + 1], W[:, k], dt)
             W[1:n_s, k + 1] = (
                 W[2:, k] + W[: n_s - 1, k] - W[1:n_s, k - 1] + dt * dt * Q[1:n_s]
             )
             W[n_s - k :, k + 1] = 0.0  # outside the data trapezoid
     elif scheme == "picard":
-        W, iterations = _picard(gvals, r2, dt, sigma_weight, sgrid, tgrid, tol, max_iter)
+        W, iterations = _picard(gvals, kmem, dt, sigma_weight, sgrid, tgrid, tol, max_iter)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -506,17 +418,17 @@ def blago_solve(
     )
 
 
-def _memory_columns_level(r2: np.ndarray, W: np.ndarray, k: int, dt: float) -> np.ndarray:
-    """(R2 *_t W)(., t_k) from the marching history."""
-    acc = 0.5 * r2[k] * W[:, 0] + 0.5 * r2[0] * W[:, k]
+def _memory_columns_level(kmem: np.ndarray, W: np.ndarray, k: int, dt: float) -> np.ndarray:
+    """(K *_t W)(., t_k) from the marching history."""
+    acc = 0.5 * kmem[k] * W[:, 0] + 0.5 * kmem[0] * W[:, k]
     if k > 1:
-        acc += W[:, 1:k] @ r2[k - 1:0:-1]
+        acc += W[:, 1:k] @ kmem[k - 1:0:-1]
     return dt * acc
 
 
-def _picard(gvals, r2, dt, sigma, sgrid, tgrid, tol, max_iter):
+def _picard(gvals, kmem, dt, sigma, sgrid, tgrid, tol, max_iter):
     n_s, n_t = sgrid.n, tgrid.n
-    has_r2 = bool(np.any(r2[: n_s + 1]))
+    has_memory = bool(np.any(kmem[: n_s + 1]))
     E = np.exp(-sigma * (sgrid.nodes()[:, None] + tgrid.nodes()[None, :]))
     g0 = E * _triangle_field(gvals, dt)
     Y = g0.copy()
@@ -524,10 +436,10 @@ def _picard(gvals, r2, dt, sigma, sgrid, tgrid, tol, max_iter):
     prev_delta = np.inf
     growth = 0
     for it in range(1, max_iter + 1):
-        if not has_r2:
+        if not has_memory:
             return Y / E, it
         Wcur = Y / E
-        core = _conv_columns(r2, Wcur, dt) - _conv_rows(r2, Wcur, dt)
+        core = _conv_columns(kmem, Wcur, dt) - _conv_rows(kmem, Wcur, dt)
         Y_new = E * _triangle_field(core, dt) + g0
         delta = np.max(np.abs(Y_new - Y))
         Y = Y_new
@@ -571,7 +483,6 @@ class ConnectingGram:
     source: str
     basis: ControlBasis
     gamma: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     def index_of(self, T: float) -> int:
         i = int(np.argmin(np.abs(self.horizons - T)))
@@ -583,84 +494,45 @@ class ConnectingGram:
         return self.C[self.index_of(T)]
 
 
-def gram_from_data(
-    tab: ResponseTable,
-    scheme: str = "auto",
-    threads: int = 1,
-    both_orientations: bool = True,
-) -> ConnectingGram:
+def gram_from_data(tab: ResponseTable) -> ConnectingGram:
     """Gram of the connecting operator at every time node, from boundary data.
 
-    Runs the chain phi -> psi -> affine term -> two-variable wave solve per
-    control pair and reads the diagonal H(t_k, t_k).  With
-    ``both_orientations`` the (i,j) and (j,i) chains are solved independently
-    so the symmetry defect measures the chain's discretization error; the
-    returned matrices are the symmetrized averages either way.
+    Builds the affine source and solves the two-variable wave identity per
+    control pair, then reads the diagonal H(t_k, t_k).  The (i,j) and (j,i)
+    pairs are solved independently so the symmetry defect measures the
+    discretization error of the data side; the returned matrices are the
+    symmetrized averages.
     """
     basis, kernel = tab.basis, tab.kernel
     grid2 = tab.grid2
     m = basis.grid.n
     n = basis.n
-    dt = grid2.dt
     res = resolvent(kernel)
-    gamma = res.gamma
+    controls = [Sampled1D(grid2, e) for e in basis.sampled_on(grid2)]
+    responses = [Sampled1D(grid2, y) for y in tab.Y]
 
-    E = basis.sampled_on(grid2)
-    Y = tab.Y
-    es = np.exp(-gamma * grid2.nodes())
-    et = es[: m + 1]
-    t_nodes = basis.grid.nodes()
-
-    s_resp = es[None, :] * Y       # exp(-gamma s) y^{e_j}(s)
-    s_ctrl = es[None, :] * E       # exp(-gamma s) e_j(s)
-    t_ctrl = et[None, :] * E[:, : m + 1]
-    t_resp = et[None, :] * Y[:, : m + 1]
-
-    sgrid, tgrid = grid2, basis.grid
-
-    def solve_pair(i: int, j: int) -> np.ndarray:
-        g_field = SeparableField(
-            sgrid=sgrid,
-            tgrid=tgrid,
-            s_factors=(s_resp[j], s_ctrl[j]),
-            t_factors=(t_ctrl[i], t_resp[i]),
-            signs=(1.0, -1.0),
-        )
-        sol = blago_solve(g_field, res, scheme=scheme)
-        return sol.diagonal()  # already carries the exp(gamma(s+t)) weight
-
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    if both_orientations:
-        pairs += [(i, j) for i in range(n) for j in range(i)]
-
-    def run(idx: int) -> np.ndarray:
-        return solve_pair(*pairs[idx])
-
-    rows = _parallel_map(run, len(pairs), threads)
     raw = np.zeros((m + 1, n, n))
-    for (i, j), diag in zip(pairs, rows):
-        raw[:, i, j] = diag
-    if not both_orientations:
-        for i in range(n):
-            for j in range(i):
-                raw[:, i, j] = raw[:, j, i]
+    for i in range(n):
+        for j in range(n):
+            G = affine_source(controls[i], controls[j], responses[i], responses[j], res)
+            # the diagonal already carries the exp(gamma(s+t)) weight
+            raw[:, i, j] = blago_solve(G, res).diagonal()
 
     sym = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
     norms = np.linalg.norm(raw, axis=(1, 2))
     gaps = np.linalg.norm(raw - np.transpose(raw, (0, 2, 1)), axis=(1, 2))
     asym = np.where(norms > 0, gaps / np.where(norms > 0, norms, 1.0), 0.0)
     return ConnectingGram(
-        horizons=t_nodes.copy(),
+        horizons=basis.grid.nodes().copy(),
         C=sym,
         asymmetry=asym,
         source="boundary-data",
         basis=basis,
-        gamma=gamma,
-        meta={"scheme": scheme, "both_orientations": both_orientations},
+        gamma=res.gamma,
     )
 
 
-def gram_oracle(p: StringProblem, basis: ControlBasis, threads: int = 1) -> ConnectingGram:
+def gram_oracle(p: StringProblem, basis: ControlBasis) -> ConnectingGram:
     """Gram from forward snapshots: H^{ij}(T,T) = int_0^T w^{e_i}(x,T) w^{e_j}(x,T) dx.
 
     Knows the coefficient q; validation counterpart of ``gram_from_data``.
@@ -671,12 +543,7 @@ def gram_oracle(p: StringProblem, basis: ControlBasis, threads: int = 1) -> Conn
     m = basis.grid.n
     dt = basis.grid.dt
     n = basis.n
-
-    def one(i: int):
-        f = Sampled1D(basis.grid, basis.samples[i])
-        return solve_mild(p, f, res=res).w.values
-
-    fields = _parallel_map(one, n, threads)
+    fields = [solve_mild(p, Sampled1D(basis.grid, e), res=res).w.values for e in basis.samples]
 
     raw = np.zeros((m + 1, n, n))
     idx = np.arange(m + 1)
@@ -696,5 +563,4 @@ def gram_oracle(p: StringProblem, basis: ControlBasis, threads: int = 1) -> Conn
         source="forward-oracle",
         basis=basis,
         gamma=res.gamma,
-        meta={},
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, GridMismatchError, KernelValidationError
 from .grid import TimeGrid
 from .kernels import MemoryKernel, build_kernel
 from .connecting import ControlBasis, ResponseTable, hat_basis, synthesize_table
@@ -48,7 +48,7 @@ _CONFIG_KEYS = {
     "n_basis",
     "q",
     "out",
-    "threads",
+    "threads",  # accepted and ignored, so that older config files still parse
     "noise_sigma",
     "seed",
     "tikhonov_lambda",
@@ -86,7 +86,6 @@ class RunConfig:
     n_basis: int = 16
     q: str = "const:0"
     out: str = "out"
-    threads: int = 0  # 0 = all available cores
     noise_sigma: float = 0.0
     seed: int = 0
     tikhonov_lambda: str = "auto"
@@ -110,14 +109,8 @@ class RunConfig:
                 raise ConfigError(f"dt = {self.dt} does not divide {name} = {value}")
         if self.n_basis < 1:
             raise ConfigError(f"n_basis must be >= 1, got {self.n_basis}")
-        if self.threads < 0:
-            raise ConfigError("threads must be >= 1 (or 0 for all cores)")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be >= 0")
-
-    @property
-    def effective_threads(self) -> int:
-        return self.threads if self.threads >= 1 else (os.cpu_count() or 1)
 
     @property
     def m(self) -> int:
@@ -162,9 +155,11 @@ def parse_config(text: str) -> RunConfig:
     kwargs = {}
     try:
         for key, value in kv.items():
+            if key == "threads":
+                continue
             if key in ("L", "T_max", "dt", "noise_sigma"):
                 kwargs[key] = float(value)
-            elif key in ("n_basis", "threads", "seed", "smoothing_halfwidth", "readout_points"):
+            elif key in ("n_basis", "seed", "smoothing_halfwidth", "readout_points"):
                 kwargs[key] = int(value)
             else:
                 kwargs[key] = value
@@ -181,7 +176,10 @@ def _kernel_from_spec(spec: str, grid: TimeGrid) -> MemoryKernel:
             rate = float(spec[4:])
         except ValueError as exc:
             raise ConfigError(f"bad exponential kernel rate in {spec!r}") from exc
-        return build_kernel(grid, "exp", rate=rate)
+        try:
+            return build_kernel(grid, "exp", rate=rate)
+        except KernelValidationError as exc:
+            raise ConfigError(f"bad kernel spec {spec!r}: {exc}") from exc
     if spec.startswith("file:"):
         path = spec[5:]
         header, cols = _read_csv(path)
@@ -193,7 +191,10 @@ def _kernel_from_spec(spec: str, grid: TimeGrid) -> MemoryKernel:
                 f"kernel file {path} is not sampled on the run grid "
                 f"(need {grid.n + 1} nodes of step {grid.dt})"
             )
-        return build_kernel(grid, "tabulated", samples={"N": n, "N1": n1, "N2": n2, "N3": n3})
+        try:
+            return build_kernel(grid, "tabulated", samples={"N": n, "N1": n1, "N2": n2, "N3": n3})
+        except KernelValidationError as exc:
+            raise DataFormatError(f"kernel file {path}: {exc}") from exc
     raise ConfigError(f"unknown kernel spec {spec!r} (const | exp:RATE | file:PATH)")
 
 
@@ -374,6 +375,8 @@ def load_bundle(directory: str) -> tuple:
         t_max = float(kv["T_max"])
         dt = float(kv["dt"])
         n_basis = int(kv["n_basis"])
+        # carried into the table so that a re-save writes them back unchanged
+        noise = {k: cast(kv[k]) for k, cast in (("noise_sigma", float), ("seed", int)) if k in kv}
     except ValueError as exc:
         raise DataFormatError(f"bad manifest value: {exc}") from exc
 
@@ -387,16 +390,19 @@ def load_bundle(directory: str) -> tuple:
     if header != ["t", "N", "N1", "N2", "N3"] or len(cols[0]) != grid2.n + 1:
         raise DataFormatError("kernel.csv does not match the manifest grid")
     kind = kv["kernel_kind"]
-    if kind == "const":
-        kernel = build_kernel(grid2, "const")
-    elif kind == "exp":
-        kernel = build_kernel(grid2, "exp", rate=float(kv.get("kernel_rate", "1.0")))
-    else:
-        kernel = build_kernel(
-            grid2,
-            "tabulated",
-            samples={"N": cols[1], "N1": cols[2], "N2": cols[3], "N3": cols[4]},
-        )
+    try:
+        if kind == "const":
+            kernel = build_kernel(grid2, "const")
+        elif kind == "exp":
+            kernel = build_kernel(grid2, "exp", rate=float(kv.get("kernel_rate", "1.0")))
+        else:
+            kernel = build_kernel(
+                grid2,
+                "tabulated",
+                samples={"N": cols[1], "N1": cols[2], "N2": cols[3], "N3": cols[4]},
+            )
+    except KernelValidationError as exc:
+        raise DataFormatError(f"invalid kernel data: {exc}") from exc
 
     header, bcols = _read_csv(os.path.join(directory, "basis.csv"))
     if len(bcols) != n_basis + 1 or len(bcols[0]) != grid2.n + 1:
@@ -421,7 +427,7 @@ def load_bundle(directory: str) -> tuple:
     if len(rcols) != n_basis + 1 or len(rcols[0]) != grid2.n + 1:
         raise DataFormatError("response.csv does not match the manifest dimensions")
     Y = np.vstack(rcols[1:])
-    meta = {"provenance": "loaded", "L": L, "directory": directory}
+    meta = {"provenance": "loaded", "L": L, "directory": directory, **noise}
     try:
         table = ResponseTable(basis=basis, kernel=kernel, Y=Y, meta=meta)
     except Exception as exc:
@@ -440,14 +446,16 @@ def load_bundle(directory: str) -> tuple:
 def synthesize(cfg: RunConfig, directory: str | None = None) -> str:
     """Generate the synthetic bundle described by a config; returns the path."""
     kernel2 = cfg.build_kernel2()
-    basis = hat_basis(cfg.time_grid(), cfg.n_basis)
+    try:
+        basis = hat_basis(cfg.time_grid(), cfg.n_basis)
+    except GridMismatchError as exc:
+        raise ConfigError(f"bad n_basis: {exc}") from exc
     q = cfg.q_values()
     table = synthesize_table(
         basis,
         kernel2,
         q,
         cfg.L,
-        threads=cfg.effective_threads,
         noise_sigma=cfg.noise_sigma,
         seed=cfg.seed,
         meta={"seed": cfg.seed},

@@ -28,7 +28,7 @@ differentiated model w_tt = Lw + int_0^t N'(t-s) Lw(s) ds on the full domain
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "StringProblem",
     "WaveField",
     "solve_mild",
-    "response",
     "final_snapshot",
     "fd_oracle",
     "boundary_derivative",
@@ -104,7 +103,6 @@ class WaveField:
     sigma: Sampled1D
     gamma: float
     scheme: str
-    source: np.ndarray = field(repr=False)  # F(x,t) of the integral equation
 
     @property
     def xgrid(self) -> TimeGrid:
@@ -176,19 +174,15 @@ def solve_mild(p: StringProblem, f: Sampled1D, res: ResolventData | None = None)
             F[:, m] += _memory_row(K, W, m, dt)
 
     w = np.exp(gamma * t)[None, :] * W
-    y = _response_from_source(f.values, F, gamma, dt)
+    y = Sampled1D(tgrid, _response_from_source(f.values, F, gamma, dt))
     field = WaveField(
         W=Sampled2D(xgrid, tgrid, W),
         w=Sampled2D(xgrid, tgrid, w),
         f=f,
-        y=Sampled1D(tgrid, y),
-        sigma=response_to_traction(
-            Sampled1D(tgrid, y),
-            _sliced_kernel_view(p.kernel, m),
-        ),
+        y=y,
+        sigma=response_to_traction(y, _sliced_kernel_view(p.kernel, m)),
         gamma=gamma,
         scheme="mild-characteristic",
-        source=F,
     )
     return field
 
@@ -230,14 +224,6 @@ def _response_from_source(f: np.ndarray, F: np.ndarray, gamma: float, dt: float)
         diag = F[idx, k - idx]
         integral[k] = dt * (diag.sum() - 0.5 * diag[0] - 0.5 * diag[-1])
     return gamma * f - fp + np.exp(gamma * t) * integral
-
-
-def response(p: StringProblem, f: Sampled1D, field: WaveField) -> Sampled1D:
-    """Boundary response y = w_x(0, .) of a solved field."""
-    if field.scheme != "mild-characteristic":
-        return boundary_derivative(field)
-    y = _response_from_source(f.values, field.source, field.gamma, p.dt)
-    return Sampled1D(field.tgrid, y)
 
 
 def boundary_derivative(field: WaveField) -> Sampled1D:
@@ -300,17 +286,14 @@ def fd_oracle(p: StringProblem, f: Sampled1D, res: ResolventData | None = None) 
     xg = TimeGrid(dt, n_x)
     t = tgrid.nodes()
     Wt = np.exp(-res.gamma * t)[None, :] * w
+    y = Sampled1D(tgrid, (-3.0 * w[0, :] + 4.0 * w[1, :] - w[2, :]) / (2.0 * dx))
     field = WaveField(
         W=Sampled2D(xg, tgrid, Wt),
         w=Sampled2D(xg, tgrid, w),
         f=f,
-        y=Sampled1D(tgrid, (-3.0 * w[0, :] + 4.0 * w[1, :] - w[2, :]) / (2.0 * dx)),
-        sigma=response_to_traction(
-            Sampled1D(tgrid, (-3.0 * w[0, :] + 4.0 * w[1, :] - w[2, :]) / (2.0 * dx)),
-            _sliced_kernel_view(p.kernel, m),
-        ),
+        y=y,
+        sigma=response_to_traction(y, _sliced_kernel_view(p.kernel, m)),
         gamma=res.gamma,
         scheme="leapfrog-oracle",
-        source=np.zeros((0, 0)),
     )
     return field

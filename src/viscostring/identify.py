@@ -49,7 +49,6 @@ __all__ = [
     "ReconstructionResult",
     "steering_rhs",
     "steering_control",
-    "xi_trace",
     "reconstruct_q",
     "default_horizons",
     "pipeline",
@@ -73,14 +72,9 @@ class IdentifyConfig:
     tikhonov_lambda: float | str = "auto"
     smoothing_halfwidth: int = 3
     xi_zero_guard: float | None = None
-    endpoint_extrapolation: str = "quadratic"
     readout_points: int = 3
 
     def __post_init__(self):
-        if self.endpoint_extrapolation != "quadratic":
-            raise ConfigError(
-                f"unsupported endpoint extrapolation {self.endpoint_extrapolation!r}"
-            )
         if self.smoothing_halfwidth < 1:
             raise ConfigError("smoothing halfwidth must be >= 1")
         if not (self.tikhonov_lambda == "auto" or float(self.tikhonov_lambda) >= 0):
@@ -241,19 +235,6 @@ def steering_control(
     )
 
 
-def xi_trace(f_T: Sampled1D, spacing: float | None = None, points: int = 3) -> float:
-    """Target trace xi(T) = f^T(0+): quadratic extrapolation of the control
-    to t = 0 through samples one, two and three spacings in (the node-0 value
-    of a basis expansion is pinned to zero and carries no information)."""
-    dt = f_T.grid.dt
-    stride = 1 if spacing is None else max(1, round(spacing / dt))
-    pts = min(points, f_T.grid.n // stride)
-    if pts < 1:
-        raise ConfigError("control too short for the trace extrapolation")
-    idx = stride * np.arange(1, pts + 1)
-    return _extrapolate(idx * dt, f_T.values[idx], 0.0)
-
-
 def reconstruct_q(
     horizons: np.ndarray,
     xi: np.ndarray,
@@ -341,12 +322,11 @@ def pipeline(
     tab: ResponseTable,
     cfg: IdentifyConfig | None = None,
     gram: ConnectingGram | None = None,
-    threads: int = 1,
 ) -> ReconstructionResult:
     """Full data-driven reconstruction: one Gram build serves every horizon."""
     cfg = cfg or IdentifyConfig()
     if gram is None:
-        gram = gram_from_data(tab, threads=threads)
+        gram = gram_from_data(tab)
     basis = tab.basis
     horizons = (
         cfg.horizons

@@ -135,6 +135,8 @@ def build_kernel(
                 raise KernelValidationError(
                     f"tabulated samples must have {t.shape[0]} nodes, got {r.shape}"
                 )
+            if not np.all(np.isfinite(r)):
+                raise KernelValidationError("tabulated kernel samples must be finite")
         n0 = rows[0][0]
         if n0 <= 0:
             raise KernelValidationError(f"N(0) must be positive, got {n0}")
@@ -212,7 +214,6 @@ class ResolventData:
     gamma: float
     alpha: float
     K: Sampled1D
-    R2: Sampled1D  # same samples as K: exp(-gamma t) R''(t)
 
     def residual(self, kernel: MemoryKernel) -> float:
         """sup-norm residual of R + N1*R - N1 at the discrete level."""
@@ -241,9 +242,7 @@ def resolvent(k: MemoryKernel) -> ResolventData:
     gamma = 0.5 * r0
     alpha = r1_0 + 0.25 * r0 * r0
     kk = Sampled1D(grid, np.exp(-gamma * grid.nodes()) * r2d.values)
-    return ResolventData(
-        grid=grid, R=r, R1=r1, R2deriv=r2d, gamma=gamma, alpha=alpha, K=kk, R2=kk
-    )
+    return ResolventData(grid=grid, R=r, R1=r1, R2deriv=r2d, gamma=gamma, alpha=alpha, K=kk)
 
 
 def response_to_traction(y: Sampled1D, k: MemoryKernel) -> Sampled1D:

@@ -1,3 +1,4 @@
+import filecmp
 import os
 
 import pytest
@@ -65,6 +66,51 @@ def test_config_error_exit_code_2(tmp_path):
     assert main(["synthesize", "--config", str(bad)]) == 2
     missing = str(tmp_path / "nope.cfg")
     assert main(["synthesize", "--config", missing]) == 2
+    # structural errors of a config value: no traceback, exit 2
+    for line, wrong in (("kernel = exp:1.0", "kernel = exp:-1"), ("n_basis = 12", "n_basis = 40")):
+        cfg = tmp_path / "structural.cfg"
+        cfg.write_text(CFG.replace(line, wrong))  # 40 hats do not fit on the 32-step grid
+        assert main(["synthesize", "--config", str(cfg)]) == 2
+
+
+def test_bad_tabulated_kernel_exit_code_4(tmp_path, cfg_path):
+    bundle = str(tmp_path / "bundle")
+    assert main(["synthesize", "--config", cfg_path, "--out", bundle]) == 0
+    man = os.path.join(bundle, "manifest.txt")
+    with open(man) as fh:
+        text = fh.read().replace("kernel_kind=exp", "kernel_kind=tabulated")
+    with open(man, "w") as fh:
+        fh.write(text)
+    kpath = os.path.join(bundle, "kernel.csv")
+    original = open(kpath, newline="").read()
+    assert main(["identify", bundle, "--config", cfg_path, "--out", str(tmp_path / "ok")]) == 0
+
+    rows = original.split("\r\n")
+    for bad in ("0.5", "nan"):  # an inconsistent N1 sample, a non-finite one
+        cells = rows[5].split(",")
+        cells[2] = bad
+        with open(kpath, "w", newline="") as fh:
+            fh.write("\r\n".join(rows[:5] + [",".join(cells)] + rows[6:]))
+        assert main(["identify", bundle, "--config", cfg_path]) == 4
+        kcfg = tmp_path / "kfile.cfg"
+        kcfg.write_text(CFG.replace("exp:1.0", f"file:{kpath}"))
+        assert main(["synthesize", "--config", str(kcfg), "--out", str(tmp_path / "k")]) == 4
+
+
+def test_legacy_threads_key_is_ignored(tmp_path, cfg_path):
+    legacy = tmp_path / "legacy.cfg"
+    legacy.write_text(CFG + "threads = 4\n")
+    outputs = []
+    for cfg in (cfg_path, str(legacy)):
+        bundle = str(tmp_path / f"bundle-{len(outputs)}")
+        out = str(tmp_path / f"run-{len(outputs)}")
+        assert main(["synthesize", "--config", cfg, "--out", bundle]) == 0
+        assert main(["identify", bundle, "--config", cfg, "--out", out]) == 0
+        outputs.append((bundle, out))
+    (b0, r0), (b1, r1) = outputs
+    for name in ("manifest.txt", "kernel.csv", "basis.csv", "response.csv", "q_true.csv"):
+        assert filecmp.cmp(os.path.join(b0, name), os.path.join(b1, name), shallow=False), name
+    assert filecmp.cmp(os.path.join(r0, "results.csv"), os.path.join(r1, "results.csv"), shallow=False)
 
 
 def test_forward_and_resolvent_dumps(tmp_path, cfg_path):

@@ -17,14 +17,11 @@ from viscostring.forward import StringProblem
 from viscostring.connecting import (
     ControlBasis,
     ResponseTable,
-    SeparableField,
-    affine_chain,
+    affine_source,
     blago_solve,
     gram_from_data,
     gram_oracle,
     hat_basis,
-    phi,
-    psi,
     synthesize_table,
 )
 
@@ -123,7 +120,7 @@ def test_wave_responses_are_negative_derivatives():
 
 
 # ---------------------------------------------------------------------------
-# the chain: phi, psi, affine term
+# the affine source and the stepwise chain it collapses
 # ---------------------------------------------------------------------------
 
 
@@ -137,34 +134,55 @@ def _chain_inputs(tab, basis, grid2, i, j):
     )
 
 
+def _phi(f, g, yf, yg, ker, m):
+    """Reference first step of the chain, as rank-two factors:
+    Phi(s,t) = (N*f)(t) y^g(s) - (N*y^f)(t) g(s), t truncated to [0, m*dt].
+    Returns ((s-factors), (t-factors)); Phi = outer(s0, t0) - outer(s1, t1)."""
+    dt = ker.grid.dt
+    A = convolve_values(ker.N.values, f, dt)[: m + 1]
+    B = convolve_values(ker.N.values, yf, dt)[: m + 1]
+    return (yg, g), (A, B)
+
+
+def _psi(factors, ker):
+    """Reference second step: Psi(s,t) = int_0^s N(s-r) Phi(r,t) dr."""
+    (a, b), t_factors = factors
+    dt = ker.grid.dt
+    return (convolve_values(ker.N.values, a, dt), convolve_values(ker.N.values, b, dt)), t_factors
+
+
+def _dense(factors):
+    (a, b), (A, B) = factors
+    return np.outer(a, A) - np.outer(b, B)
+
+
 def test_phi_zero_inputs():
     tab, basis, ker2, grid, grid2 = _wave_setup()
-    zero = Sampled1D(grid2, np.zeros(grid2.n + 1))
-    field = phi(zero, zero, zero, zero, ker2)
-    assert np.all(field.values() == 0.0)
+    zero = np.zeros(grid2.n + 1)
+    assert np.all(_dense(_phi(zero, zero, zero, zero, ker2, grid.n)) == 0.0)
 
 
 def test_phi_classical_closed_form():
     # N == 1, q == 0: Phi(s,t) = (int f)(t) y_g(s) - (int y_f)(t) g(s) with
     # y = -f' for both controls
     tab, basis, ker2, grid, grid2 = _wave_setup(m=128, n=5)
-    f, g, yf, yg = _chain_inputs(tab, basis, grid2, 1, 3)
-    field = phi(f, g, yf, yg, ker2)
+    f, g, yf, yg = (v.values for v in _chain_inputs(tab, basis, grid2, 1, 3))
+    field = _dense(_phi(f, g, yf, yg, ker2, grid.n))
     m = grid.n
-    A = cumulative_values(f.values, grid2.dt)[: m + 1]
-    B = cumulative_values(yf.values, grid2.dt)[: m + 1]
-    expected = np.outer(yg.values, A) - np.outer(g.values, B)
-    assert np.max(np.abs(field.values() - expected)) <= 1e-10
+    A = cumulative_values(f, grid2.dt)[: m + 1]
+    B = cumulative_values(yf, grid2.dt)[: m + 1]
+    expected = np.outer(yg, A) - np.outer(g, B)
+    assert np.max(np.abs(field - expected)) <= 1e-10
 
 
 def test_psi_zero_and_wave_reduction():
     tab, basis, ker2, grid, grid2 = _wave_setup(m=96, n=4)
-    f, g, yf, yg = _chain_inputs(tab, basis, grid2, 0, 2)
-    p_field = phi(f, g, yf, yg, ker2)
-    s_field = psi(p_field, ker2)
+    f, g, yf, yg = (v.values for v in _chain_inputs(tab, basis, grid2, 0, 2))
+    p_factors = _phi(f, g, yf, yg, ker2, grid.n)
+    s_field = _dense(_psi(p_factors, ker2))
     # N == 1: Psi(s,t) = int_0^s Phi(r,t) dr
-    direct = np.apply_along_axis(lambda col: cumulative_values(col, grid2.dt), 0, p_field.values())
-    assert np.max(np.abs(s_field.values() - direct)) <= 1e-10
+    direct = np.apply_along_axis(lambda col: cumulative_values(col, grid2.dt), 0, _dense(p_factors))
+    assert np.max(np.abs(s_field - direct)) <= 1e-10
 
 
 def test_psi_separable_against_brute_force():
@@ -175,17 +193,14 @@ def test_psi_separable_against_brute_force():
     ker = general_kernel(grid2)
     a_t = np.sin(grid.nodes() * 4.0)
     b_s = np.cos(grid2.nodes() * 2.0)
-    field = SeparableField(
-        sgrid=grid2, tgrid=grid,
-        s_factors=(b_s,), t_factors=(a_t,), signs=(1.0,),
-        raw={},
-    )
-    out = psi(field, ker)
-    dense = field.values()
+    zero_s, zero_t = np.zeros_like(b_s), np.zeros_like(a_t)
+    factors = ((b_s, zero_s), (a_t, zero_t))
+    out = _dense(_psi(factors, ker))
+    dense = _dense(factors)
     brute = np.empty_like(dense)
     for k in range(grid.n + 1):
         brute[:, k] = convolve_values(ker.N.values, dense[:, k], dt)
-    assert np.max(np.abs(out.values() - brute)) <= 1e-12
+    assert np.max(np.abs(out - brute)) <= 1e-12
 
 
 def test_affine_chain_matches_stepwise_discrete_chain():
@@ -229,7 +244,7 @@ def test_affine_chain_matches_stepwise_discrete_chain():
     basis = hat_basis(grid, 4)
     tab = synthesize_table(basis, ker, lambda x: 0.5 + 0.4 * x, 1.0)
     f, g, yf, yg = _chain_inputs(tab, basis, grid2, 1, 3)
-    closed = affine_chain(psi(phi(f, g, yf, yg, ker), ker), res, ker).values()
+    closed = affine_source(f, g, yf, yg, res).values
     literal = stepwise(tab, basis, ker, res, grid, grid2, 1, 3)
     scale = np.max(np.abs(closed))
     assert np.max(np.abs(closed - literal)) <= 30.0 * dt**2 * scale
@@ -242,7 +257,7 @@ def test_affine_term_antisymmetric_for_equal_controls():
     tab, basis, ker2, grid, grid2 = _wave_setup(m=64, n=4, kernel="exp")
     res = resolvent(ker2)
     f, _, yf, _ = _chain_inputs(tab, basis, grid2, 2, 2)
-    G = affine_chain(psi(phi(f, f, yf, yf, ker2), ker2), res, ker2).values()
+    G = affine_source(f, f, yf, yf, res).values
     m = grid.n
     square = G[: m + 1, :]
     assert np.max(np.abs(square + square.T)) <= 1e-12 * max(np.max(np.abs(G)), 1e-30)
@@ -269,7 +284,7 @@ def test_blago_quadrature_is_single_triangle_pass(rng):
     m = 32
     grid, grid2 = TimeGrid(0.01, m), TimeGrid(0.01, 2 * m)
     res = resolvent(build_kernel(grid2, "exp", rate=1.0))
-    assert not np.any(res.R2.values)
+    assert not np.any(res.K.values)
     vals = rng.standard_normal((2 * m + 1, m + 1))
     G = Sampled2D(grid2, grid, vals)
     sol = blago_solve(G, res)  # auto -> quadrature
@@ -282,7 +297,7 @@ def test_blago_march_agrees_with_quadrature_when_memoryless():
     tab, basis, ker2, grid, grid2 = _wave_setup(m=96, n=3, kernel="exp")
     res = resolvent(ker2)
     f, g, yf, yg = _chain_inputs(tab, basis, grid2, 0, 2)
-    G = affine_chain(psi(phi(f, g, yf, yg, ker2), ker2), res, ker2)
+    G = affine_source(f, g, yf, yg, res)
     a = blago_solve(G, res, scheme="quadrature")
     b = blago_solve(G, res, scheme="march")
     scale = np.max(np.abs(a.diagonal()))
@@ -294,7 +309,7 @@ def test_blago_march_agrees_with_picard_general_kernel():
                                                 q=lambda x: 0.3 + 0.4 * x)
     res = resolvent(ker2)
     f, g, yf, yg = _chain_inputs(tab, basis, grid2, 0, 1)
-    G = affine_chain(psi(phi(f, g, yf, yg, ker2), ker2), res, ker2)
+    G = affine_source(f, g, yf, yg, res)
     a = blago_solve(G, res, scheme="march")
     b = blago_solve(G, res, scheme="picard", tol=1e-13)
     scale = np.max(np.abs(a.diagonal()))
@@ -328,7 +343,7 @@ def test_blago_boundary_conditions():
                                                 q=lambda x: 0.5 * np.ones_like(x))
     res = resolvent(ker2)
     f, g, yf, yg = _chain_inputs(tab, basis, grid2, 0, 2)
-    G = affine_chain(psi(phi(f, g, yf, yg, ker2), ker2), res, ker2)
+    G = affine_source(f, g, yf, yg, res)
     sol = blago_solve(G, res, scheme="march")
     hmax = np.max(np.abs(sol.H.values))
     assert np.max(np.abs(sol.H.values[0, :])) <= 1e-10 * hmax
@@ -347,10 +362,9 @@ def test_blago_classical_product_moment_off_diagonal():
     g_full = bump(t2, 0.10, 0.40)
     yf = -centered_difference(f_full, dt)
     yg = -centered_difference(g_full, dt)
-    G = affine_chain(
-        psi(phi(Sampled1D(grid2, f_full), Sampled1D(grid2, g_full),
-                Sampled1D(grid2, yf), Sampled1D(grid2, yg), ker), ker),
-        res, ker,
+    G = affine_source(
+        Sampled1D(grid2, f_full), Sampled1D(grid2, g_full),
+        Sampled1D(grid2, yf), Sampled1D(grid2, yg), res,
     )
     sol = blago_solve(G, res)
 

@@ -31,8 +31,7 @@ def _small_cfg(**overrides):
 
 
 def test_parse_config_happy_path():
-    cfg = parse_config(
-        """
+    text = """
         # comment line
         kernel = exp:2.0
         L = 2.0
@@ -40,13 +39,13 @@ def test_parse_config_happy_path():
         dt = 0.0078125
         n_basis = 8
         q = const:1 + sin:0.5,1
-        threads = 2
         """
-    )
+    cfg = parse_config(text)
     assert cfg.kernel == "exp:2.0"
     assert cfg.n_basis == 8
-    assert cfg.threads == 2
     assert cfg.m == 128
+    # the legacy threads key is accepted and has no effect
+    assert parse_config(text + "threads = 2\n") == cfg
 
 
 def test_parse_config_rejects_unknown_keys():
@@ -99,7 +98,7 @@ def test_control_spec():
 
 
 def test_bundle_round_trip(tmp_path):
-    cfg = _small_cfg(q="const:1 + sin:0.25,1")
+    cfg = _small_cfg(q="const:1 + sin:0.25,1", noise_sigma=1e-4, seed=7)
     out = str(tmp_path / "bundle")
     synthesize(cfg, out)
     table, q_true, manifest = load_bundle(out)

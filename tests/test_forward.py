@@ -9,7 +9,6 @@ from viscostring.forward import (
     boundary_derivative,
     fd_oracle,
     final_snapshot,
-    response,
     solve_mild,
 )
 
@@ -115,8 +114,6 @@ def test_response_degenerate_negative_derivative():
     f = Sampled1D.from_callable(tg, lambda t: t**2)
     fld = solve_mild(p, f)
     assert np.max(np.abs(fld.y.values + 2 * tg.nodes())) <= 1e-12
-    y2 = response(p, f, fld)
-    assert np.allclose(y2.values, fld.y.values, atol=1e-15)
 
 
 def test_response_matches_fd_oracle():

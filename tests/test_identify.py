@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from viscostring.errors import ConfigError, NumericalFailure
-from viscostring.grid import Sampled1D, TimeGrid
+from viscostring.grid import TimeGrid
 from viscostring.kernels import build_kernel
 from viscostring.forward import StringProblem
 from viscostring.connecting import (
@@ -20,7 +20,6 @@ from viscostring.identify import (
     reconstruct_q,
     steering_control,
     steering_rhs,
-    xi_trace,
 )
 
 
@@ -42,8 +41,6 @@ def test_config_validation():
         IdentifyConfig(tikhonov_lambda=-0.5)
     with pytest.raises(ConfigError):
         IdentifyConfig(horizons=np.array([0.3, 0.2]))
-    with pytest.raises(ConfigError):
-        IdentifyConfig(endpoint_extrapolation="linear")
 
 
 def test_steering_rhs_wave_closed_form():
@@ -139,19 +136,6 @@ def test_steering_control_below_first_support():
     gram = gram_from_data(tab)
     with pytest.raises(ConfigError):
         steering_control(gram, grid.dt, np.zeros(basis.n))
-
-
-def test_xi_trace_samples():
-    g = TimeGrid(1e-3, 1000)
-    T = g.t_max
-    ramp = Sampled1D(g, T - g.nodes())
-    assert abs(xi_trace(ramp) - T) <= 1e-12
-    zero = Sampled1D(g, np.zeros(g.n + 1))
-    assert xi_trace(zero) == 0.0
-    cos = Sampled1D.from_callable(g, lambda t: np.cos(t))
-    assert abs(xi_trace(cos) - 1.0) <= 1e-6
-    # stride readout used for basis-resolution controls
-    assert abs(xi_trace(ramp, spacing=0.05) - T) <= 1e-12
 
 
 def test_reconstruct_q_closed_forms():

@@ -175,12 +175,6 @@ def test_resolvent_involution_returns_n1():
     assert np.max(np.abs(back.values - ker.N1.values)) <= 1e-8
 
 
-def test_resolvent_k_equals_r2():
-    g = TimeGrid(5e-3, 200)
-    res = resolvent(general_kernel(g))
-    assert res.K.values is res.R2.values or np.array_equal(res.K.values, res.R2.values)
-
-
 def test_resolvent_convergence_order():
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
