@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, NumericalFailure
+from .errors import ConfigError, DataFormatError, KernelValidationError, NumericalFailure
 from .grid import Sampled1D
 from .kernels import resolvent as _resolvent
 from .forward import StringProblem, solve_mild
@@ -41,25 +41,25 @@ def _load_config(path: str | None) -> RunConfig:
 
 
 def _identify_config(cfg: RunConfig, basis) -> IdentifyConfig:
-    lam = cfg.tikhonov_lambda
-    if lam != "auto":
-        lam = float(lam)
-    guard = None if cfg.xi_zero_guard == "auto" else float(cfg.xi_zero_guard)
-    horizons = None
-    if cfg.horizons == "lattice":
+    try:
+        lam = cfg.tikhonov_lambda
+        if lam != "auto":
+            lam = float(lam)
+        guard = None if cfg.xi_zero_guard == "auto" else float(cfg.xi_zero_guard)
         horizons = None
-    elif cfg.horizons.startswith("every:"):
-        k = int(cfg.horizons[6:])
-        if k < 1:
-            raise ConfigError("horizons=every:K needs K >= 1")
-        nodes = basis.grid.nodes()[k::k]
-        lo = default_horizons(basis, min_active=cfg.readout_points)[0]
-        horizons = nodes[nodes >= lo - 1e-12]
-    else:
-        try:
+        if cfg.horizons.startswith("every:"):
+            k = int(cfg.horizons[6:])
+            if k < 1:
+                raise ConfigError("horizons=every:K needs K >= 1")
+            nodes = basis.grid.nodes()[k::k]
+            lo = default_horizons(basis, min_active=cfg.readout_points)[0]
+            horizons = nodes[nodes >= lo - 1e-12]
+        elif cfg.horizons != "lattice":
             horizons = np.array([float(s) for s in cfg.horizons.split(",")])
-        except ValueError as exc:
-            raise ConfigError(f"bad horizons spec {cfg.horizons!r}") from exc
+            for T in horizons:
+                basis.grid.index_of(T)
+    except ValueError as exc:  # unparsable number, off-lattice horizon, or ConfigError above
+        raise ConfigError(f"bad identify setting: {exc}") from exc
     return IdentifyConfig(
         horizons=horizons,
         tikhonov_lambda=lam,
@@ -116,8 +116,11 @@ def cmd_identify(args) -> int:
         err = result.q_hat - q_ref
         lines.append(f"max_abs_error={_format(float(np.max(np.abs(err))))}")
         denom = float(np.linalg.norm(q_ref))
-        rel = float(np.linalg.norm(err)) / denom if denom > 0 else float("nan")
-        lines.append(f"rel_l2_error={_format(rel)}")
+        err_l2 = float(np.linalg.norm(err))
+        if denom > 0:
+            lines.append(f"rel_l2_error={_format(err_l2 / denom)}")
+        else:  # q_true == 0: a relative norm has nothing to divide by
+            lines.append(f"l2_error={_format(err_l2)}")
     else:
         lines.append("q_true=absent (error norms omitted)")
     report = os.path.join(out, "report.txt")
@@ -171,7 +174,10 @@ def cmd_forward(args) -> int:
     grid = cfg.time_grid()
     f_vals = parse_control_spec(cfg.control, grid)
     p = StringProblem(cfg.L, cfg.q_values(), kernel2, cfg.T_max)
-    field = solve_mild(p, Sampled1D(grid, f_vals))
+    try:
+        field = solve_mild(p, Sampled1D(grid, f_vals))
+    except KernelValidationError as exc:
+        raise ConfigError(f"bad control spec {cfg.control!r}: {exc}") from exc
     out = args.out or cfg.out
     os.makedirs(out, exist_ok=True)
     x = field.xgrid.nodes()

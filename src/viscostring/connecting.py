@@ -23,8 +23,19 @@ s = 2T, which is why responses must be recorded on a doubled window.
 
 The diagonal values H^{f,g}(T,T) = <C_T f, g> assemble the Gram matrix of the
 connecting operator C_T for a control basis, the data side of the coefficient
-reconstruction.  ``gram_oracle`` computes the same Gram from forward-solver
-snapshots (it knows q; used for validation only).
+reconstruction.  For (f, g) = (e_i, e_j) the source has rank two, G_ij(s,t) =
+a_j(s) b_i(t) - c_j(s) d_i(t) with a = exp(-gamma s) y, c = exp(-gamma s) e
+and b = c, d = a on [0, T_max].  When K == 0 (constant and exponential
+kernels) the diagonal is one triangle quadrature of G, and with the running
+trapezoids U_x(s_r) = dt (sum_{p<=r} x(s_p) - x(s_r)/2) of the s-factors
+
+    W_ij(t_k,t_k) = 1/2 sum_{tau<k} w_tau [b_i(tau) S_a,j(tau,k) - d_i(tau) S_c,j(tau,k)],
+    S_x(tau,k) = U_x(s_{2k-tau}) - U_x(s_tau),   w_0 = dt/2,  w_tau = dt,
+
+which writes C_T directly in terms of the response (Belishev, "Recent progress
+in the boundary control method", Inverse Problems 23 (2007) R1-R67).  When
+K != 0 the lozenge march runs once per j over a batch of i.  ``gram_oracle``
+computes the same Gram from forward-solver snapshots (it knows q; validation).
 """
 
 from __future__ import annotations
@@ -383,24 +394,7 @@ def blago_solve(
     if scheme == "quadrature":
         W = _triangle_field(gvals, dt)
     elif scheme == "march":
-        W = np.zeros((n_s + 1, n_t + 1))
-        # Seed level 1 from the triangle quadrature itself: the tau = 0 row of
-        # the source is nonzero whenever a control launches with a slope
-        # (y(0+) = -f'(0+)), and the lozenge recursion alone would miss it.
-        row0 = gvals[:, 0]
-        if n_t >= 1:
-            W[1:n_s, 1] = 0.25 * dt * dt * (
-                0.5 * row0[: n_s - 1] + row0[1:n_s] + 0.5 * row0[2:]
-            )
-        for k in range(1, n_t):
-            Q = gvals[:, k].copy()
-            if has_memory:
-                Q += _memory_columns_level(kmem, W, k, dt)
-                Q -= convolve_values(kmem[: n_s + 1], W[:, k], dt)
-            W[1:n_s, k + 1] = (
-                W[2:, k] + W[: n_s - 1, k] - W[1:n_s, k - 1] + dt * dt * Q[1:n_s]
-            )
-            W[n_s - k :, k + 1] = 0.0  # outside the data trapezoid
+        W = _march(lambda k: gvals[: n_s - k + 1, k, None], kmem[: n_s + 1], n_t, dt)[:, :, 0].T
     elif scheme == "picard":
         W, iterations = _picard(gvals, kmem, dt, sigma_weight, sgrid, tgrid, tol, max_iter)
     else:
@@ -418,12 +412,33 @@ def blago_solve(
     )
 
 
-def _memory_columns_level(kmem: np.ndarray, W: np.ndarray, k: int, dt: float) -> np.ndarray:
-    """(K *_t W)(., t_k) from the marching history."""
-    acc = 0.5 * kmem[k] * W[:, 0] + 0.5 * kmem[0] * W[:, k]
-    if k > 1:
-        acc += W[:, 1:k] @ kmem[k - 1:0:-1]
-    return dt * acc
+def _march(source, kmem: np.ndarray, n_t: int, dt: float) -> np.ndarray:
+    """Lozenge march of a batch of sources: W[k, i, b] = W_b(s_i, t_k).
+
+    source(k) is the level-k source on the live rows s_0..s_{n_s-k}, shape
+    (n_s-k+1, batch); kmem is K on the s-window.  The t-memory term is one
+    product over the level-major history, the s-memory term one product with
+    the trapezoid Toeplitz matrix of K; their K(0)/2 end terms cancel, and
+    those at r = 0 vanish with W(s,0) = W(0,t) = 0.
+    """
+    n_s = len(kmem) - 1
+    row0 = source(0)
+    W = np.zeros((n_t + 1, n_s + 1, row0.shape[1]))
+    # Seed level 1 from the triangle quadrature itself: the tau = 0 row of the
+    # source is nonzero whenever a control launches with a slope
+    # (y(0+) = -f'(0+)), and the lozenge recursion alone would miss it.
+    W[1, 1:n_s] = 0.25 * dt * dt * (0.5 * row0[: n_s - 1] + row0[1:n_s] + 0.5 * row0[2:])
+    kd = dt * kmem
+    lag = np.arange(n_s + 1)
+    toeplitz = np.tril(kd[np.abs(lag[:, None] - lag)], -1)
+    for k in range(1, n_t):
+        live = n_s - k + 1
+        hist = np.dot(kd[k - 1 : 0 : -1], W[1:k].reshape(k - 1, W[0].size)).reshape(W[0].shape)
+        Q = source(k) + hist[:live] - toeplitz[:live, :live] @ W[k, :live]
+        W[k + 1, 1 : live - 1] = (
+            W[k, 2:live] + W[k, : live - 2] - W[k - 1, 1 : live - 1] + dt * dt * Q[1 : live - 1]
+        )
+    return W
 
 
 def _picard(gvals, kmem, dt, sigma, sgrid, tgrid, tol, max_iter):
@@ -465,6 +480,8 @@ def _picard(gvals, kmem, dt, sigma, sgrid, tgrid, tol, max_iter):
 # Gram assembly
 # ---------------------------------------------------------------------------
 
+_MARCH_BLOCK = 4  # controls per genuine-memory march: ~1 MB of history at m = 128
+
 
 @dataclass(frozen=True)
 class ConnectingGram:
@@ -497,26 +514,23 @@ class ConnectingGram:
 def gram_from_data(tab: ResponseTable) -> ConnectingGram:
     """Gram of the connecting operator at every time node, from boundary data.
 
-    Builds the affine source and solves the two-variable wave identity per
-    control pair, then reads the diagonal H(t_k, t_k).  The (i,j) and (j,i)
-    pairs are solved independently so the symmetry defect measures the
+    Entry (i,j) at t_k is H(t_k, t_k) for the source G_ij, built from its
+    rank-two factors (module docstring): in closed form when K vanishes on
+    the window, else by one batched march per j over blocks of i.  (i,j) and
+    (j,i) are computed independently so the symmetry defect measures the
     discretization error of the data side; the returned matrices are the
     symmetrized averages.
     """
-    basis, kernel = tab.basis, tab.kernel
-    grid2 = tab.grid2
-    m = basis.grid.n
-    n = basis.n
-    res = resolvent(kernel)
-    controls = [Sampled1D(grid2, e) for e in basis.sampled_on(grid2)]
-    responses = [Sampled1D(grid2, y) for y in tab.Y]
-
-    raw = np.zeros((m + 1, n, n))
-    for i in range(n):
-        for j in range(n):
-            G = affine_source(controls[i], controls[j], responses[i], responses[j], res)
-            # the diagonal already carries the exp(gamma(s+t)) weight
-            raw[:, i, j] = blago_solve(G, res).diagonal()
+    basis = tab.basis
+    m, dt = basis.grid.n, basis.grid.dt
+    res = resolvent(tab.kernel)
+    es = np.exp(-res.gamma * tab.grid2.nodes())
+    a, c = (es * tab.Y).T, (es * basis.sampled_on(tab.grid2)).T
+    if np.any(res.K.values):
+        raw = _diagonal_march(a, c, res.K.values, m, dt)
+    else:
+        raw = _diagonal_closed_form(a, c, m, dt)
+    raw *= np.exp(2.0 * res.gamma * basis.grid.nodes())[:, None, None]
 
     sym = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
     norms = np.linalg.norm(raw, axis=(1, 2))
@@ -530,6 +544,36 @@ def gram_from_data(tab: ResponseTable) -> ConnectingGram:
         basis=basis,
         gamma=res.gamma,
     )
+
+
+def _diagonal_closed_form(a: np.ndarray, c: np.ndarray, m: int, dt: float) -> np.ndarray:
+    """W_ij(t_k, t_k) when K == 0: two small products per horizon (module docstring)."""
+    n = a.shape[1]
+    w = 0.5 * trap_weights(m + 1, dt)[:, None]  # w_tau / 2; tau = m is never summed
+    bw, dw = w * c[: m + 1], w * a[: m + 1]
+    A = np.hstack([a, c])
+    U = dt * (np.cumsum(A, axis=0) - 0.5 * A)
+    raw = np.zeros((m + 1, n, n))
+    for k in range(1, m + 1):
+        S = U[2 * k : k : -1] - U[:k]
+        raw[k] = bw[:k].T @ S[:, :n] - dw[:k].T @ S[:, n:]
+    return raw
+
+
+def _diagonal_march(a: np.ndarray, c: np.ndarray, kmem: np.ndarray, m: int, dt: float) -> np.ndarray:
+    """W_ij(t_k, t_k) when K != 0: one march per j, in blocks of _MARCH_BLOCK i."""
+    n, n_s = a.shape[1], len(kmem) - 1
+    diag = np.arange(m + 1)
+    raw = np.zeros((m + 1, n, n))
+    for j in range(n):
+        for lo in range(0, n, _MARCH_BLOCK):
+            b, d = c[: m + 1, lo : lo + _MARCH_BLOCK], a[: m + 1, lo : lo + _MARCH_BLOCK]
+            W = _march(
+                lambda k: a[: n_s - k + 1, j, None] * b[k] - c[: n_s - k + 1, j, None] * d[k],
+                kmem, m, dt,
+            )
+            raw[:, lo : lo + _MARCH_BLOCK, j] = W[diag, diag]
+    return raw
 
 
 def gram_oracle(p: StringProblem, basis: ControlBasis) -> ConnectingGram:

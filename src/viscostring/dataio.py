@@ -403,6 +403,12 @@ def load_bundle(directory: str) -> tuple:
             )
     except KernelValidationError as exc:
         raise DataFormatError(f"invalid kernel data: {exc}") from exc
+    if kind in ("const", "exp"):
+        # rebuilt analytically: the file must still agree with what it describes
+        stored = np.vstack(cols[1:])
+        built = np.vstack([kernel.N.values, kernel.N1.values, kernel.N2.values, kernel.N3.values])
+        if not np.all(np.abs(stored - built) <= 1e-12 * np.max(np.abs(built))):
+            raise DataFormatError(f"kernel.csv does not match the {kind} kernel of the manifest")
 
     header, bcols = _read_csv(os.path.join(directory, "basis.csv"))
     if len(bcols) != n_basis + 1 or len(bcols[0]) != grid2.n + 1:

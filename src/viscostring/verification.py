@@ -396,6 +396,29 @@ def a8_invariants() -> CriterionResult:
     )
 
 
+def a9_memory_end_to_end() -> CriterionResult:
+    """Genuine memory (R'' != 0) end to end: the Gram takes the marching
+    branch, which A4-A7 (R'' == 0 kernels) never reach."""
+
+    def work():
+        T_max, L, n, m = 1.0, 2.0, 16, 128
+        dt = T_max / m
+        grid, grid2 = TimeGrid(dt, m), TimeGrid(dt, 2 * m)
+        qf = lambda x: 1.0 + 0.25 * np.sin(np.pi * x / L)
+        tab = synthesize_table(hat_basis(grid, n), _general_kernel(grid2), qf, L)
+        res = pipeline(tab)  # gram_from_data takes its marching branch here
+        w = (res.horizons >= 0.1 * T_max) & (res.horizons <= 0.9 * T_max)
+        q_ref = qf(res.horizons[w])
+        return float(np.linalg.norm(res.q_hat[w] - q_ref) / np.linalg.norm(q_ref))
+
+    measured, secs = _timed(work)
+    passed = measured <= 0.15
+    return CriterionResult(
+        "A9", "memory end-to-end reconstruction", passed, measured, 0.15, secs,
+        detail=f"general kernel relL2(q) {measured:.3e} (limit 0.15); runtime {secs:.1f}s",
+    )
+
+
 CRITERIA = {
     "A1": a1_resolvent_analytic,
     "A2": a2_forward_exact,
@@ -405,6 +428,7 @@ CRITERIA = {
     "A6": a6_steering_closed_form,
     "A7": a7_end_to_end,
     "A8": a8_invariants,
+    "A9": a9_memory_end_to_end,
 }
 
 _NAMES = {
@@ -416,6 +440,7 @@ _NAMES = {
     "A6": "steering",
     "A7": "reconstruction",
     "A8": "invariants",
+    "A9": "memory",
 }
 
 

@@ -48,3 +48,7 @@ def test_a8_invariant_suites():
     result = _run("A8")
     for sub in result.sub:
         assert sub["ratio"] <= 1.0, f"invariant violated: {sub}"
+
+
+def test_a9_memory_end_to_end_reconstruction():
+    _run("A9")

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from viscostring.cli import main
+from viscostring.dataio import load_bundle, save_bundle
 import viscostring.forward
 import viscostring.kernels
 import viscostring.verification as verification
@@ -71,6 +72,23 @@ def test_config_error_exit_code_2(tmp_path):
         cfg = tmp_path / "structural.cfg"
         cfg.write_text(CFG.replace(line, wrong))  # 40 hats do not fit on the 32-step grid
         assert main(["synthesize", "--config", str(cfg)]) == 2
+    # values that only fail inside a solver are still config errors
+    fwd = tmp_path / "fwd.cfg"
+    fwd.write_text(CFG + "control = poly:1\n")  # f(0) = 1: not at rest
+    assert main(["forward", "--config", str(fwd), "--out", str(tmp_path / "fw")]) == 2
+    base = tmp_path / "base.cfg"
+    base.write_text(CFG)
+    bundle = str(tmp_path / "bundle")
+    assert main(["synthesize", "--config", str(base), "--out", bundle]) == 0
+    for line in (
+        "horizons = 0.15,0.2",  # 0.15 is 19.2 steps of 1/128
+        "horizons = every:x",
+        "tikhonov_lambda = abc",
+        "xi_zero_guard = abc",
+    ):
+        bad = tmp_path / "identify.cfg"
+        bad.write_text(CFG + line + "\n")
+        assert main(["identify", bundle, "--config", str(bad), "--out", str(tmp_path / "id")]) == 2
 
 
 def test_bad_tabulated_kernel_exit_code_4(tmp_path, cfg_path):
@@ -95,6 +113,44 @@ def test_bad_tabulated_kernel_exit_code_4(tmp_path, cfg_path):
         kcfg = tmp_path / "kfile.cfg"
         kcfg.write_text(CFG.replace("exp:1.0", f"file:{kpath}"))
         assert main(["synthesize", "--config", str(kcfg), "--out", str(tmp_path / "k")]) == 4
+
+
+@pytest.mark.parametrize("kernel", ["const", "exp:1.0"])
+def test_tampered_analytic_kernel_csv_exit_code_4(tmp_path, kernel):
+    # const/exp kernels are rebuilt from the manifest; kernel.csv must agree
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text(CFG.replace("exp:1.0", kernel))
+    bundle = str(tmp_path / "bundle")
+    assert main(["synthesize", "--config", str(cfg), "--out", bundle]) == 0
+    table, q_true, manifest = load_bundle(bundle)
+    copy = str(tmp_path / "copy")
+    save_bundle(copy, table, q_true=q_true, L=table.meta["L"], q_spec=manifest.get("q_spec"))
+    for name in ("manifest.txt", "kernel.csv", "basis.csv", "response.csv", "q_true.csv"):
+        assert filecmp.cmp(os.path.join(bundle, name), os.path.join(copy, name), shallow=False), name
+
+    kpath = os.path.join(bundle, "kernel.csv")
+    rows = open(kpath, newline="").read().split("\r\n")
+    rows[2] = rows[2].split(",")[0] + ",5,5,5,5"
+    with open(kpath, "w", newline="") as fh:
+        fh.write("\r\n".join(rows))
+    assert main(["identify", bundle, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
+
+
+def test_identify_report_with_zero_q_true(tmp_path):
+    reports = {}
+    for q in ("const:1", "const:0"):
+        cfg = tmp_path / f"{q[-1]}.cfg"
+        cfg.write_text(CFG.replace("q = const:1", f"q = {q}"))
+        bundle, out = str(tmp_path / f"bundle{q[-1]}"), str(tmp_path / f"run{q[-1]}")
+        assert main(["synthesize", "--config", str(cfg), "--out", bundle]) == 0
+        assert main(["identify", bundle, "--config", str(cfg), "--out", out]) == 0
+        reports[q] = open(os.path.join(out, "report.txt")).read().splitlines()
+    keys = lambda lines: [line.split("=")[0] for line in lines]
+    assert keys(reports["const:1"]) == ["horizons", "n_basis", "max_abs_error", "rel_l2_error"]
+    # q_true == 0: an absolute norm stands in for the relative one, which is nan
+    assert keys(reports["const:0"]) == ["horizons", "n_basis", "max_abs_error", "l2_error"]
+    assert "nan" not in "".join(reports["const:0"])
+    assert float(reports["const:0"][3].split("=")[1]) >= float(reports["const:0"][2].split("=")[1])
 
 
 def test_legacy_threads_key_is_ignored(tmp_path, cfg_path):
