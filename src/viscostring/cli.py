@@ -172,7 +172,7 @@ def cmd_forward(args) -> int:
     cfg = _load_config(args.config)
     kernel2 = cfg.build_kernel2()
     grid = cfg.time_grid()
-    f_vals = parse_control_spec(cfg.control, grid)
+    f_vals = parse_control_spec(cfg.control, grid, cfg.control_basis())
     p = StringProblem(cfg.L, cfg.q_values(), kernel2, cfg.T_max)
     try:
         field = solve_mild(p, Sampled1D(grid, f_vals))

@@ -50,6 +50,7 @@ from .grid import (
     Sampled2D,
     TimeGrid,
     TriangleAccumulator,
+    centered_difference,
     convolve_values,
     trap_weights,
 )
@@ -239,6 +240,17 @@ def synthesize_table(
 
     The simulation horizon is 2*T_max, so 2*T_max <= L is required for the
     no-reflection window to be valid.
+
+    One forward solve serves every control.  The solver's trace is
+    y = gamma f - f' + z with z = exp(gamma t) int F, and z is a causal
+    lattice convolution of f: the model is linear and autonomous, and since
+    W(.,0) = 0 the l = 0 end of the memory trapezoid drops out, so a control
+    at rest delayed by whole steps gives the delayed z.  The solve for the
+    unit spike at t_1 yields the impulse response h = y - gamma e_1 + e_1',
+    and a control f = sum_{j>=1} f_j (e_1 delayed j-1 steps) has
+    z_k = sum_{j>=1} f_j h_{k-j+1}, its product with the upper-triangular
+    Toeplitz matrix of h.  Each row takes that product as a truncated
+    convolution, so no (M+1)^2 matrix is formed.
     """
     grid2 = kernel.grid
     t2 = grid2.t_max
@@ -249,9 +261,14 @@ def synthesize_table(
     if res is None:
         res = resolvent(kernel)
     p = StringProblem(L=L, q=q, kernel=kernel, T=t2)
-    Y = np.vstack(
-        [solve_mild(p, Sampled1D(grid2, c), res=res).y.values for c in basis.sampled_on(grid2)]
-    )
+    dt, M = grid2.dt, grid2.n
+    spike = np.zeros(M + 1)
+    spike[1] = 1.0
+    y1 = solve_mild(p, Sampled1D(grid2, spike), res=res).y.values
+    h = y1 - res.gamma * spike + centered_difference(spike, dt)
+    E = basis.sampled_on(grid2)
+    z = np.vstack([np.convolve(e[1:], h)[: M + 1] for e in E])
+    Y = res.gamma * E - centered_difference(E, dt) + z
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         noise = noise_sigma * rng.standard_normal(Y.shape)

@@ -122,6 +122,12 @@ class RunConfig:
     def doubled_grid(self) -> TimeGrid:
         return TimeGrid(self.dt, 2 * self.m)
 
+    def control_basis(self) -> ControlBasis:
+        try:
+            return hat_basis(self.time_grid(), self.n_basis)
+        except GridMismatchError as exc:
+            raise ConfigError(f"bad n_basis: {exc}") from exc
+
     def build_kernel2(self) -> MemoryKernel:
         return _kernel_from_spec(self.kernel, self.doubled_grid())
 
@@ -234,7 +240,10 @@ def parse_q_spec(spec: str, x: np.ndarray, L: float) -> np.ndarray:
 
 
 def parse_control_spec(spec: str, grid: TimeGrid, basis: ControlBasis | None = None) -> np.ndarray:
-    """Boundary control for single forward runs: sin2 | hat:I | poly:... ."""
+    """Boundary control for single forward runs: sin2 | hat:I | poly:... .
+
+    Returns finite samples on the grid; every malformed spec raises ConfigError.
+    """
     t = grid.nodes()
     T = grid.t_max
     if spec == "sin2":
@@ -242,14 +251,23 @@ def parse_control_spec(spec: str, grid: TimeGrid, basis: ControlBasis | None = N
     if spec.startswith("hat:"):
         if basis is None:
             raise ConfigError("hat control needs a basis")
-        i = int(spec[4:])
+        try:
+            i = int(spec[4:])
+        except ValueError as exc:
+            raise ConfigError(f"bad hat index in control spec {spec!r}") from exc
         if not (1 <= i <= basis.n):
             raise ConfigError(f"hat index {i} outside 1..{basis.n}")
         return basis.sampled_on(grid)[i - 1]
     if spec.startswith("poly:"):
-        coeffs = [float(c) for c in spec[5:].split(",")]
-        vals = sum(c * t**j for j, c in enumerate(coeffs))
-        return np.asarray(vals, dtype=float)
+        try:
+            coeffs = [float(c) for c in spec[5:].split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"bad coefficient in control spec {spec!r}") from exc
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(sum(c * t**j for j, c in enumerate(coeffs)), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError(f"control spec {spec!r} is not finite on [0, {T}]")
+        return vals
     raise ConfigError(f"unknown control spec {spec!r}")
 
 
@@ -452,10 +470,7 @@ def load_bundle(directory: str) -> tuple:
 def synthesize(cfg: RunConfig, directory: str | None = None) -> str:
     """Generate the synthetic bundle described by a config; returns the path."""
     kernel2 = cfg.build_kernel2()
-    try:
-        basis = hat_basis(cfg.time_grid(), cfg.n_basis)
-    except GridMismatchError as exc:
-        raise ConfigError(f"bad n_basis: {exc}") from exc
+    basis = cfg.control_basis()
     q = cfg.q_values()
     table = synthesize_table(
         basis,

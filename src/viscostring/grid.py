@@ -176,14 +176,15 @@ def cumulative_integral(h: Sampled1D) -> Sampled1D:
 
 
 def centered_difference(values: np.ndarray, dt: float) -> np.ndarray:
-    """Second-order first derivative: centered inside, one-sided at the ends."""
+    """Second-order first derivative along the last axis: centered inside,
+    one-sided at the ends."""
     v = np.asarray(values, dtype=float)
-    if len(v) < 3:
+    if v.ndim == 0 or v.shape[-1] < 3:
         raise GridMismatchError("need at least 3 samples to differentiate")
     out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
+    out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * dt)
+    out[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * dt)
+    out[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * dt)
     return out
 
 

@@ -1,10 +1,13 @@
 import filecmp
 import os
 
+import numpy as np
 import pytest
 
 from viscostring.cli import main
+from viscostring.connecting import hat_basis
 from viscostring.dataio import load_bundle, save_bundle
+from viscostring.grid import TimeGrid
 import viscostring.forward
 import viscostring.kernels
 import viscostring.verification as verification
@@ -74,8 +77,16 @@ def test_config_error_exit_code_2(tmp_path):
         assert main(["synthesize", "--config", str(cfg)]) == 2
     # values that only fail inside a solver are still config errors
     fwd = tmp_path / "fwd.cfg"
-    fwd.write_text(CFG + "control = poly:1\n")  # f(0) = 1: not at rest
-    assert main(["forward", "--config", str(fwd), "--out", str(tmp_path / "fw")]) == 2
+    for control in (
+        "poly:1",  # f(0) = 1: not at rest
+        "poly:0,a",
+        "poly:0,nan",
+        "poly:1e308,1e308",  # overflows on [0, T_max]
+        "hat:x",
+        "hat:13",  # the config has 12 hats
+    ):
+        fwd.write_text(CFG + f"control = {control}\n")
+        assert main(["forward", "--config", str(fwd), "--out", str(tmp_path / "fw")]) == 2
     base = tmp_path / "base.cfg"
     base.write_text(CFG)
     bundle = str(tmp_path / "bundle")
@@ -178,6 +189,17 @@ def test_forward_and_resolvent_dumps(tmp_path, cfg_path):
     assert main(["resolvent", "--config", cfg_path, "--out", out2]) == 0
     text = open(os.path.join(out2, "resolvent.txt")).read()
     assert "gamma=-0.5" in text
+
+
+def test_forward_hat_control(tmp_path):
+    cfg = tmp_path / "hat.cfg"
+    cfg.write_text(CFG + "control = hat:2\n")
+    out = str(tmp_path / "fw")
+    assert main(["forward", "--config", str(cfg), "--out", out]) == 0
+    assert os.path.isfile(os.path.join(out, "field.csv"))
+    t, f, y, sigma = np.loadtxt(os.path.join(out, "boundary.csv"), delimiter=",", skiprows=1, unpack=True)
+    assert np.array_equal(f, hat_basis(TimeGrid(0.0078125, 32), 12).samples[1])
+    assert np.all(np.isfinite(y)) and np.max(np.abs(y)) > 0.0
 
 
 def test_verify_filter_runs_single_criterion(tmp_path, capsys):

@@ -13,7 +13,7 @@ from viscostring.grid import (
     triangle_quadrature,
 )
 from viscostring.kernels import build_kernel, resolvent
-from viscostring.forward import StringProblem
+from viscostring.forward import StringProblem, solve_mild
 from viscostring.connecting import (
     ControlBasis,
     ResponseTable,
@@ -117,6 +117,37 @@ def test_wave_responses_are_negative_derivatives():
     for i in range(basis.n):
         expected = -centered_difference(E[i], grid2.dt)
         assert np.max(np.abs(tab.Y[i] - expected)) <= 1e-10
+
+
+def _per_control_table(basis, kernel, q, L):
+    """Reference synthesis: one forward solve per basis control (noiseless)."""
+    grid2 = kernel.grid
+    res = resolvent(kernel)
+    p = StringProblem(L=L, q=q, kernel=kernel, T=grid2.t_max)
+    return np.vstack(
+        [solve_mild(p, Sampled1D(grid2, c), res=res).y.values for c in basis.sampled_on(grid2)]
+    )
+
+
+@pytest.mark.parametrize("kernel", ["const", "exp", "general"])
+def test_synthesize_matches_per_control_reference(kernel):
+    # 5 hats on 64 steps: knot gaps of 10 and 11 steps, so the rows are not
+    # shifts of one another and the Toeplitz product is checked in general
+    m, L = 64, 1.0
+    q = lambda x: 0.5 + 0.4 * x
+    tab, basis, ker2, grid, grid2 = _wave_setup(m=m, n=5, L=L, kernel=kernel, q=q)
+    assert len(set(np.diff(basis.knots / grid.dt).round().astype(int))) > 1
+    Y = _per_control_table(basis, ker2, q, L)
+    assert np.max(np.abs(tab.Y - Y)) <= 1e-13 * np.max(np.abs(Y))
+
+    # the noise step is unchanged: seeded Gaussian samples on top of the
+    # noiseless table, none at t = 0
+    sigma, seed = 1e-3, 11
+    noisy = synthesize_table(basis, ker2, q, L, noise_sigma=sigma, seed=seed, meta={"seed": seed})
+    noise = sigma * np.random.default_rng(seed).standard_normal(Y.shape)
+    noise[:, 0] = 0.0
+    assert np.array_equal(noisy.Y, tab.Y + noise)
+    assert noisy.meta == {"provenance": "synthetic", "L": L, "noise_sigma": sigma, "seed": seed}
 
 
 # ---------------------------------------------------------------------------

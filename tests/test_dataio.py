@@ -1,11 +1,15 @@
 import filecmp
+import operator
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viscostring.errors import ConfigError, DataFormatError
 from viscostring.grid import TimeGrid
+from viscostring.connecting import hat_basis
 from viscostring.dataio import (
     RunConfig,
     load_bundle,
@@ -95,6 +99,29 @@ def test_control_spec():
     assert np.allclose(f2, g.nodes())
     with pytest.raises(ConfigError):
         parse_control_spec("nope", g)
+
+
+_FUZZ_GRID = TimeGrid(1.0 / 32, 64)  # T_max = 2, so polynomial terms can overflow
+_FUZZ_BASIS = hat_basis(_FUZZ_GRID, 5)
+_numbers = st.one_of(st.floats(), st.integers(-(10**6), 10**6), st.text(max_size=6))
+_control_specs = st.one_of(
+    st.text(),
+    st.builds(operator.add, st.sampled_from(["hat:", "poly:", "sin2", "sin"]), st.text()),
+    _numbers.map(lambda v: f"hat:{v}"),
+    st.lists(_numbers, max_size=8).map(lambda cs: "poly:" + ",".join(map(str, cs))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_control_specs)
+def test_control_spec_fuzz_finite_or_config_error(spec):
+    # with or without a basis: a finite control on the grid, or ConfigError
+    for basis in (None, _FUZZ_BASIS):
+        try:
+            f = parse_control_spec(spec, _FUZZ_GRID, basis)
+        except ConfigError:
+            continue
+        assert f.shape == (_FUZZ_GRID.n + 1,) and np.all(np.isfinite(f))
 
 
 def test_bundle_round_trip(tmp_path):

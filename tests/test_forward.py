@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from viscostring.errors import GridMismatchError, KernelValidationError
-from viscostring.grid import Sampled1D, TimeGrid
+from viscostring.grid import Sampled1D, TimeGrid, centered_difference
 from viscostring.kernels import build_kernel
 from viscostring.forward import (
     StringProblem,
@@ -105,7 +105,33 @@ def test_time_invariance_of_response():
     y_shifted = np.zeros(tg.n + 1)
     y_shifted[shift:] = fld0.y.values[: tg.n + 1 - shift]
     scale = np.max(np.abs(fld0.y.values))
-    assert np.max(np.abs(fld1.y.values - y_shifted)) <= 1e-6 * scale
+    assert np.max(np.abs(fld1.y.values - y_shifted)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("shift", [1, 37])
+def test_time_invariance_of_spike_response_with_memory(shift):
+    # genuine memory (K != 0): the unit spike at t_1 and its delay give the
+    # delayed field and the delayed memory part y - gamma f + f' of the trace,
+    # the impulse response synthesize_table builds every response from
+    m, T, L = 128, 0.5, 1.5
+    dt = T / m
+    ker = general_kernel(TimeGrid(dt, round(L / dt)))
+    p = StringProblem(L, lambda x: 1.0 + 0.3 * np.sin(3.0 * x), ker, T)
+    tg = TimeGrid(dt, m)
+    spikes = np.zeros((2, m + 1))
+    spikes[0, 1] = spikes[1, 1 + shift] = 1.0
+    fld0, fld1 = (solve_mild(p, Sampled1D(tg, e)) for e in spikes)
+    w_shifted = np.zeros_like(fld0.w.values)
+    w_shifted[:, shift:] = fld0.w.values[:, : m + 1 - shift]
+    assert np.max(np.abs(fld1.w.values - w_shifted)) <= 1e-12 * np.max(np.abs(fld0.w.values))
+    z0, z1 = (
+        fld.y.values - fld.gamma * e + centered_difference(e, dt)
+        for fld, e in zip((fld0, fld1), spikes)
+    )
+    assert np.max(np.abs(z0)) > 0.0
+    z_shifted = np.zeros(m + 1)
+    z_shifted[shift:] = z0[: m + 1 - shift]
+    assert np.max(np.abs(z1 - z_shifted)) <= 1e-12 * np.max(np.abs(z0))
 
 
 def test_response_degenerate_negative_derivative():
