@@ -2,7 +2,8 @@
 
 Subcommands: synthesize, connect, identify, verify, resolvent, forward.
 Exit codes: 0 success, 1 verification failures, 2 configuration error,
-3 numerical failure, 4 data-format error.
+3 numerical failure, 4 data-format error.  Input is classified where it is
+parsed (dataio); this module dispatches and writes files.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, KernelValidationError, NumericalFailure
+from .errors import ConfigError, DataFormatError, NumericalFailure
 from .grid import Sampled1D
 from .kernels import resolvent as _resolvent
 from .forward import StringProblem, solve_mild
 from .connecting import gram_from_data
-from .identify import IdentifyConfig, default_horizons, pipeline
+from .identify import default_horizons, pipeline
 from .dataio import (
     RunConfig,
     _format,
@@ -38,35 +39,6 @@ def _load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     with open(path) as fh:
         return parse_config(fh.read())
-
-
-def _identify_config(cfg: RunConfig, basis) -> IdentifyConfig:
-    try:
-        lam = cfg.tikhonov_lambda
-        if lam != "auto":
-            lam = float(lam)
-        guard = None if cfg.xi_zero_guard == "auto" else float(cfg.xi_zero_guard)
-        horizons = None
-        if cfg.horizons.startswith("every:"):
-            k = int(cfg.horizons[6:])
-            if k < 1:
-                raise ConfigError("horizons=every:K needs K >= 1")
-            nodes = basis.grid.nodes()[k::k]
-            lo = default_horizons(basis, min_active=cfg.readout_points)[0]
-            horizons = nodes[nodes >= lo - 1e-12]
-        elif cfg.horizons != "lattice":
-            horizons = np.array([float(s) for s in cfg.horizons.split(",")])
-            for T in horizons:
-                basis.grid.index_of(T)
-    except ValueError as exc:  # unparsable number, off-lattice horizon, or ConfigError above
-        raise ConfigError(f"bad identify setting: {exc}") from exc
-    return IdentifyConfig(
-        horizons=horizons,
-        tikhonov_lambda=lam,
-        smoothing_halfwidth=cfg.smoothing_halfwidth,
-        xi_zero_guard=guard,
-        readout_points=cfg.readout_points,
-    )
 
 
 def cmd_synthesize(args) -> int:
@@ -97,7 +69,7 @@ def cmd_connect(args) -> int:
 def cmd_identify(args) -> int:
     table, q_true, _ = load_bundle(args.bundle)
     cfg = _load_config(args.config)
-    icfg = _identify_config(cfg, table.basis)
+    icfg = cfg.identify_config(table.basis)
     result = pipeline(table, icfg)
     out = args.out or args.bundle
     os.makedirs(out, exist_ok=True)
@@ -174,10 +146,7 @@ def cmd_forward(args) -> int:
     grid = cfg.time_grid()
     f_vals = parse_control_spec(cfg.control, grid, cfg.control_basis())
     p = StringProblem(cfg.L, cfg.q_values(), kernel2, cfg.T_max)
-    try:
-        field = solve_mild(p, Sampled1D(grid, f_vals))
-    except KernelValidationError as exc:
-        raise ConfigError(f"bad control spec {cfg.control!r}: {exc}") from exc
+    field = solve_mild(p, Sampled1D(grid, f_vals))
     out = args.out or cfg.out
     os.makedirs(out, exist_ok=True)
     x = field.xgrid.nodes()

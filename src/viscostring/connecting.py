@@ -92,7 +92,6 @@ class ControlBasis:
     grid: TimeGrid
     knots: np.ndarray
     samples: np.ndarray = field(repr=False)
-    kind: str = "hat"
 
     def __post_init__(self):
         s = np.array(self.samples, dtype=float)
@@ -118,9 +117,6 @@ class ControlBasis:
     def spacing(self) -> float:
         """Nominal center spacing T_max/(n+1) (knots are snapped to nodes)."""
         return self.grid.t_max / (self.n + 1)
-
-    def centers(self) -> np.ndarray:
-        return self.knots[1:-1]
 
     def dual_abscissae(self) -> np.ndarray:
         """First-moment points of the elements: <t, e_i>/<1, e_i>.

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, KernelValidationError, NumericalFailure
-from .grid import Sampled1D, Sampled2D, TimeGrid, centered_difference
-from .kernels import MemoryKernel, ResolventData, resolvent, response_to_traction
+from .grid import Sampled1D, Sampled2D, TimeGrid, centered_difference, convolve_values
+from .kernels import MemoryKernel, ResolventData, resolvent
 
 __all__ = [
     "StringProblem",
@@ -91,18 +91,16 @@ class StringProblem:
 class WaveField:
     """Solved field with its boundary data.
 
-    W is the transformed field, w = exp(gamma t) W the physical one; both are
-    sampled on the space grid of the solver (x in [0,T] for the mild solver,
-    [0,L] for the finite-difference oracle).
+    w is the physical field, sampled on the space grid of the solver (x in
+    [0,T] for the mild solver, [0,L] for the finite-difference oracle); gamma
+    is the exponent of the transform w = exp(gamma t) W.
     """
 
-    W: Sampled2D
     w: Sampled2D
     f: Sampled1D
     y: Sampled1D
     sigma: Sampled1D
     gamma: float
-    scheme: str
 
     @property
     def xgrid(self) -> TimeGrid:
@@ -131,10 +129,12 @@ def _memory_row(K: np.ndarray, W: np.ndarray, k: int, dt: float) -> np.ndarray:
     return dt * acc
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in NumericalFailure below
 def solve_mild(p: StringProblem, f: Sampled1D, res: ResolventData | None = None) -> WaveField:
     """March the characteristic integral equation of the transformed field.
 
-    Returns the complete WaveField (field, boundary response and traction).
+    Returns the complete WaveField (field, boundary response and traction),
+    or raises NumericalFailure when any of them is not finite.
     The control must satisfy f(0) = 0 and live on the time grid of [0,T].
     """
     dt = p.dt
@@ -174,34 +174,28 @@ def solve_mild(p: StringProblem, f: Sampled1D, res: ResolventData | None = None)
             F[:, m] += _memory_row(K, W, m, dt)
 
     w = np.exp(gamma * t)[None, :] * W
-    y = Sampled1D(tgrid, _response_from_source(f.values, F, gamma, dt))
-    field = WaveField(
-        W=Sampled2D(xgrid, tgrid, W),
+    y = _response_from_source(f.values, F, gamma, dt)
+    sigma = _traction(p.kernel, y, dt)
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(y)) and np.all(np.isfinite(sigma))):
+        raise NumericalFailure("forward solution is not finite (the control overflows the solver)")
+    return WaveField(
         w=Sampled2D(xgrid, tgrid, w),
         f=f,
-        y=y,
-        sigma=response_to_traction(y, _sliced_kernel_view(p.kernel, m)),
+        y=Sampled1D(tgrid, y),
+        sigma=Sampled1D(tgrid, sigma),
         gamma=gamma,
-        scheme="mild-characteristic",
     )
-    return field
 
 
-def _sliced_kernel_view(kernel: MemoryKernel, m: int) -> MemoryKernel:
-    """Kernel restricted to the first m steps (grids must only cover [0,T])."""
-    if kernel.grid.n == m:
-        return kernel
-    g = TimeGrid(kernel.grid.dt, m)
-    return MemoryKernel(
-        grid=g,
-        N=Sampled1D(g, kernel.N.values[: m + 1]),
-        N1=Sampled1D(g, kernel.N1.values[: m + 1]),
-        N2=Sampled1D(g, kernel.N2.values[: m + 1]),
-        N3=Sampled1D(g, kernel.N3.values[: m + 1]),
-        M=Sampled1D(g, kernel.M.values[: m + 1]),
-        kind=kernel.kind,
-        rate=kernel.rate,
-    )
+def _traction(kernel: MemoryKernel, y: np.ndarray, dt: float) -> np.ndarray:
+    """sigma = -int_0^t N(t-s) y(s) ds on the window of y (the kernel grid
+    may be longer)."""
+    return -convolve_values(kernel.N.values[: len(y)], y, dt)
+
+
+def _trace_x0(w: np.ndarray, dx: float) -> np.ndarray:
+    """One-sided second-order difference of the rows w[0..2] at x = 0."""
+    return (-3.0 * w[0, :] + 4.0 * w[1, :] - w[2, :]) / (2.0 * dx)
 
 
 def _response_from_source(f: np.ndarray, F: np.ndarray, gamma: float, dt: float) -> np.ndarray:
@@ -228,10 +222,7 @@ def _response_from_source(f: np.ndarray, F: np.ndarray, gamma: float, dt: float)
 
 def boundary_derivative(field: WaveField) -> Sampled1D:
     """One-sided second-order difference of w at x = 0 (oracle-style trace)."""
-    dt = field.xgrid.dt
-    w = field.w.values
-    y = (-3.0 * w[0, :] + 4.0 * w[1, :] - w[2, :]) / (2.0 * dt)
-    return Sampled1D(field.tgrid, y)
+    return Sampled1D(field.tgrid, _trace_x0(field.w.values, field.xgrid.dt))
 
 
 def final_snapshot(field: WaveField, T: float | None = None) -> Sampled1D:
@@ -284,16 +275,11 @@ def fd_oracle(p: StringProblem, f: Sampled1D, res: ResolventData | None = None) 
         res = resolvent(p.kernel)
     tgrid = TimeGrid(dt, m)
     xg = TimeGrid(dt, n_x)
-    t = tgrid.nodes()
-    Wt = np.exp(-res.gamma * t)[None, :] * w
-    y = Sampled1D(tgrid, (-3.0 * w[0, :] + 4.0 * w[1, :] - w[2, :]) / (2.0 * dx))
-    field = WaveField(
-        W=Sampled2D(xg, tgrid, Wt),
+    y = _trace_x0(w, dx)
+    return WaveField(
         w=Sampled2D(xg, tgrid, w),
         f=f,
-        y=y,
-        sigma=response_to_traction(y, _sliced_kernel_view(p.kernel, m)),
+        y=Sampled1D(tgrid, y),
+        sigma=Sampled1D(tgrid, _traction(p.kernel, y, dt)),
         gamma=res.gamma,
-        scheme="leapfrog-oracle",
     )
-    return field

@@ -54,10 +54,6 @@ class TimeGrid:
     def t_max(self) -> float:
         return self.n * self.dt
 
-    @property
-    def n_nodes(self) -> int:
-        return self.n + 1
-
     def nodes(self) -> np.ndarray:
         return np.arange(self.n + 1) * self.dt
 

@@ -204,8 +204,7 @@ def steering_control(
     xi = float(np.exp(gram.gamma * T)) * _extrapolate(tbars[:pts], duals[:pts], 0.0)
 
     # stabilized control: pw-linear through (0, xi), (tbar_j, v_j), (T, tail)
-    pts_r = min(cfg.readout_points, len(active))
-    tail = _extrapolate(tbars[-pts_r:], duals[-pts_r:], T)
+    tail = _extrapolate(tbars[-pts:], duals[-pts:], T)
     dt = basis.grid.dt
     idx = basis.grid.index_of(T)
     tgrid = TimeGrid(dt, idx)

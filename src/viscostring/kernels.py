@@ -65,11 +65,6 @@ class MemoryKernel:
     kind: str = "tabulated"
     rate: float | None = None
 
-    @property
-    def is_wave(self) -> bool:
-        """True when N == 1, i.e. the memoryless (integrated wave) case."""
-        return self.kind == "const" or not np.any(self.N1.values)
-
     def consistency_residual(self) -> float:
         """Max mismatch between numerically differentiated samples and the
         supplied derivative samples (should be O(dt^2))."""
@@ -82,25 +77,11 @@ class MemoryKernel:
         return float(max(gaps))
 
 
-def _taylor_resample(t_src: np.ndarray, rows: list[np.ndarray], t_new: np.ndarray, dt: float):
-    """Evaluate tabulated (N, N', N'', N''') at off-grid times via a Taylor
-    step from the nearest source node; uses all available higher derivatives."""
-    idx = np.clip(np.round(t_new / dt).astype(int), 0, len(t_src) - 1)
-    h = t_new - t_src[idx]
-    n0, n1, n2, n3 = (r[idx] for r in rows)
-    new_n = n0 + h * n1 + 0.5 * h**2 * n2 + h**3 / 6.0 * n3
-    new_n1 = n1 + h * n2 + 0.5 * h**2 * n3
-    new_n2 = n2 + h * n3
-    new_n3 = n3
-    return new_n, new_n1, new_n2, new_n3
-
-
 def build_kernel(
     grid: TimeGrid,
     kind: str = "const",
     rate: float = 1.0,
     samples: dict | None = None,
-    auto_normalize: bool = False,
 ) -> MemoryKernel:
     """Build a relaxation kernel on a grid.
 
@@ -109,9 +90,8 @@ def build_kernel(
       "exp"       -- N(t) = exp(-rate * t), rate > 0
       "tabulated" -- samples dict with keys N, N1, N2, N3 on the grid nodes
 
-    N(0) must be 1.  For tabulated input with N(0) != 1 the flag
-    auto_normalize rescales time (t -> t/sqrt(N0), values / N0), which
-    requires N0 >= 1 so the rescaled times stay inside the tabulated range.
+    N(0) must be 1: the propagation speed is sqrt(N(0)) and the characteristic
+    solvers step space and time alike.
     """
     t = grid.nodes()
     if kind == "const":
@@ -119,8 +99,8 @@ def build_kernel(
         zero = np.zeros_like(t)
         n, n1, n2, n3 = one, zero, zero.copy(), zero.copy()
     elif kind == "exp":
-        if rate <= 0:
-            raise KernelValidationError(f"exponential kernel needs rate > 0, got {rate}")
+        if not 0 < rate < np.inf:
+            raise KernelValidationError(f"exponential kernel needs a finite rate > 0, got {rate}")
         e = np.exp(-rate * t)
         n, n1, n2, n3 = e, -rate * e, rate**2 * e, -(rate**3) * e
     elif kind == "tabulated":
@@ -137,25 +117,9 @@ def build_kernel(
                 )
             if not np.all(np.isfinite(r)):
                 raise KernelValidationError("tabulated kernel samples must be finite")
-        n0 = rows[0][0]
-        if n0 <= 0:
-            raise KernelValidationError(f"N(0) must be positive, got {n0}")
-        if abs(n0 - 1.0) > 1e-9:
-            if not auto_normalize:
-                raise KernelValidationError(
-                    f"N(0) = {n0} != 1; pass auto_normalize=True to rescale time"
-                )
-            if n0 < 1.0:
-                raise KernelValidationError(
-                    f"auto-normalization with N(0) = {n0} < 1 would need samples "
-                    "beyond the tabulated range"
-                )
-            beta = np.sqrt(n0)
-            n, n1, n2, n3 = _taylor_resample(t, rows, t / beta, grid.dt)
-            n, n1, n2, n3 = n / n0, n1 / (n0 * beta), n2 / (n0**2), n3 / (n0**2 * beta)
-        else:
-            n, n1, n2, n3 = rows
-        rate = None
+        if abs(rows[0][0] - 1.0) > 1e-9:
+            raise KernelValidationError(f"N(0) = {rows[0][0]} != 1")
+        n, n1, n2, n3 = rows
     else:
         raise KernelValidationError(f"unknown kernel kind {kind!r}")
 
@@ -169,8 +133,6 @@ def build_kernel(
         kind=kind,
         rate=rate if kind == "exp" else None,
     )
-    if abs(kernel.N.values[0] - 1.0) > 1e-9:
-        raise KernelValidationError(f"normalized kernel still has N(0) = {kernel.N.values[0]}")
     scale = np.max(np.abs(kernel.N2.values)) + np.max(np.abs(kernel.N3.values)) + 1.0
     if kernel.consistency_residual() > 100.0 * grid.dt**2 * scale + 1e-9:
         raise KernelValidationError(

@@ -1,5 +1,6 @@
 import filecmp
 import os
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,74 @@ def test_config_error_exit_code_2(tmp_path):
         bad = tmp_path / "identify.cfg"
         bad.write_text(CFG + line + "\n")
         assert main(["identify", bundle, "--config", str(bad), "--out", str(tmp_path / "id")]) == 2
+
+
+def _config(**values):
+    """CFG with these keys set, replaced or appended."""
+    lines = [l for l in CFG.strip().splitlines() if l.split("=")[0].strip() not in values]
+    return "\n".join(lines + [f"{k} = {v}" for k, v in values.items()]) + "\n"
+
+
+def _manifest(key, value):
+    return "manifest.txt", lambda text: re.sub(rf"(?m)^{key}=.*$", f"{key}={value}", text)
+
+
+def _cell(name, row, col, value):
+    def edit(text):
+        rows = text.split("\r\n")
+        cells = rows[row].split(",")
+        cells[col] = value
+        rows[row] = ",".join(cells)
+        return "\r\n".join(rows)
+
+    return name, edit
+
+
+def _drop_row(name, row):
+    return name, lambda text: "\r\n".join(r for i, r in enumerate(text.split("\r\n")) if i != row)
+
+
+BAD_INPUTS = [
+    # config text: exit 2
+    pytest.param("synthesize", _config(q="const:abc"), None, 2, id="q-const-abc"),
+    pytest.param("synthesize", _config(q="sin:1,x"), None, 2, id="q-sin-x"),
+    pytest.param("synthesize", _config(q="poly:0,a"), None, 2, id="q-poly-a"),
+    pytest.param("synthesize", _config(dt="nan"), None, 2, id="dt-nan"),
+    pytest.param("synthesize", _config(seed=-1, noise_sigma=1e-3), None, 2, id="seed-negative"),
+    pytest.param("synthesize", _config(noise_sigma="nan"), None, 2, id="noise-sigma-nan"),
+    # bundle contents: exit 4
+    pytest.param("identify", CFG, _manifest("kernel_rate", "abc"), 4, id="manifest-kernel-rate-abc"),
+    pytest.param("identify", CFG, _manifest("dt", "nan"), 4, id="manifest-dt-nan"),
+    pytest.param("identify", CFG, _manifest("L", "nan"), 4, id="manifest-L-nan"),
+    pytest.param("identify", CFG, _manifest("L", "-5"), 4, id="manifest-L-below-window"),
+    pytest.param("identify", CFG, _cell("basis.csv", 5, 1, "nan"), 4, id="basis-nan-cell"),
+    pytest.param("identify", CFG, _cell("q_true.csv", 5, 1, "nan"), 4, id="q-true-nan-cell"),
+    pytest.param("identify", CFG, _drop_row("q_true.csv", 7), 4, id="q-true-row-deleted"),
+    # a finite control whose solution overflows: exit 3
+    pytest.param("forward", _config(control="poly:0,1e308,1e308"), None, 3, id="forward-overflow"),
+]
+
+
+@pytest.mark.filterwarnings("error")  # a stray numpy warning would reach stderr too
+@pytest.mark.parametrize("command, config, tamper, code", BAD_INPUTS)
+def test_bad_input_fails_at_the_boundary(tmp_path, capsys, command, config, tamper, code):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if tamper is not None:
+        base = tmp_path / "base.cfg"
+        base.write_text(CFG)
+        bundle = str(tmp_path / "bundle")
+        assert main(["synthesize", "--config", str(base), "--out", bundle]) == 0
+        name, edit = tamper
+        path = tmp_path / "bundle" / name
+        path.write_bytes(edit(path.read_bytes().decode()).encode())
+        args.insert(1, bundle)
+        capsys.readouterr()
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert not os.path.exists(tmp_path / "out")  # nothing is written on failure
 
 
 def test_bad_tabulated_kernel_exit_code_4(tmp_path, cfg_path):

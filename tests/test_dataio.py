@@ -124,6 +124,60 @@ def test_control_spec_fuzz_finite_or_config_error(spec):
         assert f.shape == (_FUZZ_GRID.n + 1,) and np.all(np.isfinite(f))
 
 
+_q_terms = st.one_of(
+    st.text(),
+    st.builds(operator.add, st.sampled_from(["const:", "sin:", "poly:", "file:"]), st.text()),
+    _numbers.map(lambda v: f"const:{v}"),
+    st.lists(_numbers, max_size=3).map(lambda vs: "sin:" + ",".join(map(str, vs))),
+    st.lists(_numbers, max_size=8).map(lambda cs: "poly:" + ",".join(map(str, cs))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=st.lists(_q_terms, min_size=1, max_size=3).map(" + ".join))
+def test_q_spec_fuzz_finite_or_input_error(spec):
+    # a finite q on the x-nodes, ConfigError for the text, DataFormatError for a file
+    x = _FUZZ_GRID.nodes()
+    try:
+        q = parse_q_spec(spec, x, _FUZZ_GRID.t_max)
+    except (ConfigError, DataFormatError):
+        return
+    assert q.shape == x.shape and np.all(np.isfinite(q))
+
+
+def test_corrupt_cell_fuzz_loads_or_data_format_error(tmp_path):
+    bundle = tmp_path / "bundle"
+    synthesize(_small_cfg(q="const:1 + sin:0.25,1"), str(bundle))
+    names = ["kernel.csv", "basis.csv", "response.csv", "q_true.csv"]
+    originals = {name: (bundle / name).read_bytes() for name in names}
+    cells = st.one_of(
+        st.text(st.characters(blacklist_categories=("Cs",))),
+        _numbers.map(str),
+        st.sampled_from(["nan", "inf", "-1e400", "", '"', "1,2", "0x1p-3", " 0 "]),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(names), data=st.data())
+    def corrupt_one_cell(name, data):
+        rows = originals[name].decode().split("\r\n")[:-1]  # the file ends in CRLF
+        r = data.draw(st.integers(0, len(rows) - 1), label="row")
+        row = rows[r].split(",")
+        row[data.draw(st.integers(0, len(row) - 1), label="col")] = data.draw(cells, label="cell")
+        rows[r] = ",".join(row)
+        (bundle / name).write_bytes(("\r\n".join(rows) + "\r\n").encode())
+        try:
+            table, q_true, _ = load_bundle(str(bundle))
+        except DataFormatError:
+            return
+        finally:
+            (bundle / name).write_bytes(originals[name])
+        kernel = table.kernel
+        for values in (kernel.N.values, kernel.N3.values, table.basis.samples, table.Y, q_true):
+            assert np.all(np.isfinite(values))
+
+    corrupt_one_cell()
+
+
 def test_bundle_round_trip(tmp_path):
     cfg = _small_cfg(q="const:1 + sin:0.25,1", noise_sigma=1e-4, seed=7)
     out = str(tmp_path / "bundle")

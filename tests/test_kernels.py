@@ -20,7 +20,6 @@ def test_build_const_kernel():
     assert np.all(ker.N.values == 1.0)
     assert np.all(ker.N1.values == 0.0)
     assert np.allclose(ker.M.values, g.nodes(), atol=1e-12)
-    assert ker.is_wave
 
 
 def test_build_exp_kernel_closed_forms():
@@ -31,7 +30,6 @@ def test_build_exp_kernel_closed_forms():
     assert np.allclose(ker.N1.values, -np.exp(-t), atol=1e-15)
     err_m = np.max(np.abs(ker.M.values - (1 - np.exp(-t))))
     assert err_m <= 1e-7
-    assert not ker.is_wave
 
 
 def test_build_tabulated_requires_derivatives_and_normalization():
@@ -47,28 +45,9 @@ def test_build_tabulated_requires_derivatives_and_normalization():
     }
     with pytest.raises(KernelValidationError):
         build_kernel(g, "tabulated", samples=half)
-    with pytest.raises(KernelValidationError):  # N0 < 1 cannot be time-rescaled in range
-        build_kernel(g, "tabulated", samples=half, auto_normalize=True)
     bad0 = {k: -v if k == "N" else v for k, v in half.items()}
     with pytest.raises(KernelValidationError):
         build_kernel(g, "tabulated", samples=bad0)
-
-
-def test_build_tabulated_auto_normalize_rescales_time():
-    # samples of c * exp(-a t) with c = 4: time rescale by sqrt(c) = 2 gives
-    # exp(-(a/2) t)
-    g = TimeGrid(1e-3, 800)
-    t = g.nodes()
-    a, c = 1.0, 4.0
-    samples = {
-        "N": c * np.exp(-a * t),
-        "N1": -a * c * np.exp(-a * t),
-        "N2": a**2 * c * np.exp(-a * t),
-        "N3": -(a**3) * c * np.exp(-a * t),
-    }
-    ker = build_kernel(g, "tabulated", samples=samples, auto_normalize=True)
-    assert np.max(np.abs(ker.N.values - np.exp(-0.5 * t))) <= 1e-8
-    assert np.max(np.abs(ker.N1.values + 0.5 * np.exp(-0.5 * t))) <= 1e-6
 
 
 def test_build_rejects_inconsistent_derivatives():
