@@ -34,7 +34,7 @@ trapezoids U_x(s_r) = dt (sum_{p<=r} x(s_p) - x(s_r)/2) of the s-factors
 
 which writes C_T directly in terms of the response (Belishev, "Recent progress
 in the boundary control method", Inverse Problems 23 (2007) R1-R67).  When
-K != 0 the lozenge march runs once per j over a batch of i.  ``gram_oracle``
+K != 0 a march of three t-spike sources per j serves every i.  ``gram_oracle``
 computes the same Gram from forward-solver snapshots (it knows q; validation).
 """
 
@@ -493,9 +493,6 @@ def _picard(gvals, kmem, dt, sigma, sgrid, tgrid, tol, max_iter):
 # Gram assembly
 # ---------------------------------------------------------------------------
 
-_MARCH_BLOCK = 4  # controls per genuine-memory march: ~1 MB of history at m = 128
-
-
 @dataclass(frozen=True)
 class ConnectingGram:
     """Per-horizon Gram matrices <C_T e_i, e_j> of the connecting operator.
@@ -529,10 +526,10 @@ def gram_from_data(tab: ResponseTable) -> ConnectingGram:
 
     Entry (i,j) at t_k is H(t_k, t_k) for the source G_ij, built from its
     rank-two factors (module docstring): in closed form when K vanishes on
-    the window, else by one batched march per j over blocks of i.  (i,j) and
-    (j,i) are computed independently so the symmetry defect measures the
-    discretization error of the data side; the returned matrices are the
-    symmetrized averages.
+    the window, else from one march per j of three t-spike sources, read
+    against the t-factors of every i.  (i,j) and (j,i) are computed
+    independently so the symmetry defect measures the discretization error
+    of the data side; the returned matrices are the symmetrized averages.
     """
     basis = tab.basis
     m, dt = basis.grid.n, basis.grid.dt
@@ -574,18 +571,24 @@ def _diagonal_closed_form(a: np.ndarray, c: np.ndarray, m: int, dt: float) -> np
 
 
 def _diagonal_march(a: np.ndarray, c: np.ndarray, kmem: np.ndarray, m: int, dt: float) -> np.ndarray:
-    """W_ij(t_k, t_k) when K != 0: one march per j, in blocks of _MARCH_BLOCK i."""
+    """W_ij(t_k, t_k) when K != 0, from one march per j of t-spike sources.
+
+    The march is linear, and phi(s) delta_q (q >= 1) gives the delta_1 solution
+    delayed by q-1 levels on the live rows.  So, with b_i(0) = 0 and the
+    responses Psi_a, Psi_c to a_j delta_1, c_j delta_1 and Psi0_c to c_j delta_0,
+    W_ij(t_k,t_k) + d_i(0) Psi0_c(s_k,t_k) = sum_{q>=1} [b_i(q) Psi_a - d_i(q) Psi_c](s_k,t_{k-q+1})
+    """
     n, n_s = a.shape[1], len(kmem) - 1
-    diag = np.arange(m + 1)
+    k = np.arange(m + 1)
+    lev = np.maximum(k[:, None] - k[None, 1:] + 1, 0)  # level k-q+1, q >= 1; W[0] = 0
     raw = np.zeros((m + 1, n, n))
+    src = np.zeros((3, n_s + 1, 3))  # levels 0, 1 and every later (zero) level
+    source = lambda lv: src[min(lv, 2), : n_s - lv + 1]
     for j in range(n):
-        for lo in range(0, n, _MARCH_BLOCK):
-            b, d = c[: m + 1, lo : lo + _MARCH_BLOCK], a[: m + 1, lo : lo + _MARCH_BLOCK]
-            W = _march(
-                lambda k: a[: n_s - k + 1, j, None] * b[k] - c[: n_s - k + 1, j, None] * d[k],
-                kmem, m, dt,
-            )
-            raw[:, lo : lo + _MARCH_BLOCK, j] = W[diag, diag]
+        src[1, :, 0], src[1, :, 1], src[0, :, 2] = a[:, j], c[:, j], c[:, j]
+        W = _march(source, kmem, m, dt)
+        raw[:, :, j] = W[lev, k[:, None], 0] @ c[1 : m + 1] - W[lev, k[:, None], 1] @ a[1 : m + 1]
+        raw[:, :, j] -= W[k, k, 2, None] * a[0]
     return raw
 
 

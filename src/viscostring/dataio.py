@@ -26,6 +26,7 @@ import csv
 import io
 import math
 import os
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -251,14 +252,14 @@ def parse_config(text: str) -> RunConfig:
 
 @_input_stage(ConfigError, "bad q spec")
 def parse_q_spec(spec: str, x: np.ndarray, L: float) -> np.ndarray:
-    """Coefficient combinators: terms joined by '+', each one of
+    """Coefficient combinators: terms joined by '+' (exponent signs excluded), each one of
     const:C | sin:AMP,K (AMP*sin(K*pi*x/L)) | poly:C0,C1,... | file:PATH.
 
     Returns finite samples at x; a malformed spec raises ConfigError, a bad
     file DataFormatError."""
     total = np.zeros_like(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        for term in spec.split("+"):
+        for term in re.split(r"(?<![\d.][eE])\+", spec):
             term = term.strip()
             if not term:
                 raise ConfigError(f"empty term in q spec {spec!r}")

@@ -83,9 +83,6 @@ class StringProblem:
     def n_x(self) -> int:
         return round(self.L / self.dt)
 
-    def x_nodes(self) -> np.ndarray:
-        return np.arange(self.n_x + 1) * self.dt
-
 
 @dataclass(frozen=True)
 class WaveField:
@@ -177,7 +174,7 @@ def solve_mild(p: StringProblem, f: Sampled1D, res: ResolventData | None = None)
     y = _response_from_source(f.values, F, gamma, dt)
     sigma = _traction(p.kernel, y, dt)
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(y)) and np.all(np.isfinite(sigma))):
-        raise NumericalFailure("forward solution is not finite (the control overflows the solver)")
+        raise NumericalFailure("forward solution is not finite (the control or q overflows the solver)")
     return WaveField(
         w=Sampled2D(xgrid, tgrid, w),
         f=f,

@@ -396,26 +396,37 @@ def a8_invariants() -> CriterionResult:
     )
 
 
+def _memory_relative_error(n: int, m: int) -> float:
+    """relL2(q) on [0.1, 0.9] for the general kernel (R'' != 0), whose Gram
+    takes the marching branch that A4-A7 (R'' == 0 kernels) never reach."""
+    T_max, L = 1.0, 2.0
+    dt = T_max / m
+    grid, grid2 = TimeGrid(dt, m), TimeGrid(dt, 2 * m)
+    qf = lambda x: 1.0 + 0.25 * np.sin(np.pi * x / L)
+    tab = synthesize_table(hat_basis(grid, n), _general_kernel(grid2), qf, L)
+    res = pipeline(tab)
+    w = (res.horizons >= 0.1 * T_max) & (res.horizons <= 0.9 * T_max)
+    q_ref = qf(res.horizons[w])
+    return float(np.linalg.norm(res.q_hat[w] - q_ref) / np.linalg.norm(q_ref))
+
+
 def a9_memory_end_to_end() -> CriterionResult:
-    """Genuine memory (R'' != 0) end to end: the Gram takes the marching
-    branch, which A4-A7 (R'' == 0 kernels) never reach."""
-
-    def work():
-        T_max, L, n, m = 1.0, 2.0, 16, 128
-        dt = T_max / m
-        grid, grid2 = TimeGrid(dt, m), TimeGrid(dt, 2 * m)
-        qf = lambda x: 1.0 + 0.25 * np.sin(np.pi * x / L)
-        tab = synthesize_table(hat_basis(grid, n), _general_kernel(grid2), qf, L)
-        res = pipeline(tab)  # gram_from_data takes its marching branch here
-        w = (res.horizons >= 0.1 * T_max) & (res.horizons <= 0.9 * T_max)
-        q_ref = qf(res.horizons[w])
-        return float(np.linalg.norm(res.q_hat[w] - q_ref) / np.linalg.norm(q_ref))
-
-    measured, secs = _timed(work)
+    """Genuine memory end to end at n = 16, dt = 1/128."""
+    measured, secs = _timed(lambda: _memory_relative_error(16, 128))
     passed = measured <= 0.15
     return CriterionResult(
         "A9", "memory end-to-end reconstruction", passed, measured, 0.15, secs,
         detail=f"general kernel relL2(q) {measured:.3e} (limit 0.15); runtime {secs:.1f}s",
+    )
+
+
+def a10_memory_end_to_end_a7_size() -> CriterionResult:
+    """Genuine memory end to end at the A7 size, n = 32, dt = 1/256."""
+    measured, secs = _timed(lambda: _memory_relative_error(32, 256))
+    passed = measured <= 0.10
+    return CriterionResult(
+        "A10", "memory end-to-end reconstruction at A7 size", passed, measured, 0.10, secs,
+        detail=f"general kernel relL2(q) {measured:.3e} (limit 0.10); runtime {secs:.1f}s",
     )
 
 
@@ -429,6 +440,7 @@ CRITERIA = {
     "A7": a7_end_to_end,
     "A8": a8_invariants,
     "A9": a9_memory_end_to_end,
+    "A10": a10_memory_end_to_end_a7_size,
 }
 
 _NAMES = {
@@ -441,6 +453,7 @@ _NAMES = {
     "A7": "reconstruction",
     "A8": "invariants",
     "A9": "memory",
+    "A10": "memory-a7",
 }
 
 

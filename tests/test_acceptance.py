@@ -52,3 +52,7 @@ def test_a8_invariant_suites():
 
 def test_a9_memory_end_to_end_reconstruction():
     _run("A9")
+
+
+def test_a10_memory_end_to_end_at_a7_size():
+    _run("A10")

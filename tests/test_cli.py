@@ -1,6 +1,7 @@
 import filecmp
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ def test_synthesize_connect_identify_happy_path(tmp_path, cfg_path, capsys):
 
     assert main(["identify", bundle, "--config", cfg_path, "--out", out]) == 0
     assert os.path.isfile(os.path.join(out, "results.csv"))
-    report = open(os.path.join(out, "report.txt")).read()
+    report = Path(out, "report.txt").read_text()
     assert "rel_l2_error=" in report
 
 
@@ -53,7 +54,7 @@ def test_identify_without_q_true_omits_error_norms(tmp_path, cfg_path):
     os.remove(os.path.join(bundle, "q_true.csv"))
     out = str(tmp_path / "run")
     assert main(["identify", bundle, "--config", cfg_path, "--out", out]) == 0
-    report = open(os.path.join(out, "report.txt")).read()
+    report = Path(out, "report.txt").read_text()
     assert "error" not in report or "omitted" in report
 
 
@@ -171,6 +172,23 @@ def test_bad_input_fails_at_the_boundary(tmp_path, capsys, command, config, tamp
     assert not os.path.exists(tmp_path / "out")  # nothing is written on failure
 
 
+@pytest.mark.parametrize("q, code", [("const:1e+16", 3), ("sin:1e+2,1", 0)])
+def test_q_spec_with_signed_exponent(tmp_path, capsys, q, code):
+    # an exponent sign joins no terms: const:1e+16 is a valid q that the
+    # solver cannot march (exit 3, not a config error), sin:1e+2,1 is 100 sin
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CFG.replace("q = const:1", f"q = {q}"))
+    bundle = str(tmp_path / "bundle")
+    assert main(["synthesize", "--config", str(cfg), "--out", bundle]) == code
+    if code:
+        assert "overflows the solver" in capsys.readouterr().err
+        return
+    table, q_true, manifest = load_bundle(bundle)
+    x = np.arange(len(q_true)) * table.grid2.dt
+    assert manifest["q_spec"] == q
+    assert np.allclose(q_true, 100.0 * np.sin(np.pi * x), rtol=0.0, atol=1e-12)
+
+
 def test_bad_tabulated_kernel_exit_code_4(tmp_path, cfg_path):
     bundle = str(tmp_path / "bundle")
     assert main(["synthesize", "--config", cfg_path, "--out", bundle]) == 0
@@ -180,7 +198,7 @@ def test_bad_tabulated_kernel_exit_code_4(tmp_path, cfg_path):
     with open(man, "w") as fh:
         fh.write(text)
     kpath = os.path.join(bundle, "kernel.csv")
-    original = open(kpath, newline="").read()
+    original = Path(kpath).read_bytes().decode()
     assert main(["identify", bundle, "--config", cfg_path, "--out", str(tmp_path / "ok")]) == 0
 
     rows = original.split("\r\n")
@@ -209,7 +227,7 @@ def test_tampered_analytic_kernel_csv_exit_code_4(tmp_path, kernel):
         assert filecmp.cmp(os.path.join(bundle, name), os.path.join(copy, name), shallow=False), name
 
     kpath = os.path.join(bundle, "kernel.csv")
-    rows = open(kpath, newline="").read().split("\r\n")
+    rows = Path(kpath).read_bytes().decode().split("\r\n")
     rows[2] = rows[2].split(",")[0] + ",5,5,5,5"
     with open(kpath, "w", newline="") as fh:
         fh.write("\r\n".join(rows))
@@ -224,7 +242,7 @@ def test_identify_report_with_zero_q_true(tmp_path):
         bundle, out = str(tmp_path / f"bundle{q[-1]}"), str(tmp_path / f"run{q[-1]}")
         assert main(["synthesize", "--config", str(cfg), "--out", bundle]) == 0
         assert main(["identify", bundle, "--config", str(cfg), "--out", out]) == 0
-        reports[q] = open(os.path.join(out, "report.txt")).read().splitlines()
+        reports[q] = Path(out, "report.txt").read_text().splitlines()
     keys = lambda lines: [line.split("=")[0] for line in lines]
     assert keys(reports["const:1"]) == ["horizons", "n_basis", "max_abs_error", "rel_l2_error"]
     # q_true == 0: an absolute norm stands in for the relative one, which is nan
@@ -256,7 +274,7 @@ def test_forward_and_resolvent_dumps(tmp_path, cfg_path):
     assert os.path.isfile(os.path.join(out, "boundary.csv"))
     out2 = str(tmp_path / "kr")
     assert main(["resolvent", "--config", cfg_path, "--out", out2]) == 0
-    text = open(os.path.join(out2, "resolvent.txt")).read()
+    text = Path(out2, "resolvent.txt").read_text()
     assert "gamma=-0.5" in text
 
 
@@ -275,7 +293,7 @@ def test_verify_filter_runs_single_criterion(tmp_path, capsys):
     assert main(["verify", "--filter", "resolvent", "--out", str(tmp_path)]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l and not l.startswith("#")]
     assert len(lines) == 1 and lines[0].startswith("A1 pass")
-    saved = open(os.path.join(str(tmp_path), "verify.txt")).read()
+    saved = (tmp_path / "verify.txt").read_text()
     assert saved.startswith("A1 pass")
 
 

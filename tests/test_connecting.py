@@ -17,6 +17,7 @@ from viscostring.forward import StringProblem, solve_mild
 from viscostring.connecting import (
     ControlBasis,
     ResponseTable,
+    _march,
     affine_source,
     blago_solve,
     gram_from_data,
@@ -350,6 +351,25 @@ def test_blago_march_agrees_with_picard_general_kernel():
     assert np.max(np.abs(b.diagonal() - c.diagonal())) <= 1e-8 * scale
 
 
+@pytest.mark.parametrize("q", [2, 7])
+def test_march_invariant_under_whole_step_delays(rng, q):
+    # the premise of the Gram's spike readout: phi(s) delta_q gives the
+    # delta_1 solution delayed by q-1 levels on the live rows
+    m = 48
+    grid2 = TimeGrid(0.4 / m, 2 * m)
+    kmem = resolvent(general_kernel(grid2)).K.values
+    n_s = len(kmem) - 1
+    phi = rng.standard_normal((n_s + 1, 1))
+    spike = lambda level: lambda k: phi[: n_s - k + 1] * float(k == level)
+    W1 = _march(spike(1), kmem, m, grid2.dt)[:, :, 0]
+    Wq = _march(spike(q), kmem, m, grid2.dt)[:, :, 0]
+    assert np.max(np.abs(W1)) > 0.0 and np.all(Wq[: q + 1] == 0.0)
+    for k in range(q + 1, m + 1):
+        live = n_s - k + 1
+        gap = np.max(np.abs(Wq[k, :live] - W1[k - q + 1, :live]))
+        assert gap <= 1e-15 * np.max(np.abs(W1[k - q + 1, :live]))
+
+
 def test_blago_quadrature_refuses_memory_kernel():
     m = 16
     grid, grid2 = TimeGrid(0.01, m), TimeGrid(0.01, 2 * m)
@@ -415,6 +435,13 @@ def test_blago_classical_product_moment_off_diagonal():
 # ---------------------------------------------------------------------------
 
 
+def _symmetrized(raw):
+    flip = np.transpose(raw, (0, 2, 1))
+    norms = np.linalg.norm(raw, axis=(1, 2))
+    gaps = np.linalg.norm(raw - flip, axis=(1, 2))
+    return 0.5 * (raw + flip), np.where(norms > 0, gaps / np.where(norms > 0, norms, 1.0), 0.0)
+
+
 def _per_pair_gram(tab):
     """Reference assembly: one affine source and one blago_solve per ordered
     control pair, read on the diagonal; returns (symmetrized C, asymmetry)."""
@@ -428,16 +455,37 @@ def _per_pair_gram(tab):
         for j in range(n):
             G = affine_source(controls[i], controls[j], responses[i], responses[j], res)
             raw[:, i, j] = blago_solve(G, res).diagonal()
-    flip = np.transpose(raw, (0, 2, 1))
-    norms = np.linalg.norm(raw, axis=(1, 2))
-    gaps = np.linalg.norm(raw - flip, axis=(1, 2))
-    return 0.5 * (raw + flip), np.where(norms > 0, gaps / np.where(norms > 0, norms, 1.0), 0.0)
+    return _symmetrized(raw)
+
+
+def _blocked_march_gram(tab):
+    """Reference assembly for K != 0: one march per j and block of 4 i, with
+    the rank-two source of every pair marched in full."""
+    basis = tab.basis
+    m, dt = basis.grid.n, basis.grid.dt
+    res = resolvent(tab.kernel)
+    es = np.exp(-res.gamma * tab.grid2.nodes())
+    a, c = (es * tab.Y).T, (es * basis.sampled_on(tab.grid2)).T
+    kmem = res.K.values
+    n, n_s = basis.n, len(kmem) - 1
+    diag, block = np.arange(m + 1), 4
+    raw = np.zeros((m + 1, n, n))
+    for j in range(n):
+        for lo in range(0, n, block):
+            b, d = c[: m + 1, lo : lo + block], a[: m + 1, lo : lo + block]
+            W = _march(
+                lambda k: a[: n_s - k + 1, j, None] * b[k] - c[: n_s - k + 1, j, None] * d[k],
+                kmem, m, dt,
+            )
+            raw[:, lo : lo + block, j] = W[diag, diag]
+    raw *= np.exp(2.0 * res.gamma * basis.grid.nodes())[:, None, None]
+    return _symmetrized(raw)
 
 
 @pytest.mark.parametrize("kernel", ["const", "exp", "general"])
 def test_gram_matches_per_pair_reference(kernel):
-    # const/exp take the closed-form diagonal, general the batched march
-    # (whose blocks of 4 leave a partial one at n = 6)
+    # const/exp take the closed-form diagonal, general the spike-response
+    # march, whose readout of the pairs is checked against full marches here
     tab, basis, ker2, grid, grid2 = _wave_setup(m=24, n=6, kernel=kernel, q=lambda x: 0.5 + 0.4 * x)
     gram = gram_from_data(tab)
     C, asym = _per_pair_gram(tab)
@@ -446,6 +494,20 @@ def test_gram_matches_per_pair_reference(kernel):
         assert np.linalg.norm(gram.C[k] - C[k]) <= 1e-12 * np.linalg.norm(C[k])
     # some horizons are symmetric to round-off (asymmetry ~1e-17), where no
     # relative digit is defined; compare on the scale of the diagnostic
+    assert np.max(np.abs(gram.asymmetry - asym)) <= 1e-12 * np.max(asym)
+
+
+def test_gram_matches_blocked_march_reference():
+    # the general-identify instance: n = 16, dt = 1/128, general kernel
+    m, L = 128, 2.0
+    tab, basis, ker2, grid, grid2 = _wave_setup(
+        m=m, n=16, T_max=1.0, L=L, kernel="general", q=lambda x: 1.0 + 0.25 * np.sin(np.pi * x / L)
+    )
+    gram = gram_from_data(tab)
+    C, asym = _blocked_march_gram(tab)
+    assert np.all(gram.C[0] == 0.0) and np.all(C[0] == 0.0)
+    for k in range(1, m + 1):
+        assert np.linalg.norm(gram.C[k] - C[k]) <= 1e-13 * np.linalg.norm(C[k])
     assert np.max(np.abs(gram.asymmetry - asym)) <= 1e-12 * np.max(asym)
 
 

@@ -1,6 +1,7 @@
 import filecmp
 import operator
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,12 +125,20 @@ def test_control_spec_fuzz_finite_or_config_error(spec):
         assert f.shape == (_FUZZ_GRID.n + 1,) and np.all(np.isfinite(f))
 
 
+_signed_exponents = st.builds(
+    "{}{}{}{}".format,
+    st.sampled_from(["1", "-2.5", "3.", ".5"]),
+    st.sampled_from("eE"),
+    st.sampled_from("+-"),
+    st.integers(0, 400),
+)
+_q_numbers = st.one_of(_numbers, _signed_exponents)
 _q_terms = st.one_of(
     st.text(),
     st.builds(operator.add, st.sampled_from(["const:", "sin:", "poly:", "file:"]), st.text()),
-    _numbers.map(lambda v: f"const:{v}"),
-    st.lists(_numbers, max_size=3).map(lambda vs: "sin:" + ",".join(map(str, vs))),
-    st.lists(_numbers, max_size=8).map(lambda cs: "poly:" + ",".join(map(str, cs))),
+    _q_numbers.map(lambda v: f"const:{v}"),
+    st.lists(_q_numbers, max_size=3).map(lambda vs: "sin:" + ",".join(map(str, vs))),
+    st.lists(_q_numbers, max_size=8).map(lambda cs: "poly:" + ",".join(map(str, cs))),
 )
 
 
@@ -143,6 +152,21 @@ def test_q_spec_fuzz_finite_or_input_error(spec):
     except (ConfigError, DataFormatError):
         return
     assert q.shape == x.shape and np.all(np.isfinite(q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(_signed_exponents, min_size=1, max_size=3))
+def test_q_spec_signed_exponents_are_numbers(values):
+    # an exponent sign never splits a term: the sum of the constants, or a
+    # ConfigError when it is not finite
+    x = _FUZZ_GRID.nodes()
+    spec = "+".join(f"const:{v}" for v in values)
+    total = sum(float(v) for v in values)
+    if not np.isfinite(total):
+        with pytest.raises(ConfigError):
+            parse_q_spec(spec, x, _FUZZ_GRID.t_max)
+        return
+    assert np.array_equal(parse_q_spec(spec, x, _FUZZ_GRID.t_max), np.full_like(x, total))
 
 
 def test_corrupt_cell_fuzz_loads_or_data_format_error(tmp_path):
@@ -229,7 +253,7 @@ def test_load_rejects_missing_and_corrupt(tmp_path):
 
     # corrupt manifest: unknown key
     man = os.path.join(out, "manifest.txt")
-    original = open(man).read()
+    original = Path(man).read_text()
     with open(man, "w") as fh:
         fh.write(original + "mystery=1\n")
     with pytest.raises(DataFormatError):
@@ -245,7 +269,7 @@ def test_load_rejects_missing_and_corrupt(tmp_path):
 
     # response shape mismatch
     resp = os.path.join(out, "response.csv")
-    lines = open(resp).read().splitlines()
+    lines = Path(resp).read_text().splitlines()
     with open(resp, "w", newline="") as fh:
         fh.write("\r\n".join(lines[:-3]) + "\r\n")
     with pytest.raises(DataFormatError):
