@@ -227,7 +227,6 @@ def synthesize_table(
     kernel: MemoryKernel,
     q,
     L: float,
-    res: ResolventData | None = None,
     noise_sigma: float = 0.0,
     seed: int = 0,
     meta: dict | None = None,
@@ -254,8 +253,7 @@ def synthesize_table(
         raise GridMismatchError(
             f"synthetic data needs 2*T_max = {t2} <= L = {L} (no-reflection window)"
         )
-    if res is None:
-        res = resolvent(kernel)
+    res = resolvent(kernel)
     p = StringProblem(L=L, q=q, kernel=kernel, T=t2)
     dt, M = grid2.dt, grid2.n
     spike = np.zeros(M + 1)

@@ -23,7 +23,8 @@ the update preserves W[i,k] = 0 for x_i > t_k exactly.
 ``fd_oracle`` is an independent check: a leapfrog discretization of the
 differentiated model w_tt = Lw + int_0^t N'(t-s) Lw(s) ds on the full domain
 [0,L] with Dirichlet ends.  It never sees gamma/alpha/K, so agreement with
-``solve_mild`` validates the whole transform chain.
+``solve_mild`` validates the whole transform chain.  Both return a
+``WaveField`` of physical quantities only.
 """
 
 from __future__ import annotations
@@ -89,15 +90,15 @@ class WaveField:
     """Solved field with its boundary data.
 
     w is the physical field, sampled on the space grid of the solver (x in
-    [0,T] for the mild solver, [0,L] for the finite-difference oracle); gamma
-    is the exponent of the transform w = exp(gamma t) W.
+    [0,T] for the mild solver, [0,L] for the finite-difference oracle); y is
+    the boundary derivative w_x(0,.) and sigma the traction.  The transform
+    constants stay with the kernel's resolvent, which the oracle never forms.
     """
 
     w: Sampled2D
     f: Sampled1D
     y: Sampled1D
     sigma: Sampled1D
-    gamma: float
 
     @property
     def xgrid(self) -> TimeGrid:
@@ -180,7 +181,6 @@ def solve_mild(p: StringProblem, f: Sampled1D, res: ResolventData | None = None)
         f=f,
         y=Sampled1D(tgrid, y),
         sigma=Sampled1D(tgrid, sigma),
-        gamma=gamma,
     )
 
 
@@ -232,7 +232,7 @@ def final_snapshot(field: WaveField, T: float | None = None) -> Sampled1D:
     return Sampled1D(xg, vals)
 
 
-def fd_oracle(p: StringProblem, f: Sampled1D, res: ResolventData | None = None) -> WaveField:
+def fd_oracle(p: StringProblem, f: Sampled1D) -> WaveField:
     """Independent leapfrog solution of w_tt = Lw + int_0^t N'(t-s) Lw(s) ds
     on the full interval [0,L], Dirichlet at both ends, zero initial data.
 
@@ -268,8 +268,6 @@ def fd_oracle(p: StringProblem, f: Sampled1D, res: ResolventData | None = None) 
         w[0, k + 1] = f.values[k + 1]
         w[n_x, k + 1] = 0.0
 
-    if res is None:
-        res = resolvent(p.kernel)
     tgrid = TimeGrid(dt, m)
     xg = TimeGrid(dt, n_x)
     y = _trace_x0(w, dx)
@@ -278,5 +276,4 @@ def fd_oracle(p: StringProblem, f: Sampled1D, res: ResolventData | None = None) 
         f=f,
         y=Sampled1D(tgrid, y),
         sigma=Sampled1D(tgrid, _traction(p.kernel, y, dt)),
-        gamma=res.gamma,
     )

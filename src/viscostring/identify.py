@@ -13,9 +13,11 @@ operator w_xx + q w of the model: integrating H(T,T) by parts leaves a
 volume term (xi'' + q xi) w^g that must vanish for every test control, and
 boundary terms that reduce to the moment integral exactly when xi(0) = 0
 and xi'(0) = 1.  Tikhonov regularization (C + lambda I) c = b absorbs the
-discretization noise; "auto" sweeps lambda geometrically and keeps the
-smallest value whose relative residual reaches 1e-6 with a solution norm
-stable to 1% over one sweep step.
+discretization noise; "auto" sweeps lambda geometrically upward and stops at
+the first value whose relative residual reaches 1e-6 with a solution norm
+stable to 1% over one sweep step, so a well-conditioned system costs two
+solves.  Only when no value passes is the whole sweep solved, keeping the
+least residual and a warning.
 
 Reading the control's boundary value needs care: every basis element vanishes
 at t = 0 while the steering control does not (its value there IS the target
@@ -117,39 +119,41 @@ class SteeringControl:
     diagnostics: dict = field(default_factory=dict)
 
 
+_SWEEP = np.geomspace(1e-15, 1e-3, 25)  # "auto" candidates, in units of trace(C)/n
+
+
 def _tikhonov_sweep(C: np.ndarray, b: np.ndarray, cfg: IdentifyConfig):
-    """Solve (C + lambda I) c = b; lambda per config ("auto" = smallest sweep
-    value reaching relative residual 1e-6 with 1%-stable solution norm)."""
+    """Solve (C + lambda I) c = b over the candidate lambdas: the configured
+    one, or for "auto" a geometric sweep.  Returns at the first candidate
+    whose relative residual reaches 1e-6 with a solution norm stable to 1%
+    at the next candidate; only when none does is the whole sweep solved and
+    the least residual kept, with a lambda_warning.  A lone fixed lambda is
+    taken as given."""
+    auto = cfg.tikhonov_lambda == "auto"
     nb = np.linalg.norm(b)
     if nb == 0.0:
-        lam = 0.0 if cfg.tikhonov_lambda == "auto" else float(cfg.tikhonov_lambda)
-        return np.zeros_like(b), lam, 0.0, {}
-    scale = float(np.trace(C)) / len(b)
-    if cfg.tikhonov_lambda != "auto":
-        lam = float(cfg.tikhonov_lambda)
-        c = np.linalg.solve(C + lam * np.eye(len(b)), b)
-        return c, lam, float(np.linalg.norm(C @ c - b) / nb), {}
-    lams = scale * np.geomspace(1e-15, 1e-3, 25)
+        return np.zeros_like(b), 0.0 if auto else float(cfg.tikhonov_lambda), 0.0, {}
+    if auto:
+        lams = float(np.trace(C)) / len(b) * _SWEEP
+    else:
+        lams = np.array([float(cfg.tikhonov_lambda)])
     sols, residuals, norms = [], [], []
-    for lam in lams:
+    for i, lam in enumerate(lams):
         c = np.linalg.solve(C + lam * np.eye(len(b)), b)
         sols.append(c)
         residuals.append(float(np.linalg.norm(C @ c - b) / nb))
         norms.append(float(np.linalg.norm(c)))
-    chosen = None
-    for i in range(len(lams) - 1):
-        stable = abs(norms[i] - norms[i + 1]) <= 0.01 * max(norms[i + 1], 1e-300)
-        if residuals[i] <= 1e-6 and stable:
-            chosen = i
-            break
+        if i > 0 and residuals[i - 1] <= 1e-6:
+            if abs(norms[i - 1] - norms[i]) <= 0.01 * max(norms[i], 1e-300):
+                return sols[i - 1], float(lams[i - 1]), residuals[i - 1], {}
+    best = int(np.argmin(residuals))
     info = {}
-    if chosen is None:
-        chosen = int(np.argmin(residuals))
+    if auto:
         info["lambda_warning"] = (
             f"residual floor 1e-6 unreachable; best relative residual "
-            f"{residuals[chosen]:.3e} at lambda {lams[chosen]:.3e}"
+            f"{residuals[best]:.3e} at lambda {lams[best]:.3e}"
         )
-    return sols[chosen], float(lams[chosen]), residuals[chosen], info
+    return sols[best], float(lams[best]), residuals[best], info
 
 
 def _extrapolate(times: np.ndarray, values: np.ndarray, t0: float) -> float:
@@ -183,7 +187,8 @@ def steering_control(
     C = C_full[np.ix_(active, active)]
     b_a = np.asarray(b, dtype=float)[active]
 
-    ev_min = float(np.linalg.eigvalsh(C)[0])
+    ev = np.linalg.eigvalsh(C)
+    ev_min = float(ev[0])
     c_norm = float(np.linalg.norm(C))
     if ev_min < -1e-8 * max(c_norm, 1e-300):
         raise NumericalFailure(
@@ -214,10 +219,12 @@ def steering_control(
 
     coeffs = np.zeros(basis.n)
     coeffs[active] = c_a
+    # C is symmetric, so the singular values of C + lambda I are |ev + lambda|
+    spread = np.abs(ev + lam)
     diag = {
         "active_count": len(active),
         "readout_points": pts,
-        "condition": float(np.linalg.cond(C + lam * np.eye(len(b_a)))),
+        "condition": float(spread.max() / spread.min()) if spread.min() > 0 else np.inf,
         **info,
     }
     return SteeringControl(
@@ -317,15 +324,10 @@ class ReconstructionResult:
             )
 
 
-def pipeline(
-    tab: ResponseTable,
-    cfg: IdentifyConfig | None = None,
-    gram: ConnectingGram | None = None,
-) -> ReconstructionResult:
+def pipeline(tab: ResponseTable, cfg: IdentifyConfig | None = None) -> ReconstructionResult:
     """Full data-driven reconstruction: one Gram build serves every horizon."""
     cfg = cfg or IdentifyConfig()
-    if gram is None:
-        gram = gram_from_data(tab)
+    gram = gram_from_data(tab)
     basis = tab.basis
     horizons = (
         cfg.horizons
@@ -341,14 +343,7 @@ def pipeline(
         b = steering_rhs(tab.kernel, basis, float(T))
         sc = steering_control(gram, float(T), b, cfg)
         xi[i] = sc.xi
-        diags.append(
-            {
-                "residual": sc.residual,
-                "lambda": sc.lambda_used,
-                "active": len(sc.active),
-                **sc.diagnostics,
-            }
-        )
+        diags.append({"residual": sc.residual, "lambda": sc.lambda_used, **sc.diagnostics})
     q, guarded = reconstruct_q(np.asarray(horizons, float), xi, cfg, basis.grid.dt)
     return ReconstructionResult(
         horizons=np.asarray(horizons, float),

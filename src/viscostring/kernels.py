@@ -123,18 +123,23 @@ def build_kernel(
     else:
         raise KernelValidationError(f"unknown kernel kind {kind!r}")
 
-    kernel = MemoryKernel(
-        grid=grid,
-        N=Sampled1D(grid, n),
-        N1=Sampled1D(grid, n1),
-        N2=Sampled1D(grid, n2),
-        N3=Sampled1D(grid, n3),
-        M=cumulative_integral(Sampled1D(grid, n)),
-        kind=kind,
-        rate=rate if kind == "exp" else None,
-    )
-    scale = np.max(np.abs(kernel.N2.values)) + np.max(np.abs(kernel.N3.values)) + 1.0
-    if kernel.consistency_residual() > 100.0 * grid.dt**2 * scale + 1e-9:
+    # samples near the float limit overflow M and the difference check; the
+    # comparison below then sees inf or nan and rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel = MemoryKernel(
+            grid=grid,
+            N=Sampled1D(grid, n),
+            N1=Sampled1D(grid, n1),
+            N2=Sampled1D(grid, n2),
+            N3=Sampled1D(grid, n3),
+            M=cumulative_integral(Sampled1D(grid, n)),
+            kind=kind,
+            rate=rate if kind == "exp" else None,
+        )
+        scale = np.max(np.abs(kernel.N2.values)) + np.max(np.abs(kernel.N3.values)) + 1.0
+        bound = 100.0 * grid.dt**2 * scale + 1e-9
+        consistent = kernel.consistency_residual() <= bound < np.inf
+    if not consistent:
         raise KernelValidationError(
             "kernel samples and derivative samples are mutually inconsistent"
         )

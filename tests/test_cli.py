@@ -110,8 +110,9 @@ def _config(**values):
     return "\n".join(lines + [f"{k} = {v}" for k, v in values.items()]) + "\n"
 
 
+# a tamper is a list of (bundle file, text edit) pairs; lists concatenate
 def _manifest(key, value):
-    return "manifest.txt", lambda text: re.sub(rf"(?m)^{key}=.*$", f"{key}={value}", text)
+    return [("manifest.txt", lambda text: re.sub(rf"(?m)^{key}=.*$", f"{key}={value}", text))]
 
 
 def _cell(name, row, col, value):
@@ -122,11 +123,14 @@ def _cell(name, row, col, value):
         rows[row] = ",".join(cells)
         return "\r\n".join(rows)
 
-    return name, edit
+    return [(name, edit)]
 
 
 def _drop_row(name, row):
-    return name, lambda text: "\r\n".join(r for i, r in enumerate(text.split("\r\n")) if i != row)
+    return [(name, lambda text: "\r\n".join(r for i, r in enumerate(text.split("\r\n")) if i != row))]
+
+
+_TABULATED = _manifest("kernel_kind", "tabulated")  # kernel.csv becomes the kernel
 
 
 BAD_INPUTS = [
@@ -145,6 +149,17 @@ BAD_INPUTS = [
     pytest.param("identify", CFG, _cell("basis.csv", 5, 1, "nan"), 4, id="basis-nan-cell"),
     pytest.param("identify", CFG, _cell("q_true.csv", 5, 1, "nan"), 4, id="q-true-nan-cell"),
     pytest.param("identify", CFG, _drop_row("q_true.csv", 7), 4, id="q-true-row-deleted"),
+    # kernel.csv ends in CRLF, so row -2 is its last sample; the overflow
+    # makes the consistency residual nan (two cells) or inf (one cell)
+    pytest.param(
+        "identify", CFG,
+        _TABULATED + _cell("kernel.csv", -3, 1, "1e308") + _cell("kernel.csv", -2, 1, "1e308"),
+        4, id="tabulated-kernel-N-1e308-twice",
+    ),
+    pytest.param(
+        "identify", CFG, _TABULATED + _cell("kernel.csv", -2, 1, "1.7e308"), 4,
+        id="tabulated-kernel-N-1.7e308",
+    ),
     # a finite control whose solution overflows: exit 3
     pytest.param("forward", _config(control="poly:0,1e308,1e308"), None, 3, id="forward-overflow"),
 ]
@@ -161,9 +176,9 @@ def test_bad_input_fails_at_the_boundary(tmp_path, capsys, command, config, tamp
         base.write_text(CFG)
         bundle = str(tmp_path / "bundle")
         assert main(["synthesize", "--config", str(base), "--out", bundle]) == 0
-        name, edit = tamper
-        path = tmp_path / "bundle" / name
-        path.write_bytes(edit(path.read_bytes().decode()).encode())
+        for name, edit in tamper:
+            path = tmp_path / "bundle" / name
+            path.write_bytes(edit(path.read_bytes().decode()).encode())
         args.insert(1, bundle)
         capsys.readouterr()
     assert main(args) == code

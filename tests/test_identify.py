@@ -238,3 +238,103 @@ def test_pipeline_with_oracle_gram_memory_case():
         xi.append(steering_control(orc, float(T), b).xi)
     xi = np.asarray(xi)
     assert np.max(np.abs(xi - np.sin(horizons)) / np.sin(horizons)) <= 0.03
+
+
+def _full_sweep(C, b, cfg):
+    """Reference sweep: solve every candidate lambda, then pick the first
+    accepted one (relative residual <= 1e-6, norm stable to 1% at the next
+    candidate) or, failing that, the least residual with a warning."""
+    nb = np.linalg.norm(b)
+    if nb == 0.0:
+        lam = 0.0 if cfg.tikhonov_lambda == "auto" else float(cfg.tikhonov_lambda)
+        return np.zeros_like(b), lam, 0.0, {}
+    scale = float(np.trace(C)) / len(b)
+    if cfg.tikhonov_lambda != "auto":
+        lam = float(cfg.tikhonov_lambda)
+        c = np.linalg.solve(C + lam * np.eye(len(b)), b)
+        return c, lam, float(np.linalg.norm(C @ c - b) / nb), {}
+    lams = scale * np.geomspace(1e-15, 1e-3, 25)
+    sols, residuals, norms = [], [], []
+    for lam in lams:
+        c = np.linalg.solve(C + lam * np.eye(len(b)), b)
+        sols.append(c)
+        residuals.append(float(np.linalg.norm(C @ c - b) / nb))
+        norms.append(float(np.linalg.norm(c)))
+    chosen = None
+    for i in range(len(lams) - 1):
+        stable = abs(norms[i] - norms[i + 1]) <= 0.01 * max(norms[i + 1], 1e-300)
+        if residuals[i] <= 1e-6 and stable:
+            chosen = i
+            break
+    info = {}
+    if chosen is None:
+        chosen = int(np.argmin(residuals))
+        info["lambda_warning"] = (
+            f"residual floor 1e-6 unreachable; best relative residual "
+            f"{residuals[chosen]:.3e} at lambda {lams[chosen]:.3e}"
+        )
+    return sols[chosen], float(lams[chosen]), residuals[chosen], info
+
+
+def _spd_system(eigenvalues, b_modes, seed=0):
+    """Exactly symmetric C with the given spectrum and b with the given
+    components along its eigenvectors."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(eigenvalues),) * 2))
+    C = (q * np.asarray(eigenvalues)) @ q.T
+    return 0.5 * (C + C.T), q @ np.asarray(b_modes, dtype=float)
+
+
+def _exp_gram_system():
+    m, n, T_max, L = 128, 8, 0.5, 1.0
+    dt = T_max / m
+    grid, grid2 = TimeGrid(dt, m), TimeGrid(dt, 2 * m)
+    ker2 = build_kernel(grid2, "exp", rate=1.0)
+    basis = hat_basis(grid, n)
+    gram = gram_from_data(synthesize_table(basis, ker2, lambda x: 1.0 + 0.5 * x, L))
+    return gram, basis, ker2
+
+
+def _sweep_cases():
+    gram, basis, ker2 = _exp_gram_system()
+    T = basis.grid.t_max
+    active = basis.active(T)
+    C = gram.at(T)[np.ix_(active, active)]
+    b = steering_rhs(ker2, basis, T)[active]
+    auto = IdentifyConfig()
+    # a mode far below the smallest sweep lambda carries a small part of b:
+    # the residual passes from the start, the norm settles only later
+    late = _spd_system([1.0, 0.5, 0.2, 0.1, 1e-18], [1.0, 1.0, 1.0, 1.0, 1e-9])
+    # a null mode carries 1% of b: no lambda reaches the residual floor
+    never = _spd_system([1.0, 0.5, 0.2, 0.0, 0.0], [1.0, 1.0, 1.0, 1e-2, 1e-2])
+    return {
+        "gram": (C, b, auto),
+        "accepts-later": (*late, auto),
+        "fallback": (*never, auto),
+        "fixed": (C, b, IdentifyConfig(tikhonov_lambda=1e-9)),
+        "zero-rhs": (C, np.zeros_like(b), auto),
+    }
+
+
+@pytest.mark.parametrize("case", ["gram", "accepts-later", "fallback", "fixed", "zero-rhs"])
+def test_sweep_matches_full_sweep_reference(case):
+    from viscostring.identify import _tikhonov_sweep
+
+    C, b, cfg = _sweep_cases()[case]
+    c, lam, residual, info = _tikhonov_sweep(C, b, cfg)
+    c_ref, lam_ref, residual_ref, info_ref = _full_sweep(C, b, cfg)
+    assert np.array_equal(c, c_ref)
+    assert (lam, residual, info) == (lam_ref, residual_ref, info_ref)
+    lams = float(np.trace(C)) / len(b) * np.geomspace(1e-15, 1e-3, 25)
+    if case == "accepts-later":
+        assert lam > lams[0] and not info
+    if case == "fallback":
+        assert "lambda_warning" in info
+
+
+def test_spectral_condition_matches_svd_condition():
+    gram, basis, ker2 = _exp_gram_system()
+    for T in default_horizons(basis):
+        sc = steering_control(gram, float(T), steering_rhs(ker2, basis, float(T)))
+        C = gram.at(float(T))[np.ix_(sc.active, sc.active)]
+        ref = np.linalg.cond(C + sc.lambda_used * np.eye(len(sc.active)))
+        assert abs(sc.diagnostics["condition"] - ref) <= 1e-12 * ref
