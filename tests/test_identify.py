@@ -324,9 +324,8 @@ def test_sweep_matches_full_sweep_reference(case):
     c_ref, lam_ref, residual_ref, info_ref = _full_sweep(C, b, cfg)
     assert np.array_equal(c, c_ref)
     assert (lam, residual, info) == (lam_ref, residual_ref, info_ref)
-    lams = float(np.trace(C)) / len(b) * np.geomspace(1e-15, 1e-3, 25)
     if case == "accepts-later":
-        assert lam > lams[0] and not info
+        assert lam > float(np.trace(C)) / len(b) * 1e-15 and not info
     if case == "fallback":
         assert "lambda_warning" in info
 
