@@ -30,7 +30,7 @@ basis = hat_basis(grid, n)
 print("memoryless case (N = 1, q = 0): Gram -> hat mass matrix")
 tab = synthesize_table(basis, build_kernel(grid2, "const"), lambda x: np.zeros_like(x), L)
 gram = gram_from_data(tab)
-mass = basis.mass_matrix()
+mass = basis.mass_matrix
 gap = np.linalg.norm(gram.at(T_max) - mass) / np.linalg.norm(mass)
 print(f"  relative Frobenius gap to the mass matrix: {gap:.3e}")
 print(f"  worst pre-symmetrization asymmetry over horizons: {np.max(gram.asymmetry):.2e}")

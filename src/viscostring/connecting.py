@@ -41,6 +41,7 @@ computes the same Gram from forward-solver snapshots (it knows q; validation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class ControlBasis:
     """Piecewise-linear hat controls on [0, T_max].
@@ -104,10 +110,8 @@ class ControlBasis:
             raise GridMismatchError("basis needs n+2 strictly increasing knots")
         if np.any(np.abs(s[:, 0]) > 0):
             raise GridMismatchError("basis controls must vanish at t = 0")
-        s.flags.writeable = False
-        kn.flags.writeable = False
-        object.__setattr__(self, "samples", s)
-        object.__setattr__(self, "knots", kn)
+        object.__setattr__(self, "samples", _read_only(s))
+        object.__setattr__(self, "knots", _read_only(kn))
 
     @property
     def n(self) -> int:
@@ -118,30 +122,33 @@ class ControlBasis:
         """Nominal center spacing T_max/(n+1) (knots are snapped to nodes)."""
         return self.grid.t_max / (self.n + 1)
 
+    @cached_property
     def dual_abscissae(self) -> np.ndarray:
         """First-moment points of the elements: <t, e_i>/<1, e_i>.
 
         A mass-weighted average <f, e_i>/<1, e_i> equals f at this abscissa
         exactly for affine f, which is what the steering readout relies on.
         """
-        t = self.grid.nodes()[None, :].repeat(self.n, axis=0)
-        return pw_linear_products(self.samples, t, self.grid.dt).diagonal() / self.element_masses()
+        moments = pw_linear_products(self.samples, self.grid.nodes()[None, :], self.grid.dt)
+        return _read_only(moments[:, 0] / self.element_masses)
 
     def active(self, T: float) -> np.ndarray:
-        """Indices of hats supported inside (0, T] (support end <= T + dt/2)."""
+        """Indices 0..k-1 of the hats supported inside (0, T] (support end <= T + dt/2)."""
         tol = 0.5 * self.grid.dt
         return np.nonzero(self.knots[2:] <= T + tol)[0]
 
+    @cached_property
     def mass_matrix(self) -> np.ndarray:
         """Exact L2(0, T_max) Gram of the basis (the samples are piecewise
         linear between nodes, so the cellwise Simpson sum is exact).  For a
         uniform knot lattice this is tridiag(spacing/6, 2*spacing/3)."""
-        return pw_linear_products(self.samples, self.samples, self.grid.dt)
+        return _read_only(pw_linear_products(self.samples, self.samples, self.grid.dt))
 
+    @cached_property
     def element_masses(self) -> np.ndarray:
         """<1, e_i>, exact for the piecewise-linear samples."""
         w = trap_weights(self.grid.n + 1, self.grid.dt)
-        return self.samples @ w
+        return _read_only(self.samples @ w)
 
     def sampled_on(self, grid2: TimeGrid) -> np.ndarray:
         """Zero-extend the basis samples onto a longer grid (same step)."""
@@ -214,8 +221,7 @@ class ResponseTable:
                 "responses at t=0 exceed the launch slope of the basis; "
                 "the data do not start from a zero state"
             )
-        y.flags.writeable = False
-        object.__setattr__(self, "Y", y)
+        object.__setattr__(self, "Y", _read_only(y))
 
     @property
     def grid2(self) -> TimeGrid:

@@ -191,14 +191,10 @@ class RunConfig:
         """The identify settings of this config for a bundle's control basis."""
         icfg = IdentifyConfig(
             tikhonov_lambda=(
-                "auto" if self.tikhonov_lambda == "auto"
-                else _finite_float(self.tikhonov_lambda, "tikhonov_lambda")
+                "auto" if self.tikhonov_lambda == "auto" else float(self.tikhonov_lambda)
             ),
             smoothing_halfwidth=self.smoothing_halfwidth,
-            xi_zero_guard=(
-                None if self.xi_zero_guard == "auto"
-                else _finite_float(self.xi_zero_guard, "xi_zero_guard")
-            ),
+            xi_zero_guard=None if self.xi_zero_guard == "auto" else float(self.xi_zero_guard),
             readout_points=self.readout_points,
         )
         if self.horizons.startswith("every:"):
@@ -209,10 +205,9 @@ class RunConfig:
             lo = np.min(default_horizons(basis, min_active=self.readout_points), initial=np.inf)
             return replace(icfg, horizons=nodes[nodes >= lo - 1e-12])
         if self.horizons != "lattice":
-            horizons = np.array([_finite_float(s, "horizon") for s in self.horizons.split(",")])
-            for T in horizons:
+            icfg = replace(icfg, horizons=[float(s) for s in self.horizons.split(",")])
+            for T in icfg.horizons:
                 basis.grid.index_of(T)
-            return replace(icfg, horizons=horizons)
         return icfg
 
 

@@ -20,18 +20,21 @@ solves.  Only when no value passes is the whole sweep solved, keeping the
 least residual and a warning.
 
 Reading the control's boundary value needs care: every basis element vanishes
-at t = 0 while the steering control does not (its value there IS the target
-trace xi(T)).  Raw coefficients near the boundary carry an alternating
-Galerkin edge ripple, but the dual averages
+at t = 0 while the steering control does not (its value f(0+) there, times the
+wavefront factor exp(gamma T) of the transform, is the target trace xi(T)).
+Raw coefficients near the boundary carry an alternating Galerkin edge ripple,
+but the dual averages
 
     v_j = <f_h, e_j> / <1, e_j> = (M_mass c)_j / m_j
 
-are ripple-free samples of the control at the element abscissae; a quadratic
-extrapolation of the first few duals to t = 0 recovers xi(T) (exactly so for
-affine controls, which is the memoryless case).  Finally q(T) = -xi''(T)/xi(T)
-with xi'' from local quadratic fits over the horizon lattice and a zero guard
-on the denominator (continuity extension across guarded points; for positive
-q the target genuinely oscillates and crosses zero).
+are ripple-free samples of the control at the element abscissae; M_mass, m_j
+and the abscissae are basis arrays, sliced to the active prefix.  The
+interpolating polynomial through the first few duals (Lagrange form) gives
+f(0+) (exactly so for affine controls, which is the memoryless case).
+Finally q(T) = -xi''(T)/xi(T) with xi'' from local quadratic fits over the
+horizon lattice and a zero guard on the denominator (continuity extension
+across guarded points; for positive q the target genuinely oscillates and
+crosses zero).
 """
 
 from __future__ import annotations
@@ -79,16 +82,17 @@ class IdentifyConfig:
     def __post_init__(self):
         if self.smoothing_halfwidth < 1:
             raise ConfigError("smoothing halfwidth must be >= 1")
-        if not (self.tikhonov_lambda == "auto" or float(self.tikhonov_lambda) >= 0):
-            raise ConfigError("tikhonov_lambda must be 'auto' or a nonnegative number")
-        if self.xi_zero_guard is not None and not (self.xi_zero_guard > 0):
-            raise ConfigError("xi_zero_guard must be positive")
+        if not (self.tikhonov_lambda == "auto" or 0 <= float(self.tikhonov_lambda) < np.inf):
+            raise ConfigError("tikhonov_lambda must be 'auto' or a finite nonnegative number")
+        if self.xi_zero_guard is not None and not (0 < self.xi_zero_guard < np.inf):
+            raise ConfigError("xi_zero_guard must be positive and finite")
         if self.readout_points not in (2, 3):
             raise ConfigError("readout_points must be 2 or 3")
         if self.horizons is not None:
             h = np.array(self.horizons, dtype=float)
-            if h.ndim != 1 or len(h) == 0 or np.any(np.diff(h) <= 0) or h[0] <= 0:
-                raise ConfigError("horizons must be strictly increasing positive times")
+            finite = h.ndim == 1 and len(h) > 0 and np.all(np.isfinite(h))
+            if not (finite and h[0] > 0 and np.all(np.diff(h) > 0)):
+                raise ConfigError("horizons must be strictly increasing positive finite times")
             object.__setattr__(self, "horizons", h)
 
 
@@ -157,12 +161,15 @@ def _tikhonov_sweep(C: np.ndarray, b: np.ndarray, cfg: IdentifyConfig):
 
 
 def _extrapolate(times: np.ndarray, values: np.ndarray, t0: float) -> float:
-    """Evaluate the interpolating polynomial through up to 3 points at t0."""
-    k = len(times)
-    if k == 1:
-        return float(values[0])
-    coeffs = np.polyfit(times, values, k - 1)
-    return float(np.polyval(coeffs, t0))
+    """Evaluate the interpolating polynomial through up to 3 points at t0 (Lagrange form)."""
+    ts = times.tolist()
+    total = 0.0
+    for i, (ti, vi) in enumerate(zip(ts, values.tolist())):
+        for j, tj in enumerate(ts):
+            if j != i:
+                vi *= (t0 - tj) / (ti - tj)
+        total += vi
+    return total
 
 
 def steering_control(
@@ -174,18 +181,18 @@ def steering_control(
     """Solve the steering system at horizon T and assemble the control.
 
     The returned Sampled1D is the stabilized readout: the piecewise-linear
-    interpolant of the dual averages with both endpoint values filled by
-    quadratic extrapolation (the zero-at-ends basis cannot represent them).
-    Raw coefficients remain available for diagnostics.
+    interpolant of the dual averages, its endpoint values f(0+) and f(T-)
+    extrapolated from the nearest duals (the zero-at-ends basis cannot
+    represent them).  Raw coefficients remain available for diagnostics.
     """
     cfg = cfg or IdentifyConfig()
     basis = gram.basis
     active = basis.active(T)
-    if len(active) == 0:
+    k = len(active)  # the active set is the prefix 0..k-1
+    if k == 0:
         raise ConfigError(f"horizon T={T} is below the first basis support")
-    C_full = gram.at(T)
-    C = C_full[np.ix_(active, active)]
-    b_a = np.asarray(b, dtype=float)[active]
+    C = gram.at(T)[:k, :k]
+    b_a = np.asarray(b, dtype=float)[:k]
 
     ev = np.linalg.eigvalsh(C)
     ev_min = float(ev[0])
@@ -198,31 +205,28 @@ def steering_control(
 
     c_a, lam, residual, info = _tikhonov_sweep(C, b_a, cfg)
 
-    mass = basis.mass_matrix()[np.ix_(active, active)]
-    masses = basis.element_masses()[active]
-    duals = (mass @ c_a) / masses
-    tbars = basis.dual_abscissae()[active]
+    duals = (basis.mass_matrix[:k, :k] @ c_a) / basis.element_masses[:k]
+    tbars = basis.dual_abscissae[:k]
 
-    pts = min(cfg.readout_points, len(active))
+    pts = min(cfg.readout_points, k)
+    f0 = _extrapolate(tbars[:pts], duals[:pts], 0.0)
     # target trace: the wavefront of the transformed field carries f(0+),
     # the physical one exp(gamma T) f(0+)
-    xi = float(np.exp(gram.gamma * T)) * _extrapolate(tbars[:pts], duals[:pts], 0.0)
+    xi = float(np.exp(gram.gamma * T)) * f0
 
-    # stabilized control: pw-linear through (0, xi), (tbar_j, v_j), (T, tail)
+    # stabilized control: pw-linear through (0, f0), (tbar_j, v_j), (T, tail)
     tail = _extrapolate(tbars[-pts:], duals[-pts:], T)
-    dt = basis.grid.dt
-    idx = basis.grid.index_of(T)
-    tgrid = TimeGrid(dt, idx)
+    tgrid = TimeGrid(basis.grid.dt, basis.grid.index_of(T))
     knots_t = np.concatenate(([0.0], tbars, [T]))
-    knots_v = np.concatenate(([xi], duals, [tail]))
+    knots_v = np.concatenate(([f0], duals, [tail]))
     samples = np.interp(tgrid.nodes(), knots_t, knots_v)
 
     coeffs = np.zeros(basis.n)
-    coeffs[active] = c_a
+    coeffs[:k] = c_a
     # C is symmetric, so the singular values of C + lambda I are |ev + lambda|
     spread = np.abs(ev + lam)
     diag = {
-        "active_count": len(active),
+        "active_count": k,
         "readout_points": pts,
         "condition": float(spread.max() / spread.min()) if spread.min() > 0 else np.inf,
         **info,

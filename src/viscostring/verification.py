@@ -140,10 +140,6 @@ def a3_forward_oracle() -> CriterionResult:
     )
 
 
-def _mass_reference(basis) -> np.ndarray:
-    return basis.mass_matrix()
-
-
 def a4_connecting_identity() -> CriterionResult:
     """Memoryless q = 0: the data-side Gram is the hat mass matrix."""
 
@@ -155,7 +151,7 @@ def a4_connecting_identity() -> CriterionResult:
         tab = synthesize_table(basis, build_kernel(grid2, "const"), lambda x: np.zeros_like(x), L)
         gram = gram_from_data(tab)
         C = gram.at(T_max)
-        M = _mass_reference(basis)
+        M = basis.mass_matrix
         return float(np.linalg.norm(C - M) / np.linalg.norm(M))
 
     measured, secs = _timed(work)

@@ -98,6 +98,10 @@ def test_config_error_exit_code_2(tmp_path):
         "horizons = every:x",
         "tikhonov_lambda = abc",
         "xi_zero_guard = abc",
+        "tikhonov_lambda = inf",
+        "xi_zero_guard = inf",
+        "horizons = nan",
+        "horizons = 0.25,inf",
     ):
         bad = tmp_path / "identify.cfg"
         bad.write_text(CFG + line + "\n")

@@ -57,7 +57,7 @@ def test_hat_basis_mass_matrix_uniform_lattice():
         + np.diag(np.full(30, delta / 6), 1)
         + np.diag(np.full(30, delta / 6), -1)
     )
-    assert np.max(np.abs(basis.mass_matrix() - ideal)) <= 1e-12
+    assert np.max(np.abs(basis.mass_matrix - ideal)) <= 1e-12
 
 
 def test_hat_basis_dual_abscissae_affine_exact():
@@ -66,8 +66,8 @@ def test_hat_basis_dual_abscissae_affine_exact():
     t = grid.nodes()
     f = 3.0 - 2.0 * t  # affine
     w = trap_weights(grid.n + 1, grid.dt)
-    averages = (basis.samples * w) @ f / basis.element_masses()
-    assert np.max(np.abs(averages - (3.0 - 2.0 * basis.dual_abscissae()))) <= 1e-12
+    averages = (basis.samples * w) @ f / basis.element_masses
+    assert np.max(np.abs(averages - (3.0 - 2.0 * basis.dual_abscissae))) <= 1e-12
 
 
 def test_hat_basis_too_fine_rejected():
@@ -514,7 +514,7 @@ def test_gram_matches_blocked_march_reference():
 def test_gram_identity_case_is_mass_matrix():
     tab, basis, ker2, grid, grid2 = _wave_setup(m=128, n=8)
     gram = gram_from_data(tab)
-    assert frob_rel(gram.at(grid.t_max), basis.mass_matrix()) <= 1e-2
+    assert frob_rel(gram.at(grid.t_max), basis.mass_matrix) <= 1e-2
     assert np.max(gram.asymmetry) <= 0.02
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import general_kernel
 from viscostring.errors import ConfigError, NumericalFailure
-from viscostring.grid import TimeGrid
+from viscostring.grid import TimeGrid, trap_weights
 from viscostring.kernels import build_kernel
 from viscostring.forward import StringProblem
 from viscostring.connecting import (
@@ -11,10 +12,12 @@ from viscostring.connecting import (
     gram_from_data,
     gram_oracle,
     hat_basis,
+    pw_linear_products,
     synthesize_table,
 )
 from viscostring.identify import (
     IdentifyConfig,
+    _tikhonov_sweep,
     default_horizons,
     pipeline,
     reconstruct_q,
@@ -41,6 +44,17 @@ def test_config_validation():
         IdentifyConfig(tikhonov_lambda=-0.5)
     with pytest.raises(ConfigError):
         IdentifyConfig(horizons=np.array([0.3, 0.2]))
+    # non-finite values are config errors too, not silent nan/inf in a solve
+    for bad in (
+        dict(tikhonov_lambda=np.inf),
+        dict(tikhonov_lambda=np.nan),
+        dict(xi_zero_guard=np.inf),
+        dict(horizons=np.array([0.1, np.nan])),
+        dict(horizons=np.array([0.1, np.inf])),
+        dict(horizons=np.array([np.nan])),
+    ):
+        with pytest.raises(ConfigError):
+            IdentifyConfig(**bad)
 
 
 def test_steering_rhs_wave_closed_form():
@@ -48,7 +62,7 @@ def test_steering_rhs_wave_closed_form():
     tab, basis, ker2, grid = _identity_setup()
     T = grid.t_max
     b = steering_rhs(ker2, basis, T)
-    expected = basis.element_masses() * (T - basis.dual_abscissae())
+    expected = basis.element_masses * (T - basis.dual_abscissae)
     assert np.max(np.abs(b - expected)) <= 1e-8
 
 
@@ -317,8 +331,6 @@ def _sweep_cases():
 
 @pytest.mark.parametrize("case", ["gram", "accepts-later", "fallback", "fixed", "zero-rhs"])
 def test_sweep_matches_full_sweep_reference(case):
-    from viscostring.identify import _tikhonov_sweep
-
     C, b, cfg = _sweep_cases()[case]
     c, lam, residual, info = _tikhonov_sweep(C, b, cfg)
     c_ref, lam_ref, residual_ref, info_ref = _full_sweep(C, b, cfg)
@@ -337,3 +349,96 @@ def test_spectral_condition_matches_svd_condition():
         C = gram.at(float(T))[np.ix_(sc.active, sc.active)]
         ref = np.linalg.cond(C + sc.lambda_used * np.eye(len(sc.active)))
         assert abs(sc.diagnostics["condition"] - ref) <= 1e-12 * ref
+
+
+def test_steering_control_starts_at_f0_not_at_xi():
+    # gamma = -0.5 here: the control starts at the extrapolated f(0+), and
+    # the target trace is its wavefront value exp(gamma T) f(0+)
+    gram, basis, ker2 = _exp_gram_system()
+    assert gram.gamma != 0.0
+    for T in default_horizons(basis):
+        T = float(T)
+        sc = steering_control(gram, T, steering_rhs(ker2, basis, T))
+        f0 = sc.control.values[0]
+        ref = np.polyval(np.polyfit(sc.dual_times[:3], sc.duals[:3], 2), 0.0)
+        assert abs(f0 - ref) <= 1e-12 * abs(ref)
+        assert abs(sc.xi - np.exp(gram.gamma * T) * f0) <= 1e-14 * abs(sc.xi)
+
+
+def _reference_readout(gram, T, b, cfg):
+    """Steering readout with per-call basis products: np.ix_ gathers on the
+    active set, abscissae from the diagonal of an n x n moment product and
+    polyfit extrapolation (the control starts at f(0+))."""
+    basis = gram.basis
+    S, dt = basis.samples, basis.grid.dt
+    active = basis.active(T)
+    C = gram.at(T)[np.ix_(active, active)]
+    ev = np.linalg.eigvalsh(C)
+    c_a, lam, residual, _ = _tikhonov_sweep(C, b[active], cfg)
+    masses = S @ trap_weights(basis.grid.n + 1, dt)
+    t = basis.grid.nodes()[None, :].repeat(basis.n, axis=0)
+    tbars = (pw_linear_products(S, t, dt).diagonal() / masses)[active]
+    duals = (pw_linear_products(S, S, dt)[np.ix_(active, active)] @ c_a) / masses[active]
+
+    def extrapolate(tt, vv, t0):
+        if len(tt) == 1:
+            return float(vv[0])
+        return float(np.polyval(np.polyfit(tt, vv, len(tt) - 1), t0))
+
+    pts = min(cfg.readout_points, len(active))
+    f0 = extrapolate(tbars[:pts], duals[:pts], 0.0)
+    tail = extrapolate(tbars[-pts:], duals[-pts:], T)
+    nodes = TimeGrid(dt, basis.grid.index_of(T)).nodes()
+    control = np.interp(
+        nodes, np.concatenate(([0.0], tbars, [T])), np.concatenate(([f0], duals, [tail]))
+    )
+    spread = np.abs(ev + lam)
+    return {
+        "xi": np.exp(gram.gamma * T) * f0,
+        "duals": duals,
+        "control": control,
+        "lambda": lam,
+        "residual": residual,
+        "condition": spread.max() / spread.min(),
+    }
+
+
+@pytest.mark.parametrize("kernel", ["const", "exp", "general"])
+@pytest.mark.parametrize("points", [2, 3])
+def test_readout_matches_per_call_reference(kernel, points):
+    m, n, T_max, L = 64, 8, 0.5, 1.0
+    dt = T_max / m
+    grid, grid2 = TimeGrid(dt, m), TimeGrid(dt, 2 * m)
+    ker2 = {
+        "const": lambda: build_kernel(grid2, "const"),
+        "exp": lambda: build_kernel(grid2, "exp", rate=1.0),
+        "general": lambda: general_kernel(grid2),
+    }[kernel]()
+    basis = hat_basis(grid, n)
+    gram = gram_from_data(synthesize_table(basis, ker2, lambda x: 1.0 + 0.5 * x, L))
+    cfg = IdentifyConfig(readout_points=points)
+    # the basis quantities are computed once and cannot be written
+    for name in ("mass_matrix", "element_masses", "dual_abscissae"):
+        arr = getattr(basis, name)
+        assert getattr(basis, name) is arr
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    horizons = basis.knots[2:]  # every lattice horizon, down to one active hat
+    for T in horizons:
+        T = float(T)
+        k = len(basis.active(T))
+        assert np.array_equal(basis.active(T), np.arange(k))
+        b = steering_rhs(ker2, basis, T)
+        sc = steering_control(gram, T, b, cfg)
+        ref = _reference_readout(gram, T, b, cfg)
+        got = {
+            "xi": sc.xi,
+            "duals": sc.duals,
+            "control": sc.control.values,
+            "lambda": sc.lambda_used,
+            "residual": sc.residual,
+            "condition": sc.diagnostics["condition"],
+        }
+        for key, value in ref.items():
+            gap = np.max(np.abs(np.asarray(got[key]) - value))
+            assert gap <= 1e-12 * np.max(np.abs(value)), (T, key)
