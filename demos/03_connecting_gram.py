@@ -42,7 +42,7 @@ gram = gram_from_data(tab)
 p = StringProblem(L, qf, build_kernel(grid, "exp", rate=1.0), T_max)
 oracle = gram_oracle(p, basis)
 for k in range(m // 4, m + 1, m // 4):
-    T = gram.horizons[k]
+    T = grid.nodes()[k]
     gap = np.linalg.norm(gram.C[k] - oracle.C[k]) / np.linalg.norm(oracle.C[k])
     print(f"  T = {T:.3f}: data vs forward-oracle Gram gap {gap:.3e}")
 

@@ -54,12 +54,13 @@ def cmd_connect(args) -> int:
     gram = gram_from_data(table)
     out = args.out or args.bundle
     os.makedirs(out, exist_ok=True)
-    horizons = default_horizons(table.basis, min_active=1)
-    idx = [gram.index_of(T) for T in horizons]
+    grid = table.basis.grid
+    idx = [grid.index_of(T) for T in default_horizons(table.basis, min_active=1)]
     n = table.basis.n
     ii, jj = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1), indexing="ij")
     cols = [ii.ravel(), jj.ravel()] + [gram.C[k].ravel() for k in idx]
-    header = ["i", "j"] + [f"T={_format(gram.horizons[k])}" for k in idx]
+    nodes = grid.nodes()
+    header = ["i", "j"] + [f"T={_format(nodes[k])}" for k in idx]
     path = os.path.join(out, "gram.csv")
     _write_csv(path, header, cols)
     print(f"gram matrices ({len(idx)} horizons) written to {path}")
@@ -80,7 +81,7 @@ def cmd_identify(args) -> int:
         ["T", "xi", "q_hat", "residual", "lambda", "guard_flag"],
         [np.array([r[k] for r in rows]) for k in range(6)],
     )
-    lines = [f"horizons={len(result.horizons)}", f"n_basis={result.meta['n_basis']}"]
+    lines = [f"horizons={len(result.horizons)}", f"n_basis={table.basis.n}"]
     if q_true is not None:
         dt = table.basis.grid.dt
         x = np.arange(len(q_true)) * dt

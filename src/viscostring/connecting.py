@@ -333,9 +333,7 @@ class BlagoSolution:
 
     W: Sampled2D
     H: Sampled2D
-    gamma: float
     scheme: str
-    iterations: int = 0
 
     def diagonal(self) -> np.ndarray:
         """H(t_k, t_k) for every time node: the connecting readout."""
@@ -407,13 +405,12 @@ def blago_solve(
         raise NumericalFailure("quadrature scheme is exact only when K vanishes")
 
     gvals = G.values
-    iterations = 0
     if scheme == "quadrature":
         W = _triangle_field(gvals, dt)
     elif scheme == "march":
         W = _march(lambda k: gvals[: n_s - k + 1, k, None], kmem[: n_s + 1], n_t, dt)[:, :, 0].T
     elif scheme == "picard":
-        W, iterations = _picard(gvals, kmem, dt, sigma_weight, sgrid, tgrid, tol, max_iter)
+        W = _picard(gvals, kmem, dt, sigma_weight, sgrid, tgrid, tol, max_iter)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -423,9 +420,7 @@ def blago_solve(
     return BlagoSolution(
         W=Sampled2D(sgrid, tgrid, W),
         H=Sampled2D(sgrid, tgrid, H),
-        gamma=res.gamma,
         scheme=scheme,
-        iterations=iterations,
     )
 
 
@@ -469,14 +464,14 @@ def _picard(gvals, kmem, dt, sigma, sgrid, tgrid, tol, max_iter):
     growth = 0
     for it in range(1, max_iter + 1):
         if not has_memory:
-            return Y / E, it
+            return Y / E
         Wcur = Y / E
         core = _conv_columns(kmem, Wcur, dt) - _conv_rows(kmem, Wcur, dt)
         Y_new = E * _triangle_field(core, dt) + g0
         delta = np.max(np.abs(Y_new - Y))
         Y = Y_new
         if delta <= tol * scale:
-            return Y / E, it
+            return Y / E
         if delta > prev_delta:
             growth += 1
             if growth >= 3:
@@ -501,28 +496,20 @@ def _picard(gvals, kmem, dt, sigma, sgrid, tgrid, tol, max_iter):
 class ConnectingGram:
     """Per-horizon Gram matrices <C_T e_i, e_j> of the connecting operator.
 
-    C[k] is the symmetrized n x n matrix at horizon horizons[k]; asymmetry[k]
+    C[k] is the symmetrized n x n matrix at node k of basis.grid; asymmetry[k]
     records the pre-symmetrization relative Frobenius gap (a discretization
     diagnostic of the data chain; identically 0 for the forward oracle).
     gamma = R(0)/2 travels along because the steering trace needs it:
     the wavefront value of the physical field is exp(gamma T) f(0+).
     """
 
-    horizons: np.ndarray
     C: np.ndarray
     asymmetry: np.ndarray
-    source: str
     basis: ControlBasis
     gamma: float = 0.0
 
-    def index_of(self, T: float) -> int:
-        i = int(np.argmin(np.abs(self.horizons - T)))
-        if abs(self.horizons[i] - T) > 1e-9 * max(1.0, abs(T)):
-            raise GridMismatchError(f"no stored horizon at T={T}")
-        return i
-
     def at(self, T: float) -> np.ndarray:
-        return self.C[self.index_of(T)]
+        return self.C[self.basis.grid.index_of(T)]
 
 
 def gram_from_data(tab: ResponseTable) -> ConnectingGram:
@@ -550,14 +537,7 @@ def gram_from_data(tab: ResponseTable) -> ConnectingGram:
     norms = np.linalg.norm(raw, axis=(1, 2))
     gaps = np.linalg.norm(raw - np.transpose(raw, (0, 2, 1)), axis=(1, 2))
     asym = np.where(norms > 0, gaps / np.where(norms > 0, norms, 1.0), 0.0)
-    return ConnectingGram(
-        horizons=basis.grid.nodes().copy(),
-        C=sym,
-        asymmetry=asym,
-        source="boundary-data",
-        basis=basis,
-        gamma=res.gamma,
-    )
+    return ConnectingGram(C=sym, asymmetry=asym, basis=basis, gamma=res.gamma)
 
 
 def _diagonal_closed_form(a: np.ndarray, c: np.ndarray, m: int, dt: float) -> np.ndarray:
@@ -620,11 +600,4 @@ def gram_oracle(p: StringProblem, basis: ControlBasis) -> ConnectingGram:
             h[0] = 0.0
             raw[:, i, j] = h
             raw[:, j, i] = h
-    return ConnectingGram(
-        horizons=basis.grid.nodes().copy(),
-        C=raw,
-        asymmetry=np.zeros(m + 1),
-        source="forward-oracle",
-        basis=basis,
-        gamma=res.gamma,
-    )
+    return ConnectingGram(C=raw, asymmetry=np.zeros(m + 1), basis=basis, gamma=res.gamma)

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, KernelValidationError, NumericalFailure
-from .grid import Sampled1D, Sampled2D, TimeGrid, centered_difference, convolve_values
-from .kernels import MemoryKernel, ResolventData, resolvent
+from .grid import Sampled1D, Sampled2D, TimeGrid, centered_difference
+from .kernels import MemoryKernel, ResolventData, resolvent, response_to_traction
 
 __all__ = [
     "StringProblem",
@@ -172,22 +172,11 @@ def solve_mild(p: StringProblem, f: Sampled1D, res: ResolventData | None = None)
             F[:, m] += _memory_row(K, W, m, dt)
 
     w = np.exp(gamma * t)[None, :] * W
-    y = _response_from_source(f.values, F, gamma, dt)
-    sigma = _traction(p.kernel, y, dt)
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(y)) and np.all(np.isfinite(sigma))):
+    y = Sampled1D(tgrid, _response_from_source(f.values, F, gamma, dt))
+    sigma = response_to_traction(y, p.kernel)
+    if not all(np.all(np.isfinite(v)) for v in (w, y.values, sigma.values)):
         raise NumericalFailure("forward solution is not finite (the control or q overflows the solver)")
-    return WaveField(
-        w=Sampled2D(xgrid, tgrid, w),
-        f=f,
-        y=Sampled1D(tgrid, y),
-        sigma=Sampled1D(tgrid, sigma),
-    )
-
-
-def _traction(kernel: MemoryKernel, y: np.ndarray, dt: float) -> np.ndarray:
-    """sigma = -int_0^t N(t-s) y(s) ds on the window of y (the kernel grid
-    may be longer)."""
-    return -convolve_values(kernel.N.values[: len(y)], y, dt)
+    return WaveField(w=Sampled2D(xgrid, tgrid, w), f=f, y=y, sigma=sigma)
 
 
 def _trace_x0(w: np.ndarray, dx: float) -> np.ndarray:
@@ -268,10 +257,10 @@ def fd_oracle(p: StringProblem, f: Sampled1D) -> WaveField:
 
     tgrid = TimeGrid(dt, m)
     xg = TimeGrid(dt, n_x)
-    y = _trace_x0(w, dx)
+    y = Sampled1D(tgrid, _trace_x0(w, dx))
     return WaveField(
         w=Sampled2D(xg, tgrid, w),
         f=f,
-        y=Sampled1D(tgrid, y),
-        sigma=Sampled1D(tgrid, _traction(p.kernel, y, dt)),
+        y=y,
+        sigma=response_to_traction(y, p.kernel),
     )

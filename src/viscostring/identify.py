@@ -39,6 +39,7 @@ crosses zero).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,14 @@ __all__ = [
     "default_horizons",
     "pipeline",
 ]
+
+
+def _integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -80,13 +89,15 @@ class IdentifyConfig:
     readout_points: int = 3
 
     def __post_init__(self):
-        if self.smoothing_halfwidth < 1:
-            raise ConfigError("smoothing halfwidth must be >= 1")
-        if not (self.tikhonov_lambda == "auto" or 0 <= float(self.tikhonov_lambda) < np.inf):
+        if not (_integer(self.smoothing_halfwidth) and self.smoothing_halfwidth >= 1):
+            raise ConfigError("smoothing halfwidth must be an integer >= 1")
+        lam = self.tikhonov_lambda
+        if not (lam == "auto" if isinstance(lam, str) else _real(lam) and 0 <= lam < np.inf):
             raise ConfigError("tikhonov_lambda must be 'auto' or a finite nonnegative number")
-        if self.xi_zero_guard is not None and not (0 < self.xi_zero_guard < np.inf):
+        guard = self.xi_zero_guard
+        if guard is not None and not (_real(guard) and 0 < guard < np.inf):
             raise ConfigError("xi_zero_guard must be positive and finite")
-        if self.readout_points not in (2, 3):
+        if not (_integer(self.readout_points) and self.readout_points in (2, 3)):
             raise ConfigError("readout_points must be 2 or 3")
         if self.horizons is not None:
             h = np.array(self.horizons, dtype=float)
@@ -109,18 +120,19 @@ def steering_rhs(k: MemoryKernel, basis: ControlBasis, T: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SteeringControl:
-    """Steering solve output at one horizon."""
+    """Steering solve output at one horizon.
 
-    T: float
-    coefficients: np.ndarray        # full-length, zero outside the active set
-    active: np.ndarray
-    duals: np.ndarray               # <f_h, e_j>/<1, e_j> on the active set
-    dual_times: np.ndarray
+    The active set is the prefix 0..k-1 of the basis, k = len(duals); the
+    dual abscissae are basis.dual_abscissae[:k].
+    """
+
+    coefficients: np.ndarray        # the k active basis coefficients
+    duals: np.ndarray               # <f_h, e_j>/<1, e_j>, j < k
     control: Sampled1D              # stabilized readout on [0, T]
     xi: float
     lambda_used: float
     residual: float
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)  # condition [, lambda_warning]
 
 
 _SWEEP = np.geomspace(1e-15, 1e-3, 25)  # "auto" candidates, in units of trace(C)/n
@@ -183,15 +195,15 @@ def steering_control(
     The returned Sampled1D is the stabilized readout: the piecewise-linear
     interpolant of the dual averages, its endpoint values f(0+) and f(T-)
     extrapolated from the nearest duals (the zero-at-ends basis cannot
-    represent them).  Raw coefficients remain available for diagnostics.
+    represent them).
     """
     cfg = cfg or IdentifyConfig()
     basis = gram.basis
-    active = basis.active(T)
-    k = len(active)  # the active set is the prefix 0..k-1
+    idx = basis.grid.index_of(T)
+    k = len(basis.active(T))  # the active set is the prefix 0..k-1
     if k == 0:
         raise ConfigError(f"horizon T={T} is below the first basis support")
-    C = gram.at(T)[:k, :k]
+    C = gram.C[idx][:k, :k]
     b_a = np.asarray(b, dtype=float)[:k]
 
     ev = np.linalg.eigvalsh(C)
@@ -216,27 +228,20 @@ def steering_control(
 
     # stabilized control: pw-linear through (0, f0), (tbar_j, v_j), (T, tail)
     tail = _extrapolate(tbars[-pts:], duals[-pts:], T)
-    tgrid = TimeGrid(basis.grid.dt, basis.grid.index_of(T))
+    tgrid = TimeGrid(basis.grid.dt, idx)
     knots_t = np.concatenate(([0.0], tbars, [T]))
     knots_v = np.concatenate(([f0], duals, [tail]))
     samples = np.interp(tgrid.nodes(), knots_t, knots_v)
 
-    coeffs = np.zeros(basis.n)
-    coeffs[:k] = c_a
     # C is symmetric, so the singular values of C + lambda I are |ev + lambda|
     spread = np.abs(ev + lam)
     diag = {
-        "active_count": k,
-        "readout_points": pts,
         "condition": float(spread.max() / spread.min()) if spread.min() > 0 else np.inf,
         **info,
     }
     return SteeringControl(
-        T=T,
-        coefficients=coeffs,
-        active=active,
+        coefficients=c_a,
         duals=duals,
-        dual_times=tbars,
         control=Sampled1D(tgrid, samples),
         xi=xi,
         lambda_used=lam,
@@ -312,7 +317,6 @@ class ReconstructionResult:
     q_hat: np.ndarray
     guarded: np.ndarray
     diagnostics: list
-    meta: dict = field(default_factory=dict)
 
     def rows(self):
         """(T, xi, q_hat, residual, lambda, guard_flag) per horizon."""
@@ -355,5 +359,4 @@ def pipeline(tab: ResponseTable, cfg: IdentifyConfig | None = None) -> Reconstru
         q_hat=q,
         guarded=guarded,
         diagnostics=diags,
-        meta={"n_basis": basis.n, "dt": basis.grid.dt, "source": gram.source},
     )

@@ -30,11 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import KernelValidationError, NumericalFailure
+from .errors import GridMismatchError, KernelValidationError, NumericalFailure
 from .grid import (
     Sampled1D,
     TimeGrid,
-    causal_convolve,
     centered_difference,
     convolve_values,
     cumulative_integral,
@@ -213,10 +212,14 @@ def resolvent(k: MemoryKernel) -> ResolventData:
 
 
 def response_to_traction(y: Sampled1D, k: MemoryKernel) -> Sampled1D:
-    """Traction exerted on the support: sigma(t) = -int_0^t N(t-s) y(s) ds."""
-    y.require_same_grid(k.N, "response and kernel")
-    conv = causal_convolve(k.N, y)
-    return Sampled1D(y.grid, -conv.values)
+    """Traction exerted on the support: sigma(t) = -int_0^t N(t-s) y(s) ds.
+
+    y may live on a prefix window of the kernel grid (same step, no more
+    steps); sigma is returned on the window of y."""
+    if not (y.grid.compatible_step(k.grid) and y.grid.n <= k.grid.n):
+        raise GridMismatchError("response must live on a prefix window of the kernel grid")
+    conv = convolve_values(k.N.values[: y.grid.n + 1], y.values, k.grid.dt)
+    return Sampled1D(y.grid, -conv)
 
 
 def traction_to_response(sigma: Sampled1D, k: MemoryKernel) -> Sampled1D:

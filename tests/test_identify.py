@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import general_kernel
-from viscostring.errors import ConfigError, NumericalFailure
+from viscostring.errors import ConfigError, GridMismatchError, NumericalFailure
 from viscostring.grid import TimeGrid, trap_weights
 from viscostring.kernels import build_kernel
 from viscostring.forward import StringProblem
@@ -52,9 +52,19 @@ def test_config_validation():
         dict(horizons=np.array([0.1, np.nan])),
         dict(horizons=np.array([0.1, np.inf])),
         dict(horizons=np.array([np.nan])),
+        # wrong types are config errors, not a TypeError deep in a solve
+        dict(smoothing_halfwidth=2.5),
+        dict(smoothing_halfwidth=True),
+        dict(readout_points=2.0),
+        dict(tikhonov_lambda="abc"),
+        dict(tikhonov_lambda="1e-9"),
+        dict(xi_zero_guard="abc"),
     ):
         with pytest.raises(ConfigError):
             IdentifyConfig(**bad)
+    # numpy scalars are numbers like any other
+    IdentifyConfig(smoothing_halfwidth=np.int64(2), readout_points=np.int32(2),
+                   tikhonov_lambda=np.float64(1e-9), xi_zero_guard=np.float32(0.1))
 
 
 def test_steering_rhs_wave_closed_form():
@@ -125,7 +135,7 @@ def test_steering_control_lambda_to_zero_limit():
     prev = None
     for lam in (1e-6, 1e-9, 1e-12):
         sc = steering_control(gram, T, b, IdentifyConfig(tikhonov_lambda=lam))
-        err = np.linalg.norm(sc.coefficients[active] - direct) / np.linalg.norm(direct)
+        err = np.linalg.norm(sc.coefficients - direct) / np.linalg.norm(direct)
         if prev is not None:
             assert err <= prev + 1e-14
         prev = err
@@ -136,13 +146,36 @@ def test_steering_control_rejects_non_psd():
     tab, basis, ker2, grid = _identity_setup(n=4)
     gram = gram_from_data(tab)
     bad_C = gram.C.copy()
-    k = gram.index_of(grid.t_max)
+    k = grid.index_of(grid.t_max)
     bad_C[k] = -np.eye(basis.n)
     from dataclasses import replace
 
     bad = replace(gram, C=bad_C)
     with pytest.raises(NumericalFailure):
         steering_control(bad, grid.t_max, np.ones(basis.n))
+
+
+def test_horizon_lookup_is_the_grid_lookup():
+    # gram.at, steering_rhs and steering_control accept exactly the horizons
+    # TimeGrid.index_of accepts, and reject the rest before any linear algebra
+    tab, basis, ker2, grid = _identity_setup()
+    gram = gram_from_data(tab)
+    T_max = grid.t_max
+    for T in (T_max, T_max * (1 + 1e-14), float(basis.knots[4])):
+        k = grid.index_of(T)
+        assert np.array_equal(gram.at(T), gram.C[k])
+        b = steering_rhs(ker2, basis, T)
+        assert steering_control(gram, T, b).control.grid.n == k
+    b = steering_rhs(ker2, basis, T_max)
+    for T in (T_max * (1 + 1e-11), T_max + 0.5 * grid.dt, T_max + grid.dt, -grid.dt):
+        with pytest.raises(GridMismatchError):
+            grid.index_of(T)
+        with pytest.raises(GridMismatchError):
+            gram.at(T)
+        with pytest.raises(GridMismatchError):
+            steering_rhs(ker2, basis, T)
+        with pytest.raises(GridMismatchError):
+            steering_control(gram, T, b)
 
 
 def test_steering_control_below_first_support():
@@ -346,8 +379,9 @@ def test_spectral_condition_matches_svd_condition():
     gram, basis, ker2 = _exp_gram_system()
     for T in default_horizons(basis):
         sc = steering_control(gram, float(T), steering_rhs(ker2, basis, float(T)))
-        C = gram.at(float(T))[np.ix_(sc.active, sc.active)]
-        ref = np.linalg.cond(C + sc.lambda_used * np.eye(len(sc.active)))
+        active = basis.active(float(T))
+        C = gram.at(float(T))[np.ix_(active, active)]
+        ref = np.linalg.cond(C + sc.lambda_used * np.eye(len(active)))
         assert abs(sc.diagnostics["condition"] - ref) <= 1e-12 * ref
 
 
@@ -360,7 +394,7 @@ def test_steering_control_starts_at_f0_not_at_xi():
         T = float(T)
         sc = steering_control(gram, T, steering_rhs(ker2, basis, T))
         f0 = sc.control.values[0]
-        ref = np.polyval(np.polyfit(sc.dual_times[:3], sc.duals[:3], 2), 0.0)
+        ref = np.polyval(np.polyfit(basis.dual_abscissae[:3], sc.duals[:3], 2), 0.0)
         assert abs(f0 - ref) <= 1e-12 * abs(ref)
         assert abs(sc.xi - np.exp(gram.gamma * T) * f0) <= 1e-14 * abs(sc.xi)
 

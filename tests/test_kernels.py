@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from viscostring.errors import KernelValidationError
+from viscostring.errors import GridMismatchError, KernelValidationError
 from viscostring.grid import Sampled1D, TimeGrid, convolve_values
 from viscostring.kernels import (
     build_kernel,
@@ -183,6 +183,16 @@ def test_traction_conversions_roundtrip():
 
     zero_back = traction_to_response(zero, ker)
     assert np.all(zero_back.values == 0.0)
+
+    # a response on a prefix window of the kernel grid: sigma on that window
+    short = TimeGrid(1e-3, 700)
+    y_short = Sampled1D(short, y0.values[: short.n + 1])
+    sigma_short = response_to_traction(y_short, ker)
+    assert sigma_short.grid.same_as(short)
+    assert np.array_equal(sigma_short.values, sigma.values[: short.n + 1])
+    for wrong in (TimeGrid(1e-3, 1300), TimeGrid(2e-3, 300)):
+        with pytest.raises(GridMismatchError):
+            response_to_traction(Sampled1D(wrong, np.zeros(wrong.n + 1)), ker)
 
 
 def test_traction_wave_kernel_reduces_to_derivative():
