@@ -70,8 +70,7 @@ def cmd_connect(args) -> int:
 def cmd_identify(args) -> int:
     table, q_true, _ = load_bundle(args.bundle)
     cfg = _load_config(args.config)
-    icfg = cfg.identify_config(table.basis)
-    result = pipeline(table, icfg)
+    result = pipeline(table, cfg.identify_config())
     out = args.out or args.bundle
     os.makedirs(out, exist_ok=True)
 

@@ -61,6 +61,7 @@ from .forward import StringProblem, solve_mild
 __all__ = [
     "ControlBasis",
     "hat_basis",
+    "knot_basis",
     "pw_linear_products",
     "ResponseTable",
     "synthesize_table",
@@ -179,6 +180,13 @@ def hat_basis(grid: TimeGrid, n: int) -> ControlBasis:
         raise GridMismatchError(
             f"basis of size {n} does not fit on a grid of {grid.n} steps"
         )
+    return knot_basis(grid, knot_idx)
+
+
+def knot_basis(grid: TimeGrid, knot_idx: np.ndarray) -> ControlBasis:
+    """Tents on the knot nodes knot_idx, which run strictly upward from 0 to grid.n."""
+    if knot_idx[0] != 0 or knot_idx[-1] != grid.n or np.any(np.diff(knot_idx) < 1):
+        raise GridMismatchError(f"basis knots must rise strictly from node 0 to node {grid.n}")
     knots = knot_idx * grid.dt
     t = grid.nodes()
     a, c, b = knots[:-2, None], knots[1:-1, None], knots[2:, None]
@@ -199,7 +207,7 @@ class ResponseTable:
     basis: ControlBasis
     kernel: MemoryKernel
     Y: np.ndarray = field(repr=False)
-    meta: dict = field(default_factory=dict)
+    meta: dict = field(default_factory=dict)  # noise_sigma and seed, as a manifest records them
 
     def __post_init__(self):
         grid2 = self.kernel.grid
@@ -274,7 +282,7 @@ def synthesize_table(
         noise = noise_sigma * rng.standard_normal(Y.shape)
         noise[:, 0] = 0.0
         Y = Y + noise
-    info = {"provenance": "synthetic", "L": L, "noise_sigma": noise_sigma}
+    info = {"noise_sigma": noise_sigma, "seed": seed}
     if meta:
         info.update(meta)
     return ResponseTable(basis=basis, kernel=kernel, Y=Y, meta=info)

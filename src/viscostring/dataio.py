@@ -27,15 +27,15 @@ import io
 import math
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, GridMismatchError
 from .grid import TimeGrid
 from .kernels import MemoryKernel, build_kernel
-from .connecting import ControlBasis, ResponseTable, hat_basis, synthesize_table
-from .identify import IdentifyConfig, default_horizons
+from .connecting import ControlBasis, ResponseTable, hat_basis, knot_basis, synthesize_table
+from .identify import IdentifyConfig
 
 __all__ = [
     "RunConfig",
@@ -62,10 +62,7 @@ _CONFIG_KEYS = {
     "noise_sigma",
     "seed",
     "tikhonov_lambda",
-    "smoothing_halfwidth",
     "xi_zero_guard",
-    "readout_points",
-    "horizons",
     "control",
 }
 
@@ -129,10 +126,7 @@ class RunConfig:
     noise_sigma: float = 0.0
     seed: int = 0
     tikhonov_lambda: str = "auto"
-    smoothing_halfwidth: int = 3
     xi_zero_guard: str = "auto"
-    readout_points: int = 3
-    horizons: str = "lattice"
     control: str = "sin2"
 
     def __post_init__(self):
@@ -187,28 +181,14 @@ class RunConfig:
         return parse_q_spec(self.q, x, self.L)
 
     @_input_stage(ConfigError, "bad identify setting")
-    def identify_config(self, basis: ControlBasis) -> IdentifyConfig:
-        """The identify settings of this config for a bundle's control basis."""
-        icfg = IdentifyConfig(
+    def identify_config(self) -> IdentifyConfig:
+        """The identify settings of this config."""
+        return IdentifyConfig(
             tikhonov_lambda=(
                 "auto" if self.tikhonov_lambda == "auto" else float(self.tikhonov_lambda)
             ),
-            smoothing_halfwidth=self.smoothing_halfwidth,
             xi_zero_guard=None if self.xi_zero_guard == "auto" else float(self.xi_zero_guard),
-            readout_points=self.readout_points,
         )
-        if self.horizons.startswith("every:"):
-            k = int(self.horizons[6:])
-            if k < 1:
-                raise ConfigError("horizons=every:K needs K >= 1")
-            nodes = basis.grid.nodes()[k::k]
-            lo = np.min(default_horizons(basis, min_active=self.readout_points), initial=np.inf)
-            return replace(icfg, horizons=nodes[nodes >= lo - 1e-12])
-        if self.horizons != "lattice":
-            icfg = replace(icfg, horizons=[float(s) for s in self.horizons.split(",")])
-            for T in icfg.horizons:
-                basis.grid.index_of(T)
-        return icfg
 
 
 def _parse_kv_text(text: str, what: str, error: type) -> dict:
@@ -238,7 +218,7 @@ def parse_config(text: str) -> RunConfig:
     for key, value in kv.items():
         if key in ("L", "T_max", "dt", "noise_sigma"):
             kwargs[key] = float(value)
-        elif key in ("n_basis", "seed", "smoothing_halfwidth", "readout_points"):
+        elif key in ("n_basis", "seed"):
             kwargs[key] = int(value)
         elif key != "threads":
             kwargs[key] = value
@@ -369,23 +349,22 @@ def _read_kernel_csv(path: str, grid: TimeGrid) -> MemoryKernel:
 def save_bundle(
     directory: str,
     table: ResponseTable,
+    L: float,
     q_true: np.ndarray | None = None,
-    L: float | None = None,
     q_spec: str | None = None,
 ) -> str:
-    """Write a dataset bundle; returns the directory path."""
+    """Write a dataset bundle for a string of length L; returns the directory path."""
     os.makedirs(directory, exist_ok=True)
     basis = table.basis
     grid2 = table.grid2
     kernel = table.kernel
-    L_val = L if L is not None else table.meta.get("L", 2 * basis.grid.t_max)
-    if q_true is not None and len(q_true) != round(L_val / basis.grid.dt) + 1:
+    if q_true is not None and len(q_true) != round(L / basis.grid.dt) + 1:
         raise GridMismatchError("q_true must be sampled on the dt lattice of [0, L]")
 
     knot_idx = np.round(basis.knots / basis.grid.dt).astype(int)
     manifest = {
         "format_version": FORMAT_VERSION,
-        "L": _format(L_val),
+        "L": _format(L),
         "T_max": _format(basis.grid.t_max),
         "dt": _format(basis.grid.dt),
         "n_basis": str(basis.n),
@@ -446,19 +425,25 @@ def load_bundle(directory: str) -> tuple:
     if kv["format_version"] != FORMAT_VERSION:
         raise DataFormatError(f"unsupported format_version {kv['format_version']!r}")
     L, t_max, dt = (_finite_float(kv[k], k) for k in ("L", "T_max", "dt"))
-    n_basis = int(kv["n_basis"])
-    # carried into the table so that a re-save writes them back unchanged
-    noise = {}
-    if "noise_sigma" in kv:
-        noise["noise_sigma"] = _finite_float(kv["noise_sigma"], "noise_sigma")
-    if "seed" in kv:
-        noise["seed"] = int(kv["seed"])
-
+    if dt <= 0:
+        raise DataFormatError(f"manifest dt must be positive, got {kv['dt']}")
     m = round(t_max / dt)
     if m < 1 or abs(m * dt - t_max) > 1e-9:
         raise DataFormatError("manifest dt does not divide T_max")
     if 2.0 * t_max > L + 1e-12:
         raise DataFormatError(f"manifest L = {L} is shorter than the data window 2*T_max")
+    n_basis = int(kv["n_basis"])
+    if not 1 <= n_basis <= m - 1:  # n_basis + 2 strictly increasing knots on [0, m]
+        raise DataFormatError(f"manifest n_basis = {n_basis} is outside 1 .. {m - 1}")
+    # carried into the table so that a re-save writes them back unchanged
+    meta = {}
+    if "noise_sigma" in kv:
+        meta["noise_sigma"] = _finite_float(kv["noise_sigma"], "noise_sigma")
+    if "seed" in kv:
+        meta["seed"] = int(kv["seed"])
+    for key, value in meta.items():
+        if value < 0:
+            raise DataFormatError(f"manifest {key} must be >= 0, got {kv[key]}")
     grid = TimeGrid(dt, m)
     grid2 = TimeGrid(dt, 2 * m)
 
@@ -477,23 +462,23 @@ def load_bundle(directory: str) -> tuple:
     else:
         raise DataFormatError(f"unknown kernel_kind {kind!r}")
 
-    bcols = _read_csv(
-        os.path.join(directory, "basis.csv"), ["t"] + [f"e{i + 1}" for i in range(n_basis)], grid2
-    )
-    samples = np.vstack([c[: grid.n + 1] for c in bcols[1:]])
     if "basis_knot_indices" in kv:
         knot_idx = np.array([int(s) for s in kv["basis_knot_indices"].split()])
         if len(knot_idx) != n_basis + 2:
             raise DataFormatError("basis_knot_indices length must be n_basis + 2")
-        knots = knot_idx * dt
+        basis = knot_basis(grid, knot_idx)
     else:
-        knots = hat_basis(grid, n_basis).knots
-    basis = ControlBasis(grid=grid, knots=knots, samples=samples)
+        basis = hat_basis(grid, n_basis)
+    bcols = _read_csv(
+        os.path.join(directory, "basis.csv"), ["t"] + [f"e{i + 1}" for i in range(n_basis)], grid2
+    )
+    # save_bundle writes the hats zero-extended to 2*T_max, and '%.17g' round-trips exactly
+    if not np.array_equal(np.vstack(bcols[1:]), basis.sampled_on(grid2)):
+        raise DataFormatError("basis.csv does not hold the hats of the manifest knots")
 
     rcols = _read_csv(
         os.path.join(directory, "response.csv"), ["t"] + [f"y{i + 1}" for i in range(n_basis)], grid2
     )
-    meta = {"provenance": "loaded", "L": L, "directory": directory, **noise}
     table = ResponseTable(basis=basis, kernel=kernel, Y=np.vstack(rcols[1:]), meta=meta)
 
     q_true = None
@@ -516,7 +501,6 @@ def synthesize(cfg: RunConfig, directory: str | None = None) -> str:
         cfg.L,
         noise_sigma=cfg.noise_sigma,
         seed=cfg.seed,
-        meta={"seed": cfg.seed},
     )
     out = directory if directory is not None else cfg.out
     return save_bundle(out, table, q_true=q, L=cfg.L, q_spec=cfg.q)

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -61,50 +62,36 @@ __all__ = [
 ]
 
 
-def _integer(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
 def _real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
 class IdentifyConfig:
-    """Regularization and readout knobs of the reconstruction.
+    """Regularization settings of the reconstruction.
 
-    horizons: explicit horizon times, or None for the basis knot lattice.
     tikhonov_lambda: absolute ridge weight, or "auto" for the residual sweep.
-    smoothing_halfwidth: half window (in horizon samples) of the local
-        quadratic fits that produce xi''.
     xi_zero_guard: |xi| threshold below which q = xi''/xi is not evaluated
         but interpolated from neighbors; None = 5*dt.
-    readout_points: number of leading dual samples extrapolated to t = 0.
+
+    The readout is fixed: readout_points leading dual samples are
+    extrapolated to t = 0, and xi'' comes from local fits over
+    2*smoothing_halfwidth + 1 horizon samples.
     """
 
-    horizons: np.ndarray | None = None
+    readout_points: ClassVar[int] = 3
+    smoothing_halfwidth: ClassVar[int] = 3
+
     tikhonov_lambda: float | str = "auto"
-    smoothing_halfwidth: int = 3
     xi_zero_guard: float | None = None
-    readout_points: int = 3
 
     def __post_init__(self):
-        if not (_integer(self.smoothing_halfwidth) and self.smoothing_halfwidth >= 1):
-            raise ConfigError("smoothing halfwidth must be an integer >= 1")
         lam = self.tikhonov_lambda
         if not (lam == "auto" if isinstance(lam, str) else _real(lam) and 0 <= lam < np.inf):
             raise ConfigError("tikhonov_lambda must be 'auto' or a finite nonnegative number")
         guard = self.xi_zero_guard
         if guard is not None and not (_real(guard) and 0 < guard < np.inf):
             raise ConfigError("xi_zero_guard must be positive and finite")
-        if not (_integer(self.readout_points) and self.readout_points in (2, 3)):
-            raise ConfigError("readout_points must be 2 or 3")
-        if self.horizons is not None:
-            h = np.array(self.horizons, dtype=float)
-            finite = h.ndim == 1 and len(h) > 0 and np.all(np.isfinite(h))
-            if not (finite and h[0] > 0 and np.all(np.diff(h) > 0)):
-                raise ConfigError("horizons must be strictly increasing positive finite times")
-            object.__setattr__(self, "horizons", h)
 
 
 def steering_rhs(k: MemoryKernel, basis: ControlBasis, T: float) -> np.ndarray:
@@ -333,17 +320,18 @@ class ReconstructionResult:
 
 
 def pipeline(tab: ResponseTable, cfg: IdentifyConfig | None = None) -> ReconstructionResult:
-    """Full data-driven reconstruction: one Gram build serves every horizon."""
+    """Full data-driven reconstruction on the knot lattice: one Gram build
+    serves every horizon."""
     cfg = cfg or IdentifyConfig()
-    gram = gram_from_data(tab)
     basis = tab.basis
-    horizons = (
-        cfg.horizons
-        if cfg.horizons is not None
-        else default_horizons(basis, min_active=cfg.readout_points)
-    )
-    if len(horizons) == 0:
-        raise ConfigError("empty horizon list")
+    horizons = default_horizons(basis, min_active=cfg.readout_points)
+    window = 2 * cfg.smoothing_halfwidth + 1
+    if len(horizons) < window:
+        raise ConfigError(
+            f"identify reads q on the knot lattice and needs n_basis >= "
+            f"{window + cfg.readout_points - 1}, got n_basis = {basis.n}"
+        )
+    gram = gram_from_data(tab)
 
     xi = np.empty(len(horizons))
     diags = []
@@ -352,9 +340,9 @@ def pipeline(tab: ResponseTable, cfg: IdentifyConfig | None = None) -> Reconstru
         sc = steering_control(gram, float(T), b, cfg)
         xi[i] = sc.xi
         diags.append({"residual": sc.residual, "lambda": sc.lambda_used, **sc.diagnostics})
-    q, guarded = reconstruct_q(np.asarray(horizons, float), xi, cfg, basis.grid.dt)
+    q, guarded = reconstruct_q(horizons, xi, cfg, basis.grid.dt)
     return ReconstructionResult(
-        horizons=np.asarray(horizons, float),
+        horizons=horizons,
         xi=xi,
         q_hat=q,
         guarded=guarded,

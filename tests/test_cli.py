@@ -94,18 +94,42 @@ def test_config_error_exit_code_2(tmp_path):
     bundle = str(tmp_path / "bundle")
     assert main(["synthesize", "--config", str(base), "--out", bundle]) == 0
     for line in (
-        "horizons = 0.15,0.2",  # 0.15 is 19.2 steps of 1/128
-        "horizons = every:x",
         "tikhonov_lambda = abc",
         "xi_zero_guard = abc",
         "tikhonov_lambda = inf",
         "xi_zero_guard = inf",
-        "horizons = nan",
-        "horizons = 0.25,inf",
     ):
         bad = tmp_path / "identify.cfg"
         bad.write_text(CFG + line + "\n")
         assert main(["identify", bundle, "--config", str(bad), "--out", str(tmp_path / "id")]) == 2
+
+
+@pytest.mark.parametrize(
+    "key, value", [("horizons", "lattice"), ("readout_points", 3), ("smoothing_halfwidth", 3)]
+)
+def test_retired_identify_key_exits_2(tmp_path, cfg_path, capsys, key, value):
+    # identify reads q on the knot lattice only; a retired setting is an
+    # unknown key, never silently ignored
+    bundle = str(tmp_path / "bundle")
+    assert main(["synthesize", "--config", cfg_path, "--out", bundle]) == 0
+    bad = tmp_path / "retired.cfg"
+    bad.write_text(_config(**{key: value}))
+    capsys.readouterr()
+    assert main(["identify", bundle, "--config", str(bad), "--out", str(tmp_path / "id")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and key in err, err
+
+
+def test_identify_needs_nine_hats(tmp_path, capsys):
+    # the knot lattice of 8 hats is too short; test_identify shows no Gram is built
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(_config(n_basis=8))
+    bundle = str(tmp_path / "bundle")
+    assert main(["synthesize", "--config", str(cfg), "--out", bundle]) == 0
+    capsys.readouterr()
+    assert main(["identify", bundle, "--config", str(cfg), "--out", str(tmp_path / "id")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "n_basis >= 9, got n_basis = 8" in err, err
 
 
 def _config(**values):
@@ -151,6 +175,17 @@ BAD_INPUTS = [
     pytest.param("identify", CFG, _manifest("L", "nan"), 4, id="manifest-L-nan"),
     pytest.param("identify", CFG, _manifest("L", "-5"), 4, id="manifest-L-below-window"),
     pytest.param("identify", CFG, _cell("basis.csv", 5, 1, "nan"), 4, id="basis-nan-cell"),
+    # basis.csv must hold the hats of the manifest knots, zero beyond T_max
+    pytest.param("identify", CFG, _cell("basis.csv", 5, 1, "5.0"), 4, id="basis-cell-off-hat"),
+    pytest.param("identify", CFG, _cell("basis.csv", 50, 3, "0.25"), 4, id="basis-tail-nonzero"),
+    # manifest values get the checks of their config twins
+    pytest.param("identify", CFG, _manifest("dt", "0"), 4, id="manifest-dt-zero"),
+    pytest.param("identify", CFG, _manifest("noise_sigma", "-1"), 4, id="manifest-noise-sigma-negative"),
+    pytest.param("identify", CFG, _manifest("seed", "-3"), 4, id="manifest-seed-negative"),
+    pytest.param("identify", CFG, _manifest("n_basis", "0"), 4, id="manifest-n-basis-zero"),
+    # 32 steps hold at most 31 hats; a huge n_basis fails before any header is built
+    pytest.param("identify", CFG, _manifest("n_basis", "32"), 4, id="manifest-n-basis-32"),
+    pytest.param("identify", CFG, _manifest("n_basis", "1000000"), 4, id="manifest-n-basis-huge"),
     pytest.param("identify", CFG, _cell("q_true.csv", 5, 1, "nan"), 4, id="q-true-nan-cell"),
     pytest.param("identify", CFG, _drop_row("q_true.csv", 7), 4, id="q-true-row-deleted"),
     # kernel.csv ends in CRLF, so row -2 is its last sample; the overflow
@@ -241,7 +276,7 @@ def test_tampered_analytic_kernel_csv_exit_code_4(tmp_path, kernel):
     assert main(["synthesize", "--config", str(cfg), "--out", bundle]) == 0
     table, q_true, manifest = load_bundle(bundle)
     copy = str(tmp_path / "copy")
-    save_bundle(copy, table, q_true=q_true, L=table.meta["L"], q_spec=manifest.get("q_spec"))
+    save_bundle(copy, table, q_true=q_true, L=float(manifest["L"]), q_spec=manifest.get("q_spec"))
     for name in ("manifest.txt", "kernel.csv", "basis.csv", "response.csv", "q_true.csv"):
         assert filecmp.cmp(os.path.join(bundle, name), os.path.join(copy, name), shallow=False), name
 

@@ -148,7 +148,7 @@ def test_synthesize_matches_per_control_reference(kernel):
     noise = sigma * np.random.default_rng(seed).standard_normal(Y.shape)
     noise[:, 0] = 0.0
     assert np.array_equal(noisy.Y, tab.Y + noise)
-    assert noisy.meta == {"provenance": "synthetic", "L": L, "noise_sigma": sigma, "seed": seed}
+    assert noisy.meta == {"noise_sigma": sigma, "seed": seed}  # what a manifest records
 
 
 # ---------------------------------------------------------------------------

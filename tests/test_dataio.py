@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from viscostring.errors import ConfigError, DataFormatError
 from viscostring.grid import TimeGrid
+from viscostring import dataio
 from viscostring.connecting import hat_basis
 from viscostring.dataio import (
     RunConfig,
@@ -200,6 +201,54 @@ def test_corrupt_cell_fuzz_loads_or_data_format_error(tmp_path):
             assert np.all(np.isfinite(values))
 
     corrupt_one_cell()
+
+
+def test_manifest_fuzz_loads_or_data_format_error(tmp_path):
+    bundle = tmp_path / "bundle"
+    synthesize(_small_cfg(q="const:1 + sin:0.25,1", noise_sigma=1e-4, seed=7), str(bundle))
+    man = bundle / "manifest.txt"
+    original = man.read_text()
+    lines = original.splitlines()
+    drawn = st.one_of(
+        st.text(st.characters(blacklist_categories=("Cs",))),
+        st.integers(-(10**4), 10**4).map(str),
+        st.floats().map(repr),
+        st.sampled_from(["0", "-0", "1e-320", "nan", "-1", "-3"]),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(edit=st.sampled_from(["drop", "duplicate", "value", "kernel_kind"]), data=st.data())
+    def corrupt_manifest(edit, data):
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        new = list(lines)
+        if edit == "drop":
+            del new[i]
+        elif edit == "duplicate":
+            new.insert(i, lines[i])
+        elif edit == "value":
+            new[i] = lines[i].split("=")[0] + "=" + data.draw(drawn, label="value")
+        else:
+            kind = data.draw(st.text(), label="kernel_kind")
+            new = [f"kernel_kind={kind}" if l.startswith("kernel_kind=") else l for l in lines]
+        man.write_text("\n".join(new) + "\n")
+        try:
+            table, q_true, _ = load_bundle(str(bundle))
+        except DataFormatError:
+            return
+        finally:
+            man.write_text(original)
+        kernel = table.kernel
+        for values in (kernel.N.values, kernel.N3.values, table.basis.samples, table.Y, q_true):
+            assert np.all(np.isfinite(values))
+
+    corrupt_manifest()
+
+
+def test_readme_config_block_lists_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("A configuration is key=value text")[1].split("```")[1]
+    keys = {line.split("=")[0].strip() for line in block.splitlines() if line.strip()}
+    assert keys == dataio._CONFIG_KEYS
 
 
 def test_bundle_round_trip(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import viscostring.identify
 from conftest import general_kernel
 from viscostring.errors import ConfigError, GridMismatchError, NumericalFailure
 from viscostring.grid import TimeGrid, trap_weights
@@ -37,25 +38,15 @@ def _identity_setup(m=128, n=8, T_max=0.5, L=1.0):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        IdentifyConfig(smoothing_halfwidth=0)
-    with pytest.raises(ConfigError):
         IdentifyConfig(xi_zero_guard=-1.0)
     with pytest.raises(ConfigError):
         IdentifyConfig(tikhonov_lambda=-0.5)
-    with pytest.raises(ConfigError):
-        IdentifyConfig(horizons=np.array([0.3, 0.2]))
     # non-finite values are config errors too, not silent nan/inf in a solve
     for bad in (
         dict(tikhonov_lambda=np.inf),
         dict(tikhonov_lambda=np.nan),
         dict(xi_zero_guard=np.inf),
-        dict(horizons=np.array([0.1, np.nan])),
-        dict(horizons=np.array([0.1, np.inf])),
-        dict(horizons=np.array([np.nan])),
         # wrong types are config errors, not a TypeError deep in a solve
-        dict(smoothing_halfwidth=2.5),
-        dict(smoothing_halfwidth=True),
-        dict(readout_points=2.0),
         dict(tikhonov_lambda="abc"),
         dict(tikhonov_lambda="1e-9"),
         dict(xi_zero_guard="abc"),
@@ -63,8 +54,12 @@ def test_config_validation():
         with pytest.raises(ConfigError):
             IdentifyConfig(**bad)
     # numpy scalars are numbers like any other
-    IdentifyConfig(smoothing_halfwidth=np.int64(2), readout_points=np.int32(2),
-                   tikhonov_lambda=np.float64(1e-9), xi_zero_guard=np.float32(0.1))
+    IdentifyConfig(tikhonov_lambda=np.float64(1e-9), xi_zero_guard=np.float32(0.1))
+    # the readout is fixed: the lattice depth and fit window are constants, not settings
+    assert (IdentifyConfig().readout_points, IdentifyConfig().smoothing_halfwidth) == (3, 3)
+    for retired in ("horizons", "readout_points", "smoothing_halfwidth"):
+        with pytest.raises(TypeError):
+            IdentifyConfig(**{retired: 3})
 
 
 def test_steering_rhs_wave_closed_form():
@@ -221,7 +216,7 @@ def test_reconstruct_q_degenerate_target():
 
 
 def test_reconstruct_q_needs_enough_samples():
-    cfg = IdentifyConfig(smoothing_halfwidth=3)
+    cfg = IdentifyConfig()
     with pytest.raises(ConfigError):
         reconstruct_q(np.linspace(0.1, 1, 5), np.ones(5), cfg, 1e-3)
 
@@ -237,10 +232,20 @@ def test_pipeline_identity_case():
     assert len(rows) == len(result.horizons)
 
 
-def test_pipeline_empty_horizons():
-    tab, basis, ker2, grid = _identity_setup()
-    with pytest.raises(ConfigError):
-        pipeline(tab, IdentifyConfig(horizons=np.array([])))
+def test_pipeline_basis_too_small_for_lattice(monkeypatch):
+    # 8 hats leave 6 lattice horizons, one short of the 7-sample xi'' window:
+    # the error names n_basis and comes before any Gram is built
+    tab, basis, ker2, grid = _identity_setup(n=8)
+
+    def no_gram(tab):
+        raise AssertionError("gram_from_data called")
+
+    monkeypatch.setattr(viscostring.identify, "gram_from_data", no_gram)
+    with pytest.raises(ConfigError, match="n_basis >= 9, got n_basis = 8"):
+        pipeline(tab)
+    tab9, _, _, _ = _identity_setup(n=9)
+    with pytest.raises(AssertionError, match="gram_from_data called"):
+        pipeline(tab9)
 
 
 def test_pipeline_scale_equivariance():
@@ -438,8 +443,7 @@ def _reference_readout(gram, T, b, cfg):
 
 
 @pytest.mark.parametrize("kernel", ["const", "exp", "general"])
-@pytest.mark.parametrize("points", [2, 3])
-def test_readout_matches_per_call_reference(kernel, points):
+def test_readout_matches_per_call_reference(kernel):
     m, n, T_max, L = 64, 8, 0.5, 1.0
     dt = T_max / m
     grid, grid2 = TimeGrid(dt, m), TimeGrid(dt, 2 * m)
@@ -450,7 +454,7 @@ def test_readout_matches_per_call_reference(kernel, points):
     }[kernel]()
     basis = hat_basis(grid, n)
     gram = gram_from_data(synthesize_table(basis, ker2, lambda x: 1.0 + 0.5 * x, L))
-    cfg = IdentifyConfig(readout_points=points)
+    cfg = IdentifyConfig()
     # the basis quantities are computed once and cannot be written
     for name in ("mass_matrix", "element_masses", "dual_abscissae"):
         arr = getattr(basis, name)
