@@ -34,8 +34,12 @@ trapezoids U_x(s_r) = dt (sum_{p<=r} x(s_p) - x(s_r)/2) of the s-factors
 
 which writes C_T directly in terms of the response (Belishev, "Recent progress
 in the boundary control method", Inverse Problems 23 (2007) R1-R67).  When
-K != 0 a march of three t-spike sources per j serves every i.  ``gram_oracle``
-computes the same Gram from forward-solver snapshots (it knows q; validation).
+K != 0 one march of a unit point source in free space (no s = 0 boundary)
+serves every pair: the scheme is invariant under whole-step shifts in s and
+t, so each source term reads the same Green's function, and the boundary
+W(0,t) = 0 becomes one more source on s = 0 whose density solves a small
+triangular Toeplitz system (``_diagonal_march``).  ``gram_oracle`` computes
+the same Gram from forward-solver snapshots (it knows q; validation).
 """
 
 from __future__ import annotations
@@ -525,8 +529,8 @@ def gram_from_data(tab: ResponseTable) -> ConnectingGram:
 
     Entry (i,j) at t_k is H(t_k, t_k) for the source G_ij, built from its
     rank-two factors (module docstring): in closed form when K vanishes on
-    the window, else from one march per j of three t-spike sources, read
-    against the t-factors of every i.  (i,j) and (j,i) are computed
+    the window, else from the free-space Green's function of one march,
+    read against the factors of every pair.  (i,j) and (j,i) are computed
     independently so the symmetry defect measures the discretization error
     of the data side; the returned matrices are the symmetrized averages.
     """
@@ -562,25 +566,77 @@ def _diagonal_closed_form(a: np.ndarray, c: np.ndarray, m: int, dt: float) -> np
     return raw
 
 
+def _green(kmem: np.ndarray, m: int, dt: float) -> np.ndarray:
+    """Free-space Green's function of the lozenge scheme: G[l, m+1+d] is the
+    field at level l and row offset d of a unit source at offset 0, level 1.
+
+    One march on rows d = -(m+1)..2m for m+2 levels.  Its support at level l
+    starts at d = -(l-2) (the light cone; the s-memory only reaches up), so
+    the bottom row is a zero ghost, and lags past 2m, where kmem (K on the
+    doubled window) is padded with zeros, only ever multiply zero field.
+    The live window shrinks by a row per level from the top, leaving G exact
+    on d <= 2m - l, which covers every read of ``_diagonal_march``.
+    """
+    n_s = 3 * m + 1
+    kpad = np.zeros(n_s + 1)
+    kpad[: 2 * m + 1] = kmem[: 2 * m + 1]
+    src = np.zeros((2, n_s + 1, 1))
+    src[1, m + 1] = 1.0
+    return _march(lambda k: src[int(k == 1), : n_s - k + 1], kpad, m + 1, dt)[:, :, 0]
+
+
+def _row0_density(G: np.ndarray, src: np.ndarray, lift: int, m: int) -> np.ndarray:
+    """Row-0 source densities rho(1..m-1) that hold W(0, t_l) = 0 for l = 2..m.
+
+    src holds sources on rows 1..m (row 0 is ignored), one column each;
+    lift = 0 for sources at level 1, which read G[l], and 1 for level-1
+    seeds, which read G[l+1].  The system is lower-triangular Toeplitz,
+    sum_{l'<l} G[l-l'+1, 0] rho(l') = -(free-space field at (0, t_l)), with
+    diagonal G[2, 0] = dt^2.
+    """
+    o = m + 1
+    lev = np.arange(2, m + 1)
+    T = G[np.maximum(lev[:, None] - lev[None, :] + 2, 0), o]
+    rhs = G[2 + lift : m + 1 + lift, o - 1 : 0 : -1] @ src[1 : m + 1]
+    return -np.linalg.solve(T, rhs)
+
+
 def _diagonal_march(a: np.ndarray, c: np.ndarray, kmem: np.ndarray, m: int, dt: float) -> np.ndarray:
-    """W_ij(t_k, t_k) when K != 0, from one march per j of t-spike sources.
+    """W_ij(t_k, t_k) when K != 0, from the free-space Green's function G.
 
     The march is linear, and phi(s) delta_q (q >= 1) gives the delta_1 solution
-    delayed by q-1 levels on the live rows.  So, with b_i(0) = 0 and the
-    responses Psi_a, Psi_c to a_j delta_1, c_j delta_1 and Psi0_c to c_j delta_0,
-    W_ij(t_k,t_k) + d_i(0) Psi0_c(s_k,t_k) = sum_{q>=1} [b_i(q) Psi_a - d_i(q) Psi_c](s_k,t_{k-q+1})
+    delayed by q-1 levels.  So, with b_i(0) = 0 and the responses Psi_a, Psi_c
+    to a_j delta_1, c_j delta_1 and Psi0_c to c_j delta_0 (the level-1 seed),
+    W_ij(t_k,t_k) + d_i(0) Psi0_c(s_k,t_k) = sum_{q>=1} [b_i(q) Psi_a - d_i(q) Psi_c](s_k,t_{k-q+1}).
+
+    Each Psi is a half-space field (W(0,t) = 0).  Extended by zero below
+    s = 0 it satisfies the free-space scheme: rows below 0 see no field and
+    no source, and row 0 stays 0 once a source rho(l) = -W(s_1,t_l)/dt^2
+    on it cancels the lozenge update W(s_1,t_l) + dt^2 rho(l).  The
+    free-space scheme is shift invariant, so
+
+        Psi(s_k,t_l) = sum_{r>=1} G[l, k-r] phi(r) + sum_{l'>=1} G[l-l'+1, k] rho(l'),
+
+    with G[l+1] for the seed sigma/dt^2 = (c[r-1]/2 + c[r] + c[r+1]/2)/4, and
+    rho from W(0,t_l) = 0 (``_row0_density``).  At horizon k the readout
+    needs levels <= k+1 and source rows < 2k: a few BLAS-3 products on a
+    slice of G.
     """
-    n, n_s = a.shape[1], len(kmem) - 1
-    k = np.arange(m + 1)
-    lev = np.maximum(k[:, None] - k[None, 1:] + 1, 0)  # level k-q+1, q >= 1; W[0] = 0
+    n, o = a.shape[1], m + 1
+    G = _green(kmem, m, dt)
+    phi = np.hstack([a, c])
+    seed = np.zeros_like(c)
+    seed[1:-1] = 0.25 * (0.5 * c[:-2] + c[1:-1] + 0.5 * c[2:])
+    rho, rho0 = _row0_density(G, phi, 0, m), _row0_density(G, seed, 1, m)
+    lev = np.arange(1, m + 1)
+    shift = np.maximum(lev[:, None] - lev[None, :-1] + 1, 0)  # G level l-l'+1; G[0] = G[1] = 0
     raw = np.zeros((m + 1, n, n))
-    src = np.zeros((3, n_s + 1, 3))  # levels 0, 1 and every later (zero) level
-    source = lambda lv: src[min(lv, 2), : n_s - lv + 1]
-    for j in range(n):
-        src[1, :, 0], src[1, :, 1], src[0, :, 2] = a[:, j], c[:, j], c[:, j]
-        W = _march(source, kmem, m, dt)
-        raw[:, :, j] = W[lev, k[:, None], 0] @ c[1 : m + 1] - W[lev, k[:, None], 1] @ a[1 : m + 1]
-        raw[:, :, j] -= W[k, k, 2, None] * a[0]
+    for k in range(1, m + 1):
+        rows = slice(o - k + 1, o + k)  # offsets k-r for the source rows r = 2k-1..1
+        H = G[shift[:k, : k - 1], o + k]
+        psi = G[1 : k + 1, rows] @ phi[2 * k - 1 : 0 : -1] + H @ rho[: k - 1]
+        psi0 = G[k + 1, rows] @ seed[2 * k - 1 : 0 : -1] + H[-1] @ rho0[: k - 1]
+        raw[k] = c[k:0:-1].T @ psi[:, :n] - a[k:0:-1].T @ psi[:, n:] - np.outer(a[0], psi0)
     return raw
 
 

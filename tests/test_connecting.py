@@ -14,10 +14,13 @@ from viscostring.grid import (
 )
 from viscostring.kernels import build_kernel, resolvent
 from viscostring.forward import StringProblem, solve_mild
+from viscostring import connecting
 from viscostring.connecting import (
     ControlBasis,
     ResponseTable,
+    _green,
     _march,
+    _row0_density,
     affine_source,
     blago_solve,
     gram_from_data,
@@ -353,7 +356,7 @@ def test_blago_march_agrees_with_picard_general_kernel():
 
 @pytest.mark.parametrize("q", [2, 7])
 def test_march_invariant_under_whole_step_delays(rng, q):
-    # the premise of the Gram's spike readout: phi(s) delta_q gives the
+    # a premise of the Gram's Green's-function readout: phi(s) delta_q gives the
     # delta_1 solution delayed by q-1 levels on the live rows
     m = 48
     grid2 = TimeGrid(0.4 / m, 2 * m)
@@ -368,6 +371,75 @@ def test_march_invariant_under_whole_step_delays(rng, q):
         live = n_s - k + 1
         gap = np.max(np.abs(Wq[k, :live] - W1[k - q + 1, :live]))
         assert gap <= 1e-15 * np.max(np.abs(W1[k - q + 1, :live]))
+
+
+def _spy_march(monkeypatch):
+    """Record every call of connecting._march (source, kmem, n_t, dt) and its result."""
+    calls, real = [], connecting._march
+
+    def spy(source, kmem, n_t, dt):
+        W = real(source, kmem, n_t, dt)
+        calls.append(((source, kmem, n_t, dt), W))
+        return W
+
+    monkeypatch.setattr(connecting, "_march", spy)
+    return calls
+
+
+def test_green_ignores_kernel_past_lag_2m(monkeypatch, rng):
+    # the free-space window spans 3m+2 rows, K is known to lag 2m only: the
+    # zero pad past it multiplies zero field, so any pad gives the same G
+    m = 24
+    grid2 = TimeGrid(0.4 / m, 2 * m)
+    kmem = resolvent(general_kernel(grid2)).K.values
+    calls = _spy_march(monkeypatch)
+    G = _green(kmem, m, grid2.dt)
+    (source, kpad, n_t, dt), W = calls[0]
+    assert len(calls) == 1 and np.array_equal(W[:, :, 0], G)
+    assert np.array_equal(kpad[: 2 * m + 1], kmem) and np.all(kpad[2 * m + 1 :] == 0.0)
+    noisy = kpad.copy()
+    noisy[2 * m + 1 :] = rng.standard_normal(len(kpad) - 2 * m - 1)
+    assert np.array_equal(_march(source, noisy, n_t, dt)[:, :, 0], G)
+
+
+def test_march_invariant_under_whole_row_shifts():
+    # a unit source at two row offsets gives the same field relative to the
+    # source at every level before its light cone reaches row 1 (the s = 0
+    # clamp) and on the rows both live windows still hold
+    m, n_s = 40, 100
+    grid2 = TimeGrid(0.4 / m, n_s)
+    kmem = resolvent(general_kernel(grid2)).K.values
+    fields = []
+    for p in (23, 36):
+        src = np.zeros((n_s + 1, 1))
+        src[p] = 1.0
+        fields.append((p, _march(lambda k: src[: n_s - k + 1] * float(k == 1), kmem, m, grid2.dt)[:, :, 0]))
+    (p1, W1), (p2, W2) = fields
+    scale = np.max(np.abs(W1))
+    for lev in range(2, p1 + 1):
+        d = np.arange(-p1 + 1, n_s - lev - p2 + 1)  # offsets live in both windows
+        assert np.max(np.abs(W1[lev, p1 + d] - W2[lev, p2 + d])) <= 1e-14 * scale
+        assert np.all(W1[lev, : p1 - lev + 2] == 0.0)  # support starts at d = -(l-2)
+
+
+@pytest.mark.parametrize("lift", [0, 1])
+def test_row0_density_cancels_the_half_space_row1(rng, lift):
+    # rho(l) = -W(s_1, t_l)/dt^2 for the half-space march of the same source:
+    # at level 1 (lift 0) or as the level-1 seed (lift 1, source at level 0)
+    m = 32
+    grid2 = TimeGrid(0.4 / m, 2 * m)
+    dt = grid2.dt
+    kmem = resolvent(general_kernel(grid2)).K.values
+    phi = rng.standard_normal((2 * m + 1, 3))
+    level = 1 - lift
+    W = _march(lambda k: phi[: 2 * m - k + 1] * float(k == level), kmem, m, dt)
+    if lift:  # the seed the march builds from a level-0 source
+        seed = np.zeros_like(phi)
+        seed[1:-1] = 0.25 * (0.5 * phi[:-2] + phi[1:-1] + 0.5 * phi[2:])
+        phi = seed
+    rho = _row0_density(_green(kmem, m, dt), phi, lift, m)
+    expected = -W[1:m, 1] / dt**2
+    assert np.max(np.abs(rho - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_blago_quadrature_refuses_memory_kernel():
@@ -482,10 +554,88 @@ def _blocked_march_gram(tab):
     return _symmetrized(raw)
 
 
+def _spike_march_gram(tab):
+    """Reference assembly for K != 0: one march per control j of three
+    t-spike sources (a_j and c_j at level 1, c_j at level 0 for the seed),
+    read against the t-factors of every i through whole-step delays:
+    W_ij(t_k,t_k) + a_i(0) Psi0_c(s_k,t_k) = sum_{q>=1} [c_i(q) Psi_a - a_i(q) Psi_c](s_k,t_{k-q+1})."""
+    basis = tab.basis
+    m, dt = basis.grid.n, basis.grid.dt
+    res = resolvent(tab.kernel)
+    es = np.exp(-res.gamma * tab.grid2.nodes())
+    a, c = (es * tab.Y).T, (es * basis.sampled_on(tab.grid2)).T
+    kmem = res.K.values
+    n, n_s = basis.n, len(kmem) - 1
+    k = np.arange(m + 1)
+    lev = np.maximum(k[:, None] - k[None, 1:] + 1, 0)  # level k-q+1, q >= 1; W[0] = 0
+    raw = np.zeros((m + 1, n, n))
+    src = np.zeros((3, n_s + 1, 3))  # levels 0, 1 and every later (zero) level
+    for j in range(n):
+        src[1, :, 0], src[1, :, 1], src[0, :, 2] = a[:, j], c[:, j], c[:, j]
+        W = _march(lambda lv: src[min(lv, 2), : n_s - lv + 1], kmem, m, dt)
+        raw[:, :, j] = W[lev, k[:, None], 0] @ c[1 : m + 1] - W[lev, k[:, None], 1] @ a[1 : m + 1]
+        raw[:, :, j] -= W[k, k, 2, None] * a[0]
+    raw *= np.exp(2.0 * res.gamma * basis.grid.nodes())[:, None, None]
+    return _symmetrized(raw)
+
+
+def _launch(basis):
+    """The launch slope that bounds |y(0)| in a ResponseTable."""
+    return np.max(np.abs(basis.samples[:, 1])) / basis.grid.dt
+
+
+def _assert_gram_matches(gram, C, asym, rel):
+    assert np.all(gram.C[0] == 0.0) and np.all(C[0] == 0.0)
+    for k in range(1, len(C)):
+        assert np.linalg.norm(gram.C[k] - C[k]) <= rel * np.linalg.norm(C[k])
+    # the asymmetry is a ratio of norms: a relative change rel of the raw
+    # matrices moves it by at most ~2 rel, however small it is
+    assert np.max(np.abs(gram.asymmetry - asym)) <= 4.0 * rel
+
+
+@pytest.mark.parametrize("launch", ["first hat", "every control"])
+def test_gram_matches_spike_march_reference(rng, launch):
+    tab, basis, ker2, grid, grid2 = _wave_setup(
+        m=64, n=7, kernel="general", q=lambda x: 0.5 + 0.4 * x
+    )
+    if launch == "every control":  # every pair runs the seed and its row-0 density
+        Y = tab.Y.copy()
+        Y[:, 0] = _launch(basis) * rng.uniform(-1.0, 1.0, basis.n)
+        tab = ResponseTable(basis=basis, kernel=ker2, Y=Y)
+    assert np.count_nonzero(tab.Y[:, 0]) == (1 if launch == "first hat" else basis.n)
+    C, asym = _spike_march_gram(tab)
+    _assert_gram_matches(gram_from_data(tab), C, asym, 1e-13)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
+def test_gram_matches_per_pair_reference_at_edge_sizes(rng, m):
+    # the smallest windows, down to the 1 x 1 row-0 system at m = 2; the
+    # responses are random (the Gram is bilinear in the data) with every
+    # y(0) inside the launch bound
+    dt = 0.5 / m
+    grid, grid2 = TimeGrid(dt, m), TimeGrid(dt, 2 * m)
+    ker2 = general_kernel(grid2)
+    for n in range(1, m):
+        basis = hat_basis(grid, n)
+        Y = _launch(basis) * rng.uniform(-1.0, 1.0, (n, 2 * m + 1))
+        tab = ResponseTable(basis=basis, kernel=ker2, Y=Y)
+        C, asym = _per_pair_gram(tab)
+        _assert_gram_matches(gram_from_data(tab), C, asym, 1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_general_gram_runs_one_single_column_march(monkeypatch, n):
+    tab = _wave_setup(m=48, n=n, kernel="general", q=lambda x: 0.5 + 0.4 * x)[0]
+    calls = _spy_march(monkeypatch)
+    gram_from_data(tab)
+    assert len(calls) == 1
+    assert calls[0][1].shape[2] == 1
+
+
 @pytest.mark.parametrize("kernel", ["const", "exp", "general"])
 def test_gram_matches_per_pair_reference(kernel):
-    # const/exp take the closed-form diagonal, general the spike-response
-    # march, whose readout of the pairs is checked against full marches here
+    # const/exp take the closed-form diagonal, general the free-space
+    # Green's-function readout, both checked against full marches here
     tab, basis, ker2, grid, grid2 = _wave_setup(m=24, n=6, kernel=kernel, q=lambda x: 0.5 + 0.4 * x)
     gram = gram_from_data(tab)
     C, asym = _per_pair_gram(tab)
