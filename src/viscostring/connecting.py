@@ -224,9 +224,12 @@ class ResponseTable:
             )
         if not np.all(np.isfinite(y)):
             raise GridMismatchError("response table contains non-finite samples")
-        # Zero initial state shows up as y(0) = -f'(0+): identically 0 for
-        # controls that start flat, the launch slope for the first hat.
-        launch = float(np.max(np.abs(self.basis.samples[:, 1]))) / self.basis.grid.dt
+        # Zero initial state shows up as y(0) = -f'(0): identically 0 for
+        # controls that start flat, the launch slope for the first hat, read
+        # with the one-sided stencil the forward trace uses (2/dt for a hat
+        # that rises over a single step).
+        slopes = centered_difference(self.basis.samples, self.basis.grid.dt)[:, 0]
+        launch = float(np.max(np.abs(slopes)))
         scale = max(float(np.max(np.abs(y))), 1e-30)
         if np.max(np.abs(y[:, 0])) > 1.5 * launch + 1e-9 * scale:
             raise GridMismatchError(

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import math
 import os
 import re
@@ -301,14 +300,13 @@ def _format(x: float) -> str:
 
 
 def _write_csv(path: str, header: list, columns: list):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
+    """CSV with CRLF lines: the header, then one '%.17g' row per sample.
+    No cell needs quoting: neither numbers nor the headers hold a comma."""
     rows = np.column_stack(columns)
-    for row in rows:
-        writer.writerow([_format(v) for v in row])
+    row = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+        fh.write(",".join(header) + "\r\n")
+        fh.write((row * rows.shape[0]) % tuple(rows.ravel().tolist()))
 
 
 def _read_csv(path: str, header: list, grid: TimeGrid | None = None) -> list:

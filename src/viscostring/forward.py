@@ -16,9 +16,24 @@ triangle integral telescopes into the lozenge update
 
     W[i,k+1] = W[i+1,k] + W[i-1,k] - W[i,k-1] + dt^2 F[i,k]
 
-(midpoint rule on the lozenge between levels, fourth-order locally), so each
-level costs O(n_x) plus the memory convolution.  Waves travel at speed one and
-the update preserves W[i,k] = 0 for x_i > t_k exactly.
+(midpoint rule on the lozenge between levels, fourth-order locally).  Waves
+travel at speed one and the update keeps W[i,k] = 0 for x_i > t_k exactly, so
+the march stores W time-major and level k touches only its light cone, the
+rows i <= k+1.  The memory trapezoid of F is split by levels: per block of
+``_BLOCK`` levels one product of a Toeplitz slice of dt*K with the field of
+all earlier levels sums the history before the block, and one small product
+per level adds the levels inside it (the near/far split of Hairer, Lubich and
+Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532-541, without FFTs).
+
+The boundary response needs no difference quotient.  Differentiating the
+triangle integral in x at x = 0+ (the interior and reflected characteristic
+families give one copy each, and with W = g + u/2 the factor two and the
+half cancel) gives
+
+    y(t) = gamma f(t) - f'(t) + exp(gamma t) int_0^t F(xi, t-xi) dxi,
+
+and the march adds each level's F row into that anti-diagonal integral as it
+goes, so F is never stored.
 
 ``fd_oracle`` is an independent check: a leapfrog discretization of the
 differentiated model w_tt = Lw + int_0^t N'(t-s) Lw(s) ds on the full domain
@@ -32,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridMismatchError, KernelValidationError, NumericalFailure
 from .grid import Sampled1D, Sampled2D, TimeGrid, centered_difference
@@ -127,6 +143,9 @@ def _memory_row(K: np.ndarray, W: np.ndarray, k: int, dt: float) -> np.ndarray:
     return dt * acc
 
 
+_BLOCK = 32  # levels whose memory history before the block is one matrix product
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow ends in NumericalFailure below
 def solve_mild(p: StringProblem, f: Sampled1D, res: ResolventData | None = None) -> WaveField:
     """March the characteristic integral equation of the transformed field.
@@ -148,62 +167,56 @@ def solve_mild(p: StringProblem, f: Sampled1D, res: ResolventData | None = None)
     if res is None:
         res = resolvent(p.kernel)
     gamma, alpha = res.gamma, res.alpha
-    K = res.K.values
-    has_memory = bool(np.any(K[: m + 1]))
+    dK = dt * res.K.values[: m + 1]
+    has_memory = bool(np.any(dK))
+    # row j of the window view is dK[j : j + _BLOCK], zero past lag m
+    windows = sliding_window_view(np.concatenate([dK, np.zeros(_BLOCK)]), _BLOCK)
 
     tgrid = TimeGrid(dt, m)
     xgrid = TimeGrid(dt, m)  # field vanishes for x > t, so [0,T] suffices
     t = tgrid.nodes()
     qa = p.q[: m + 1] + alpha
-    g = np.exp(-gamma * t) * f.values
 
-    W = np.zeros((m + 1, m + 1))
-    F = np.zeros((m + 1, m + 1))
-    W[0, :] = g
-    # F(.,0) = (q+alpha) W(.,0) = 0 since f(0) = 0
-    for k in range(1, m):
-        F[:, k] = qa * W[:, k]
+    W = np.zeros((m + 1, m + 1))  # time-major: W[k, i] = W(x_i, t_k)
+    W[:, 0] = np.exp(-gamma * t) * f.values
+    dt2 = dt * dt
+    integral = np.zeros(m + 1)  # trapezoid sums of F along x_i + t_k = t_n, level by level
+    # F(.,0) = (q+alpha) W(.,0) = 0 since f(0) = 0, so level 0 adds nothing
+    for k0 in range(1, m + 1, _BLOCK):
+        k1 = min(k0 + _BLOCK, m + 1)
         if has_memory:
-            F[:, k] += _memory_row(K, W, k, dt)
-        W[1:m, k + 1] = W[2 : m + 1, k] + W[0 : m - 1, k] - W[1:m, k - 1] + dt * dt * F[1:m, k]
-    if m >= 1:
-        F[:, m] = qa * W[:, m]
-        if has_memory:
-            F[:, m] += _memory_row(K, W, m, dt)
+            # memory of levels l = 1..k0-1 for the whole block, Toeplitz(dK)[k0:k1, 1:k0];
+            # level l lives on rows i < l, so k0 columns hold all of it
+            history = windows[k0 - 1 : 0 : -1, : k1 - k0].T @ W[1:k0, :k0]
+            history[:, 0] += 0.5 * dK[k0:k1] * W[0, 0]  # the l = 0 end
+        for k in range(k0, k1):
+            r = min(k + 2, m + 1)  # rows i <= k+1: the light cone of level k and one beyond
+            Wk = W[k, :r]
+            F = qa[:r] * Wk
+            if has_memory:
+                mem = 0.5 * dK[0] * Wk  # the l = k end of the trapezoid
+                mem[:k0] += history[k - k0]
+                if k > k0:
+                    mem += dK[k - k0 : 0 : -1] @ W[k0:k, :r]
+                F += mem
+            n = min(r, m + 1 - k)
+            integral[k] += 0.5 * F[0]
+            integral[k + 1 : k + n] += F[1:n]
+            if k < m:
+                W[k + 1, 1 : r - 1] = Wk[2:] + Wk[:-2] - W[k - 1, 1 : r - 1] + dt2 * F[1:-1]
 
-    w = np.exp(gamma * t)[None, :] * W
-    y = Sampled1D(tgrid, _response_from_source(f.values, F, gamma, dt))
+    fp = centered_difference(f.values, dt)
+    y = Sampled1D(tgrid, gamma * f.values - fp + np.exp(gamma * t) * (dt * integral))
+    W *= np.exp(gamma * t)[:, None]
     sigma = response_to_traction(y, p.kernel)
-    if not all(np.all(np.isfinite(v)) for v in (w, y.values, sigma.values)):
+    if not all(np.all(np.isfinite(v)) for v in (W, y.values, sigma.values)):
         raise NumericalFailure("forward solution is not finite (the control or q overflows the solver)")
-    return WaveField(w=Sampled2D(xgrid, tgrid, w), f=f, y=y, sigma=sigma)
+    return WaveField(w=Sampled2D(xgrid, tgrid, W.T), f=f, y=y, sigma=sigma)
 
 
 def _trace_x0(w: np.ndarray, dx: float) -> np.ndarray:
     """One-sided second-order difference of the rows w[0..2] at x = 0."""
     return (-3.0 * w[0, :] + 4.0 * w[1, :] - w[2, :]) / (2.0 * dx)
-
-
-def _response_from_source(f: np.ndarray, F: np.ndarray, gamma: float, dt: float) -> np.ndarray:
-    """Boundary derivative trace assembled from the closed-form x-derivative
-    of the characteristic representation:
-
-        y(t) = gamma f(t) - f'(t) + exp(gamma t) int_0^t F(xi, t-xi) dxi.
-
-    Differentiating the triangle integral u(x,t) in x and letting x -> 0+
-    gives u_x(0,t) = 2 int_0^t F(xi,t-xi) dxi (the interior and reflected
-    characteristic families contribute one copy each); with W = g + u/2 the
-    factor two and the half cancel.
-    """
-    m = F.shape[1] - 1
-    t = np.arange(m + 1) * dt
-    fp = centered_difference(f, dt)
-    integral = np.zeros(m + 1)
-    for k in range(1, m + 1):
-        idx = np.arange(k + 1)
-        diag = F[idx, k - idx]
-        integral[k] = dt * (diag.sum() - 0.5 * diag[0] - 0.5 * diag[-1])
-    return gamma * f - fp + np.exp(gamma * t) * integral
 
 
 def boundary_derivative(field: WaveField) -> Sampled1D:

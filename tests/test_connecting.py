@@ -123,6 +123,22 @@ def test_wave_responses_are_negative_derivatives():
         assert np.max(np.abs(tab.Y[i] - expected)) <= 1e-10
 
 
+@pytest.mark.parametrize("m, n", [(2, 1), (8, 6)])
+@pytest.mark.parametrize("kernel", ["const", "exp", "general"])
+def test_single_step_launch_goes_through_gram(m, n, kernel):
+    # a first hat that rises over one step launches with y(0) = 2/dt under the
+    # one-sided stencil; the table check must accept what synthesize_table builds
+    L = 1.0
+    tab, basis, ker2, grid, grid2 = _wave_setup(m=m, n=n, L=L, kernel=kernel, q=lambda x: 1.0 + 0.5 * x)
+    assert basis.knots[1] == grid.dt
+    launch = -centered_difference(basis.samples, grid.dt)[:, 0]
+    assert np.max(np.abs(launch)) == 2.0 / grid.dt
+    assert np.max(np.abs(tab.Y[:, 0] - launch)) <= 1e-12 * np.max(np.abs(launch))
+    gram = gram_from_data(tab)
+    assert gram.C.shape == (m + 1, n, n)
+    assert np.all(np.isfinite(gram.C))
+
+
 def _per_control_table(basis, kernel, q, L):
     """Reference synthesis: one forward solve per basis control (noiseless)."""
     grid2 = kernel.grid

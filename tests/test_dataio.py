@@ -1,4 +1,6 @@
+import csv
 import filecmp
+import io
 import operator
 import os
 from pathlib import Path
@@ -342,3 +344,28 @@ def test_csv_precision_round_trip(tmp_path):
     table, q_true, _ = load_bundle(out)
     x = np.arange(len(q_true)) * cfg.dt
     assert np.array_equal(q_true, 0.1234567890123456 + 1e-7 * x)
+
+
+def _csv_writer_reference(path, header, columns):
+    """Reference writer: csv.writer with one '%.17g' call per cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    for row in np.column_stack(columns):
+        writer.writerow(["%.17g" % v for v in row])
+    with open(path, "w", newline="") as fh:
+        fh.write(buf.getvalue())
+
+
+@pytest.mark.parametrize("n_rows", [3, 257])
+def test_write_csv_matches_csv_writer_bytes(tmp_path, rng, n_rows):
+    special = [-0.0, 0.0, 1e-300, -1e-300, 1e300, 0.1, 1.0, -7.0, 2.0**53, 1.0 / 3.0, 5e-324]
+    scale = 10.0 ** rng.integers(-20, 20, 4 * n_rows)
+    cells = np.resize(np.concatenate([special, rng.standard_normal(4 * n_rows) * scale]), (n_rows, 4))
+    assert np.array_equal(cells.ravel()[: len(special)], special)  # every special value is written
+    cols = [np.arange(n_rows, dtype=float)] + list(cells.T)
+    header = ["t", "y1", "y2", "T=0.5", "e4"]
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    dataio._write_csv(str(new), header, cols)
+    _csv_writer_reference(str(ref), header, cols)
+    assert new.read_bytes() == ref.read_bytes()

@@ -3,7 +3,7 @@ import pytest
 
 from viscostring.errors import GridMismatchError, KernelValidationError
 from viscostring.grid import Sampled1D, TimeGrid, centered_difference
-from viscostring.kernels import build_kernel, resolvent
+from viscostring.kernels import build_kernel, resolvent, response_to_traction
 from viscostring.forward import (
     StringProblem,
     boundary_derivative,
@@ -246,3 +246,79 @@ def test_sigma_consistent_with_response():
 
     sigma = -convolve_values(n, fld.y.values, dt)
     assert np.allclose(fld.sigma.values, sigma, atol=1e-14)
+
+
+def _reference_memory_row(K, W, k, dt):
+    """Trapezoid of int_0^{t_k} K(t_k - s) W(x, s) ds for every x at once."""
+    if k == 0:
+        return np.zeros(W.shape[0])
+    acc = 0.5 * K[k] * W[:, 0] + 0.5 * K[0] * W[:, k]
+    if k > 1:
+        acc += W[:, 1:k] @ K[k - 1:0:-1]
+    return dt * acc
+
+
+def _reference_solve(p, f, res):
+    """The per-level march over all x-rows with the (m+1)^2 source array F,
+    and the trace read from F's anti-diagonals afterwards: (w, y, sigma)."""
+    dt = p.dt
+    m = round(p.T / dt)
+    gamma, alpha = res.gamma, res.alpha
+    K = res.K.values
+    has_memory = bool(np.any(K[: m + 1]))
+    t = TimeGrid(dt, m).nodes()
+    qa = p.q[: m + 1] + alpha
+    g = np.exp(-gamma * t) * f.values
+
+    W = np.zeros((m + 1, m + 1))
+    F = np.zeros((m + 1, m + 1))
+    W[0, :] = g
+    for k in range(1, m):
+        F[:, k] = qa * W[:, k]
+        if has_memory:
+            F[:, k] += _reference_memory_row(K, W, k, dt)
+        W[1:m, k + 1] = W[2 : m + 1, k] + W[0 : m - 1, k] - W[1:m, k - 1] + dt * dt * F[1:m, k]
+    if m >= 1:
+        F[:, m] = qa * W[:, m]
+        if has_memory:
+            F[:, m] += _reference_memory_row(K, W, m, dt)
+
+    w = np.exp(gamma * t)[None, :] * W
+    fp = centered_difference(f.values, dt)
+    integral = np.zeros(m + 1)
+    for k in range(1, m + 1):
+        idx = np.arange(k + 1)
+        diag = F[idx, k - idx]
+        integral[k] = dt * (diag.sum() - 0.5 * diag[0] - 0.5 * diag[-1])
+    y = gamma * f.values - fp + np.exp(gamma * t) * integral
+    sigma = response_to_traction(Sampled1D(TimeGrid(dt, m), y), p.kernel).values
+    return w, y, sigma
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 31, 32, 33, 69])
+@pytest.mark.parametrize("kernel", ["const", "exp", "general"])
+def test_light_cone_march_matches_reference(rng, kernel, m):
+    # sizes around the memory block edges (levels 1-32, 33-64, ...); the
+    # control starts at rest only up to the 1e-10 the solver admits
+    dt = 1.0 / 64
+    T, L = m * dt, (m + 2) * dt
+    grid = TimeGrid(dt, m + 2)
+    ker = general_kernel(grid) if kernel == "general" else build_kernel(grid, kernel, rate=1.0)
+    p = StringProblem(L, lambda x: 1.0 + 0.3 * np.sin(3.0 * x), ker, T)
+    tg = TimeGrid(dt, m)
+    vals = rng.standard_normal(m + 1)
+    vals[0] = 1e-11 * np.max(np.abs(vals))
+    f = Sampled1D(tg, vals)
+    res = resolvent(ker)
+    if m == 1:  # too short for the trace's one-sided derivative, on both paths
+        with pytest.raises(GridMismatchError):
+            solve_mild(p, f, res=res)
+        with pytest.raises(GridMismatchError):
+            _reference_solve(p, f, res)
+        return
+    fld = solve_mild(p, f, res=res)
+    for got, want in zip((fld.w.values, fld.y.values, fld.sigma.values), _reference_solve(p, f, res)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    x, t = fld.xgrid.nodes(), tg.nodes()
+    assert np.all(fld.w.values[x[:, None] > t[None, :]] == 0.0)
