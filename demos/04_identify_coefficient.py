@@ -44,5 +44,5 @@ qt = q_true(result.horizons)
 rel = np.linalg.norm(result.q_hat - qt) / np.linalg.norm(qt)
 print(f"\nrelative L2 error of the reconstruction: {rel:.3e}")
 print(f"guard activations: {int(np.sum(result.guarded))}")
-lam = [d["lambda"] for d in result.diagnostics]
-print(f"Tikhonov lambda range chosen by the sweep: [{min(lam):.2e}, {max(lam):.2e}]")
+cond = [d["condition"] for d in result.diagnostics]
+print(f"condition numbers of the steering systems: [{min(cond):.2f}, {max(cond):.2f}]")

@@ -74,11 +74,10 @@ def cmd_identify(args) -> int:
     out = args.out or args.bundle
     os.makedirs(out, exist_ok=True)
 
-    rows = list(result.rows())
     _write_csv(
         os.path.join(out, "results.csv"),
-        ["T", "xi", "q_hat", "residual", "lambda", "guard_flag"],
-        [np.array([r[k] for r in rows]) for k in range(6)],
+        ["T", "xi", "q_hat", "residual", "guard_flag"],
+        [np.array(column) for column in zip(*result.rows())],
     )
     lines = [f"horizons={len(result.horizons)}", f"n_basis={table.basis.n}"]
     if q_true is not None:

@@ -60,7 +60,6 @@ _CONFIG_KEYS = {
     "threads",  # accepted and ignored, so that older config files still parse
     "noise_sigma",
     "seed",
-    "tikhonov_lambda",
     "xi_zero_guard",
     "control",
 }
@@ -124,7 +123,6 @@ class RunConfig:
     out: str = "out"
     noise_sigma: float = 0.0
     seed: int = 0
-    tikhonov_lambda: str = "auto"
     xi_zero_guard: str = "auto"
     control: str = "sin2"
 
@@ -183,10 +181,7 @@ class RunConfig:
     def identify_config(self) -> IdentifyConfig:
         """The identify settings of this config."""
         return IdentifyConfig(
-            tikhonov_lambda=(
-                "auto" if self.tikhonov_lambda == "auto" else float(self.tikhonov_lambda)
-            ),
-            xi_zero_guard=None if self.xi_zero_guard == "auto" else float(self.xi_zero_guard),
+            xi_zero_guard=None if self.xi_zero_guard == "auto" else float(self.xi_zero_guard)
         )
 
 

@@ -44,7 +44,7 @@ differentiated model w_tt = Lw + int_0^t N'(t-s) Lw(s) ds on the full domain
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -143,6 +143,14 @@ def _memory_row(K: np.ndarray, W: np.ndarray, k: int, dt: float) -> np.ndarray:
     return dt * acc
 
 
+def _prefix(k: MemoryKernel, m: int) -> MemoryKernel:
+    """The kernel on its first m steps.  The resolvent's Volterra solves are
+    causal, so its values there are those of the whole kernel, bit for bit."""
+    grid = TimeGrid(k.grid.dt, m)
+    cut = lambda s: Sampled1D(grid, s.values[: m + 1])
+    return replace(k, grid=grid, N=cut(k.N), N1=cut(k.N1), N2=cut(k.N2), N3=cut(k.N3), M=cut(k.M))
+
+
 _BLOCK = 32  # levels whose memory history before the block is one matrix product
 
 
@@ -165,7 +173,7 @@ def solve_mild(p: StringProblem, f: Sampled1D, res: ResolventData | None = None)
     _check_control(f)
 
     if res is None:
-        res = resolvent(p.kernel)
+        res = resolvent(_prefix(p.kernel, m))  # the march reads K on [0, T] only
     gamma, alpha = res.gamma, res.alpha
     dK = dt * res.K.values[: m + 1]
     has_memory = bool(np.any(dK))

@@ -12,12 +12,9 @@ vector b on the right.  The sign in the target equation pairs with the
 operator w_xx + q w of the model: integrating H(T,T) by parts leaves a
 volume term (xi'' + q xi) w^g that must vanish for every test control, and
 boundary terms that reduce to the moment integral exactly when xi(0) = 0
-and xi'(0) = 1.  Tikhonov regularization (C + lambda I) c = b absorbs the
-discretization noise; "auto" sweeps lambda geometrically upward and stops at
-the first value whose relative residual reaches 1e-6 with a solution norm
-stable to 1% over one sweep step, so a well-conditioned system costs two
-solves.  Only when no value passes is the whole sweep solved, keeping the
-least residual and a warning.
+and xi'(0) = 1.  With 2T <= L the string is exactly controllable, so C_T is
+boundedly invertible and each horizon takes one plain solve, behind a guard
+that rejects a Gram whose least eigenvalue is not clearly positive.
 
 Reading the control's boundary value needs care: every basis element vanishes
 at t = 0 while the steering control does not (its value f(0+) there, times the
@@ -62,15 +59,10 @@ __all__ = [
 ]
 
 
-def _real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
 class IdentifyConfig:
-    """Regularization settings of the reconstruction.
+    """Settings of the reconstruction.
 
-    tikhonov_lambda: absolute ridge weight, or "auto" for the residual sweep.
     xi_zero_guard: |xi| threshold below which q = xi''/xi is not evaluated
         but interpolated from neighbors; None = 5*dt.
 
@@ -82,15 +74,12 @@ class IdentifyConfig:
     readout_points: ClassVar[int] = 3
     smoothing_halfwidth: ClassVar[int] = 3
 
-    tikhonov_lambda: float | str = "auto"
     xi_zero_guard: float | None = None
 
     def __post_init__(self):
-        lam = self.tikhonov_lambda
-        if not (lam == "auto" if isinstance(lam, str) else _real(lam) and 0 <= lam < np.inf):
-            raise ConfigError("tikhonov_lambda must be 'auto' or a finite nonnegative number")
         guard = self.xi_zero_guard
-        if guard is not None and not (_real(guard) and 0 < guard < np.inf):
+        real = isinstance(guard, numbers.Real) and not isinstance(guard, bool)
+        if guard is not None and not (real and 0 < guard < np.inf):
             raise ConfigError("xi_zero_guard must be positive and finite")
 
 
@@ -117,46 +106,8 @@ class SteeringControl:
     duals: np.ndarray               # <f_h, e_j>/<1, e_j>, j < k
     control: Sampled1D              # stabilized readout on [0, T]
     xi: float
-    lambda_used: float
     residual: float
-    diagnostics: dict = field(default_factory=dict)  # condition [, lambda_warning]
-
-
-_SWEEP = np.geomspace(1e-15, 1e-3, 25)  # "auto" candidates, in units of trace(C)/n
-
-
-def _tikhonov_sweep(C: np.ndarray, b: np.ndarray, cfg: IdentifyConfig):
-    """Solve (C + lambda I) c = b over the candidate lambdas: the configured
-    one, or for "auto" a geometric sweep.  Returns at the first candidate
-    whose relative residual reaches 1e-6 with a solution norm stable to 1%
-    at the next candidate; only when none does is the whole sweep solved and
-    the least residual kept, with a lambda_warning.  A lone fixed lambda is
-    taken as given."""
-    auto = cfg.tikhonov_lambda == "auto"
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return np.zeros_like(b), 0.0 if auto else float(cfg.tikhonov_lambda), 0.0, {}
-    if auto:
-        lams = float(np.trace(C)) / len(b) * _SWEEP
-    else:
-        lams = np.array([float(cfg.tikhonov_lambda)])
-    sols, residuals, norms = [], [], []
-    for i, lam in enumerate(lams):
-        c = np.linalg.solve(C + lam * np.eye(len(b)), b)
-        sols.append(c)
-        residuals.append(float(np.linalg.norm(C @ c - b) / nb))
-        norms.append(float(np.linalg.norm(c)))
-        if i > 0 and residuals[i - 1] <= 1e-6:
-            if abs(norms[i - 1] - norms[i]) <= 0.01 * max(norms[i], 1e-300):
-                return sols[i - 1], float(lams[i - 1]), residuals[i - 1], {}
-    best = int(np.argmin(residuals))
-    info = {}
-    if auto:
-        info["lambda_warning"] = (
-            f"residual floor 1e-6 unreachable; best relative residual "
-            f"{residuals[best]:.3e} at lambda {lams[best]:.3e}"
-        )
-    return sols[best], float(lams[best]), residuals[best], info
+    diagnostics: dict = field(default_factory=dict)  # condition
 
 
 def _extrapolate(times: np.ndarray, values: np.ndarray, t0: float) -> float:
@@ -182,7 +133,8 @@ def steering_control(
     The returned Sampled1D is the stabilized readout: the piecewise-linear
     interpolant of the dual averages, its endpoint values f(0+) and f(T-)
     extrapolated from the nearest duals (the zero-at-ends basis cannot
-    represent them).
+    represent them).  cfg supplies only the readout depth.  A Gram whose least
+    eigenvalue is not above 1e-8 times its norm raises NumericalFailure.
     """
     cfg = cfg or IdentifyConfig()
     basis = gram.basis
@@ -196,13 +148,15 @@ def steering_control(
     ev = np.linalg.eigvalsh(C)
     ev_min = float(ev[0])
     c_norm = float(np.linalg.norm(C))
-    if ev_min < -1e-8 * max(c_norm, 1e-300):
+    if ev_min <= 1e-8 * c_norm:
         raise NumericalFailure(
-            f"Gram at T={T} is not positive semidefinite beyond tolerance "
+            f"Gram at T={T} is not positive definite beyond tolerance "
             f"(min eigenvalue {ev_min:.3e}, norm {c_norm:.3e})"
         )
 
-    c_a, lam, residual, info = _tikhonov_sweep(C, b_a, cfg)
+    c_a = np.linalg.solve(C, b_a)
+    nb = float(np.linalg.norm(b_a))
+    residual = float(np.linalg.norm(C @ c_a - b_a)) / nb if nb > 0 else 0.0
 
     duals = (basis.mass_matrix[:k, :k] @ c_a) / basis.element_masses[:k]
     tbars = basis.dual_abscissae[:k]
@@ -220,18 +174,13 @@ def steering_control(
     knots_v = np.concatenate(([f0], duals, [tail]))
     samples = np.interp(tgrid.nodes(), knots_t, knots_v)
 
-    # C is symmetric, so the singular values of C + lambda I are |ev + lambda|
-    spread = np.abs(ev + lam)
-    diag = {
-        "condition": float(spread.max() / spread.min()) if spread.min() > 0 else np.inf,
-        **info,
-    }
+    # C is symmetric positive definite: its singular values are its eigenvalues
+    diag = {"condition": float(ev[-1]) / ev_min}
     return SteeringControl(
         coefficients=c_a,
         duals=duals,
         control=Sampled1D(tgrid, samples),
         xi=xi,
-        lambda_used=lam,
         residual=residual,
         diagnostics=diag,
     )
@@ -306,7 +255,7 @@ class ReconstructionResult:
     diagnostics: list
 
     def rows(self):
-        """(T, xi, q_hat, residual, lambda, guard_flag) per horizon."""
+        """(T, xi, q_hat, residual, guard_flag) per horizon."""
         for i, T in enumerate(self.horizons):
             d = self.diagnostics[i]
             yield (
@@ -314,7 +263,6 @@ class ReconstructionResult:
                 float(self.xi[i]),
                 float(self.q_hat[i]),
                 d["residual"],
-                d["lambda"],
                 int(self.guarded[i]),
             )
 
@@ -339,7 +287,7 @@ def pipeline(tab: ResponseTable, cfg: IdentifyConfig | None = None) -> Reconstru
         b = steering_rhs(tab.kernel, basis, float(T))
         sc = steering_control(gram, float(T), b, cfg)
         xi[i] = sc.xi
-        diags.append({"residual": sc.residual, "lambda": sc.lambda_used, **sc.diagnostics})
+        diags.append({"residual": sc.residual, **sc.diagnostics})
     q, guarded = reconstruct_q(horizons, xi, cfg, basis.grid.dt)
     return ReconstructionResult(
         horizons=horizons,

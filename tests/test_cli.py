@@ -43,7 +43,8 @@ def test_synthesize_connect_identify_happy_path(tmp_path, cfg_path, capsys):
     assert os.path.isfile(os.path.join(out, "gram.csv"))
 
     assert main(["identify", bundle, "--config", cfg_path, "--out", out]) == 0
-    assert os.path.isfile(os.path.join(out, "results.csv"))
+    with open(os.path.join(out, "results.csv")) as fh:
+        assert fh.readline().strip() == "T,xi,q_hat,residual,guard_flag"
     report = Path(out, "report.txt").read_text()
     assert "rel_l2_error=" in report
 
@@ -94,9 +95,7 @@ def test_config_error_exit_code_2(tmp_path):
     bundle = str(tmp_path / "bundle")
     assert main(["synthesize", "--config", str(base), "--out", bundle]) == 0
     for line in (
-        "tikhonov_lambda = abc",
         "xi_zero_guard = abc",
-        "tikhonov_lambda = inf",
         "xi_zero_guard = inf",
     ):
         bad = tmp_path / "identify.cfg"
@@ -105,11 +104,17 @@ def test_config_error_exit_code_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("horizons", "lattice"), ("readout_points", 3), ("smoothing_halfwidth", 3)]
+    "key, value",
+    [
+        ("horizons", "lattice"),
+        ("readout_points", 3),
+        ("smoothing_halfwidth", 3),
+        ("tikhonov_lambda", "auto"),
+    ],
 )
 def test_retired_identify_key_exits_2(tmp_path, cfg_path, capsys, key, value):
-    # identify reads q on the knot lattice only; a retired setting is an
-    # unknown key, never silently ignored
+    # identify reads q on the knot lattice only and solves each horizon
+    # plainly; a retired setting is an unknown key, never silently ignored
     bundle = str(tmp_path / "bundle")
     assert main(["synthesize", "--config", cfg_path, "--out", bundle]) == 0
     bad = tmp_path / "retired.cfg"

@@ -322,3 +322,15 @@ def test_light_cone_march_matches_reference(rng, kernel, m):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     x, t = fld.xgrid.nodes(), tg.nodes()
     assert np.all(fld.w.values[x[:, None] > t[None, :]] == 0.0)
+
+
+def test_resolvent_on_the_horizon_window_is_bit_identical():
+    # without res, solve_mild takes the resolvent of the kernel's [0, T]
+    # prefix only; the Volterra solves are causal, so nothing moves
+    m, dt = 48, 1.0 / 64
+    ker = general_kernel(TimeGrid(dt, 2 * m + 5))
+    p = StringProblem(1.0, lambda x: 0.5 + 0.3 * x, ker, m * dt)
+    f = Sampled1D.from_callable(TimeGrid(dt, m), lambda t: bump(t, 0.0, m * dt))
+    fld, ref = solve_mild(p, f), solve_mild(p, f, res=resolvent(ker))
+    for name in ("w", "y", "sigma"):
+        assert np.array_equal(getattr(fld, name).values, getattr(ref, name).values), name

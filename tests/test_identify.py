@@ -18,7 +18,6 @@ from viscostring.connecting import (
 )
 from viscostring.identify import (
     IdentifyConfig,
-    _tikhonov_sweep,
     default_horizons,
     pipeline,
     reconstruct_q,
@@ -37,27 +36,17 @@ def _identity_setup(m=128, n=8, T_max=0.5, L=1.0):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        IdentifyConfig(xi_zero_guard=-1.0)
-    with pytest.raises(ConfigError):
-        IdentifyConfig(tikhonov_lambda=-0.5)
-    # non-finite values are config errors too, not silent nan/inf in a solve
-    for bad in (
-        dict(tikhonov_lambda=np.inf),
-        dict(tikhonov_lambda=np.nan),
-        dict(xi_zero_guard=np.inf),
-        # wrong types are config errors, not a TypeError deep in a solve
-        dict(tikhonov_lambda="abc"),
-        dict(tikhonov_lambda="1e-9"),
-        dict(xi_zero_guard="abc"),
-    ):
+    # non-finite values are config errors too, not silent nan/inf in a fit;
+    # wrong types are config errors, not a TypeError deep in a solve
+    for bad in (-1.0, np.inf, np.nan, "abc"):
         with pytest.raises(ConfigError):
-            IdentifyConfig(**bad)
+            IdentifyConfig(xi_zero_guard=bad)
     # numpy scalars are numbers like any other
-    IdentifyConfig(tikhonov_lambda=np.float64(1e-9), xi_zero_guard=np.float32(0.1))
-    # the readout is fixed: the lattice depth and fit window are constants, not settings
+    IdentifyConfig(xi_zero_guard=np.float32(0.1))
+    # the readout is fixed: the lattice depth and fit window are constants, not
+    # settings, and each horizon takes one plain solve
     assert (IdentifyConfig().readout_points, IdentifyConfig().smoothing_halfwidth) == (3, 3)
-    for retired in ("horizons", "readout_points", "smoothing_halfwidth"):
+    for retired in ("horizons", "readout_points", "smoothing_halfwidth", "tikhonov_lambda"):
         with pytest.raises(TypeError):
             IdentifyConfig(**{retired: 3})
 
@@ -117,9 +106,11 @@ def test_steering_control_zero_rhs():
     assert np.all(sc.coefficients == 0.0)
     assert np.all(sc.control.values == 0.0)
     assert sc.xi == 0.0
+    assert sc.residual == 0.0  # no 0/0
 
 
 def test_steering_control_lambda_to_zero_limit():
+    # the unregularized limit is what steering_control solves: C c = b as it stands
     tab, basis, ker2, grid = _identity_setup()
     gram = gram_from_data(tab)
     T = grid.t_max
@@ -127,14 +118,8 @@ def test_steering_control_lambda_to_zero_limit():
     active = basis.active(T)
     C = gram.at(T)[np.ix_(active, active)]
     direct = np.linalg.solve(C, b[active])
-    prev = None
-    for lam in (1e-6, 1e-9, 1e-12):
-        sc = steering_control(gram, T, b, IdentifyConfig(tikhonov_lambda=lam))
-        err = np.linalg.norm(sc.coefficients - direct) / np.linalg.norm(direct)
-        if prev is not None:
-            assert err <= prev + 1e-14
-        prev = err
-    assert prev <= 1e-8
+    sc = steering_control(gram, T, b)
+    assert np.max(np.abs(sc.coefficients - direct)) <= 1e-15 * np.max(np.abs(direct))
 
 
 def test_steering_control_rejects_non_psd():
@@ -148,6 +133,19 @@ def test_steering_control_rejects_non_psd():
     bad = replace(gram, C=bad_C)
     with pytest.raises(NumericalFailure):
         steering_control(bad, grid.t_max, np.ones(basis.n))
+
+
+def test_steering_control_rejects_singular_gram():
+    # positive semidefinite but singular: no solve, no regularized answer
+    from dataclasses import replace
+
+    tab, basis, ker2, grid = _identity_setup(n=4)
+    gram = gram_from_data(tab)
+    bad_C = gram.C.copy()
+    bad_C[grid.index_of(grid.t_max)] = np.diag([1.0, 1.0, 0.0, 0.0])
+    bad = replace(gram, C=bad_C)
+    with pytest.raises(NumericalFailure, match="not positive definite"):
+        steering_control(bad, grid.t_max, steering_rhs(ker2, basis, grid.t_max))
 
 
 def test_horizon_lookup_is_the_grid_lookup():
@@ -292,50 +290,6 @@ def test_pipeline_with_oracle_gram_memory_case():
     assert np.max(np.abs(xi - np.sin(horizons)) / np.sin(horizons)) <= 0.03
 
 
-def _full_sweep(C, b, cfg):
-    """Reference sweep: solve every candidate lambda, then pick the first
-    accepted one (relative residual <= 1e-6, norm stable to 1% at the next
-    candidate) or, failing that, the least residual with a warning."""
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        lam = 0.0 if cfg.tikhonov_lambda == "auto" else float(cfg.tikhonov_lambda)
-        return np.zeros_like(b), lam, 0.0, {}
-    scale = float(np.trace(C)) / len(b)
-    if cfg.tikhonov_lambda != "auto":
-        lam = float(cfg.tikhonov_lambda)
-        c = np.linalg.solve(C + lam * np.eye(len(b)), b)
-        return c, lam, float(np.linalg.norm(C @ c - b) / nb), {}
-    lams = scale * np.geomspace(1e-15, 1e-3, 25)
-    sols, residuals, norms = [], [], []
-    for lam in lams:
-        c = np.linalg.solve(C + lam * np.eye(len(b)), b)
-        sols.append(c)
-        residuals.append(float(np.linalg.norm(C @ c - b) / nb))
-        norms.append(float(np.linalg.norm(c)))
-    chosen = None
-    for i in range(len(lams) - 1):
-        stable = abs(norms[i] - norms[i + 1]) <= 0.01 * max(norms[i + 1], 1e-300)
-        if residuals[i] <= 1e-6 and stable:
-            chosen = i
-            break
-    info = {}
-    if chosen is None:
-        chosen = int(np.argmin(residuals))
-        info["lambda_warning"] = (
-            f"residual floor 1e-6 unreachable; best relative residual "
-            f"{residuals[chosen]:.3e} at lambda {lams[chosen]:.3e}"
-        )
-    return sols[chosen], float(lams[chosen]), residuals[chosen], info
-
-
-def _spd_system(eigenvalues, b_modes, seed=0):
-    """Exactly symmetric C with the given spectrum and b with the given
-    components along its eigenvectors."""
-    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(eigenvalues),) * 2))
-    C = (q * np.asarray(eigenvalues)) @ q.T
-    return 0.5 * (C + C.T), q @ np.asarray(b_modes, dtype=float)
-
-
 def _exp_gram_system():
     m, n, T_max, L = 128, 8, 0.5, 1.0
     dt = T_max / m
@@ -346,47 +300,13 @@ def _exp_gram_system():
     return gram, basis, ker2
 
 
-def _sweep_cases():
-    gram, basis, ker2 = _exp_gram_system()
-    T = basis.grid.t_max
-    active = basis.active(T)
-    C = gram.at(T)[np.ix_(active, active)]
-    b = steering_rhs(ker2, basis, T)[active]
-    auto = IdentifyConfig()
-    # a mode far below the smallest sweep lambda carries a small part of b:
-    # the residual passes from the start, the norm settles only later
-    late = _spd_system([1.0, 0.5, 0.2, 0.1, 1e-18], [1.0, 1.0, 1.0, 1.0, 1e-9])
-    # a null mode carries 1% of b: no lambda reaches the residual floor
-    never = _spd_system([1.0, 0.5, 0.2, 0.0, 0.0], [1.0, 1.0, 1.0, 1e-2, 1e-2])
-    return {
-        "gram": (C, b, auto),
-        "accepts-later": (*late, auto),
-        "fallback": (*never, auto),
-        "fixed": (C, b, IdentifyConfig(tikhonov_lambda=1e-9)),
-        "zero-rhs": (C, np.zeros_like(b), auto),
-    }
-
-
-@pytest.mark.parametrize("case", ["gram", "accepts-later", "fallback", "fixed", "zero-rhs"])
-def test_sweep_matches_full_sweep_reference(case):
-    C, b, cfg = _sweep_cases()[case]
-    c, lam, residual, info = _tikhonov_sweep(C, b, cfg)
-    c_ref, lam_ref, residual_ref, info_ref = _full_sweep(C, b, cfg)
-    assert np.array_equal(c, c_ref)
-    assert (lam, residual, info) == (lam_ref, residual_ref, info_ref)
-    if case == "accepts-later":
-        assert lam > float(np.trace(C)) / len(b) * 1e-15 and not info
-    if case == "fallback":
-        assert "lambda_warning" in info
-
-
 def test_spectral_condition_matches_svd_condition():
     gram, basis, ker2 = _exp_gram_system()
     for T in default_horizons(basis):
         sc = steering_control(gram, float(T), steering_rhs(ker2, basis, float(T)))
         active = basis.active(float(T))
         C = gram.at(float(T))[np.ix_(active, active)]
-        ref = np.linalg.cond(C + sc.lambda_used * np.eye(len(active)))
+        ref = np.linalg.cond(C)
         assert abs(sc.diagnostics["condition"] - ref) <= 1e-12 * ref
 
 
@@ -412,8 +332,8 @@ def _reference_readout(gram, T, b, cfg):
     S, dt = basis.samples, basis.grid.dt
     active = basis.active(T)
     C = gram.at(T)[np.ix_(active, active)]
-    ev = np.linalg.eigvalsh(C)
-    c_a, lam, residual, _ = _tikhonov_sweep(C, b[active], cfg)
+    c_a = np.linalg.solve(C, b[active])
+    residual = np.linalg.norm(C @ c_a - b[active]) / np.linalg.norm(b[active])
     masses = S @ trap_weights(basis.grid.n + 1, dt)
     t = basis.grid.nodes()[None, :].repeat(basis.n, axis=0)
     tbars = (pw_linear_products(S, t, dt).diagonal() / masses)[active]
@@ -431,14 +351,12 @@ def _reference_readout(gram, T, b, cfg):
     control = np.interp(
         nodes, np.concatenate(([0.0], tbars, [T])), np.concatenate(([f0], duals, [tail]))
     )
-    spread = np.abs(ev + lam)
     return {
         "xi": np.exp(gram.gamma * T) * f0,
         "duals": duals,
         "control": control,
-        "lambda": lam,
         "residual": residual,
-        "condition": spread.max() / spread.min(),
+        "condition": np.linalg.cond(C),
     }
 
 
@@ -473,7 +391,6 @@ def test_readout_matches_per_call_reference(kernel):
             "xi": sc.xi,
             "duals": sc.duals,
             "control": sc.control.values,
-            "lambda": sc.lambda_used,
             "residual": sc.residual,
             "condition": sc.diagnostics["condition"],
         }
