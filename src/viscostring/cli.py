@@ -19,7 +19,7 @@ from .grid import Sampled1D
 from .kernels import resolvent as _resolvent
 from .forward import StringProblem, solve_mild
 from .connecting import gram_from_data
-from .identify import default_horizons, pipeline
+from .identify import pipeline
 from .dataio import (
     RunConfig,
     _format,
@@ -54,16 +54,14 @@ def cmd_connect(args) -> int:
     gram = gram_from_data(table)
     out = args.out or args.bundle
     os.makedirs(out, exist_ok=True)
-    grid = table.basis.grid
-    idx = [grid.index_of(T) for T in default_horizons(table.basis, min_active=1)]
     n = table.basis.n
     ii, jj = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1), indexing="ij")
-    cols = [ii.ravel(), jj.ravel()] + [gram.C[k].ravel() for k in idx]
-    nodes = grid.nodes()
-    header = ["i", "j"] + [f"T={_format(nodes[k])}" for k in idx]
+    # the knots from the first full hat support on: gram.C[j] is at knots[j]
+    cols = [ii.ravel(), jj.ravel()] + [C.ravel() for C in gram.C[2:]]
+    header = ["i", "j"] + [f"T={_format(T)}" for T in table.basis.knots[2:]]
     path = os.path.join(out, "gram.csv")
     _write_csv(path, header, cols)
-    print(f"gram matrices ({len(idx)} horizons) written to {path}")
+    print(f"gram matrices ({n} horizons) written to {path}")
     return 0
 
 

@@ -137,6 +137,11 @@ class ControlBasis:
         moments = pw_linear_products(self.samples, self.grid.nodes()[None, :], self.grid.dt)
         return _read_only(moments[:, 0] / self.element_masses)
 
+    @cached_property
+    def knot_nodes(self) -> np.ndarray:
+        """Grid-node indices of the knots: the horizon lattice of the Gram."""
+        return _read_only(np.round(self.knots / self.grid.dt).astype(int))
+
     def active(self, T: float) -> np.ndarray:
         """Indices 0..k-1 of the hats supported inside (0, T] (support end <= T + dt/2)."""
         tol = 0.5 * self.grid.dt
@@ -511,7 +516,7 @@ def _picard(gvals, kmem, dt, sigma, sgrid, tgrid, tol, max_iter):
 class ConnectingGram:
     """Per-horizon Gram matrices <C_T e_i, e_j> of the connecting operator.
 
-    C[k] is the symmetrized n x n matrix at node k of basis.grid; asymmetry[k]
+    C[j] is the symmetrized n x n matrix at the knot basis.knots[j]; asymmetry[j]
     records the pre-symmetrization relative Frobenius gap (a discretization
     diagnostic of the data chain; identically 0 for the forward oracle).
     gamma = R(0)/2 travels along because the steering trace needs it:
@@ -524,11 +529,15 @@ class ConnectingGram:
     gamma: float = 0.0
 
     def at(self, T: float) -> np.ndarray:
-        return self.C[self.basis.grid.index_of(T)]
+        """The matrix at the knot horizon T; a grid node between knots raises."""
+        j = np.flatnonzero(self.basis.knot_nodes == self.basis.grid.index_of(T))
+        if len(j) == 0:
+            raise GridMismatchError(f"T={T} is not a knot of the basis")
+        return self.C[j[0]]
 
 
 def gram_from_data(tab: ResponseTable) -> ConnectingGram:
-    """Gram of the connecting operator at every time node, from boundary data.
+    """Gram of the connecting operator at every knot, from boundary data.
 
     Entry (i,j) at t_k is H(t_k, t_k) for the source G_ij, built from its
     rank-two factors (module docstring): in closed form when K vanishes on
@@ -538,15 +547,15 @@ def gram_from_data(tab: ResponseTable) -> ConnectingGram:
     of the data side; the returned matrices are the symmetrized averages.
     """
     basis = tab.basis
-    m, dt = basis.grid.n, basis.grid.dt
+    nodes, dt = basis.knot_nodes, basis.grid.dt
     res = resolvent(tab.kernel)
     es = np.exp(-res.gamma * tab.grid2.nodes())
     a, c = (es * tab.Y).T, (es * basis.sampled_on(tab.grid2)).T
     if np.any(res.K.values):
-        raw = _diagonal_march(a, c, res.K.values, m, dt)
+        raw = _diagonal_march(a, c, res.K.values, nodes, dt)
     else:
-        raw = _diagonal_closed_form(a, c, m, dt)
-    raw *= np.exp(2.0 * res.gamma * basis.grid.nodes())[:, None, None]
+        raw = _diagonal_closed_form(a, c, nodes, dt)
+    raw *= np.exp(2.0 * res.gamma * basis.grid.nodes()[nodes])[:, None, None]
 
     sym = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
     norms = np.linalg.norm(raw, axis=(1, 2))
@@ -555,17 +564,17 @@ def gram_from_data(tab: ResponseTable) -> ConnectingGram:
     return ConnectingGram(C=sym, asymmetry=asym, basis=basis, gamma=res.gamma)
 
 
-def _diagonal_closed_form(a: np.ndarray, c: np.ndarray, m: int, dt: float) -> np.ndarray:
-    """W_ij(t_k, t_k) when K == 0: two small products per horizon (module docstring)."""
-    n = a.shape[1]
+def _diagonal_closed_form(a: np.ndarray, c: np.ndarray, nodes: np.ndarray, dt: float) -> np.ndarray:
+    """W_ij(t_k, t_k) at the nodes k when K == 0: two small products each (module docstring)."""
+    n, m = a.shape[1], nodes[-1]
     w = 0.5 * trap_weights(m + 1, dt)[:, None]  # w_tau / 2; tau = m is never summed
     bw, dw = w * c[: m + 1], w * a[: m + 1]
     A = np.hstack([a, c])
     U = dt * (np.cumsum(A, axis=0) - 0.5 * A)
-    raw = np.zeros((m + 1, n, n))
-    for k in range(1, m + 1):
+    raw = np.zeros((len(nodes), n, n))
+    for j, k in enumerate(nodes):
         S = U[2 * k : k : -1] - U[:k]
-        raw[k] = bw[:k].T @ S[:, :n] - dw[:k].T @ S[:, n:]
+        raw[j] = bw[:k].T @ S[:, :n] - dw[:k].T @ S[:, n:]
     return raw
 
 
@@ -604,8 +613,8 @@ def _row0_density(G: np.ndarray, src: np.ndarray, lift: int, m: int) -> np.ndarr
     return -np.linalg.solve(T, rhs)
 
 
-def _diagonal_march(a: np.ndarray, c: np.ndarray, kmem: np.ndarray, m: int, dt: float) -> np.ndarray:
-    """W_ij(t_k, t_k) when K != 0, from the free-space Green's function G.
+def _diagonal_march(a: np.ndarray, c: np.ndarray, kmem: np.ndarray, nodes: np.ndarray, dt: float) -> np.ndarray:
+    """W_ij(t_k, t_k) at the nodes k when K != 0, from the free-space Green's function G.
 
     The march is linear, and phi(s) delta_q (q >= 1) gives the delta_1 solution
     delayed by q-1 levels.  So, with b_i(0) = 0 and the responses Psi_a, Psi_c
@@ -625,7 +634,7 @@ def _diagonal_march(a: np.ndarray, c: np.ndarray, kmem: np.ndarray, m: int, dt: 
     needs levels <= k+1 and source rows < 2k: a few BLAS-3 products on a
     slice of G.
     """
-    n, o = a.shape[1], m + 1
+    n, m, o = a.shape[1], nodes[-1], nodes[-1] + 1
     G = _green(kmem, m, dt)
     phi = np.hstack([a, c])
     seed = np.zeros_like(c)
@@ -633,13 +642,15 @@ def _diagonal_march(a: np.ndarray, c: np.ndarray, kmem: np.ndarray, m: int, dt: 
     rho, rho0 = _row0_density(G, phi, 0, m), _row0_density(G, seed, 1, m)
     lev = np.arange(1, m + 1)
     shift = np.maximum(lev[:, None] - lev[None, :-1] + 1, 0)  # G level l-l'+1; G[0] = G[1] = 0
-    raw = np.zeros((m + 1, n, n))
-    for k in range(1, m + 1):
+    raw = np.zeros((len(nodes), n, n))
+    for j, k in enumerate(nodes):
+        if k == 0:  # W(s, 0) = 0
+            continue
         rows = slice(o - k + 1, o + k)  # offsets k-r for the source rows r = 2k-1..1
         H = G[shift[:k, : k - 1], o + k]
         psi = G[1 : k + 1, rows] @ phi[2 * k - 1 : 0 : -1] + H @ rho[: k - 1]
         psi0 = G[k + 1, rows] @ seed[2 * k - 1 : 0 : -1] + H[-1] @ rho0[: k - 1]
-        raw[k] = c[k:0:-1].T @ psi[:, :n] - a[k:0:-1].T @ psi[:, n:] - np.outer(a[0], psi0)
+        raw[j] = c[k:0:-1].T @ psi[:, :n] - a[k:0:-1].T @ psi[:, n:] - np.outer(a[0], psi0)
     return raw
 
 
@@ -651,20 +662,12 @@ def gram_oracle(p: StringProblem, basis: ControlBasis) -> ConnectingGram:
     if abs(p.T - basis.grid.t_max) > 1e-9:
         raise GridMismatchError("oracle problem horizon must equal the basis window")
     res = resolvent(p.kernel)
-    m = basis.grid.n
-    dt = basis.grid.dt
-    n = basis.n
-    fields = [solve_mild(p, Sampled1D(basis.grid, e), res=res).w.values for e in basis.samples]
-
-    raw = np.zeros((m + 1, n, n))
-    idx = np.arange(m + 1)
-    for i in range(n):
-        for j in range(i, n):
-            prod = fields[i] * fields[j]
-            s = np.cumsum(prod, axis=0)
-            diag_sum = s[idx, idx]
-            h = dt * (diag_sum - 0.5 * prod[0, idx] - 0.5 * prod[idx, idx])
-            h[0] = 0.0
-            raw[:, i, j] = h
-            raw[:, j, i] = h
-    return ConnectingGram(C=raw, asymmetry=np.zeros(m + 1), basis=basis, gamma=res.gamma)
+    nodes = basis.knot_nodes
+    fields = (solve_mild(p, Sampled1D(basis.grid, e), res=res).w.values for e in basis.samples)
+    cols = np.stack([w[:, nodes] for w in fields])  # each field is read at the knots only
+    raw = np.zeros((len(nodes), basis.n, basis.n))
+    for j, k in enumerate(nodes):
+        F = cols[:, : k + 1, j]
+        S = (F * trap_weights(k + 1, basis.grid.dt)) @ F.T
+        raw[j] = 0.5 * (S + S.T)  # exactly symmetric, as H^{ij} = H^{ji}
+    return ConnectingGram(C=raw, asymmetry=np.zeros(len(nodes)), basis=basis, gamma=res.gamma)

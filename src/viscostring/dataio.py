@@ -318,7 +318,7 @@ def _read_csv(path: str, header: list, grid: TimeGrid | None = None) -> list:
             raise DataFormatError(f"{path} must have the columns {','.join(header)}")
         if len(rows) == 1:
             raise DataFormatError(f"{path} has no data rows")
-        data = np.array([[float(v) for v in row] for row in rows[1:]])
+        data = np.array(rows[1:], dtype=float)
     if data.shape[1] != len(header):
         raise DataFormatError(f"{path}: rows do not match the header")
     if not np.all(np.isfinite(data)):
@@ -354,7 +354,6 @@ def save_bundle(
     if q_true is not None and len(q_true) != round(L / basis.grid.dt) + 1:
         raise GridMismatchError("q_true must be sampled on the dt lattice of [0, L]")
 
-    knot_idx = np.round(basis.knots / basis.grid.dt).astype(int)
     manifest = {
         "format_version": FORMAT_VERSION,
         "L": _format(L),
@@ -363,7 +362,7 @@ def save_bundle(
         "n_basis": str(basis.n),
         "kernel_kind": kernel.kind,
         "created_by": CREATED_BY,
-        "basis_knot_indices": " ".join(str(i) for i in knot_idx),
+        "basis_knot_indices": " ".join(str(i) for i in basis.knot_nodes),
         "noise_sigma": _format(table.meta.get("noise_sigma", 0.0)),
         "seed": str(table.meta.get("seed", 0)),
     }

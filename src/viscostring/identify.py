@@ -128,7 +128,7 @@ def steering_control(
     b: np.ndarray,
     cfg: IdentifyConfig | None = None,
 ) -> SteeringControl:
-    """Solve the steering system at horizon T and assemble the control.
+    """Solve the steering system at the knot horizon T and assemble the control.
 
     The returned Sampled1D is the stabilized readout: the piecewise-linear
     interpolant of the dual averages, its endpoint values f(0+) and f(T-)
@@ -142,7 +142,7 @@ def steering_control(
     k = len(basis.active(T))  # the active set is the prefix 0..k-1
     if k == 0:
         raise ConfigError(f"horizon T={T} is below the first basis support")
-    C = gram.C[idx][:k, :k]
+    C = gram.at(T)[:k, :k]
     b_a = np.asarray(b, dtype=float)[:k]
 
     ev = np.linalg.eigvalsh(C)

@@ -1,8 +1,9 @@
 """The library surface the benchmark harness reads, exercised at a tiny size.
 
-perfbench/bench.py calls the layers one by one (gram.at, gram.asymmetry,
-sc.xi, sc.residual, sc.diagnostics, ...).  A rename there would make every
-benchmark operation fail; this test makes it fail here first.
+perfbench/bench.py calls the layers one by one (gram.at on the knot
+horizons, gram.asymmetry, sc.xi, sc.residual, sc.diagnostics, ...).  A
+rename there, or a Gram lattice that misses one of its horizons, would make
+every benchmark operation fail; this test makes it fail here first.
 """
 
 import os
@@ -16,7 +17,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import bench  # noqa: E402
 from spans import NullTracer  # noqa: E402
 
-from viscostring import load_bundle, pipeline  # noqa: E402
+from viscostring import IdentifyConfig, default_horizons, load_bundle, pipeline  # noqa: E402
 
 
 def test_benchmark_operations_on_a_tiny_instance(tmp_path):
@@ -31,5 +32,18 @@ def test_benchmark_operations_on_a_tiny_instance(tmp_path):
     health = bench.identify_health(gram, controls, inst.T_max)
     assert health["identify.horizons"] == len(controls) > 0
     assert all(np.isfinite(v) for v in health.values())
+
+    # the Gram reads of the harness land on the knot lattice: T_max, every
+    # identify horizon, and the asymmetry over all knots
+    basis = gram.basis
+    assert np.array_equal(gram.at(inst.T_max), gram.C[-1])
+    horizons = default_horizons(basis, min_active=IdentifyConfig.readout_points)
+    assert len(horizons) == len(controls)
+    for T in horizons:
+        j = int(np.flatnonzero(basis.knots == T)[0])
+        assert np.array_equal(gram.at(float(T)), gram.C[j])
+    assert gram.asymmetry.shape == (basis.n + 2,)
+    assert health["connecting.asymmetry_max"] == float(np.max(gram.asymmetry))
+    assert np.isfinite(bench.gram_gap(inst, load_bundle(bundle)[0]))
 
     assert bench.roundtrip(bundle, str(tmp_path / "resaved")) == ([], [])

@@ -135,7 +135,7 @@ def test_single_step_launch_goes_through_gram(m, n, kernel):
     assert np.max(np.abs(launch)) == 2.0 / grid.dt
     assert np.max(np.abs(tab.Y[:, 0] - launch)) <= 1e-12 * np.max(np.abs(launch))
     gram = gram_from_data(tab)
-    assert gram.C.shape == (m + 1, n, n)
+    assert gram.C.shape == (n + 2, n, n)
     assert np.all(np.isfinite(gram.C))
 
 
@@ -601,9 +601,13 @@ def _launch(basis):
 
 
 def _assert_gram_matches(gram, C, asym, rel):
+    """gram (on the knots) against an all-node reference, read at the knot nodes."""
+    nodes = gram.basis.knot_nodes
+    C, asym = C[nodes], asym[nodes]
+    assert gram.C.shape == C.shape
     assert np.all(gram.C[0] == 0.0) and np.all(C[0] == 0.0)
-    for k in range(1, len(C)):
-        assert np.linalg.norm(gram.C[k] - C[k]) <= rel * np.linalg.norm(C[k])
+    for j in range(1, len(C)):
+        assert np.linalg.norm(gram.C[j] - C[j]) <= rel * np.linalg.norm(C[j])
     # the asymmetry is a ratio of norms: a relative change rel of the raw
     # matrices moves it by at most ~2 rel, however small it is
     assert np.max(np.abs(gram.asymmetry - asym)) <= 4.0 * rel
@@ -655,9 +659,11 @@ def test_gram_matches_per_pair_reference(kernel):
     tab, basis, ker2, grid, grid2 = _wave_setup(m=24, n=6, kernel=kernel, q=lambda x: 0.5 + 0.4 * x)
     gram = gram_from_data(tab)
     C, asym = _per_pair_gram(tab)
+    C, asym = C[basis.knot_nodes], asym[basis.knot_nodes]
+    assert gram.C.shape == C.shape
     assert np.all(gram.C[0] == 0.0) and np.all(C[0] == 0.0)
-    for k in range(1, grid.n + 1):
-        assert np.linalg.norm(gram.C[k] - C[k]) <= 1e-12 * np.linalg.norm(C[k])
+    for j in range(1, basis.n + 2):
+        assert np.linalg.norm(gram.C[j] - C[j]) <= 1e-12 * np.linalg.norm(C[j])
     # some horizons are symmetric to round-off (asymmetry ~1e-17), where no
     # relative digit is defined; compare on the scale of the diagnostic
     assert np.max(np.abs(gram.asymmetry - asym)) <= 1e-12 * np.max(asym)
@@ -671,9 +677,11 @@ def test_gram_matches_blocked_march_reference():
     )
     gram = gram_from_data(tab)
     C, asym = _blocked_march_gram(tab)
+    C, asym = C[basis.knot_nodes], asym[basis.knot_nodes]
+    assert gram.C.shape == C.shape
     assert np.all(gram.C[0] == 0.0) and np.all(C[0] == 0.0)
-    for k in range(1, m + 1):
-        assert np.linalg.norm(gram.C[k] - C[k]) <= 1e-13 * np.linalg.norm(C[k])
+    for j in range(1, basis.n + 2):
+        assert np.linalg.norm(gram.C[j] - C[j]) <= 1e-13 * np.linalg.norm(C[j])
     assert np.max(np.abs(gram.asymmetry - asym)) <= 1e-12 * np.max(asym)
 
 
@@ -704,8 +712,9 @@ def test_gram_memory_case_matches_oracle_at_all_horizons():
     ker1 = build_kernel(grid, "exp", rate=1.0)
     p = StringProblem(1.0, lambda x: 1.0 + 0.5 * np.sin(np.pi * x), ker1, grid.t_max)
     orc = gram_oracle(p, basis)
-    for k in range(8, grid.n + 1, 24):
-        assert frob_rel(gram.C[k], orc.C[k]) <= 2e-2
+    assert gram.C.shape == orc.C.shape == (basis.n + 2, basis.n, basis.n)
+    for j in range(1, basis.n + 2):
+        assert frob_rel(gram.C[j], orc.C[j]) <= 2e-2
 
 
 def test_gram_general_kernel_matches_oracle():
@@ -749,3 +758,39 @@ def test_gram_oracle_zero_control():
     p = StringProblem(1.0, lambda x: np.zeros_like(x), ker, grid.t_max)
     orc = gram_oracle(p, basis)
     assert np.all(orc.C == 0.0)
+
+
+def _per_pair_oracle(p, basis):
+    """Reference oracle: per-pair products of the full forward fields with a
+    running x-sum, read on the diagonal x = t at every node."""
+    res = resolvent(p.kernel)
+    m, dt, n = basis.grid.n, basis.grid.dt, basis.n
+    fields = [solve_mild(p, Sampled1D(basis.grid, e), res=res).w.values for e in basis.samples]
+    raw = np.zeros((m + 1, n, n))
+    idx = np.arange(m + 1)
+    for i in range(n):
+        for j in range(i, n):
+            prod = fields[i] * fields[j]
+            h = dt * (np.cumsum(prod, axis=0)[idx, idx] - 0.5 * prod[0, idx] - 0.5 * prod[idx, idx])
+            h[0] = 0.0
+            raw[:, i, j] = raw[:, j, i] = h
+    return raw
+
+
+@pytest.mark.parametrize("kernel", ["const", "exp", "general"])
+def test_gram_oracle_matches_per_pair_reference_at_the_knots(kernel):
+    m, n = 48, 5
+    grid = TimeGrid(0.5 / m, m)
+    ker = {
+        "const": lambda: build_kernel(grid, "const"),
+        "exp": lambda: build_kernel(grid, "exp", rate=1.0),
+        "general": lambda: general_kernel(grid),
+    }[kernel]()
+    p = StringProblem(1.0, lambda x: 0.5 + 0.4 * x, ker, grid.t_max)
+    basis = hat_basis(grid, n)
+    orc = gram_oracle(p, basis)
+    C = _per_pair_oracle(p, basis)[basis.knot_nodes]
+    assert orc.C.shape == C.shape == (n + 2, n, n)
+    assert np.all(orc.C[0] == 0.0) and np.all(orc.asymmetry == 0.0)
+    for j in range(1, n + 2):
+        assert np.linalg.norm(orc.C[j] - C[j]) <= 1e-13 * np.linalg.norm(C[j])

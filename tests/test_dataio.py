@@ -3,6 +3,7 @@ import filecmp
 import io
 import operator
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from viscostring.errors import ConfigError, DataFormatError
 from viscostring.grid import TimeGrid
 from viscostring import dataio
-from viscostring.connecting import hat_basis
+from viscostring.connecting import hat_basis, synthesize_table
 from viscostring.dataio import (
     RunConfig,
     load_bundle,
@@ -267,6 +268,59 @@ def test_bundle_round_trip(tmp_path):
     save_bundle(out2, table, q_true=q_true, L=cfg.L, q_spec=manifest.get("q_spec"))
     for name in ("manifest.txt", "kernel.csv", "basis.csv", "response.csv", "q_true.csv"):
         assert filecmp.cmp(os.path.join(out, name), os.path.join(out2, name), shallow=False), name
+
+
+_BUNDLE_FILES = ("manifest.txt", "kernel.csv", "basis.csv", "response.csv", "q_true.csv")
+_coefficients = st.floats(-2.0, 2.0, allow_nan=False).map(repr)
+_round_trip_q_terms = st.one_of(
+    _coefficients.map(lambda c: f"const:{c}"),
+    st.builds("sin:{},{}".format, _coefficients, st.integers(0, 4)),
+    st.lists(_coefficients, min_size=1, max_size=3).map(lambda cs: "poly:" + ",".join(cs)),
+)
+
+
+@st.composite
+def _round_trip_configs(draw):
+    """Config text of a small valid run: m <= 32 steps of 1/64, L >= 2 T_max."""
+    m = draw(st.integers(2, 32), label="m")
+    kernel = draw(
+        st.one_of(st.just("const"), st.floats(0.05, 5.0).map(lambda r: f"exp:{r!r}")), label="kernel"
+    )
+    lines = {
+        "kernel": kernel,
+        "dt": "0.015625",
+        "T_max": repr(m / 64),
+        "L": repr((2 * m + draw(st.integers(0, 8), label="L extra")) / 64),
+        "n_basis": str(draw(st.integers(1, m - 1), label="n_basis")),
+        "q": " + ".join(draw(st.lists(_round_trip_q_terms, min_size=1, max_size=3), label="q")),
+        "noise_sigma": repr(draw(st.one_of(st.just(0.0), st.floats(1e-8, 1e-2)), label="noise")),
+        "seed": str(draw(st.integers(0, 2**32 - 1), label="seed")),
+    }
+    return "\n".join(f"{k} = {v}" for k, v in lines.items()) + "\n"
+
+
+def test_config_bundle_load_round_trip_fuzz(tmp_path):
+    # config -> bundle -> load -> save: the five files come back byte for
+    # byte, and the loaded responses are the synthesized ones
+    @settings(max_examples=40, deadline=None)
+    @given(text=_round_trip_configs())
+    def round_trip(text):
+        cfg = parse_config(text)
+        with tempfile.TemporaryDirectory(dir=tmp_path) as d:
+            first, second = os.path.join(d, "first"), os.path.join(d, "second")
+            synthesize(cfg, first)
+            table, q_true, manifest = load_bundle(first)
+            save_bundle(second, table, q_true=q_true, L=float(manifest["L"]), q_spec=manifest.get("q_spec"))
+            for name in _BUNDLE_FILES:
+                assert filecmp.cmp(os.path.join(first, name), os.path.join(second, name), shallow=False), name
+        expected = synthesize_table(
+            cfg.control_basis(), cfg.build_kernel2(), cfg.q_values(), cfg.L,
+            noise_sigma=cfg.noise_sigma, seed=cfg.seed,
+        )
+        assert np.array_equal(table.Y, expected.Y)
+        assert np.array_equal(q_true, cfg.q_values())
+
+    round_trip()
 
 
 def test_synthesize_deterministic(tmp_path):

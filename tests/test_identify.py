@@ -126,8 +126,7 @@ def test_steering_control_rejects_non_psd():
     tab, basis, ker2, grid = _identity_setup(n=4)
     gram = gram_from_data(tab)
     bad_C = gram.C.copy()
-    k = grid.index_of(grid.t_max)
-    bad_C[k] = -np.eye(basis.n)
+    bad_C[-1] = -np.eye(basis.n)  # the last knot is T_max
     from dataclasses import replace
 
     bad = replace(gram, C=bad_C)
@@ -142,23 +141,33 @@ def test_steering_control_rejects_singular_gram():
     tab, basis, ker2, grid = _identity_setup(n=4)
     gram = gram_from_data(tab)
     bad_C = gram.C.copy()
-    bad_C[grid.index_of(grid.t_max)] = np.diag([1.0, 1.0, 0.0, 0.0])
+    bad_C[-1] = np.diag([1.0, 1.0, 0.0, 0.0])
     bad = replace(gram, C=bad_C)
     with pytest.raises(NumericalFailure, match="not positive definite"):
         steering_control(bad, grid.t_max, steering_rhs(ker2, basis, grid.t_max))
 
 
-def test_horizon_lookup_is_the_grid_lookup():
-    # gram.at, steering_rhs and steering_control accept exactly the horizons
-    # TimeGrid.index_of accepts, and reject the rest before any linear algebra
+def test_gram_lookup_accepts_knots_and_rejects_a_node_between_knots():
+    # the Gram lives on the knots: gram.at maps a knot horizon to its row, a
+    # grid node between knots has no matrix, and off-grid horizons are
+    # rejected by gram.at, steering_rhs and steering_control alike, before
+    # any linear algebra
     tab, basis, ker2, grid = _identity_setup()
     gram = gram_from_data(tab)
     T_max = grid.t_max
+    assert gram.C.shape == (basis.n + 2, basis.n, basis.n)
+    for j, T in enumerate(basis.knots):
+        assert np.array_equal(gram.at(float(T)), gram.C[j])
     for T in (T_max, T_max * (1 + 1e-14), float(basis.knots[4])):
         k = grid.index_of(T)
-        assert np.array_equal(gram.at(T), gram.C[k])
         b = steering_rhs(ker2, basis, T)
         assert steering_control(gram, T, b).control.grid.n == k
+    between = float(basis.knots[4]) + grid.dt
+    b = steering_rhs(ker2, basis, between)  # a grid node: the moments exist
+    with pytest.raises(GridMismatchError, match="not a knot"):
+        gram.at(between)
+    with pytest.raises(GridMismatchError, match="not a knot"):
+        steering_control(gram, between, b)
     b = steering_rhs(ker2, basis, T_max)
     for T in (T_max * (1 + 1e-11), T_max + 0.5 * grid.dt, T_max + grid.dt, -grid.dt):
         with pytest.raises(GridMismatchError):
@@ -176,6 +185,22 @@ def test_steering_control_below_first_support():
     gram = gram_from_data(tab)
     with pytest.raises(ConfigError):
         steering_control(gram, grid.dt, np.zeros(basis.n))
+
+
+@pytest.mark.parametrize("m, n", [(128, 8), (8, 6), (2, 1)])
+def test_steering_control_at_dt_is_a_config_error_before_the_knot_lookup(m, n):
+    # T = dt is below the first support whether or not it is a knot (it is
+    # knots[1] when the first hat rises over one step); the ConfigError comes
+    # first either way, not the GridMismatchError of a node between knots
+    tab, basis, ker2, grid = _identity_setup(m=m, n=n)
+    gram = gram_from_data(tab)
+    if basis.knots[1] == grid.dt:
+        assert np.array_equal(gram.at(grid.dt), gram.C[1])
+    else:
+        with pytest.raises(GridMismatchError):
+            gram.at(grid.dt)
+    with pytest.raises(ConfigError, match="below the first basis support"):
+        steering_control(gram, grid.dt, steering_rhs(ker2, basis, grid.dt))
 
 
 def test_reconstruct_q_closed_forms():
@@ -374,7 +399,7 @@ def test_readout_matches_per_call_reference(kernel):
     gram = gram_from_data(synthesize_table(basis, ker2, lambda x: 1.0 + 0.5 * x, L))
     cfg = IdentifyConfig()
     # the basis quantities are computed once and cannot be written
-    for name in ("mass_matrix", "element_masses", "dual_abscissae"):
+    for name in ("mass_matrix", "element_masses", "dual_abscissae", "knot_nodes"):
         arr = getattr(basis, name)
         assert getattr(basis, name) is arr
         with pytest.raises(ValueError):
