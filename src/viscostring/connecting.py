@@ -25,9 +25,10 @@ The diagonal values H^{f,g}(T,T) = <C_T f, g> assemble the Gram matrix of the
 connecting operator C_T for a control basis, the data side of the coefficient
 reconstruction.  For (f, g) = (e_i, e_j) the source has rank two, G_ij(s,t) =
 a_j(s) b_i(t) - c_j(s) d_i(t) with a = exp(-gamma s) y, c = exp(-gamma s) e
-and b = c, d = a on [0, T_max].  When K == 0 (constant and exponential
-kernels) the diagonal is one triangle quadrature of G, and with the running
-trapezoids U_x(s_r) = dt (sum_{p<=r} x(s_p) - x(s_r)/2) of the s-factors
+and b = c, d = a on [0, T_max].  When K == 0 (const and exp kernels at any
+rate; a tabulated K marches below on any nonzero sample) the diagonal is one
+triangle quadrature of G, and with the running trapezoids U_x(s_r) =
+dt (sum_{p<=r} x(s_p) - x(s_r)/2) of the s-factors
 
     W_ij(t_k,t_k) = 1/2 sum_{tau<k} w_tau [b_i(tau) S_a,j(tau,k) - d_i(tau) S_c,j(tau,k)],
     S_x(tau,k) = U_x(s_{2k-tau}) - U_x(s_tau),   w_0 = dt/2,  w_tau = dt,
@@ -94,8 +95,8 @@ class ControlBasis:
 
     n tents peaking at interior grid nodes close to the uniform lattice
     i*T_max/(n+1), each vanishing at 0 (forward-solver requirement) and at
-    T_max.  Knots are snapped to grid nodes so that every kink of a control
-    (and of its piecewise-constant response) sits on a quadrature node.
+    T_max.  Knots must be grid nodes so that every kink of a control (and of
+    its piecewise-constant response) sits on a quadrature node.
     Supports are nested: e_1..e_k span the controls supported in
     (0, knots[k+1]).
     """
@@ -113,6 +114,8 @@ class ControlBasis:
             )
         if kn.shape != (s.shape[0] + 2,) or np.any(np.diff(kn) <= 0):
             raise GridMismatchError("basis needs n+2 strictly increasing knots")
+        for t in kn:
+            self.grid.index_of(t)  # raises for a knot that is not a grid node
         if np.any(np.abs(s[:, 0]) > 0):
             raise GridMismatchError("basis controls must vanish at t = 0")
         object.__setattr__(self, "samples", _read_only(s))
@@ -409,7 +412,7 @@ def blago_solve(
       "picard"     fixed-point sweeps on the weighted unknown
                    Y = exp(-sigma(s+t)) W; sigma_weight only conditions the
                    iteration, the converged H is independent of it,
-      "auto"       quadrature if K vanishes on the window, else march.
+      "auto"       quadrature if K vanishes on the window (const, exp), else march.
     """
     sgrid, tgrid = G.sgrid, G.tgrid
     n_s, n_t = sgrid.n, tgrid.n

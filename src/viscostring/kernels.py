@@ -171,7 +171,8 @@ def solve_volterra(kernel: Sampled1D, rhs: Sampled1D) -> Sampled1D:
 
 @dataclass(frozen=True)
 class ResolventData:
-    """Resolvent of N1 with derivatives and the transform constants."""
+    """Resolvent of N1 with derivatives and the transform constants.  R1,
+    R2deriv and K are exact zeros for const and exp kernels at any rate."""
 
     grid: TimeGrid
     R: Sampled1D
@@ -193,20 +194,24 @@ def resolvent(k: MemoryKernel) -> ResolventData:
     R'/R'' come from differentiating the resolvent identity:
         R'  + N1*R'  = N1'  - R(0) N1
         R'' + N1*R'' = N1'' - R(0) N1' - R'(0) N1
-    (each again a Volterra solve with kernel N1).
+    (each again a Volterra solve with kernel N1).  For const and exp kernels
+    N1' = -rate N1 and R(0) = -rate, so both right-hand sides vanish and R', R'',
+    K are exact zeros (the solves would leave round-off); tabulated ones run them.
     """
     grid = k.grid
     n1 = k.N1
     r = solve_volterra(n1, n1)
     r0 = r.values[0]
     rhs1 = Sampled1D(grid, k.N2.values - r0 * n1.values)
-    r1 = solve_volterra(n1, rhs1)
-    r1_0 = r1.values[0]
-    rhs2 = Sampled1D(grid, k.N3.values - r0 * k.N2.values - r1_0 * n1.values)
-    r2d = solve_volterra(n1, rhs2)
-
+    r1_0 = rhs1.values[0]  # solve_volterra returns v[0] = rhs[0]
     gamma = 0.5 * r0
     alpha = r1_0 + 0.25 * r0 * r0
+    if k.kind in ("const", "exp"):
+        zero = Sampled1D(grid, np.zeros(grid.n + 1))
+        return ResolventData(grid=grid, R=r, R1=zero, R2deriv=zero, gamma=gamma, alpha=alpha, K=zero)
+    r1 = solve_volterra(n1, rhs1)
+    rhs2 = Sampled1D(grid, k.N3.values - r0 * k.N2.values - r1_0 * n1.values)
+    r2d = solve_volterra(n1, rhs2)
     kk = Sampled1D(grid, np.exp(-gamma * grid.nodes()) * r2d.values)
     return ResolventData(grid=grid, R=r, R1=r1, R2deriv=r2d, gamma=gamma, alpha=alpha, K=kk)
 

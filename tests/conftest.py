@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from viscostring import connecting
 from viscostring.grid import TimeGrid
 from viscostring.kernels import build_kernel
 
@@ -23,6 +24,19 @@ def general_kernel(grid: TimeGrid):
         "tabulated",
         samples={"N": 0.5 * (1.0 + e), "N1": -e, "N2": 2.0 * e, "N3": -4.0 * e},
     )
+
+
+def _spy_march(monkeypatch):
+    """Record every call of connecting._march (source, kmem, n_t, dt) and its result."""
+    calls, real = [], connecting._march
+
+    def spy(source, kmem, n_t, dt):
+        W = real(source, kmem, n_t, dt)
+        calls.append(((source, kmem, n_t, dt), W))
+        return W
+
+    monkeypatch.setattr(connecting, "_march", spy)
+    return calls
 
 
 def frob_rel(A, B):

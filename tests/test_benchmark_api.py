@@ -6,10 +6,12 @@ rename there, or a Gram lattice that misses one of its horizons, would make
 every benchmark operation fail; this test makes it fail here first.
 """
 
+import dataclasses
 import os
 import sys
 
 import numpy as np
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -17,7 +19,10 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import bench  # noqa: E402
 from spans import NullTracer  # noqa: E402
 
+from conftest import _spy_march  # noqa: E402
 from viscostring import IdentifyConfig, default_horizons, load_bundle, pipeline  # noqa: E402
+from viscostring.connecting import gram_from_data, hat_basis, synthesize_table  # noqa: E402
+from viscostring.kernels import resolvent  # noqa: E402
 
 
 def test_benchmark_operations_on_a_tiny_instance(tmp_path):
@@ -47,3 +52,17 @@ def test_benchmark_operations_on_a_tiny_instance(tmp_path):
     assert np.isfinite(bench.gram_gap(inst, load_bundle(bundle)[0]))
 
     assert bench.roundtrip(bundle, str(tmp_path / "resaved")) == ([], [])
+
+
+@pytest.mark.parametrize("inst, marches", [(bench.EXP_A7, 0), (bench.GENERAL_HALF, 1)])
+def test_benchmark_workloads_sit_on_both_sides_of_the_memory_branch(monkeypatch, inst, marches):
+    # exp-identify must keep the K == 0 closed-form Gram and general-identify
+    # the genuine-memory march; a workload that silently crossed the branch
+    # would show only as a different timing
+    tiny = dataclasses.replace(inst, n_basis=4, steps=16)
+    kernel = tiny.build_kernel(tiny.doubled_grid())
+    assert bool(np.any(resolvent(kernel).K.values)) == (marches > 0)
+    table = synthesize_table(hat_basis(tiny.grid(), tiny.n_basis), kernel, tiny.q(), tiny.L)
+    calls = _spy_march(monkeypatch)
+    gram_from_data(table)
+    assert len(calls) == marches

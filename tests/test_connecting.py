@@ -14,7 +14,6 @@ from viscostring.grid import (
 )
 from viscostring.kernels import build_kernel, resolvent
 from viscostring.forward import StringProblem, solve_mild
-from viscostring import connecting
 from viscostring.connecting import (
     ControlBasis,
     ResponseTable,
@@ -29,7 +28,7 @@ from viscostring.connecting import (
     synthesize_table,
 )
 
-from conftest import bump, frob_rel, general_kernel
+from conftest import _spy_march, bump, frob_rel, general_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -78,18 +77,28 @@ def test_hat_basis_too_fine_rejected():
         hat_basis(TimeGrid(0.1, 10), 15)
 
 
+def test_control_basis_rejects_a_knot_between_grid_nodes():
+    # knot_nodes would round 0.3 dt away, and the Gram would then reject the
+    # basis's own knot; the basis must refuse it instead
+    grid = TimeGrid(0.5 / 64, 64)
+    basis = hat_basis(grid, 3)
+    knots = basis.knots + np.array([0.0, 0.3 * grid.dt, 0.0, 0.0, 0.0])
+    with pytest.raises(GridMismatchError, match="not a node"):
+        ControlBasis(grid=grid, knots=knots, samples=basis.samples)
+
+
 # ---------------------------------------------------------------------------
 # response tables
 # ---------------------------------------------------------------------------
 
 
-def _wave_setup(m=64, n=4, T_max=0.5, L=1.0, kernel="const", q=None):
+def _wave_setup(m=64, n=4, T_max=0.5, L=1.0, kernel="const", q=None, rate=1.0):
     dt = T_max / m
     grid, grid2 = TimeGrid(dt, m), TimeGrid(dt, 2 * m)
     if kernel == "general":
         ker2 = general_kernel(grid2)
     else:
-        ker2 = build_kernel(grid2, kernel, rate=1.0)
+        ker2 = build_kernel(grid2, kernel, rate=rate)
     basis = hat_basis(grid, n)
     qf = q if q is not None else (lambda x: np.zeros_like(x))
     tab = synthesize_table(basis, ker2, qf, L)
@@ -389,19 +398,6 @@ def test_march_invariant_under_whole_step_delays(rng, q):
         assert gap <= 1e-15 * np.max(np.abs(W1[k - q + 1, :live]))
 
 
-def _spy_march(monkeypatch):
-    """Record every call of connecting._march (source, kmem, n_t, dt) and its result."""
-    calls, real = [], connecting._march
-
-    def spy(source, kmem, n_t, dt):
-        W = real(source, kmem, n_t, dt)
-        calls.append(((source, kmem, n_t, dt), W))
-        return W
-
-    monkeypatch.setattr(connecting, "_march", spy)
-    return calls
-
-
 def test_green_ignores_kernel_past_lag_2m(monkeypatch, rng):
     # the free-space window spans 3m+2 rows, K is known to lag 2m only: the
     # zero pad past it multiplies zero field, so any pad gives the same G
@@ -652,12 +648,21 @@ def test_general_gram_runs_one_single_column_march(monkeypatch, n):
     assert calls[0][1].shape[2] == 1
 
 
-@pytest.mark.parametrize("kernel", ["const", "exp", "general"])
-def test_gram_matches_per_pair_reference(kernel):
-    # const/exp take the closed-form diagonal, general the free-space
-    # Green's-function readout, both checked against full marches here
-    tab, basis, ker2, grid, grid2 = _wave_setup(m=24, n=6, kernel=kernel, q=lambda x: 0.5 + 0.4 * x)
+@pytest.mark.parametrize(
+    "kernel, rate",
+    [("const", 1.0), ("exp", 1.0), ("general", 1.0), ("exp", 0.3), ("exp", 1.7)],
+    ids=["const", "exp", "general", "exp-0.3", "exp-1.7"],
+)
+def test_gram_matches_per_pair_reference(monkeypatch, kernel, rate):
+    # const/exp take the closed-form diagonal at any rate (no march), general
+    # the free-space Green's-function readout (one march); the reference
+    # solves every pair on its own
+    tab, basis, ker2, grid, grid2 = _wave_setup(
+        m=24, n=6, kernel=kernel, q=lambda x: 0.5 + 0.4 * x, rate=rate
+    )
+    calls = _spy_march(monkeypatch)
     gram = gram_from_data(tab)
+    assert len(calls) == (kernel == "general")
     C, asym = _per_pair_gram(tab)
     C, asym = C[basis.knot_nodes], asym[basis.knot_nodes]
     assert gram.C.shape == C.shape

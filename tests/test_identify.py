@@ -315,6 +315,18 @@ def test_pipeline_with_oracle_gram_memory_case():
     assert np.max(np.abs(xi - np.sin(horizons)) / np.sin(horizons)) <= 0.03
 
 
+def test_pipeline_exp_kernel_at_a_non_dyadic_rate_at_a7_size():
+    # exp:0.3 has K == 0 exactly, so its Gram is the closed-form triangle
+    # quadrature that exp:1 uses, not a march over round-off in K
+    T_max, L, n, m = 1.0, 2.0, 32, 256
+    grid, grid2 = TimeGrid(T_max / m, m), TimeGrid(T_max / m, 2 * m)
+    qf = lambda x: 1.0 + 0.25 * np.sin(np.pi * x / L)
+    res = pipeline(synthesize_table(hat_basis(grid, n), build_kernel(grid2, "exp", rate=0.3), qf, L))
+    w = (res.horizons >= 0.1 * T_max) & (res.horizons <= 0.9 * T_max)
+    q_ref = qf(res.horizons[w])
+    assert np.linalg.norm(res.q_hat[w] - q_ref) / np.linalg.norm(q_ref) <= 0.03
+
+
 def _exp_gram_system():
     m, n, T_max, L = 128, 8, 0.5, 1.0
     dt = T_max / m

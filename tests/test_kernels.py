@@ -115,6 +115,18 @@ def test_resolvent_exponential_constant():
     assert np.all(res.K.values == 0.0)
 
 
+@pytest.mark.parametrize("rate", [0.3, 1.7, 3.0, 7.5])
+def test_resolvent_exponential_is_memoryless_at_any_rate(rate):
+    # the R' and R'' equations have exactly vanishing right-hand sides; a
+    # non-dyadic rate must not leave round-off in K that selects the memory path
+    g = TimeGrid(1e-3, 2000)
+    res = resolvent(build_kernel(g, "exp", rate=rate))
+    for arr in (res.R1, res.R2deriv, res.K):
+        assert not np.any(arr.values)
+    assert res.gamma == -rate / 2
+    assert res.alpha == rate**2 / 4
+
+
 def test_resolvent_constant_n1_closed_form():
     # N1 = c constant: R(t) = c exp(-c t)
     c = 0.7
