@@ -58,6 +58,7 @@ from .grid import (
     TriangleAccumulator,
     centered_difference,
     convolve_values,
+    lower_toeplitz_solve,
     trap_weights,
 )
 from .kernels import MemoryKernel, ResolventData, resolvent
@@ -605,15 +606,15 @@ def _row0_density(G: np.ndarray, src: np.ndarray, lift: int, m: int) -> np.ndarr
 
     src holds sources on rows 1..m (row 0 is ignored), one column each;
     lift = 0 for sources at level 1, which read G[l], and 1 for level-1
-    seeds, which read G[l+1].  The system is lower-triangular Toeplitz,
+    seeds, which read G[l+1].  A density at level l' reaches (0, t_l) through
+    G[l-l'+1, 0], so the system is lower-triangular Toeplitz,
     sum_{l'<l} G[l-l'+1, 0] rho(l') = -(free-space field at (0, t_l)), with
-    diagonal G[2, 0] = dt^2.
+    first column G[2..m, 0] and diagonal G[2, 0] = dt^2; it goes to
+    ``lower_toeplitz_solve`` without forming the matrix.
     """
     o = m + 1
-    lev = np.arange(2, m + 1)
-    T = G[np.maximum(lev[:, None] - lev[None, :] + 2, 0), o]
     rhs = G[2 + lift : m + 1 + lift, o - 1 : 0 : -1] @ src[1 : m + 1]
-    return -np.linalg.solve(T, rhs)
+    return -lower_toeplitz_solve(G[2 : m + 1, o], rhs)
 
 
 def _diagonal_march(a: np.ndarray, c: np.ndarray, kmem: np.ndarray, nodes: np.ndarray, dt: float) -> np.ndarray:

@@ -57,7 +57,6 @@ _CONFIG_KEYS = {
     "n_basis",
     "q",
     "out",
-    "threads",  # accepted and ignored, so that older config files still parse
     "noise_sigma",
     "seed",
     "xi_zero_guard",
@@ -214,7 +213,7 @@ def parse_config(text: str) -> RunConfig:
             kwargs[key] = float(value)
         elif key in ("n_basis", "seed"):
             kwargs[key] = int(value)
-        elif key != "threads":
+        else:
             kwargs[key] = value
     return RunConfig(**kwargs)
 

@@ -9,6 +9,10 @@ chain) is built from three quadratures implemented here:
                            characteristic triangle
                            D(s,t) = {(xi,tau): 0<tau<t, |s-t+tau|<xi<s+t-tau}
 
+and one solver, lower_toeplitz_solve, for the causal convolution systems
+(Volterra equations of the second kind) that the trapezoid rule turns into
+lower-triangular Toeplitz matrices.
+
 All quadrature is composite trapezoid (order 2).  Space and time grids share
 one step so that characteristics pass through nodes and the triangle limits
 never need interpolation.  Reductions run in ascending index order.
@@ -29,6 +33,7 @@ __all__ = [
     "causal_convolve",
     "cumulative_integral",
     "centered_difference",
+    "lower_toeplitz_solve",
     "triangle_quadrature",
     "TriangleAccumulator",
 ]
@@ -181,6 +186,50 @@ def centered_difference(values: np.ndarray, dt: float) -> np.ndarray:
     out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * dt)
     out[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * dt)
     out[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * dt)
+    return out
+
+
+def _lower_toeplitz_inverse(a: np.ndarray) -> np.ndarray:
+    """First column b of L^-1, L lower-triangular Toeplitz with first column a.
+
+    Causal doubling: with b known on [0, B), the column of L^-1 on [B, 2B) is
+    -b[:B] * e, where e = (a * b[:B]) on [B, 2B) is the part of L b[:B] that
+    spills past B.  Each output is one dot product whose operands and length
+    do not depend on len(a), so a prefix of a gives a prefix of b bit for bit.
+    """
+    n = len(a)
+    b = np.empty(n)
+    b[0] = 1.0 / a[0]
+    B = 1
+    while B < n:
+        hi = min(2 * B, n)
+        e = np.convolve(a[1:hi], b[:B], "valid")  # (a * b[:B])[B:hi]
+        b[B:hi] = -np.convolve(b[: hi - B], e)[: hi - B]
+        B = hi
+    return b
+
+
+def lower_toeplitz_solve(first_col, rhs) -> np.ndarray:
+    """Solve L x = rhs, L lower-triangular Toeplitz with the given first column.
+
+    rhs is 1-D or holds one right-hand side per column.  L^-1 is built once
+    by causal doubling (about 2 log2 n numpy calls), then applied by one
+    causal convolution per column: O(n^2) flops with no Python loop over the
+    n rows.  Column j of a 2-D solve equals the 1-D solve of rhs[:, j] bit for
+    bit, and a prefix of first_col and rhs gives a prefix of x bit for bit.
+    first_col[0] must be nonzero; callers guard it.
+    """
+    a = np.asarray(first_col, dtype=float)
+    f = np.asarray(rhs, dtype=float)
+    n = len(a)
+    if f.shape[0] != n or f.ndim not in (1, 2):
+        raise GridMismatchError(f"right-hand side of shape {f.shape} does not fit a {n}-row system")
+    b = _lower_toeplitz_inverse(a)
+    if f.ndim == 1:
+        return np.convolve(b, f)[:n]
+    out = np.empty(f.shape)
+    for j in range(f.shape[1]):
+        out[:, j] = np.convolve(b, f[:, j])[:n]
     return out
 
 

@@ -196,12 +196,15 @@ def reconstruct_q(
     (the target trace solves xi'' + q xi = 0).
 
     Windows are 2*halfwidth+1 samples; interior windows are centered and
-    fitted with a quadratic (the cubic error term cancels by symmetry).  At
-    the ends the window shifts one-sided, where a quadratic would estimate
-    xi'' at the window center instead of the evaluation point, so shifted
-    windows use a cubic.  Where |xi| falls under the zero guard, q is
-    linearly interpolated across from the nearest guarded-clear neighbors
-    (continuity extension).  Returns (q, guard_flags).
+    fitted with a quadratic.  The cubic error term would cancel by symmetry
+    only on equally spaced horizons; on the knot lattice of ``hat_basis``,
+    whose knots are rounded to grid nodes (spacings of 7 and 8 steps at
+    n_basis = 32, m = 256), a centered window is not symmetric in T and that
+    term is left in xi''.  At the ends the window shifts one-sided, where a
+    quadratic would estimate xi'' at the window center instead of the
+    evaluation point, so shifted windows use a cubic.  Where |xi| falls under
+    the zero guard, q is linearly interpolated across from the nearest
+    guarded-clear neighbors (continuity extension).  Returns (q, guard_flags).
     """
     h = np.asarray(horizons, dtype=float)
     v = np.asarray(xi, dtype=float)

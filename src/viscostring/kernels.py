@@ -15,8 +15,10 @@ perturbed wave equation uses
     gamma = R(0)/2,   alpha = R'(0) + R(0)^2/4,   K(t) = exp(-gamma t) R''(t).
 
 R' and R'' are obtained by differentiating the resolvent identity (two more
-Volterra solves with the same kernel), never by differencing R: the downstream
-chain needs R'' at full second-order accuracy.
+Volterra right-hand sides with the same kernel), never by differencing R: the
+downstream chain needs R'' at full second-order accuracy.  Every Volterra
+system here is lower-triangular Toeplitz and is solved by
+``grid.lower_toeplitz_solve``.
 
 Sign note: the perturbed-wave coefficient alpha is fixed to R'(0) + R(0)^2/4.
 Substituting w = exp(gamma t) W with gamma = R(0)/2 into the differentiated
@@ -37,6 +39,7 @@ from .grid import (
     centered_difference,
     convolve_values,
     cumulative_integral,
+    lower_toeplitz_solve,
 )
 
 __all__ = [
@@ -145,27 +148,36 @@ def build_kernel(
     return kernel
 
 
-def solve_volterra(kernel: Sampled1D, rhs: Sampled1D) -> Sampled1D:
-    """Solve v + kernel * v = rhs (causal convolution) by forward substitution
-    of the trapezoidal discretization.  The node-0 diagonal term is 1, so
-    v[0] = rhs[0]; each later node divides by 1 + dt*kernel[0]/2."""
-    kernel.require_same_grid(rhs, "Volterra kernel and right-hand side")
-    k = kernel.values
-    f = rhs.values
-    dt = kernel.grid.dt
+def _volterra_values(k: np.ndarray, f: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoidal solution of v + k*v = f for one right-hand side f, or one
+    per column of f.  Node 0 has diagonal 1, so v[0] = f[0]; nodes 1..n form a
+    lower-triangular Toeplitz system with first column (1 + dt k[0]/2, dt k[1],
+    ..., dt k[n-1]) and right-hand side f[1:] - (dt/2) k[1:] v[0]."""
     diag = 1.0 + 0.5 * dt * k[0]
     if abs(diag) < 1e-12:
         raise NumericalFailure(
             f"Volterra diagonal 1 + dt*kernel(0)/2 = {diag} is numerically singular"
         )
-    n = kernel.grid.n
-    v = np.empty(n + 1)
+    col = dt * k[:-1]
+    col[0] = diag
+    head = k[1:, None] if f.ndim == 2 else k[1:]
+    v = np.empty(f.shape)
     v[0] = f[0]
-    for j in range(1, n + 1):
-        acc = 0.5 * k[j] * v[0]
-        if j > 1:
-            acc += np.dot(k[j - 1 : 0 : -1], v[1:j])
-        v[j] = (f[j] - dt * acc) / diag
+    v[1:] = lower_toeplitz_solve(col, f[1:] - (0.5 * dt) * head * f[0])
+    return v
+
+
+def solve_volterra(kernel: Sampled1D, rhs: Sampled1D) -> Sampled1D:
+    """Solve v + kernel * v = rhs (causal convolution) in the trapezoidal
+    discretization of ``convolve_values``, exactly up to round-off.
+
+    The discrete system is lower-triangular Toeplitz and goes to
+    ``grid.lower_toeplitz_solve``: O(n^2) flops in about 2 log2 n numpy calls.
+    It is causal bit for bit: a prefix of kernel and rhs gives a prefix of v.
+    Raises NumericalFailure when the diagonal 1 + dt*kernel(0)/2 is ~0.
+    """
+    kernel.require_same_grid(rhs, "Volterra kernel and right-hand side")
+    v = _volterra_values(kernel.values, rhs.values, kernel.grid.dt)
     return Sampled1D(kernel.grid, v)
 
 
@@ -194,26 +206,32 @@ def resolvent(k: MemoryKernel) -> ResolventData:
     R'/R'' come from differentiating the resolvent identity:
         R'  + N1*R'  = N1'  - R(0) N1
         R'' + N1*R'' = N1'' - R(0) N1' - R'(0) N1
-    (each again a Volterra solve with kernel N1).  For const and exp kernels
-    N1' = -rate N1 and R(0) = -rate, so both right-hand sides vanish and R', R'',
-    K are exact zeros (the solves would leave round-off); tabulated ones run them.
+    Every solve returns v(0) = rhs(0), so R(0) = N1(0) and
+    R'(0) = N1'(0) - R(0) N1(0) are known before any solve: the three
+    right-hand sides share one Volterra call with kernel N1 (one inverse, one
+    convolution per column).  For const
+    and exp kernels N1' = -rate N1 and R(0) = -rate, so both derivative
+    right-hand sides vanish and R', R'', K are exact zeros (a solve would leave
+    round-off); only R is solved there.  Tabulated kernels solve all three.
     """
     grid = k.grid
-    n1 = k.N1
-    r = solve_volterra(n1, n1)
-    r0 = r.values[0]
-    rhs1 = Sampled1D(grid, k.N2.values - r0 * n1.values)
-    r1_0 = rhs1.values[0]  # solve_volterra returns v[0] = rhs[0]
+    n1 = k.N1.values
+    r0 = n1[0]  # R(0) = rhs(0) of the first solve
+    rhs1 = k.N2.values - r0 * n1
+    r1_0 = rhs1[0]  # R'(0)
     gamma = 0.5 * r0
     alpha = r1_0 + 0.25 * r0 * r0
     if k.kind in ("const", "exp"):
         zero = Sampled1D(grid, np.zeros(grid.n + 1))
+        r = Sampled1D(grid, _volterra_values(n1, n1, grid.dt))
         return ResolventData(grid=grid, R=r, R1=zero, R2deriv=zero, gamma=gamma, alpha=alpha, K=zero)
-    r1 = solve_volterra(n1, rhs1)
-    rhs2 = Sampled1D(grid, k.N3.values - r0 * k.N2.values - r1_0 * n1.values)
-    r2d = solve_volterra(n1, rhs2)
-    kk = Sampled1D(grid, np.exp(-gamma * grid.nodes()) * r2d.values)
-    return ResolventData(grid=grid, R=r, R1=r1, R2deriv=r2d, gamma=gamma, alpha=alpha, K=kk)
+    rhs2 = k.N3.values - r0 * k.N2.values - r1_0 * n1
+    r, r1, r2d = _volterra_values(n1, np.column_stack([n1, rhs1, rhs2]), grid.dt).T
+    kk = Sampled1D(grid, np.exp(-gamma * grid.nodes()) * r2d)
+    return ResolventData(
+        grid=grid, R=Sampled1D(grid, r), R1=Sampled1D(grid, r1), R2deriv=Sampled1D(grid, r2d),
+        gamma=gamma, alpha=alpha, K=kk,
+    )
 
 
 def response_to_traction(y: Sampled1D, k: MemoryKernel) -> Sampled1D:

@@ -3,8 +3,9 @@
 Each criterion function builds its own inputs, measures the quantity the
 criterion bounds, and returns a CriterionResult; ``run_all`` produces the
 machine-readable report (one line per criterion: id, status, measured,
-threshold).  The pytest acceptance module calls the same functions, so the
-CLI ``verify`` subcommand and the test suite cannot drift apart.
+threshold, runtime in seconds).  The pytest acceptance module calls the same
+functions, so the CLI ``verify`` subcommand and the test suite cannot drift
+apart.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class CriterionResult:
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
-        return f"{self.cid} {status} {self.measured:.6e} {self.threshold:.6e}"
+        return f"{self.cid} {status} {self.measured:.6e} {self.threshold:.6e} {self.seconds:.3f}s"
 
 
 def _timed(fn):

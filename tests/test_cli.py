@@ -310,20 +310,22 @@ def test_identify_report_with_zero_q_true(tmp_path):
     assert float(reports["const:0"][3].split("=")[1]) >= float(reports["const:0"][2].split("=")[1])
 
 
-def test_legacy_threads_key_is_ignored(tmp_path, cfg_path):
-    legacy = tmp_path / "legacy.cfg"
-    legacy.write_text(CFG + "threads = 4\n")
-    outputs = []
-    for cfg in (cfg_path, str(legacy)):
-        bundle = str(tmp_path / f"bundle-{len(outputs)}")
-        out = str(tmp_path / f"run-{len(outputs)}")
-        assert main(["synthesize", "--config", cfg, "--out", bundle]) == 0
-        assert main(["identify", bundle, "--config", cfg, "--out", out]) == 0
-        outputs.append((bundle, out))
-    (b0, r0), (b1, r1) = outputs
-    for name in ("manifest.txt", "kernel.csv", "basis.csv", "response.csv", "q_true.csv"):
-        assert filecmp.cmp(os.path.join(b0, name), os.path.join(b1, name), shallow=False), name
-    assert filecmp.cmp(os.path.join(r0, "results.csv"), os.path.join(r1, "results.csv"), shallow=False)
+def test_retired_threads_key_exits_2(tmp_path, cfg_path, capsys):
+    # threads had no effect on any computation; like any unknown key it now
+    # stops every config-reading command with one line naming it
+    bundle = str(tmp_path / "bundle")
+    assert main(["synthesize", "--config", cfg_path, "--out", bundle]) == 0
+    retired = tmp_path / "retired.cfg"
+    retired.write_text(CFG + "threads = 4\n")
+    capsys.readouterr()
+    for argv in (
+        ["synthesize", "--config", str(retired), "--out", str(tmp_path / "b2")],
+        ["identify", bundle, "--config", str(retired), "--out", str(tmp_path / "id")],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "threads" in err, err
+    assert not (tmp_path / "b2").exists() and not (tmp_path / "id").exists()
 
 
 def test_forward_and_resolvent_dumps(tmp_path, cfg_path):
@@ -363,6 +365,15 @@ def test_verify_filter_runs_single_criterion(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("A1 pass")
     saved = (tmp_path / "verify.txt").read_text()
     assert saved.startswith("A1 pass")
+
+
+def test_verify_line_ends_with_the_runtime():
+    # id, status, measured, threshold, then the seconds the criterion took
+    (res,) = verification.run_all("A1")
+    cid, status, measured, threshold, secs = res.line().split(" ")
+    assert (cid, status) == ("A1", "pass")
+    assert (measured, threshold) == (f"{res.measured:.6e}", f"{res.threshold:.6e}")
+    assert secs == f"{res.seconds:.3f}s" and res.seconds > 0.0
 
 
 def test_verify_unknown_filter_is_config_error():

@@ -454,6 +454,21 @@ def test_row0_density_cancels_the_half_space_row1(rng, lift):
     assert np.max(np.abs(rho - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("lift", [0, 1])
+def test_row0_density_matches_the_dense_solve(rng, lift):
+    # the Toeplitz solver against LU on the gathered matrix T[l, l'] = G[l-l'+2, 0]
+    m = 64
+    grid2 = TimeGrid(1.0 / m, 2 * m)
+    G = _green(resolvent(general_kernel(grid2)).K.values, m, grid2.dt)
+    src = rng.standard_normal((3 * m + 2, 5))
+    o, lev = m + 1, np.arange(2, m + 1)
+    T = G[np.maximum(lev[:, None] - lev[None, :] + 2, 0), o]
+    assert np.all(np.triu(T, 1) == 0.0) and np.all(np.diag(T) == grid2.dt**2)
+    ref = -np.linalg.solve(T, G[2 + lift : m + 1 + lift, o - 1 : 0 : -1] @ src[1 : m + 1])
+    rho = _row0_density(G, src, lift, m)
+    assert np.max(np.abs(rho - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_blago_quadrature_refuses_memory_kernel():
     m = 16
     grid, grid2 = TimeGrid(0.01, m), TimeGrid(0.01, 2 * m)

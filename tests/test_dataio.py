@@ -53,8 +53,9 @@ def test_parse_config_happy_path():
     assert cfg.kernel == "exp:2.0"
     assert cfg.n_basis == 8
     assert cfg.m == 128
-    # the legacy threads key is accepted and has no effect
-    assert parse_config(text + "threads = 2\n") == cfg
+    # the retired threads key had no effect; it is rejected like any unknown key
+    with pytest.raises(ConfigError, match="threads"):
+        parse_config(text + "threads = 2\n")
 
 
 def test_parse_config_rejects_unknown_keys():

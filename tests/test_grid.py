@@ -10,8 +10,38 @@ from viscostring.grid import (
     causal_convolve,
     centered_difference,
     cumulative_integral,
+    lower_toeplitz_solve,
     triangle_quadrature,
 )
+
+
+def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
+    i = np.arange(len(col))
+    d = i[:, None] - i[None, :]
+    return np.where(d >= 0, col[np.maximum(d, 0)], 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 31, 64, 100, 257])
+def test_lower_toeplitz_solve_matches_dense_solve(rng, n):
+    col = rng.standard_normal(n) / n
+    col[0] = 1.0 + rng.random()
+    rhs = rng.standard_normal((n, 4))
+    x = lower_toeplitz_solve(col, rhs)
+    ref = np.linalg.solve(_lower_toeplitz(col), rhs)
+    assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_lower_toeplitz_solve_columns_are_the_one_column_solves(rng):
+    n = 150
+    col = np.exp(-np.arange(n) / 30.0) * rng.standard_normal(n)
+    col[0] = 2.0
+    rhs = rng.standard_normal((n, 5))
+    x = lower_toeplitz_solve(col, rhs)
+    for j in range(rhs.shape[1]):
+        assert np.array_equal(x[:, j], lower_toeplitz_solve(col, rhs[:, j])), j
+    assert np.array_equal(lower_toeplitz_solve(col, rhs[:, :1]), x[:, :1])
+    with pytest.raises(GridMismatchError):
+        lower_toeplitz_solve(col, rhs[1:])
 
 
 def test_time_grid_basics():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from viscostring.errors import GridMismatchError, KernelValidationError
+from viscostring.errors import GridMismatchError, KernelValidationError, NumericalFailure
 from viscostring.grid import Sampled1D, TimeGrid, convolve_values
 from viscostring.kernels import (
     build_kernel,
@@ -61,6 +63,55 @@ def test_build_rejects_inconsistent_derivatives():
     }
     with pytest.raises(KernelValidationError):
         build_kernel(g, "tabulated", samples=samples)
+
+
+def reference_volterra(k: np.ndarray, f: np.ndarray, dt: float) -> np.ndarray:
+    """Forward substitution of the trapezoidal system, one node at a time."""
+    diag = 1.0 + 0.5 * dt * k[0]
+    v = np.empty(len(f))
+    v[0] = f[0]
+    for j in range(1, len(f)):
+        acc = 0.5 * k[j] * v[0] + np.dot(k[j - 1 : 0 : -1], v[1:j])
+        v[j] = (f[j] - dt * acc) / diag
+    return v
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3, 7, 64, 100, 513]),
+    T=st.floats(0.01, 2.0),
+    amp=st.floats(-4.0, 4.0),
+    rate=st.floats(0.0, 5.0),
+    freq=st.floats(0.0, 8.0),
+    phase=st.floats(0.0, 6.3),
+)
+def test_solve_volterra_matches_forward_substitution(n, T, amp, rate, freq, phase):
+    g = TimeGrid(T / n, n)
+    t = g.nodes()
+    k = amp * np.exp(-rate * t) * np.cos(freq * t + phase)
+    f = np.sin(freq * t + 1.0) + 0.5 * t - np.cos(phase * t)
+    v = solve_volterra(Sampled1D(g, k), Sampled1D(g, f)).values
+    ref = reference_volterra(k, f, g.dt)
+    assert np.max(np.abs(v - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_solve_volterra_is_causal_bit_for_bit(rng):
+    # a prefix of kernel and right-hand side gives a prefix of the solution
+    g = TimeGrid(1.0 / 200, 700)
+    k = Sampled1D(g, np.exp(-g.nodes()) * rng.standard_normal(g.n + 1))
+    f = Sampled1D(g, rng.standard_normal(g.n + 1))
+    v = solve_volterra(k, f).values
+    for n in (1, 2, 3, 63, 64, 65, 127, 128, 200, 511, 512, 699):
+        p = TimeGrid(g.dt, n)
+        vp = solve_volterra(Sampled1D(p, k.values[: n + 1]), Sampled1D(p, f.values[: n + 1]))
+        assert np.array_equal(vp.values, v[: n + 1]), n
+
+
+def test_solve_volterra_rejects_a_singular_diagonal():
+    g = TimeGrid(0.5, 8)
+    k = Sampled1D(g, np.full(g.n + 1, -4.0))  # 1 + dt*k(0)/2 = 0
+    with pytest.raises(NumericalFailure):
+        solve_volterra(k, Sampled1D(g, np.ones(g.n + 1)))
 
 
 def test_solve_volterra_zero_kernel_identity():
