@@ -39,8 +39,14 @@ K != 0 one march of a unit point source in free space (no s = 0 boundary)
 serves every pair: the scheme is invariant under whole-step shifts in s and
 t, so each source term reads the same Green's function, and the boundary
 W(0,t) = 0 becomes one more source on s = 0 whose density solves a small
-triangular Toeplitz system (``_diagonal_march``).  ``gram_oracle`` computes
-the same Gram from forward-solver snapshots (it knows q; validation).
+triangular Toeplitz system (``_diagonal_march``).  The march (``_march``)
+touches at each level only the band inside the light cone of its source and
+sums its t-history near/far, one product per block of levels for the far
+part (Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)
+532-541), so each level costs one band matrix-vector product and the
+Green's function about 5 m^3 multiply-adds at m steps.  ``gram_oracle``
+computes the same Gram from forward-solver snapshots (it knows q;
+validation).
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridMismatchError, NumericalFailure
 from .grid import (
@@ -57,8 +64,9 @@ from .grid import (
     TimeGrid,
     TriangleAccumulator,
     centered_difference,
+    _lower_toeplitz_inverse,
+    _lower_toeplitz_matrix,
     convolve_values,
-    lower_toeplitz_solve,
     trap_weights,
 )
 from .kernels import MemoryKernel, ResolventData, resolvent
@@ -408,7 +416,8 @@ def blago_solve(
 
     on the trapezoid covered by the data.  Schemes:
 
-      "march"      explicit lozenge marching in t (default for K != 0),
+      "march"      explicit lozenge marching in t on the light-cone band
+                   (default for K != 0),
       "quadrature" single triangle quadrature (exact reduction when K == 0),
       "picard"     fixed-point sweeps on the weighted unknown
                    Y = exp(-sigma(s+t)) W; sigma_weight only conditions the
@@ -432,7 +441,7 @@ def blago_solve(
     if scheme == "quadrature":
         W = _triangle_field(gvals, dt)
     elif scheme == "march":
-        W = _march(lambda k: gvals[: n_s - k + 1, k, None], kmem[: n_s + 1], n_t, dt)[:, :, 0].T
+        W = _march(gvals.T, kmem[: n_s + 1], n_t, dt).T
     elif scheme == "picard":
         W = _picard(gvals, kmem, dt, sigma_weight, sgrid, tgrid, tol, max_iter)
     else:
@@ -448,32 +457,83 @@ def blago_solve(
     )
 
 
-def _march(source, kmem: np.ndarray, n_t: int, dt: float) -> np.ndarray:
-    """Lozenge march of a batch of sources: W[k, i, b] = W_b(s_i, t_k).
+_MARCH_BLOCK = 16  # levels whose t-history before the block is one matrix product
 
-    source(k) is the level-k source on the live rows s_0..s_{n_s-k}, shape
-    (n_s-k+1, batch); kmem is K on the s-window.  The t-memory term is one
-    product over the level-major history, the s-memory term one product with
-    the trapezoid Toeplitz matrix of K; their K(0)/2 end terms cancel, and
-    those at r = 0 vanish with W(s,0) = W(0,t) = 0.
+
+def _march(src: np.ndarray, kmem: np.ndarray, n_t: int, dt: float) -> np.ndarray:
+    """Lozenge march of one source: W[k, i] = W(s_i, t_k) on levels 0..n_t.
+
+    src is level-major, src[k, i] the source at (s_i, t_k); levels past its
+    last carry none.  kmem is K on the s-window s_0..s_{n_s}.  Row 0 holds
+    W(0, t) = 0, and the live window shrinks by a row per level from the top:
+    level k+1 is updated on rows 1..n_s-k-1.  Per level
+
+        W[k+1, i] = W[k, i+1] + W[k, i-1] - W[k-1, i] + dt^2 Q(s_i, t_k),
+        Q = src + sum_{0<l<k} dt K(t_k - t_l) W[l, i] - sum_{j<i} dt K(s_i - s_j) W[k, j],
+
+    the memory trapezoids in t and s with their K(0)/2 end terms cancelled
+    and those at l = 0 and j = 0 vanishing with W(s,0) = W(0,t) = 0.
+
+    Band.  The field spreads down by one row per level and the s-memory only
+    reaches up, so every row below the light cone of the sources stays
+    exactly 0.  That lower edge is read off the source once, and level k
+    touches only the band between it and the top edge.  The s-memory is one
+    product with a strictly lower-triangular Toeplitz matrix of dt^3 K on the
+    band (built by one strided copy).
+    t-history.  Split near/far as in ``forward.solve_mild`` (Hairer, Lubich
+    and Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532-541, without
+    FFTs): per block of ``_MARCH_BLOCK`` levels one product of a Toeplitz
+    slice of dt^3 K with all earlier levels sums the history before the
+    block, and one small product per level adds the levels inside it.
+    Cost.  On a band of w rows level k takes about w^2 + k w multiply-adds,
+    one band matrix-vector product and a few vector operations.  The stencil
+    sum is formed before the small dt^2 Q term is added.  Folding the two
+    shifts into the band matrix would save one vector operation, but the
+    product would then round the O(1) stencil terms together with the memory
+    terms in an order that depends on the band's length, and the march would
+    lose its invariance under whole-step shifts of the source at round-off.
     """
-    n_s = len(kmem) - 1
-    row0 = source(0)
-    W = np.zeros((n_t + 1, n_s + 1, row0.shape[1]))
+    n_s, dt2 = len(kmem) - 1, dt * dt
+    W = np.zeros((n_t + 1, n_s + 1))
     # Seed level 1 from the triangle quadrature itself: the tau = 0 row of the
     # source is nonzero whenever a control launches with a slope
     # (y(0+) = -f'(0+)), and the lozenge recursion alone would miss it.
-    W[1, 1:n_s] = 0.25 * dt * dt * (0.5 * row0[: n_s - 1] + row0[1:n_s] + 0.5 * row0[2:])
-    kd = dt * kmem
-    lag = np.arange(n_s + 1)
-    toeplitz = np.tril(kd[np.abs(lag[:, None] - lag)], -1)
-    for k in range(1, n_t):
-        live = n_s - k + 1
-        hist = np.dot(kd[k - 1 : 0 : -1], W[1:k].reshape(k - 1, W[0].size)).reshape(W[0].shape)
-        Q = source(k) + hist[:live] - toeplitz[:live, :live] @ W[k, :live]
-        W[k + 1, 1 : live - 1] = (
-            W[k, 2:live] + W[k, : live - 2] - W[k - 1, 1 : live - 1] + dt * dt * Q[1 : live - 1]
-        )
+    row0 = src[0]
+    W[1, 1:n_s] = 0.25 * dt2 * (0.5 * row0[: n_s - 1] + row0[1:n_s] + 0.5 * row0[2:])
+    # A source at (s_r, t_l) reaches W[k+1] from row r-(k-l) up (r-1-k for the
+    # level-0 seed), so W[k+1] vanishes below row bands[k] + 1.  Level k reads
+    # W[k] on rows bands[k]..tops[k]-1 and updates W[k+1] strictly between.
+    lev = np.arange(len(src))
+    hit = src != 0
+    reach = np.minimum.accumulate(np.where(hit.any(axis=1), hit.argmax(axis=1), n_s + 1) + lev - (lev == 0))
+    k = np.arange(n_t)
+    tops = n_s + 1 - k
+    bands = np.maximum(reach[np.minimum(k, len(src) - 1)] - k, 1) - 1  # reach <= n_s: bands <= tops-2
+    width = int(np.max(tops[1:] - bands[1:], initial=2))
+    hk = dt2 * dt * kmem
+    col = np.zeros(width)
+    col[1:] = -hk[1:width]
+    T = _lower_toeplitz_matrix(col)  # the s-memory: T[i, j] = -dt^3 K(s_i - s_j), j < i
+    B = min(_MARCH_BLOCK, n_t)
+    near = np.zeros((B, B))  # level k0+j reads levels k0..k0+j-1
+    for j in range(1, B):
+        near[j, :j] = hk[j:0:-1]
+    far = sliding_window_view(np.concatenate([hk[: n_t + 1], np.zeros(B)]), B)  # row r: hk[r : r+B]
+    for k0 in range(1, n_t, B):
+        k1 = min(k0 + B, n_t)
+        lo, hi = bands[k1 - 1] + 1, tops[k0] - 1  # rows the block updates
+        F = far[k0 - 1 : 0 : -1, : k1 - k0].T @ W[1:k0, lo:hi]
+        S = src[k0:k1, lo:hi]
+        F[: len(S)] += dt2 * S
+        for k in range(k0, k1):
+            a, t = bands[k], tops[k]
+            Wk, out = W[k, a:t], W[k + 1, a + 1 : t - 1]
+            np.add(Wk[2:], Wk[:-2], out=out)
+            out -= W[k - 1, a + 1 : t - 1]
+            q = T[1 : t - a - 1, : t - a] @ Wk
+            q += near[k - k0, : k - k0] @ W[k0:k, a + 1 : t - 1]
+            q += F[k - k0, a + 1 - lo : t - 1 - lo]
+            out += q
     return W
 
 
@@ -587,18 +647,22 @@ def _green(kmem: np.ndarray, m: int, dt: float) -> np.ndarray:
     field at level l and row offset d of a unit source at offset 0, level 1.
 
     One march on rows d = -(m+1)..2m for m+2 levels.  Its support at level l
-    starts at d = -(l-2) (the light cone; the s-memory only reaches up), so
-    the bottom row is a zero ghost, and lags past 2m, where kmem (K on the
-    doubled window) is padded with zeros, only ever multiply zero field.
-    The live window shrinks by a row per level from the top, leaving G exact
-    on d <= 2m - l, which covers every read of ``_diagonal_march``.
+    starts at d = -(l-2) (the light cone; the s-memory only reaches up); the
+    march reads that edge off the source and never writes below it, so the
+    bottom row is a zero ghost.  The live window shrinks by a row per level
+    from the top, leaving G exact on d <= 2m - l, which covers every read of
+    ``_diagonal_march``.  Each level is thus a band of 2m+1 rows, and lags
+    past 2m, where kmem (K on the doubled window) is padded with zeros, are
+    never read.  The march takes about 5 m^3 multiply-adds: one band
+    matrix-vector product per level for the s-memory (4 m^3) and the blocked
+    t-history (m^3).
     """
     n_s = 3 * m + 1
     kpad = np.zeros(n_s + 1)
     kpad[: 2 * m + 1] = kmem[: 2 * m + 1]
-    src = np.zeros((2, n_s + 1, 1))
+    src = np.zeros((2, n_s + 1))
     src[1, m + 1] = 1.0
-    return _march(lambda k: src[int(k == 1), : n_s - k + 1], kpad, m + 1, dt)[:, :, 0]
+    return _march(src, kpad, m + 1, dt)
 
 
 def _row0_density(G: np.ndarray, src: np.ndarray, lift: int, m: int) -> np.ndarray:
@@ -609,12 +673,14 @@ def _row0_density(G: np.ndarray, src: np.ndarray, lift: int, m: int) -> np.ndarr
     seeds, which read G[l+1].  A density at level l' reaches (0, t_l) through
     G[l-l'+1, 0], so the system is lower-triangular Toeplitz,
     sum_{l'<l} G[l-l'+1, 0] rho(l') = -(free-space field at (0, t_l)), with
-    first column G[2..m, 0] and diagonal G[2, 0] = dt^2; it goes to
-    ``lower_toeplitz_solve`` without forming the matrix.
+    first column G[2..m, 0] and diagonal G[2, 0] = dt^2.  The first column
+    of its inverse comes from the causal doubling of ``lower_toeplitz_solve``
+    and is applied to every column of src by one product with its
+    lower-triangular Toeplitz matrix (one strided copy).
     """
     o = m + 1
     rhs = G[2 + lift : m + 1 + lift, o - 1 : 0 : -1] @ src[1 : m + 1]
-    return -lower_toeplitz_solve(G[2 : m + 1, o], rhs)
+    return -(_lower_toeplitz_matrix(_lower_toeplitz_inverse(G[2 : m + 1, o])) @ rhs)
 
 
 def _diagonal_march(a: np.ndarray, c: np.ndarray, kmem: np.ndarray, nodes: np.ndarray, dt: float) -> np.ndarray:
@@ -636,7 +702,8 @@ def _diagonal_march(a: np.ndarray, c: np.ndarray, kmem: np.ndarray, nodes: np.nd
     with G[l+1] for the seed sigma/dt^2 = (c[r-1]/2 + c[r] + c[r+1]/2)/4, and
     rho from W(0,t_l) = 0 (``_row0_density``).  At horizon k the readout
     needs levels <= k+1 and source rows < 2k: a few BLAS-3 products on a
-    slice of G.
+    slice of G.  The cost is one banded march for G (``_green``, about
+    5 m^3 multiply-adds), two products for rho, and the readout products.
     """
     n, m, o = a.shape[1], nodes[-1], nodes[-1] + 1
     G = _green(kmem, m, dt)

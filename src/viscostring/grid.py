@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridMismatchError
 
@@ -207,6 +208,14 @@ def _lower_toeplitz_inverse(a: np.ndarray) -> np.ndarray:
         b[B:hi] = -np.convolve(b[: hi - B], e)[: hi - B]
         B = hi
     return b
+
+
+def _lower_toeplitz_matrix(first_col: np.ndarray) -> np.ndarray:
+    """The lower-triangular Toeplitz matrix L[i, j] = first_col[i-j] (j <= i),
+    built by one strided copy: row i is a window of the reversed, zero-padded column."""
+    n = len(first_col)
+    padded = np.concatenate([first_col[::-1], np.zeros(n - 1)])
+    return sliding_window_view(padded, n)[::-1].copy()
 
 
 def lower_toeplitz_solve(first_col, rhs) -> np.ndarray:

@@ -27,12 +27,12 @@ def general_kernel(grid: TimeGrid):
 
 
 def _spy_march(monkeypatch):
-    """Record every call of connecting._march (source, kmem, n_t, dt) and its result."""
+    """Record every call of connecting._march (src, kmem, n_t, dt) and its result."""
     calls, real = [], connecting._march
 
-    def spy(source, kmem, n_t, dt):
-        W = real(source, kmem, n_t, dt)
-        calls.append(((source, kmem, n_t, dt), W))
+    def spy(src, kmem, n_t, dt):
+        W = real(src, kmem, n_t, dt)
+        calls.append(((src, kmem, n_t, dt), W))
         return W
 
     monkeypatch.setattr(connecting, "_march", spy)

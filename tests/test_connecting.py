@@ -387,10 +387,15 @@ def test_march_invariant_under_whole_step_delays(rng, q):
     grid2 = TimeGrid(0.4 / m, 2 * m)
     kmem = resolvent(general_kernel(grid2)).K.values
     n_s = len(kmem) - 1
-    phi = rng.standard_normal((n_s + 1, 1))
-    spike = lambda level: lambda k: phi[: n_s - k + 1] * float(k == level)
-    W1 = _march(spike(1), kmem, m, grid2.dt)[:, :, 0]
-    Wq = _march(spike(q), kmem, m, grid2.dt)[:, :, 0]
+    phi = rng.standard_normal(n_s + 1)
+
+    def spike(level):
+        src = np.zeros((level + 1, n_s + 1))
+        src[level] = phi
+        return src
+
+    W1 = _march(spike(1), kmem, m, grid2.dt)
+    Wq = _march(spike(q), kmem, m, grid2.dt)
     assert np.max(np.abs(W1)) > 0.0 and np.all(Wq[: q + 1] == 0.0)
     for k in range(q + 1, m + 1):
         live = n_s - k + 1
@@ -406,12 +411,12 @@ def test_green_ignores_kernel_past_lag_2m(monkeypatch, rng):
     kmem = resolvent(general_kernel(grid2)).K.values
     calls = _spy_march(monkeypatch)
     G = _green(kmem, m, grid2.dt)
-    (source, kpad, n_t, dt), W = calls[0]
-    assert len(calls) == 1 and np.array_equal(W[:, :, 0], G)
+    (src, kpad, n_t, dt), W = calls[0]
+    assert len(calls) == 1 and np.array_equal(W, G)
     assert np.array_equal(kpad[: 2 * m + 1], kmem) and np.all(kpad[2 * m + 1 :] == 0.0)
     noisy = kpad.copy()
     noisy[2 * m + 1 :] = rng.standard_normal(len(kpad) - 2 * m - 1)
-    assert np.array_equal(_march(source, noisy, n_t, dt)[:, :, 0], G)
+    assert np.array_equal(_march(src, noisy, n_t, dt), G)
 
 
 def test_march_invariant_under_whole_row_shifts():
@@ -423,15 +428,80 @@ def test_march_invariant_under_whole_row_shifts():
     kmem = resolvent(general_kernel(grid2)).K.values
     fields = []
     for p in (23, 36):
-        src = np.zeros((n_s + 1, 1))
-        src[p] = 1.0
-        fields.append((p, _march(lambda k: src[: n_s - k + 1] * float(k == 1), kmem, m, grid2.dt)[:, :, 0]))
+        src = np.zeros((2, n_s + 1))
+        src[1, p] = 1.0
+        fields.append((p, _march(src, kmem, m, grid2.dt)))
     (p1, W1), (p2, W2) = fields
     scale = np.max(np.abs(W1))
     for lev in range(2, p1 + 1):
         d = np.arange(-p1 + 1, n_s - lev - p2 + 1)  # offsets live in both windows
         assert np.max(np.abs(W1[lev, p1 + d] - W2[lev, p2 + d])) <= 1e-14 * scale
         assert np.all(W1[lev, : p1 - lev + 2] == 0.0)  # support starts at d = -(l-2)
+
+
+def _reference_march(source, kmem, n_t, dt):
+    """The unbanded march, kept as the reference: W[k, i, b] = W_b(s_i, t_k).
+
+    source(k) is the level-k source on the live rows s_0..s_{n_s-k}, shape
+    (n_s-k+1, batch).  Each level multiplies the full (n_s+1)^2 Toeplitz
+    matrix of dt K and sums the whole t-history in one product."""
+    n_s = len(kmem) - 1
+    row0 = source(0)
+    W = np.zeros((n_t + 1, n_s + 1, row0.shape[1]))
+    W[1, 1:n_s] = 0.25 * dt * dt * (0.5 * row0[: n_s - 1] + row0[1:n_s] + 0.5 * row0[2:])
+    kd = dt * kmem
+    lag = np.arange(n_s + 1)
+    toeplitz = np.tril(kd[np.abs(lag[:, None] - lag)], -1)
+    for k in range(1, n_t):
+        live = n_s - k + 1
+        hist = np.dot(kd[k - 1 : 0 : -1], W[1:k].reshape(k - 1, W[0].size)).reshape(W[0].shape)
+        Q = source(k) + hist[:live] - toeplitz[:live, :live] @ W[k, :live]
+        W[k + 1, 1 : live - 1] = (
+            W[k, 2:live] + W[k, : live - 2] - W[k - 1, 1 : live - 1] + dt * dt * Q[1 : live - 1]
+        )
+    return W
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 15, 16, 17, 33, 128])
+def test_green_matches_the_reference_march(m):
+    # sizes straddle the march's block of 16 levels; G is read on d <= 2m - l
+    # only, and below the light cone d = -(l-2) the banded march never writes
+    grid2 = TimeGrid(0.5 / m, 2 * m)
+    kmem = resolvent(general_kernel(grid2)).K.values
+    G = _green(kmem, m, grid2.dt)
+    n_s = 3 * m + 1
+    kpad = np.zeros(n_s + 1)
+    kpad[: 2 * m + 1] = kmem
+    src = np.zeros((2, n_s + 1, 1))
+    src[1, m + 1] = 1.0
+    ref = _reference_march(lambda k: src[int(k == 1), : n_s - k + 1], kpad, m + 1, grid2.dt)[:, :, 0]
+    assert G.shape == ref.shape == (m + 2, n_s + 1)
+    lev, d = np.arange(m + 2)[:, None], np.arange(-(m + 1), 2 * m + 1)[None, :]
+    exact = d <= 2 * m - lev
+    assert np.max(np.abs(G - ref)[exact]) <= 1e-12 * np.max(np.abs(ref))
+    assert np.all(G[np.broadcast_to(d < -(lev - 2), G.shape)] == 0.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 16, 17, 40])
+def test_blago_march_matches_the_reference_march(rng, m):
+    # random sources on the data trapezoid, with some levels empty and each
+    # level zero below a random row, so the band edge moves in every way; the
+    # last draw keeps level 0 only, whose seed reaches one row further down
+    grid, grid2 = TimeGrid(0.5 / m, m), TimeGrid(0.5 / m, 2 * m)
+    res = resolvent(general_kernel(grid2))
+    rows = np.arange(2 * m + 1)[:, None]
+    trapezoid = rows + np.arange(m + 1)[None, :] <= 2 * m
+    for draw in range(5):
+        vals = rng.standard_normal((2 * m + 1, m + 1))
+        vals[rows < rng.integers(0, 2 * m + 2, m + 1)] = 0.0
+        vals[:, rng.random(m + 1) < 0.3] = 0.0
+        if draw == 4:
+            vals[:, 1:] = 0.0
+        sol = blago_solve(Sampled2D(grid2, grid, vals), res, scheme="march")
+        ref = _reference_march(lambda k: vals[: 2 * m - k + 1, k, None], res.K.values, m, grid2.dt)
+        ref = ref[:, :, 0].T
+        assert np.max(np.abs(sol.W.values - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1e-300)
+        assert np.all(sol.W.values[~trapezoid] == 0.0)
 
 
 @pytest.mark.parametrize("lift", [0, 1])
@@ -444,7 +514,11 @@ def test_row0_density_cancels_the_half_space_row1(rng, lift):
     kmem = resolvent(general_kernel(grid2)).K.values
     phi = rng.standard_normal((2 * m + 1, 3))
     level = 1 - lift
-    W = _march(lambda k: phi[: 2 * m - k + 1] * float(k == level), kmem, m, dt)
+    src = np.zeros((level + 1, 2 * m + 1))
+    W = np.zeros((m + 1, 2 * m + 1, 3))
+    for b in range(3):
+        src[level] = phi[:, b]
+        W[:, :, b] = _march(src, kmem, m, dt)
     if lift:  # the seed the march builds from a level-0 source
         seed = np.zeros_like(phi)
         seed[1:-1] = 0.25 * (0.5 * phi[:-2] + phi[1:-1] + 0.5 * phi[2:])
@@ -558,31 +632,27 @@ def _per_pair_gram(tab):
 
 
 def _blocked_march_gram(tab):
-    """Reference assembly for K != 0: one march per j and block of 4 i, with
-    the rank-two source of every pair marched in full."""
+    """Reference assembly for K != 0: one march per pair (i, j), with the
+    rank-two source G_ij(s_r, t_k) = a_j(s_r) c_i(t_k) - c_j(s_r) a_i(t_k)
+    marched in full."""
     basis = tab.basis
     m, dt = basis.grid.n, basis.grid.dt
     res = resolvent(tab.kernel)
     es = np.exp(-res.gamma * tab.grid2.nodes())
     a, c = (es * tab.Y).T, (es * basis.sampled_on(tab.grid2)).T
     kmem = res.K.values
-    n, n_s = basis.n, len(kmem) - 1
-    diag, block = np.arange(m + 1), 4
+    n, diag = basis.n, np.arange(m + 1)
     raw = np.zeros((m + 1, n, n))
     for j in range(n):
-        for lo in range(0, n, block):
-            b, d = c[: m + 1, lo : lo + block], a[: m + 1, lo : lo + block]
-            W = _march(
-                lambda k: a[: n_s - k + 1, j, None] * b[k] - c[: n_s - k + 1, j, None] * d[k],
-                kmem, m, dt,
-            )
-            raw[:, lo : lo + block, j] = W[diag, diag]
+        for i in range(n):
+            src = np.outer(c[: m + 1, i], a[:, j]) - np.outer(a[: m + 1, i], c[:, j])
+            raw[:, i, j] = _march(src, kmem, m, dt)[diag, diag]
     raw *= np.exp(2.0 * res.gamma * basis.grid.nodes())[:, None, None]
     return _symmetrized(raw)
 
 
 def _spike_march_gram(tab):
-    """Reference assembly for K != 0: one march per control j of three
+    """Reference assembly for K != 0: per control j one march of each of three
     t-spike sources (a_j and c_j at level 1, c_j at level 0 for the seed),
     read against the t-factors of every i through whole-step delays:
     W_ij(t_k,t_k) + a_i(0) Psi0_c(s_k,t_k) = sum_{q>=1} [c_i(q) Psi_a - a_i(q) Psi_c](s_k,t_{k-q+1})."""
@@ -596,12 +666,16 @@ def _spike_march_gram(tab):
     k = np.arange(m + 1)
     lev = np.maximum(k[:, None] - k[None, 1:] + 1, 0)  # level k-q+1, q >= 1; W[0] = 0
     raw = np.zeros((m + 1, n, n))
-    src = np.zeros((3, n_s + 1, 3))  # levels 0, 1 and every later (zero) level
+    at1, at0 = np.zeros((2, n_s + 1)), np.zeros((1, n_s + 1))  # sources at level 1, level 0
     for j in range(n):
-        src[1, :, 0], src[1, :, 1], src[0, :, 2] = a[:, j], c[:, j], c[:, j]
-        W = _march(lambda lv: src[min(lv, 2), : n_s - lv + 1], kmem, m, dt)
-        raw[:, :, j] = W[lev, k[:, None], 0] @ c[1 : m + 1] - W[lev, k[:, None], 1] @ a[1 : m + 1]
-        raw[:, :, j] -= W[k, k, 2, None] * a[0]
+        at1[1] = a[:, j]
+        Wa = _march(at1, kmem, m, dt)
+        at1[1] = c[:, j]
+        Wc = _march(at1, kmem, m, dt)
+        at0[0] = c[:, j]
+        W0 = _march(at0, kmem, m, dt)
+        raw[:, :, j] = Wa[lev, k[:, None]] @ c[1 : m + 1] - Wc[lev, k[:, None]] @ a[1 : m + 1]
+        raw[:, :, j] -= W0[k, k, None] * a[0]
     raw *= np.exp(2.0 * res.gamma * basis.grid.nodes())[:, None, None]
     return _symmetrized(raw)
 
@@ -660,7 +734,8 @@ def test_general_gram_runs_one_single_column_march(monkeypatch, n):
     calls = _spy_march(monkeypatch)
     gram_from_data(tab)
     assert len(calls) == 1
-    assert calls[0][1].shape[2] == 1
+    (src, _, _, _), W = calls[0]
+    assert src.ndim == 2 and W.ndim == 2
 
 
 @pytest.mark.parametrize(
