@@ -20,10 +20,10 @@ from .grid import (
     Sampled1D,
     Sampled2D,
     TimeGrid,
-    TriangleAccumulator,
     causal_convolve,
     centered_difference,
     cumulative_integral,
+    triangle_field,
     triangle_quadrature,
 )
 from .kernels import (
@@ -38,7 +38,6 @@ from .kernels import (
 from .forward import (
     StringProblem,
     WaveField,
-    boundary_derivative,
     fd_oracle,
     final_snapshot,
     solve_mild,

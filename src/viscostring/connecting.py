@@ -28,7 +28,8 @@ a_j(s) b_i(t) - c_j(s) d_i(t) with a = exp(-gamma s) y, c = exp(-gamma s) e
 and b = c, d = a on [0, T_max].  When K == 0 (const and exp kernels at any
 rate; a tabulated K marches below on any nonzero sample) the diagonal is one
 triangle quadrature of G, and with the running trapezoids U_x(s_r) =
-dt (sum_{p<=r} x(s_p) - x(s_r)/2) of the s-factors
+dt (sum_{p<=r} x(s_p) - x(s_r)/2) of the s-factors (``grid._running_trapezoid``,
+which ``grid.triangle_field`` sums for a whole field)
 
     W_ij(t_k,t_k) = 1/2 sum_{tau<k} w_tau [b_i(tau) S_a,j(tau,k) - d_i(tau) S_c,j(tau,k)],
     S_x(tau,k) = U_x(s_{2k-tau}) - U_x(s_tau),   w_0 = dt/2,  w_tau = dt,
@@ -46,7 +47,10 @@ part (Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)
 532-541), so each level costs one band matrix-vector product and the
 Green's function about 5 m^3 multiply-adds at m steps.  ``gram_oracle``
 computes the same Gram from forward-solver snapshots (it knows q;
-validation).
+validation).  ``blago_solve`` is the reference for one source on the whole
+data trapezoid: the same march, one ``triangle_field`` when K == 0, or
+Picard sweeps of W, each sweep one ``triangle_field`` of two Toeplitz
+products.
 """
 
 from __future__ import annotations
@@ -62,12 +66,12 @@ from .grid import (
     Sampled1D,
     Sampled2D,
     TimeGrid,
-    TriangleAccumulator,
     centered_difference,
     _lower_toeplitz_inverse,
     _lower_toeplitz_matrix,
-    convolve_values,
+    _running_trapezoid,
     trap_weights,
+    triangle_field,
 )
 from .kernels import MemoryKernel, ResolventData, resolvent
 from .forward import StringProblem, solve_mild
@@ -374,38 +378,9 @@ class BlagoSolution:
         return self.H.values[idx, idx]
 
 
-def _triangle_field(values: np.ndarray, dt: float) -> np.ndarray:
-    """All half-triangle integrals (1/2) int_{D(s_i,t_k)} of a sampled field."""
-    n_s, n_t = values.shape[0] - 1, values.shape[1] - 1
-    acc = TriangleAccumulator(values, dt)
-    out = np.zeros_like(values)
-    for k in range(1, n_t + 1):
-        out[: n_s - k + 1, k] = acc.level(k)
-    return out
-
-
-def _conv_columns(kmem: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
-    """(K *_t w)(s_i, t_k) for all nodes: causal convolution down each row."""
-    n_t = w.shape[1] - 1
-    out = np.zeros_like(w)
-    for i in range(w.shape[0]):
-        out[i, :] = convolve_values(kmem[: n_t + 1], w[i, :], dt)
-    return out
-
-
-def _conv_rows(kmem: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
-    """(K *_s w)(s_i, t_k) for all nodes: causal convolution up each column."""
-    n_s = w.shape[0] - 1
-    out = np.zeros_like(w)
-    for k in range(w.shape[1]):
-        out[:, k] = convolve_values(kmem[: n_s + 1], w[:, k], dt)
-    return out
-
-
 def blago_solve(
     G: Sampled2D,
     res: ResolventData,
-    sigma_weight: float = 0.0,
     scheme: str = "auto",
     tol: float = 1e-12,
     max_iter: int = 60,
@@ -418,10 +393,10 @@ def blago_solve(
 
       "march"      explicit lozenge marching in t on the light-cone band
                    (default for K != 0),
-      "quadrature" single triangle quadrature (exact reduction when K == 0),
-      "picard"     fixed-point sweeps on the weighted unknown
-                   Y = exp(-sigma(s+t)) W; sigma_weight only conditions the
-                   iteration, the converged H is independent of it,
+      "quadrature" one ``grid.triangle_field`` of G (exact reduction when K == 0),
+      "picard"     fixed-point sweeps of W through the equation above from
+                   W = (1/2) int_D G, until a sweep moves W by at most tol of
+                   max|(1/2) int_D G| (at most max_iter sweeps),
       "auto"       quadrature if K vanishes on the window (const, exp), else march.
     """
     sgrid, tgrid = G.sgrid, G.tgrid
@@ -439,11 +414,11 @@ def blago_solve(
 
     gvals = G.values
     if scheme == "quadrature":
-        W = _triangle_field(gvals, dt)
+        W = triangle_field(gvals, dt)
     elif scheme == "march":
         W = _march(gvals.T, kmem[: n_s + 1], n_t, dt).T
     elif scheme == "picard":
-        W = _picard(gvals, kmem, dt, sigma_weight, sgrid, tgrid, tol, max_iter)
+        W = _picard(gvals, kmem[: n_s + 1], dt, tol, max_iter)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -515,9 +490,7 @@ def _march(src: np.ndarray, kmem: np.ndarray, n_t: int, dt: float) -> np.ndarray
     col[1:] = -hk[1:width]
     T = _lower_toeplitz_matrix(col)  # the s-memory: T[i, j] = -dt^3 K(s_i - s_j), j < i
     B = min(_MARCH_BLOCK, n_t)
-    near = np.zeros((B, B))  # level k0+j reads levels k0..k0+j-1
-    for j in range(1, B):
-        near[j, :j] = hk[j:0:-1]
+    near = _lower_toeplitz_matrix(np.r_[0.0, hk[1:B]])  # level k0+j reads levels k0..k0+j-1
     far = sliding_window_view(np.concatenate([hk[: n_t + 1], np.zeros(B)]), B)  # row r: hk[r : r+B]
     for k0 in range(1, n_t, B):
         k1 = min(k0 + B, n_t)
@@ -537,31 +510,37 @@ def _march(src: np.ndarray, kmem: np.ndarray, n_t: int, dt: float) -> np.ndarray
     return W
 
 
-def _picard(gvals, kmem, dt, sigma, sgrid, tgrid, tol, max_iter):
-    n_s, n_t = sgrid.n, tgrid.n
-    has_memory = bool(np.any(kmem[: n_s + 1]))
-    E = np.exp(-sigma * (sgrid.nodes()[:, None] + tgrid.nodes()[None, :]))
-    g0 = E * _triangle_field(gvals, dt)
-    Y = g0.copy()
-    scale = max(np.max(np.abs(g0)), 1e-300)
+def _picard(gvals, kmem, dt, tol, max_iter):
+    """Fixed-point sweeps W <- (1/2) int_D [(K *_t W) - (K *_s W)] + (1/2) int_D G.
+
+    Every sweep vanishes on s = 0 and t = 0 (``triangle_field`` does), so the
+    l = 0 ends of both memory trapezoids drop out and their K(0)/2 ends
+    cancel, as in ``_march``: K *_t W - K *_s W = W Kt^T - Ks W, with Ks the
+    strictly lower-triangular Toeplitz matrix of dt K on the s-window and Kt
+    its leading block.  Without memory the first sweep returns W0 unchanged.
+    """
+    n_t = gvals.shape[1] - 1
+    col = dt * kmem
+    col[0] = 0.0
+    Ks = _lower_toeplitz_matrix(col)
+    Kt = Ks[: n_t + 1, : n_t + 1]
+    W0 = triangle_field(gvals, dt)
+    W = W0
+    scale = max(np.max(np.abs(W0)), 1e-300)
     prev_delta = np.inf
     growth = 0
     for it in range(1, max_iter + 1):
-        if not has_memory:
-            return Y / E
-        Wcur = Y / E
-        core = _conv_columns(kmem, Wcur, dt) - _conv_rows(kmem, Wcur, dt)
-        Y_new = E * _triangle_field(core, dt) + g0
-        delta = np.max(np.abs(Y_new - Y))
-        Y = Y_new
+        W_new = triangle_field(W @ Kt.T - Ks @ W, dt) + W0
+        delta = np.max(np.abs(W_new - W))
+        W = W_new
         if delta <= tol * scale:
-            return Y / E
+            return W
         if delta > prev_delta:
             growth += 1
             if growth >= 3:
                 raise NumericalFailure(
                     f"picard sweeps diverge (delta {delta:.3e} after {it} sweeps); "
-                    "increase sigma_weight or shorten the horizon"
+                    "shorten the horizon"
                 )
         else:
             growth = 0
@@ -633,8 +612,7 @@ def _diagonal_closed_form(a: np.ndarray, c: np.ndarray, nodes: np.ndarray, dt: f
     n, m = a.shape[1], nodes[-1]
     w = 0.5 * trap_weights(m + 1, dt)[:, None]  # w_tau / 2; tau = m is never summed
     bw, dw = w * c[: m + 1], w * a[: m + 1]
-    A = np.hstack([a, c])
-    U = dt * (np.cumsum(A, axis=0) - 0.5 * A)
+    U = _running_trapezoid(np.hstack([a, c]), dt)
     raw = np.zeros((len(nodes), n, n))
     for j, k in enumerate(nodes):
         S = U[2 * k : k : -1] - U[:k]
@@ -665,22 +643,25 @@ def _green(kmem: np.ndarray, m: int, dt: float) -> np.ndarray:
     return _march(src, kpad, m + 1, dt)
 
 
-def _row0_density(G: np.ndarray, src: np.ndarray, lift: int, m: int) -> np.ndarray:
+def _row0_density(G: np.ndarray, m: int, phi: np.ndarray, seed: np.ndarray) -> tuple:
     """Row-0 source densities rho(1..m-1) that hold W(0, t_l) = 0 for l = 2..m.
 
-    src holds sources on rows 1..m (row 0 is ignored), one column each;
-    lift = 0 for sources at level 1, which read G[l], and 1 for level-1
-    seeds, which read G[l+1].  A density at level l' reaches (0, t_l) through
-    G[l-l'+1, 0], so the system is lower-triangular Toeplitz,
+    phi and seed hold sources on rows 1..m (row 0 is ignored), one column
+    each: phi at level 1, which reads G[l], and level-1 seeds, which read
+    G[l+1].  A density at level l' reaches (0, t_l) through G[l-l'+1, 0], so
+    the system is lower-triangular Toeplitz,
     sum_{l'<l} G[l-l'+1, 0] rho(l') = -(free-space field at (0, t_l)), with
     first column G[2..m, 0] and diagonal G[2, 0] = dt^2.  The first column
-    of its inverse comes from the causal doubling of ``lower_toeplitz_solve``
-    and is applied to every column of src by one product with its
-    lower-triangular Toeplitz matrix (one strided copy).
+    of its inverse comes from the causal doubling of ``lower_toeplitz_solve``;
+    its lower-triangular Toeplitz matrix (one strided copy) is built once and
+    applied to the columns of phi and of seed by one product each.
     """
     o = m + 1
-    rhs = G[2 + lift : m + 1 + lift, o - 1 : 0 : -1] @ src[1 : m + 1]
-    return -(_lower_toeplitz_matrix(_lower_toeplitz_inverse(G[2 : m + 1, o])) @ rhs)
+    inv = _lower_toeplitz_matrix(_lower_toeplitz_inverse(G[2 : m + 1, o]))
+    return tuple(
+        -(inv @ (G[2 + lift : m + 1 + lift, o - 1 : 0 : -1] @ src[1 : m + 1]))
+        for lift, src in enumerate((phi, seed))
+    )
 
 
 def _diagonal_march(a: np.ndarray, c: np.ndarray, kmem: np.ndarray, nodes: np.ndarray, dt: float) -> np.ndarray:
@@ -703,14 +684,15 @@ def _diagonal_march(a: np.ndarray, c: np.ndarray, kmem: np.ndarray, nodes: np.nd
     rho from W(0,t_l) = 0 (``_row0_density``).  At horizon k the readout
     needs levels <= k+1 and source rows < 2k: a few BLAS-3 products on a
     slice of G.  The cost is one banded march for G (``_green``, about
-    5 m^3 multiply-adds), two products for rho, and the readout products.
+    5 m^3 multiply-adds), one inverse and two products for rho, and the
+    readout products.
     """
     n, m, o = a.shape[1], nodes[-1], nodes[-1] + 1
     G = _green(kmem, m, dt)
     phi = np.hstack([a, c])
     seed = np.zeros_like(c)
     seed[1:-1] = 0.25 * (0.5 * c[:-2] + c[1:-1] + 0.5 * c[2:])
-    rho, rho0 = _row0_density(G, phi, 0, m), _row0_density(G, seed, 1, m)
+    rho, rho0 = _row0_density(G, m, phi, seed)
     lev = np.arange(1, m + 1)
     shift = np.maximum(lev[:, None] - lev[None, :-1] + 1, 0)  # G level l-l'+1; G[0] = G[1] = 0
     raw = np.zeros((len(nodes), n, n))

@@ -4,6 +4,14 @@ The CLI maps these onto process exit codes: ConfigError -> 2,
 NumericalFailure -> 3, DataFormatError -> 4.
 """
 
+__all__ = [
+    "GridMismatchError",
+    "KernelValidationError",
+    "ConfigError",
+    "DataFormatError",
+    "NumericalFailure",
+]
+
 
 class GridMismatchError(ValueError):
     """Operands sampled on incompatible grids."""

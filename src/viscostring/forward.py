@@ -59,7 +59,6 @@ __all__ = [
     "solve_mild",
     "final_snapshot",
     "fd_oracle",
-    "boundary_derivative",
 ]
 
 
@@ -225,11 +224,6 @@ def solve_mild(p: StringProblem, f: Sampled1D, res: ResolventData | None = None)
 def _trace_x0(w: np.ndarray, dx: float) -> np.ndarray:
     """One-sided second-order difference of the rows w[0..2] at x = 0."""
     return (-3.0 * w[0, :] + 4.0 * w[1, :] - w[2, :]) / (2.0 * dx)
-
-
-def boundary_derivative(field: WaveField) -> Sampled1D:
-    """One-sided second-order difference of w at x = 0 (oracle-style trace)."""
-    return Sampled1D(field.tgrid, _trace_x0(field.w.values, field.xgrid.dt))
 
 
 def final_snapshot(field: WaveField, T: float | None = None) -> Sampled1D:

@@ -6,11 +6,11 @@ from viscostring.grid import (
     Sampled1D,
     Sampled2D,
     TimeGrid,
-    TriangleAccumulator,
     causal_convolve,
     centered_difference,
     cumulative_integral,
     lower_toeplitz_solve,
+    triangle_field,
     triangle_quadrature,
 )
 
@@ -198,27 +198,17 @@ def test_triangle_index_errors():
         triangle_quadrature(F, 15, 9)  # needs s-samples beyond the grid
 
 
-def test_triangle_incremental_matches_direct(rng):
-    gs, gt = _square_grids(24, 0.3)
-    F = Sampled2D(gs, gt, rng.standard_normal((gs.n + 1, gt.n + 1)))
-    acc = TriangleAccumulator(F.values, gs.dt)
-    for k in range(1, gt.n + 1):
-        level = acc.level(k)
-        assert len(level) == gs.n - k + 1
-        for i in range(len(level)):
-            direct = triangle_quadrature(F, i, k)
-            assert abs(level[i] - direct) <= 1e-12 * max(1.0, abs(direct))
-
-
-def test_triangle_incremental_level_order_enforced(rng):
-    gs, gt = _square_grids(8, 0.1)
-    F = rng.standard_normal((gs.n + 1, gt.n + 1))
-    acc = TriangleAccumulator(F, gs.dt)
-    with pytest.raises(IndexError):
-        acc.level(2)
-    acc.level(1)
-    with pytest.raises(IndexError):
-        acc.level(3)
+def test_triangle_field_matches_direct(rng):
+    for n_s, n_t in [(48, 24), (30, 12), (7, 7), (2, 1), (1, 1)]:
+        gs, gt = TimeGrid(0.0125, n_s), TimeGrid(0.0125, n_t)
+        F = Sampled2D(gs, gt, rng.standard_normal((n_s + 1, n_t + 1)))
+        W = triangle_field(F.values, gs.dt)
+        i, k = np.indices(W.shape)
+        inside = i + k <= n_s
+        assert np.all(W[0] == 0.0) and np.all(W[:, 0] == 0.0)  # D(0, t) and D(s, 0) are empty
+        assert np.all(W[~inside] == 0.0)  # apexes whose triangle leaves the s-window
+        direct = np.array([triangle_quadrature(F, a, b) for a, b in zip(i[inside], k[inside])])
+        assert np.max(np.abs(W[inside] - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 def test_sampled2d_requires_shared_step():
