@@ -122,23 +122,17 @@ def _extrapolate(times: np.ndarray, values: np.ndarray, t0: float) -> float:
     return total
 
 
-def steering_control(
-    gram: ConnectingGram,
-    T: float,
-    b: np.ndarray,
-    cfg: IdentifyConfig | None = None,
-) -> SteeringControl:
-    """Solve the steering system at the knot horizon T and assemble the control.
+def _steer(gram: ConnectingGram, T: float, b: np.ndarray) -> tuple:
+    """The guarded steering solve at the knot horizon T.
 
-    The returned Sampled1D is the stabilized readout: the piecewise-linear
-    interpolant of the dual averages, its endpoint values f(0+) and f(T-)
-    extrapolated from the nearest duals (the zero-at-ends basis cannot
-    represent them).  cfg supplies only the readout depth.  A Gram whose least
+    Returns (coefficients, duals, f0, xi, residual, condition): the active
+    coefficients, their dual averages, f(0+) extrapolated from the leading
+    duals, the target trace xi(T) = exp(gamma T) f(0+), the relative residual
+    and the condition number of the active Gram.  A Gram whose least
     eigenvalue is not above 1e-8 times its norm raises NumericalFailure.
     """
-    cfg = cfg or IdentifyConfig()
     basis = gram.basis
-    idx = basis.grid.index_of(T)
+    basis.grid.index_of(T)  # an off-grid horizon raises GridMismatchError first
     k = len(basis.active(T))  # the active set is the prefix 0..k-1
     if k == 0:
         raise ConfigError(f"horizon T={T} is below the first basis support")
@@ -159,30 +153,48 @@ def steering_control(
     residual = float(np.linalg.norm(C @ c_a - b_a)) / nb if nb > 0 else 0.0
 
     duals = (basis.mass_matrix[:k, :k] @ c_a) / basis.element_masses[:k]
-    tbars = basis.dual_abscissae[:k]
-
-    pts = min(cfg.readout_points, k)
-    f0 = _extrapolate(tbars[:pts], duals[:pts], 0.0)
+    pts = min(IdentifyConfig.readout_points, k)
+    f0 = _extrapolate(basis.dual_abscissae[:pts], duals[:pts], 0.0)
     # target trace: the wavefront of the transformed field carries f(0+),
     # the physical one exp(gamma T) f(0+)
     xi = float(np.exp(gram.gamma * T)) * f0
+    # C is symmetric positive definite: its singular values are its eigenvalues
+    return c_a, duals, f0, xi, residual, float(ev[-1]) / ev_min
+
+
+def steering_control(
+    gram: ConnectingGram,
+    T: float,
+    b: np.ndarray,
+    cfg: IdentifyConfig | None = None,
+) -> SteeringControl:
+    """Solve the steering system at the knot horizon T and assemble the control.
+
+    The returned Sampled1D is the stabilized readout: the piecewise-linear
+    interpolant of the dual averages, its endpoint values f(0+) and f(T-)
+    extrapolated from the nearest duals (the zero-at-ends basis cannot
+    represent them).  The readout depth is the constant
+    IdentifyConfig.readout_points, so cfg changes nothing.  A Gram whose least
+    eigenvalue is not above 1e-8 times its norm raises NumericalFailure.
+    """
+    c_a, duals, f0, xi, residual, condition = _steer(gram, T, b)
+    basis = gram.basis
+    tbars = basis.dual_abscissae[: len(duals)]
 
     # stabilized control: pw-linear through (0, f0), (tbar_j, v_j), (T, tail)
+    pts = min(IdentifyConfig.readout_points, len(duals))
     tail = _extrapolate(tbars[-pts:], duals[-pts:], T)
-    tgrid = TimeGrid(basis.grid.dt, idx)
+    tgrid = TimeGrid(basis.grid.dt, basis.grid.index_of(T))
     knots_t = np.concatenate(([0.0], tbars, [T]))
     knots_v = np.concatenate(([f0], duals, [tail]))
     samples = np.interp(tgrid.nodes(), knots_t, knots_v)
-
-    # C is symmetric positive definite: its singular values are its eigenvalues
-    diag = {"condition": float(ev[-1]) / ev_min}
     return SteeringControl(
         coefficients=c_a,
         duals=duals,
         control=Sampled1D(tgrid, samples),
         xi=xi,
         residual=residual,
-        diagnostics=diag,
+        diagnostics={"condition": condition},
     )
 
 
@@ -202,9 +214,20 @@ def reconstruct_q(
     n_basis = 32, m = 256), a centered window is not symmetric in T and that
     term is left in xi''.  At the ends the window shifts one-sided, where a
     quadratic would estimate xi'' at the window center instead of the
-    evaluation point, so shifted windows use a cubic.  Where |xi| falls under
-    the zero guard, q is linearly interpolated across from the nearest
-    guarded-clear neighbors (continuity extension).  Returns (q, guard_flags).
+    evaluation point, so shifted windows use a cubic.
+
+    The fits are Savitzky-Golay filters (Anal. Chem. 36 (1964) 1627-1639):
+    their weights depend on the horizons only.  Each degree takes one stacked
+    pseudo-inverse of its windows' Vandermonde matrices, columns scaled to
+    unit norm as ``np.polyfit`` scales them, and one batched product applies
+    the weights to xi minus its value at the evaluation point.  The fits
+    reproduce constants, so that shift changes only round-off, and lowers it:
+    on smooth targets q lies closer to exact least squares than per-window
+    ``np.polyfit`` does.
+
+    Where |xi| falls under the zero guard, q is linearly interpolated across
+    from the nearest guarded-clear neighbors (continuity extension).  Returns
+    (q, guard_flags).
     """
     h = np.asarray(horizons, dtype=float)
     v = np.asarray(xi, dtype=float)
@@ -215,26 +238,24 @@ def reconstruct_q(
             f"need at least {2 * w + 1} horizon samples for halfwidth {w}, got {n}"
         )
     eps = cfg.xi_zero_guard if cfg.xi_zero_guard is not None else 5.0 * dt
-    q = np.empty(n)
-    guarded = np.zeros(n, dtype=bool)
-    for i in range(n):
-        lo = min(max(0, i - w), n - (2 * w + 1))
-        window = slice(lo, lo + 2 * w + 1)
-        degree = 2 if lo == i - w else 3
-        coef = np.polyfit(h[window] - h[i], v[window], degree)
-        xi_dd = 2.0 * coef[degree - 2]
-        xi_c = coef[-1]
-        if abs(xi_c) > eps:
-            q[i] = -xi_dd / xi_c
-        else:
-            q[i] = np.nan
-            guarded[i] = True
-    if np.all(guarded):
+    lo = np.clip(np.arange(n) - w, 0, n - (2 * w + 1))
+    window = lo[:, None] + np.arange(2 * w + 1)
+    centered = lo == np.arange(n) - w
+    xi_c, xi_dd = np.empty(n), np.empty(n)
+    for rows, degree in ((centered, 2), (~centered, 3)):
+        # Vandermonde of each window about its evaluation point, increasing powers
+        V = (h[window[rows]] - h[rows, None])[:, :, None] ** np.arange(degree + 1)
+        scale = np.sqrt(np.einsum("kjp,kjp->kp", V, V))
+        weights = np.linalg.pinv(V / scale[:, None, :]) / scale[:, :, None]
+        coef = np.einsum("kpj,kj->kp", weights[:, [0, 2]], v[window[rows]] - v[rows, None])
+        xi_c[rows], xi_dd[rows] = v[rows] + coef[:, 0], 2.0 * coef[:, 1]
+    clear = np.abs(xi_c) > eps
+    if not np.any(clear):
         raise NumericalFailure("target identically degenerate: |xi| under guard everywhere")
-    if np.any(guarded):
-        ok = ~guarded
-        q[guarded] = np.interp(h[guarded], h[ok], q[ok])
-    return q, guarded
+    q = np.empty(n)
+    q[clear] = -xi_dd[clear] / xi_c[clear]
+    q[~clear] = np.interp(h[~clear], h[clear], q[clear])
+    return q, ~clear
 
 
 def default_horizons(basis: ControlBasis, min_active: int = 3) -> np.ndarray:
@@ -288,9 +309,8 @@ def pipeline(tab: ResponseTable, cfg: IdentifyConfig | None = None) -> Reconstru
     diags = []
     for i, T in enumerate(horizons):
         b = steering_rhs(tab.kernel, basis, float(T))
-        sc = steering_control(gram, float(T), b, cfg)
-        xi[i] = sc.xi
-        diags.append({"residual": sc.residual, **sc.diagnostics})
+        *_, xi[i], residual, condition = _steer(gram, float(T), b)
+        diags.append({"residual": residual, "condition": condition})
     q, guarded = reconstruct_q(horizons, xi, cfg, basis.grid.dt)
     return ReconstructionResult(
         horizons=horizons,

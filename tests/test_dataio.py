@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from viscostring.cli import main
 from viscostring.errors import ConfigError, DataFormatError
 from viscostring.grid import TimeGrid
 from viscostring import dataio
@@ -424,3 +425,203 @@ def test_write_csv_matches_csv_writer_bytes(tmp_path, rng, n_rows):
     dataio._write_csv(str(new), header, cols)
     _csv_writer_reference(str(ref), header, cols)
     assert new.read_bytes() == ref.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The reader against the csv.reader + np.array reader it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_read_csv(path, header, grid=None):
+    """The csv.reader + np.array reader that one np.loadtxt call replaced:
+    the yardstick for the bits and the failures of dataio._read_csv."""
+    if not os.path.isfile(path):
+        raise DataFormatError(f"missing file {path}")
+    with dataio._input_stage(DataFormatError, path), open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+        if not rows or rows[0] != header:
+            raise DataFormatError(f"{path} must have the columns {','.join(header)}")
+        if len(rows) == 1:
+            raise DataFormatError(f"{path} has no data rows")
+        data = np.array(rows[1:], dtype=float)
+    if data.shape[1] != len(header):
+        raise DataFormatError(f"{path}: rows do not match the header")
+    if not np.all(np.isfinite(data)):
+        raise DataFormatError(f"{path}: non-finite cell")
+    if grid is not None and (
+        len(data) != grid.n + 1 or np.max(np.abs(data[:, 0] - grid.nodes())) > 1e-9
+    ):
+        raise DataFormatError(
+            f"{path} is not sampled on the grid of {grid.n + 1} nodes of step {grid.dt}"
+        )
+    return list(data.T)
+
+
+def _bits(columns):
+    return np.array(columns).view(np.int64)
+
+
+def _read_both(path, header, grid=None):
+    """The reader's columns, or None if it raised DataFormatError; whatever
+    it loads, the reference reader loads too, bit for bit."""
+    try:
+        new = dataio._read_csv(str(path), header, grid)
+    except DataFormatError:
+        return None
+    ref = _reference_read_csv(str(path), header, grid)  # raises if it would not load
+    assert np.array_equal(_bits(new), _bits(ref))
+    return new
+
+
+_EDGE_DOUBLES = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    1.7e308, -1.7e308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0,
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 600),
+    n_cols=st.integers(1, 40),
+    drawn=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
+)
+def test_reader_is_bit_exact_against_csv_reader(seed, n_rows, n_cols, drawn):
+    # random bit patterns span every exponent, subnormals included; the edge
+    # values and hypothesis's own floats are scattered over the table
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(-(2**63), 2**63 - 1, (n_rows, n_cols), dtype=np.int64, endpoint=True)
+    cells = bits.view(np.float64)
+    bits[~np.isfinite(cells)] ^= np.int64(1 << 62)  # clear the top exponent bit: finite
+    extra = np.array(_EDGE_DOUBLES + drawn)
+    cells.ravel()[rng.integers(0, cells.size, len(extra))] = extra
+    header = [f"c{j}" for j in range(n_cols)]
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "table.csv")
+        dataio._write_csv(path, header, list(cells.T))
+        new = dataio._read_csv(path, header)
+        assert np.array_equal(_bits(new), _bits(_reference_read_csv(path, header)))
+    assert np.array_equal(_bits(new), cells.T.view(np.int64))
+
+
+def test_a7_bundle_loads_identically_through_both_readers(tmp_path, monkeypatch):
+    # exp:1 at A7 size (n_basis = 32, dt = 1/256 on T_max = 1, L = 2), noisy
+    cfg = RunConfig(
+        kernel="exp:1", L=2.0, T_max=1.0, dt=1.0 / 256, n_basis=32,
+        q="const:1 + sin:0.25,1", noise_sigma=1e-5, seed=3,
+    )
+    bundle = str(tmp_path / "a7")
+    synthesize(cfg, bundle)
+    grid2, x_grid = cfg.doubled_grid(), TimeGrid(cfg.dt, round(cfg.L / cfg.dt))
+    files = {
+        "kernel.csv": (dataio._KERNEL_HEADER, grid2),
+        "basis.csv": (["t"] + [f"e{i + 1}" for i in range(32)], grid2),
+        "response.csv": (["t"] + [f"y{i + 1}" for i in range(32)], grid2),
+        "q_true.csv": (["x", "q"], x_grid),
+    }
+    for name, (header, grid) in files.items():
+        assert _read_both(os.path.join(bundle, name), header, grid) is not None, name
+    table, q_true, manifest = load_bundle(bundle)
+    monkeypatch.setattr(dataio, "_read_csv", _reference_read_csv)
+    ref_table, ref_q_true, ref_manifest = load_bundle(bundle)
+    assert manifest == ref_manifest
+    for a, b in (
+        (table.Y, ref_table.Y),
+        (table.basis.samples, ref_table.basis.samples),
+        (table.kernel.N3.values, ref_table.kernel.N3.values),
+        (q_true, ref_q_true),
+    ):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _small_response(tmp_path):
+    """A small bundle's response.csv: its path, header, grid and CRLF lines."""
+    bundle = tmp_path / "bundle"
+    cfg = _small_cfg(q="const:1 + sin:0.25,1")
+    synthesize(cfg, str(bundle))
+    path = bundle / "response.csv"
+    header = ["t"] + [f"y{i + 1}" for i in range(cfg.n_basis)]
+    return path, header, cfg.doubled_grid(), path.read_bytes().decode().split("\r\n")[:-1]
+
+
+def _crlf(lines):
+    return "\r\n".join(lines) + "\r\n"
+
+
+def _whole_line_edits(lines):
+    """Edited file texts: name -> (text, whether the reader must load it)."""
+    mid = len(lines) // 2
+    row = lines[mid].split(",")
+    quoted_header = ",".join(f'"{cell}"' for cell in lines[0].split(","))
+    return {
+        "blank line inserted": (_crlf(lines[:mid] + [""] + lines[mid:]), False),
+        "blank line for a row": (_crlf(lines[:mid] + [""] + lines[mid + 1 :]), False),
+        "trailing blank line": (_crlf(lines + [""]), False),
+        "header only": (_crlf(lines[:1]), False),
+        "header and blank lines": (_crlf(lines[:1] + ["", ""]), False),
+        "empty file": ("", False),
+        "short row": (_crlf(lines[:mid] + [",".join(row[:-1])] + lines[mid + 1 :]), False),
+        "long row": (_crlf(lines[:mid] + [lines[mid] + ",0"] + lines[mid + 1 :]), False),
+        "row split in two": (
+            _crlf(lines[:mid] + [",".join(row[:2]), ",".join(row[2:])] + lines[mid + 1 :]), False
+        ),
+        "# in a cell": (_crlf(lines[:mid] + [lines[mid] + "#1"] + lines[mid + 1 :]), False),
+        "# for a cell": (_crlf(lines[:mid] + [",".join(row[:-1] + ["#"])] + lines[mid + 1 :]), False),
+        "# comment line": (_crlf(lines[:mid] + ["# note"] + lines[mid:]), False),
+        "quoted header": (_crlf([quoted_header] + lines[1:]), True),
+        "quoted cell": (_crlf(lines[:mid] + [",".join([f'"{row[0]}"'] + row[1:])] + lines[mid + 1 :]), True),
+        "quoted cell with a line end": (
+            _crlf(lines[:mid] + [",".join(row[:-1] + [f'"{row[-1]}\r\n"'])] + lines[mid + 1 :]), False
+        ),
+        "no final CRLF": (_crlf(lines)[:-2], True),
+        "bare LF": ("\n".join(lines) + "\n", True),
+        "bare LF, no final LF": ("\n".join(lines), True),
+    }
+
+
+def test_whole_line_edits_load_the_reference_values_or_raise(tmp_path):
+    path, header, grid, lines = _small_response(tmp_path)
+    for name, (text, loads) in _whole_line_edits(lines).items():
+        path.write_bytes(text.encode())
+        for g in (grid, None):
+            new = _read_both(path, header, g)
+            assert (new is not None) == loads, (name, g)
+        if not loads:
+            with pytest.raises(DataFormatError):
+                load_bundle(str(path.parent))
+
+
+def test_whole_line_edit_exits_4(tmp_path):
+    path, _, _, lines = _small_response(tmp_path)
+    path.write_bytes(_whole_line_edits(lines)["blank line inserted"][0].encode())
+    assert main(["identify", str(path.parent)]) == 4
+
+
+def test_line_and_cell_edit_fuzz_against_reference_reader(tmp_path):
+    path, header, grid, lines = _small_response(tmp_path)
+    text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+    cells = st.one_of(
+        text,
+        _numbers.map(str),
+        st.sampled_from(['"1"', '"1"2', '1"2"', '""', '"', '"1,2"', "1_0", "١", "\xa01 ", "#", "0x1p-3", "\r", "\n"]),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(edit=st.sampled_from(["cell", "insert", "replace", "delete"]), data=st.data())
+    def edit_one(edit, data):
+        new = list(lines)
+        r = data.draw(st.integers(0, len(lines) - 1), label="line")
+        if edit == "cell":
+            row = new[r].split(",")
+            row[data.draw(st.integers(0, len(row) - 1), label="col")] = data.draw(cells, label="cell")
+            new[r] = ",".join(row)
+        elif edit == "delete":
+            del new[r]
+        else:
+            drawn = data.draw(st.one_of(text, st.lists(cells, max_size=6).map(",".join)), label="text")
+            new[r : r + (edit == "replace")] = [drawn]
+        path.write_bytes(_crlf(new).encode())
+        _read_both(path, header, grid)
+        _read_both(path, header)
+
+    edit_one()

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -434,3 +436,120 @@ def test_readout_matches_per_call_reference(kernel):
         for key, value in ref.items():
             gap = np.max(np.abs(np.asarray(got[key]) - value))
             assert gap <= 1e-12 * np.max(np.abs(value)), (T, key)
+
+
+def _polyfit_reconstruct(horizons, xi, cfg, dt):
+    """The per-horizon np.polyfit loop that the stacked Savitzky-Golay
+    weights of reconstruct_q replaced."""
+    h, v, w = np.asarray(horizons, float), np.asarray(xi, float), cfg.smoothing_halfwidth
+    n = len(h)
+    eps = cfg.xi_zero_guard if cfg.xi_zero_guard is not None else 5.0 * dt
+    q, guarded = np.empty(n), np.zeros(n, dtype=bool)
+    for i in range(n):
+        lo = min(max(0, i - w), n - (2 * w + 1))
+        window = slice(lo, lo + 2 * w + 1)
+        degree = 2 if lo == i - w else 3
+        coef = np.polyfit(h[window] - h[i], v[window], degree)
+        if abs(coef[-1]) > eps:
+            q[i] = -2.0 * coef[degree - 2] / coef[-1]
+        else:
+            q[i], guarded[i] = np.nan, True
+    q[guarded] = np.interp(h[guarded], h[~guarded], q[~guarded])
+    return q, guarded
+
+
+def _rounded_lattice(n):
+    """Default horizons of hat_basis at dt = 1/(8n) on [0, 1]: the knots are
+    rounded to grid nodes, so the spacings alternate 7 and 8 steps."""
+    grid = TimeGrid(1.0 / (8 * n), 8 * n)
+    h = default_horizons(hat_basis(grid, n))
+    assert set(np.round(np.diff(h) / grid.dt)) == {7.0, 8.0}
+    return h, grid.dt
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize(
+    "target, guard",
+    [
+        (lambda T: np.sin(1.3 * T) + 0.2 * T**2, None),
+        (lambda T: np.sin(2.0 * np.pi * T), 0.05),  # crosses zero: guarded points
+    ],
+)
+def test_reconstruct_q_matches_polyfit_loop_on_rounded_lattice(n, target, guard):
+    h, dt = _rounded_lattice(n)
+    cfg = IdentifyConfig(xi_zero_guard=guard)
+    q, guarded = reconstruct_q(h, target(h), cfg, dt)
+    q_ref, guarded_ref = _polyfit_reconstruct(h, target(h), cfg, dt)
+    assert np.array_equal(guarded, guarded_ref)
+    assert np.any(guarded) == (guard is not None)
+    assert np.max(np.abs(q - q_ref)) <= 1e-12 * np.max(np.abs(q_ref))
+
+
+def _exact_fit_q(h, v, w=3):
+    """-xi''/xi of each window's least-squares fit in exact rational
+    arithmetic (normal equations over Fractions of the float inputs)."""
+    n, out = len(h), []
+    for i in range(n):
+        lo = min(max(0, i - w), n - (2 * w + 1))
+        degree = 2 if lo == i - w else 3
+        x = [Fraction(h[j]) - Fraction(h[i]) for j in range(lo, lo + 2 * w + 1)]
+        y = [Fraction(v[j]) for j in range(lo, lo + 2 * w + 1)]
+        A = [[sum(t ** (p + r) for t in x) for r in range(degree + 1)] for p in range(degree + 1)]
+        rhs = [sum(t**p * yy for t, yy in zip(x, y)) for p in range(degree + 1)]
+        for c in range(degree + 1):  # Gauss-Jordan; the Gram of distinct nodes is SPD
+            for r in range(degree + 1):
+                if r != c:
+                    f = A[r][c] / A[c][c]
+                    A[r] = [a - f * b for a, b in zip(A[r], A[c])]
+                    rhs[r] -= f * rhs[c]
+        out.append(float(-2 * (rhs[2] / A[2][2]) / (rhs[0] / A[0][0])))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_reconstruct_q_round_off_against_exact_least_squares(n):
+    # the polyfit loop itself is off by up to ~2e-12 of max|q| here, at the
+    # small-xi end; the stacked weights on xi - xi(T) stay closer to exact
+    h, dt = _rounded_lattice(n)
+    for xi in (np.sinh(h), np.sin(h)):
+        exact = _exact_fit_q(h, xi)
+        scale = np.max(np.abs(exact))
+        err = np.max(np.abs(reconstruct_q(h, xi, IdentifyConfig(), dt)[0] - exact)) / scale
+        err_polyfit = np.max(np.abs(_polyfit_reconstruct(h, xi, IdentifyConfig(), dt)[0] - exact)) / scale
+        assert err <= min(err_polyfit, 1.5e-12)
+
+
+def test_pipeline_xi_and_diagnostics_are_steering_control_bit_for_bit():
+    m, n, T_max, L = 128, 16, 1.0, 2.0
+    grid, grid2 = TimeGrid(T_max / m, m), TimeGrid(T_max / m, 2 * m)
+    ker2 = build_kernel(grid2, "exp", rate=1.0)
+    basis = hat_basis(grid, n)
+    tab = synthesize_table(basis, ker2, lambda x: 1.0 + 0.25 * np.sin(np.pi * x / L), L)
+    res = pipeline(tab)
+    gram = gram_from_data(tab)
+    for i, T in enumerate(res.horizons):
+        sc = steering_control(gram, float(T), steering_rhs(ker2, basis, float(T)))
+        assert np.float64(sc.xi).view(np.int64) == res.xi[i].view(np.int64)
+        assert list(res.diagnostics[i]) == ["residual", "condition"]
+        assert res.diagnostics[i] == {"residual": sc.residual, "condition": sc.diagnostics["condition"]}
+    q_ref, _ = _polyfit_reconstruct(res.horizons, res.xi, IdentifyConfig(), grid.dt)
+    assert np.max(np.abs(res.q_hat - q_ref)) <= 1e-12 * np.max(np.abs(q_ref))
+
+
+def test_identify_results_csv_columns(tmp_path):
+    from viscostring.cli import main
+    from viscostring.dataio import load_bundle
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kernel = exp:1\nL = 1\nT_max = 0.5\ndt = 0.0078125\nn_basis = 12\nq = const:1\n")
+    bundle, out = str(tmp_path / "bundle"), tmp_path / "run"
+    assert main(["synthesize", "--config", str(cfg), "--out", bundle]) == 0
+    assert main(["identify", bundle, "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "results.csv").read_bytes().decode().split("\r\n")
+    assert lines[0] == "T,xi,q_hat,residual,guard_flag" and lines[-1] == ""
+    rows = np.array([[float(c) for c in line.split(",")] for line in lines[1:-1]])
+    res = pipeline(load_bundle(bundle)[0])
+    assert np.array_equal(rows[:, [0, 1, 3, 4]], np.array([row for row in res.rows()])[:, [0, 1, 3, 4]])
+    q_ref, guarded = _polyfit_reconstruct(res.horizons, res.xi, IdentifyConfig(), 0.0078125)
+    assert np.array_equal(rows[:, 4], guarded.astype(float))
+    assert np.max(np.abs(rows[:, 2] - q_ref)) <= 1e-12 * np.max(np.abs(q_ref))
