@@ -74,7 +74,7 @@ from .grid import (
     triangle_field,
 )
 from .kernels import MemoryKernel, ResolventData, resolvent
-from .forward import StringProblem, solve_mild
+from .forward import StringProblem, _mild_march, solve_mild
 
 __all__ = [
     "ControlBasis",
@@ -286,8 +286,11 @@ def synthesize_table(
     unit spike at t_1 yields the impulse response h = y - gamma e_1 + e_1',
     and a control f = sum_{j>=1} f_j (e_1 delayed j-1 steps) has
     z_k = sum_{j>=1} f_j h_{k-j+1}, its product with the upper-triangular
-    Toeplitz matrix of h.  Each row takes that product as a truncated
-    convolution, so no (M+1)^2 matrix is formed.
+    Toeplitz matrix of h.  Each row takes that product as one convolution
+    of the control's nonzero samples with h, so it costs the support's
+    length times M.  h on [0, 2 T_max] reads only the cells x + t <= 2 T_max,
+    so the spike's march stops there, half of its forward cone, and builds
+    neither the physical field nor the traction.
     """
     grid2 = kernel.grid
     t2 = grid2.t_max
@@ -300,10 +303,15 @@ def synthesize_table(
     dt, M = grid2.dt, grid2.n
     spike = np.zeros(M + 1)
     spike[1] = 1.0
-    y1 = solve_mild(p, Sampled1D(grid2, spike), res=res).y.values
+    _, y1 = _mild_march(p, Sampled1D(grid2, spike), res, M)  # cells x + t <= 2 T_max
     h = y1 - res.gamma * spike + centered_difference(spike, dt)
     E = basis.sampled_on(grid2)
-    z = np.vstack([np.convolve(e[1:], h)[: M + 1] for e in E])
+    z = np.zeros_like(E)
+    for e, zr in zip(E, z):
+        nz = np.flatnonzero(e[1:]) + 1
+        if nz.size:  # z_k = sum_{a <= j < b} e_j h_{k-j+1}, zero before k = a - 1
+            a, b = nz[0], nz[-1] + 1
+            zr[a - 1 :] = np.convolve(e[a:b], h[: M + 2 - a])[: M + 2 - a]
     Y = res.gamma * E - centered_difference(E, dt) + z
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)

@@ -33,7 +33,12 @@ half cancel) gives
     y(t) = gamma f(t) - f'(t) + exp(gamma t) int_0^t F(xi, t-xi) dxi,
 
 and the march adds each level's F row into that anti-diagonal integral as it
-goes, so F is never stored.
+goes, so F is never stored.  y(t_n) reads the cells x_i + t_k <= t_n only,
+so the march (``_mild_march``) takes the last anti-diagonal its caller needs:
+``solve_mild`` asks for the whole cone, while the response table
+(``connecting.synthesize_table``) reads only the trace on [0,T] and asks for
+x_i + t_k <= T, where level k touches the rows i <= min(k+1, m-k), half of
+the cone, and builds neither the physical field nor the traction.
 
 ``fd_oracle`` is an independent check: a leapfrog discretization of the
 differentiated model w_tt = Lw + int_0^t N'(t-s) Lw(s) ds on the full domain
@@ -153,6 +158,75 @@ def _prefix(k: MemoryKernel, m: int) -> MemoryKernel:
 _BLOCK = 32  # levels whose memory history before the block is one matrix product
 
 
+_OVERFLOW = "forward solution is not finite (the control or q overflows the solver)"
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in NumericalFailure
+def _mild_march(
+    p: StringProblem, f: Sampled1D, res: ResolventData, last: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """March the transformed field on the cells x_i + t_k <= t_last of the cone.
+
+    Returns W, time-major (W[k, i] = W(x_i, t_k), zero off those cells), and
+    the boundary trace y on [0, T]; y(t_n) reads the anti-diagonal
+    x_i + t_k = t_n only, so any last >= m gives all of it.  Raises
+    NumericalFailure when y is not finite.  f and res must already be
+    checked against p, as ``solve_mild`` checks them.
+    """
+    dt = p.dt
+    m = f.grid.n
+    gamma, alpha = res.gamma, res.alpha
+    dK = dt * res.K.values[: m + 1]
+    has_memory = bool(np.any(dK))
+    # row j of the window view is dK[j : j + _BLOCK], zero past lag m
+    windows = sliding_window_view(np.concatenate([dK, np.zeros(_BLOCK)]), _BLOCK)
+
+    t = TimeGrid(dt, m).nodes()
+    qa = p.q[: m + 1] + alpha
+
+    # level k touches the rows i <= k+1 (its light cone and one beyond) with
+    # x_i + t_k <= t_last; the first ends[k] of them add to anti-diagonals <= T
+    level = np.arange(m + 1)
+    rows = np.minimum(np.minimum(level + 2, m + 1), last + 1 - level)
+    ends = np.minimum(rows, m + 1 - level).tolist()
+    rows = rows.tolist()
+
+    W = np.zeros((m + 1, m + 1))
+    W[:, 0] = np.exp(-gamma * t) * f.values
+    dt2 = dt * dt
+    integral = np.zeros(m + 1)  # trapezoid sums of F along x_i + t_k = t_n, level by level
+    # F(.,0) = (q+alpha) W(.,0) = 0 since f(0) = 0, so level 0 adds nothing
+    for k0 in range(1, m + 1, _BLOCK):
+        k1 = min(k0 + _BLOCK, m + 1)
+        if has_memory:
+            # memory of levels l = 1..k0-1 for the whole block, Toeplitz(dK)[k0:k1, 1:k0];
+            # level l lives on rows i < l, and the block reads rows i <= last - k0
+            c = min(k0, last - k0 + 1)
+            history = windows[k0 - 1 : 0 : -1, : k1 - k0].T @ W[1:k0, :c]
+            history[:, 0] += 0.5 * dK[k0:k1] * W[0, 0]  # the l = 0 end
+        for k in range(k0, k1):
+            r = rows[k]
+            Wk = W[k, :r]
+            F = qa[:r] * Wk
+            if has_memory:
+                mem = 0.5 * dK[0] * Wk  # the l = k end of the trapezoid
+                mem[:c] += history[k - k0, :r]
+                if k > k0:
+                    mem += dK[k - k0 : 0 : -1] @ W[k0:k, :r]
+                F += mem
+            n = ends[k]
+            integral[k] += 0.5 * F[0]
+            integral[k + 1 : k + n] += F[1:n]
+            if k < m:
+                W[k + 1, 1 : r - 1] = Wk[2:] + Wk[:-2] - W[k - 1, 1 : r - 1] + dt2 * F[1:-1]
+
+    fp = centered_difference(f.values, dt)
+    y = gamma * f.values - fp + np.exp(gamma * t) * (dt * integral)
+    if not np.all(np.isfinite(y)):
+        raise NumericalFailure(_OVERFLOW)
+    return W, y
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow ends in NumericalFailure below
 def solve_mild(p: StringProblem, f: Sampled1D, res: ResolventData | None = None) -> WaveField:
     """March the characteristic integral equation of the transformed field.
@@ -173,52 +247,15 @@ def solve_mild(p: StringProblem, f: Sampled1D, res: ResolventData | None = None)
 
     if res is None:
         res = resolvent(_prefix(p.kernel, m))  # the march reads K on [0, T] only
-    gamma, alpha = res.gamma, res.alpha
-    dK = dt * res.K.values[: m + 1]
-    has_memory = bool(np.any(dK))
-    # row j of the window view is dK[j : j + _BLOCK], zero past lag m
-    windows = sliding_window_view(np.concatenate([dK, np.zeros(_BLOCK)]), _BLOCK)
-
+    W, y = _mild_march(p, f, res, 2 * m)  # the whole cone: x_i <= t_k <= T
     tgrid = TimeGrid(dt, m)
-    xgrid = TimeGrid(dt, m)  # field vanishes for x > t, so [0,T] suffices
-    t = tgrid.nodes()
-    qa = p.q[: m + 1] + alpha
-
-    W = np.zeros((m + 1, m + 1))  # time-major: W[k, i] = W(x_i, t_k)
-    W[:, 0] = np.exp(-gamma * t) * f.values
-    dt2 = dt * dt
-    integral = np.zeros(m + 1)  # trapezoid sums of F along x_i + t_k = t_n, level by level
-    # F(.,0) = (q+alpha) W(.,0) = 0 since f(0) = 0, so level 0 adds nothing
-    for k0 in range(1, m + 1, _BLOCK):
-        k1 = min(k0 + _BLOCK, m + 1)
-        if has_memory:
-            # memory of levels l = 1..k0-1 for the whole block, Toeplitz(dK)[k0:k1, 1:k0];
-            # level l lives on rows i < l, so k0 columns hold all of it
-            history = windows[k0 - 1 : 0 : -1, : k1 - k0].T @ W[1:k0, :k0]
-            history[:, 0] += 0.5 * dK[k0:k1] * W[0, 0]  # the l = 0 end
-        for k in range(k0, k1):
-            r = min(k + 2, m + 1)  # rows i <= k+1: the light cone of level k and one beyond
-            Wk = W[k, :r]
-            F = qa[:r] * Wk
-            if has_memory:
-                mem = 0.5 * dK[0] * Wk  # the l = k end of the trapezoid
-                mem[:k0] += history[k - k0]
-                if k > k0:
-                    mem += dK[k - k0 : 0 : -1] @ W[k0:k, :r]
-                F += mem
-            n = min(r, m + 1 - k)
-            integral[k] += 0.5 * F[0]
-            integral[k + 1 : k + n] += F[1:n]
-            if k < m:
-                W[k + 1, 1 : r - 1] = Wk[2:] + Wk[:-2] - W[k - 1, 1 : r - 1] + dt2 * F[1:-1]
-
-    fp = centered_difference(f.values, dt)
-    y = Sampled1D(tgrid, gamma * f.values - fp + np.exp(gamma * t) * (dt * integral))
-    W *= np.exp(gamma * t)[:, None]
+    W *= np.exp(res.gamma * tgrid.nodes())[:, None]
+    y = Sampled1D(tgrid, y)
     sigma = response_to_traction(y, p.kernel)
-    if not all(np.all(np.isfinite(v)) for v in (W, y.values, sigma.values)):
-        raise NumericalFailure("forward solution is not finite (the control or q overflows the solver)")
-    return WaveField(w=Sampled2D(xgrid, tgrid, W.T), f=f, y=y, sigma=sigma)
+    if not (np.all(np.isfinite(W)) and np.all(np.isfinite(sigma.values))):
+        raise NumericalFailure(_OVERFLOW)
+    # the field vanishes for x > t, so x in [0,T] suffices
+    return WaveField(w=Sampled2D(tgrid, tgrid, W.T), f=f, y=y, sigma=sigma)
 
 
 def _trace_x0(w: np.ndarray, dx: float) -> np.ndarray:

@@ -226,8 +226,9 @@ def reconstruct_q(
     ``np.polyfit`` does.
 
     Where |xi| falls under the zero guard, q is linearly interpolated across
-    from the nearest guarded-clear neighbors (continuity extension).  Returns
-    (q, guard_flags).
+    from the nearest guarded-clear neighbors (continuity extension).  A
+    non-finite horizon or xi raises NumericalFailure naming the first one.
+    Returns (q, guard_flags).
     """
     h = np.asarray(horizons, dtype=float)
     v = np.asarray(xi, dtype=float)
@@ -236,6 +237,12 @@ def reconstruct_q(
     if n < 2 * w + 1:
         raise ConfigError(
             f"need at least {2 * w + 1} horizon samples for halfwidth {w}, got {n}"
+        )
+    bad = np.flatnonzero(~(np.isfinite(h) & np.isfinite(v)))
+    if bad.size:
+        i = bad[0]
+        raise NumericalFailure(
+            f"non-finite input to the q readout at sample {i}: T = {h[i]}, xi = {v[i]}"
         )
     eps = cfg.xi_zero_guard if cfg.xi_zero_guard is not None else 5.0 * dt
     lo = np.clip(np.arange(n) - w, 0, n - (2 * w + 1))

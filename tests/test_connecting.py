@@ -160,14 +160,17 @@ def _per_control_table(basis, kernel, q, L):
 
 @pytest.mark.parametrize("kernel", ["const", "exp", "general"])
 def test_synthesize_matches_per_control_reference(kernel):
-    # 5 hats on 64 steps: knot gaps of 10 and 11 steps, so the rows are not
-    # shifts of one another and the Toeplitz product is checked in general
-    m, L = 64, 1.0
+    L = 1.0
     q = lambda x: 0.5 + 0.4 * x
-    tab, basis, ker2, grid, grid2 = _wave_setup(m=m, n=5, L=L, kernel=kernel, q=q)
-    assert len(set(np.diff(basis.knots / grid.dt).round().astype(int))) > 1
-    Y = _per_control_table(basis, ker2, q, L)
-    assert np.max(np.abs(tab.Y - Y)) <= 1e-13 * np.max(np.abs(Y))
+    # 5 hats on 64 steps: knot gaps of 10 and 11 steps, so the rows are not
+    # shifts of one another and the Toeplitz product is checked in general;
+    # m - 1 hats: every hat rises and falls over one step, a one-node support
+    for m, n in ((16, 15), (64, 5)):
+        tab, basis, ker2, grid, grid2 = _wave_setup(m=m, n=n, L=L, kernel=kernel, q=q)
+        gaps = set(np.diff(basis.knots / grid.dt).round().astype(int))
+        assert gaps == {1} if n == m - 1 else len(gaps) > 1
+        Y = _per_control_table(basis, ker2, q, L)
+        assert np.max(np.abs(tab.Y - Y)) <= 1e-13 * np.max(np.abs(Y))
 
     # the noise step is unchanged: seeded Gaussian samples on top of the
     # noiseless table, none at t = 0
@@ -177,6 +180,28 @@ def test_synthesize_matches_per_control_reference(kernel):
     noise[:, 0] = 0.0
     assert np.array_equal(noisy.Y, tab.Y + noise)
     assert noisy.meta == {"noise_sigma": sigma, "seed": seed}  # what a manifest records
+
+
+@pytest.mark.parametrize("kernel", ["const", "exp", "general"])
+def test_synthesize_reads_q_on_the_backward_light_cone_only(kernel):
+    # y(t) depends on the cells x + t' <= t only, and the table ends at
+    # t = 2 T_max, so q beyond x = T_max cannot move a single bit of it
+    T_max = 0.5
+    q = lambda x: 0.5 + 0.4 * x
+    far = lambda x: np.where(x > T_max + 1e-9, 40.0 - 30.0 * np.cos(9.0 * x), q(x))
+    tab, basis, ker2, grid, grid2 = _wave_setup(m=64, n=6, T_max=T_max, L=1.5, kernel=kernel, q=q)
+    assert np.array_equal(synthesize_table(basis, ker2, far, 1.5).Y, tab.Y)
+    # the cone's last nonzero cells do read q: a change from x = T_max - dt
+    # on shows (at x = T_max the field is on its front, where it vanishes)
+    near = lambda x: np.where(x > T_max - grid.dt - 1e-9, 40.0 - 30.0 * np.cos(9.0 * x), q(x))
+    assert not np.array_equal(synthesize_table(basis, ker2, near, 1.5).Y, tab.Y)
+
+
+def test_synthesize_raises_when_q_overflows_the_solver():
+    # the table path checks the spike's trace as solve_mild checks its output;
+    # the CLI maps this to exit 3
+    with pytest.raises(NumericalFailure, match="overflows the solver"):
+        _wave_setup(q=lambda x: np.full_like(x, 1e16))
 
 
 # ---------------------------------------------------------------------------

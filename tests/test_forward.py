@@ -6,6 +6,7 @@ from viscostring.grid import Sampled1D, TimeGrid, centered_difference
 from viscostring.kernels import build_kernel, resolvent, response_to_traction
 from viscostring.forward import (
     StringProblem,
+    _mild_march,
     fd_oracle,
     final_snapshot,
     solve_mild,
@@ -320,6 +321,27 @@ def test_light_cone_march_matches_reference(rng, kernel, m):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     x, t = fld.xgrid.nodes(), tg.nodes()
     assert np.all(fld.w.values[x[:, None] > t[None, :]] == 0.0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 31, 32, 33, 64, 65])
+@pytest.mark.parametrize("kernel", ["const", "exp", "general"])
+def test_march_cut_at_the_last_anti_diagonal_keeps_the_trace(rng, kernel, m):
+    # y(t_n) reads the anti-diagonal x + t = t_n, so the march synthesize_table
+    # asks for (cells x + t <= T) gives the whole cone's trace and field there
+    dt = 1.0 / 64
+    grid = TimeGrid(dt, m)
+    ker = general_kernel(grid) if kernel == "general" else build_kernel(grid, kernel, rate=1.0)
+    p = StringProblem(m * dt, lambda x: 1.0 + 0.3 * np.sin(3.0 * x), ker, m * dt)
+    vals = rng.standard_normal(m + 1)
+    vals[0] = 0.0
+    f, res = Sampled1D(grid, vals), resolvent(ker)
+    W, y = _mild_march(p, f, res, m)
+    W_cone, y_cone = _mild_march(p, f, res, 2 * m)
+    assert np.array_equal(y_cone, solve_mild(p, f, res=res).y.values)
+    assert np.max(np.abs(y - y_cone)) <= 1e-15 * np.max(np.abs(y_cone))
+    cut = np.add.outer(np.arange(m + 1), np.arange(m + 1)) <= m  # [k, i]: x_i + t_k <= T
+    assert np.max(np.abs(W - W_cone)[cut]) <= 1e-15 * np.max(np.abs(W_cone))
+    assert np.all(W[~cut] == 0.0)
 
 
 def test_resolvent_on_the_horizon_window_is_bit_identical():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -238,6 +239,19 @@ def test_reconstruct_q_degenerate_target():
     h = np.linspace(0.1, 1.0, 12)
     with pytest.raises(NumericalFailure):
         reconstruct_q(h, np.full_like(h, 0.01), cfg, 1e-3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["xi", "horizons"])
+def test_reconstruct_q_rejects_non_finite_input(bad, where):
+    # a non-finite sample would make its windows' fits non-finite, fail the
+    # zero guard and be interpolated over as if |xi| were small
+    h = np.linspace(0.1, 1.0, 20)
+    xi = np.sin(h)
+    (xi if where == "xi" else h)[5] = bad
+    (xi if where == "xi" else h)[12] = np.nan  # only the first is named
+    with pytest.raises(NumericalFailure, match=re.escape(f"sample 5: T = {h[5]}, xi = {xi[5]}")):
+        reconstruct_q(h, xi, IdentifyConfig(), 1e-3)
 
 
 def test_reconstruct_q_needs_enough_samples():
