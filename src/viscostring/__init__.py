@@ -23,8 +23,6 @@ from .grid import (
     causal_convolve,
     centered_difference,
     cumulative_integral,
-    triangle_field,
-    triangle_quadrature,
 )
 from .kernels import (
     MemoryKernel,
@@ -43,12 +41,9 @@ from .forward import (
     solve_mild,
 )
 from .connecting import (
-    BlagoSolution,
     ConnectingGram,
     ControlBasis,
     ResponseTable,
-    affine_source,
-    blago_solve,
     gram_from_data,
     gram_oracle,
     hat_basis,

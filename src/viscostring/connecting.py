@@ -21,6 +21,11 @@ Both f-factors are needed on [0,T] only while the g-factors run over
 [0, 2T]: the characteristic triangle of the diagonal point (T,T) reaches
 s = 2T, which is why responses must be recorded on a doubled window.
 
+Integrated over the backward characteristic triangle D(s,t) =
+{(xi,tau): 0 < tau < t, |s-t+tau| < xi < s+t-tau} the equation reads
+
+    W(s,t) = (1/2) int_{D(s,t)} [ (K *_t W) - (K *_s W) + G ].
+
 The diagonal values H^{f,g}(T,T) = <C_T f, g> assemble the Gram matrix of the
 connecting operator C_T for a control basis, the data side of the coefficient
 reconstruction.  For (f, g) = (e_i, e_j) the source has rank two, G_ij(s,t) =
@@ -28,8 +33,8 @@ a_j(s) b_i(t) - c_j(s) d_i(t) with a = exp(-gamma s) y, c = exp(-gamma s) e
 and b = c, d = a on [0, T_max].  When K == 0 (const and exp kernels at any
 rate; a tabulated K marches below on any nonzero sample) the diagonal is one
 triangle quadrature of G, and with the running trapezoids U_x(s_r) =
-dt (sum_{p<=r} x(s_p) - x(s_r)/2) of the s-factors (``grid._running_trapezoid``,
-which ``grid.triangle_field`` sums for a whole field)
+dt (sum_{p<=r} x(s_p) - x(s_r)/2) of the s-factors (``grid._running_trapezoid``)
+it is, in ``_diagonal_closed_form``,
 
     W_ij(t_k,t_k) = 1/2 sum_{tau<k} w_tau [b_i(tau) S_a,j(tau,k) - d_i(tau) S_c,j(tau,k)],
     S_x(tau,k) = U_x(s_{2k-tau}) - U_x(s_tau),   w_0 = dt/2,  w_tau = dt,
@@ -47,10 +52,7 @@ part (Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)
 532-541), so each level costs one band matrix-vector product and the
 Green's function about 5 m^3 multiply-adds at m steps.  ``gram_oracle``
 computes the same Gram from forward-solver snapshots (it knows q;
-validation).  ``blago_solve`` is the reference for one source on the whole
-data trapezoid: the same march, one ``triangle_field`` when K == 0, or
-Picard sweeps of W, each sweep one ``triangle_field`` of two Toeplitz
-products.
+validation).
 """
 
 from __future__ import annotations
@@ -61,19 +63,17 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GridMismatchError, NumericalFailure
+from .errors import GridMismatchError
 from .grid import (
     Sampled1D,
-    Sampled2D,
     TimeGrid,
     centered_difference,
     _lower_toeplitz_inverse,
     _lower_toeplitz_matrix,
     _running_trapezoid,
     trap_weights,
-    triangle_field,
 )
-from .kernels import MemoryKernel, ResolventData, resolvent
+from .kernels import MemoryKernel, resolvent
 from .forward import StringProblem, _mild_march, solve_mild
 
 __all__ = [
@@ -83,9 +83,6 @@ __all__ = [
     "pw_linear_products",
     "ResponseTable",
     "synthesize_table",
-    "affine_source",
-    "BlagoSolution",
-    "blago_solve",
     "ConnectingGram",
     "gram_from_data",
     "gram_oracle",
@@ -325,119 +322,8 @@ def synthesize_table(
 
 
 # ---------------------------------------------------------------------------
-# The affine source
+# The lozenge march of the two-variable wave identity
 # ---------------------------------------------------------------------------
-
-
-def affine_source(
-    f: Sampled1D, g: Sampled1D, yf: Sampled1D, yg: Sampled1D, res: ResolventData
-) -> Sampled2D:
-    """Affine term of the two-variable wave identity for the control pair (f, g):
-
-        G(s,t) = exp(-gamma(s+t)) [ f(t) y^g(s) - y^f(t) g(s) ].
-
-    All four inputs live on the doubled response grid, which is also the s
-    grid; t is truncated to [0, T_max].  The closed form comes from pushing
-    the two exponential substitutions through the derivative/resolvent
-    chain of the product-moment equation, where every step inverts the
-    previous one exactly:
-      d/ds (N *_s h) = h + N1 *_s h, so the s-resolvent application returns h;
-      d/dt (N *_t h) = h + N1 *_t h, so the t-resolvent application returns h.
-    No numerical differentiation occurs anywhere (the chain applies up to two
-    derivatives, which would cost two orders of accuracy).
-    """
-    grid2 = f.grid
-    for other in (g, yf, yg):
-        f.require_same_grid(other, "source inputs")
-    if not grid2.same_as(res.grid):
-        raise GridMismatchError("source inputs must live on the doubled response grid")
-    if grid2.n % 2 != 0:
-        raise GridMismatchError("doubled response grid must have an even step count")
-    m = grid2.n // 2
-    es = np.exp(-res.gamma * grid2.nodes())
-    et = es[: m + 1]
-    vals = np.zeros((grid2.n + 1, m + 1))  # a zero start turns -0.0 products into +0.0
-    vals += np.outer(es * yg.values, et * f.values[: m + 1])
-    vals -= np.outer(es * g.values, et * yf.values[: m + 1])
-    return Sampled2D(grid2, TimeGrid(grid2.dt, m), vals)
-
-
-# ---------------------------------------------------------------------------
-# The two-variable wave solve on the data trapezoid
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlagoSolution:
-    """Solution of the two-variable wave identity on the data trapezoid.
-
-    W is the weighted unknown, H = exp(gamma(s+t)) W the product moment.
-    Nodes outside the trapezoid {0 <= t <= T, 0 <= s <= 2T - t} are zero.
-    """
-
-    W: Sampled2D
-    H: Sampled2D
-    scheme: str
-
-    def diagonal(self) -> np.ndarray:
-        """H(t_k, t_k) for every time node: the connecting readout."""
-        n_t = self.H.tgrid.n
-        idx = np.arange(n_t + 1)
-        return self.H.values[idx, idx]
-
-
-def blago_solve(
-    G: Sampled2D,
-    res: ResolventData,
-    scheme: str = "auto",
-    tol: float = 1e-12,
-    max_iter: int = 60,
-) -> BlagoSolution:
-    """Solve the integral form of the two-variable wave identity
-
-        W(s,t) = (1/2) int_{D(s,t)} [ (K *_t W) - (K *_s W) ] + (1/2) int_{D(s,t)} G
-
-    on the trapezoid covered by the data.  Schemes:
-
-      "march"      explicit lozenge marching in t on the light-cone band
-                   (default for K != 0),
-      "quadrature" one ``grid.triangle_field`` of G (exact reduction when K == 0),
-      "picard"     fixed-point sweeps of W through the equation above from
-                   W = (1/2) int_D G, until a sweep moves W by at most tol of
-                   max|(1/2) int_D G| (at most max_iter sweeps),
-      "auto"       quadrature if K vanishes on the window (const, exp), else march.
-    """
-    sgrid, tgrid = G.sgrid, G.tgrid
-    n_s, n_t = sgrid.n, tgrid.n
-    dt = sgrid.dt
-    kmem = res.K.values
-    if len(kmem) < n_s + 1:
-        raise GridMismatchError("resolvent grid does not cover the s-window")
-    has_memory = bool(np.any(kmem[: n_s + 1]))
-
-    if scheme == "auto":
-        scheme = "march" if has_memory else "quadrature"
-    if scheme == "quadrature" and has_memory:
-        raise NumericalFailure("quadrature scheme is exact only when K vanishes")
-
-    gvals = G.values
-    if scheme == "quadrature":
-        W = triangle_field(gvals, dt)
-    elif scheme == "march":
-        W = _march(gvals.T, kmem[: n_s + 1], n_t, dt).T
-    elif scheme == "picard":
-        W = _picard(gvals, kmem[: n_s + 1], dt, tol, max_iter)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-
-    t = tgrid.nodes()
-    s = sgrid.nodes()
-    H = np.exp(res.gamma * s)[:, None] * W * np.exp(res.gamma * t)[None, :]
-    return BlagoSolution(
-        W=Sampled2D(sgrid, tgrid, W),
-        H=Sampled2D(sgrid, tgrid, H),
-        scheme=scheme,
-    )
 
 
 _MARCH_BLOCK = 16  # levels whose t-history before the block is one matrix product
@@ -516,47 +402,6 @@ def _march(src: np.ndarray, kmem: np.ndarray, n_t: int, dt: float) -> np.ndarray
             q += F[k - k0, a + 1 - lo : t - 1 - lo]
             out += q
     return W
-
-
-def _picard(gvals, kmem, dt, tol, max_iter):
-    """Fixed-point sweeps W <- (1/2) int_D [(K *_t W) - (K *_s W)] + (1/2) int_D G.
-
-    Every sweep vanishes on s = 0 and t = 0 (``triangle_field`` does), so the
-    l = 0 ends of both memory trapezoids drop out and their K(0)/2 ends
-    cancel, as in ``_march``: K *_t W - K *_s W = W Kt^T - Ks W, with Ks the
-    strictly lower-triangular Toeplitz matrix of dt K on the s-window and Kt
-    its leading block.  Without memory the first sweep returns W0 unchanged.
-    """
-    n_t = gvals.shape[1] - 1
-    col = dt * kmem
-    col[0] = 0.0
-    Ks = _lower_toeplitz_matrix(col)
-    Kt = Ks[: n_t + 1, : n_t + 1]
-    W0 = triangle_field(gvals, dt)
-    W = W0
-    scale = max(np.max(np.abs(W0)), 1e-300)
-    prev_delta = np.inf
-    growth = 0
-    for it in range(1, max_iter + 1):
-        W_new = triangle_field(W @ Kt.T - Ks @ W, dt) + W0
-        delta = np.max(np.abs(W_new - W))
-        W = W_new
-        if delta <= tol * scale:
-            return W
-        if delta > prev_delta:
-            growth += 1
-            if growth >= 3:
-                raise NumericalFailure(
-                    f"picard sweeps diverge (delta {delta:.3e} after {it} sweeps); "
-                    "shorten the horizon"
-                )
-        else:
-            growth = 0
-        prev_delta = delta
-    raise NumericalFailure(
-        f"picard did not reach tolerance {tol} within {max_iter} sweeps "
-        f"(last delta {prev_delta:.3e})"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,19 @@
 """Uniform grids, sampled functions and causal quadrature primitives.
 
 Everything downstream (kernel algebra, wave marching, the connecting-operator
-chain) is built from three quadratures implemented here:
+chain) is built from two quadratures implemented here:
 
   * causal_convolve     -- trapezoidal  int_0^t k(t-s) h(s) ds
   * cumulative_integral -- trapezoidal  int_0^t h(r) dr
-  * triangle_quadrature -- (1/2) * integral of F over the backward
-                           characteristic triangle
-                           D(s,t) = {(xi,tau): 0<tau<t, |s-t+tau|<xi<s+t-tau},
-                           at one apex; triangle_field gives the same sums at
-                           every apex from prefix sums of the running
-                           trapezoids of F, in O(n_s n_t)
 
 and one solver, lower_toeplitz_solve, for the causal convolution systems
 (Volterra equations of the second kind) that the trapezoid rule turns into
 lower-triangular Toeplitz matrices.
 
 All quadrature is composite trapezoid (order 2).  Space and time grids share
-one step so that characteristics pass through nodes and the triangle limits
-never need interpolation.  Reductions run in ascending index order.
+one step so that characteristics pass through nodes and the characteristic
+triangles of the wave solvers never need interpolation.  Reductions run in
+ascending index order.
 """
 
 from __future__ import annotations
@@ -38,8 +33,6 @@ __all__ = [
     "cumulative_integral",
     "centered_difference",
     "lower_toeplitz_solve",
-    "triangle_quadrature",
-    "triangle_field",
 ]
 
 #: relative slack used when matching grid steps / node times
@@ -114,8 +107,8 @@ class Sampled1D:
 class Sampled2D:
     """Function of (s,t) sampled on a tensor grid; values[i, k] = F(s_i, t_k).
 
-    Both grids must share the same step: the characteristic-aligned triangle
-    quadrature relies on it.
+    Both grids must share the same step: the forward march steps along the
+    characteristics x +- t = const from node to node.
     """
 
     sgrid: TimeGrid
@@ -178,6 +171,12 @@ def cumulative_values(h: np.ndarray, dt: float) -> np.ndarray:
 def cumulative_integral(h: Sampled1D) -> Sampled1D:
     """Running integral int_0^t h(r) dr by composite trapezoid; 0 at node 0."""
     return Sampled1D(h.grid, cumulative_values(h.values, h.grid.dt))
+
+
+def _running_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
+    """U[r] = dt (sum_{p<=r} v[p] - v[r]/2) down axis 0, so that U[b] - U[a]
+    is the composite trapezoid of v between the nodes a <= b."""
+    return dt * (np.cumsum(values, axis=0) - 0.5 * values)
 
 
 def centered_difference(values: np.ndarray, dt: float) -> np.ndarray:
@@ -243,94 +242,3 @@ def lower_toeplitz_solve(first_col, rhs) -> np.ndarray:
     for j in range(f.shape[1]):
         out[:, j] = np.convolve(b, f[:, j])[:n]
     return out
-
-
-# ---------------------------------------------------------------------------
-# Triangle quadrature
-# ---------------------------------------------------------------------------
-#
-# For one apex (s_i, t_k) the half triangle integral
-#
-#   (1/2) int_0^{t_k} int_{|s_i-t_k+tau|}^{s_i+t_k-tau} F(xi,tau) dxi dtau
-#
-# is an iterated composite trapezoid.  The row at tau = t_k has zero width and
-# contributes nothing, so the value depends on rows 0..k-1 only -- this is what
-# makes the explicit time marching of the wave solvers possible.
-
-
-def _row_term(prefix: np.ndarray, row: np.ndarray, a: int, b: int, dt: float) -> float:
-    """Trapezoid of one row between node indices a <= b using its prefix sum."""
-    if b <= a:
-        return 0.0
-    base = prefix[b] - (prefix[a - 1] if a > 0 else 0.0)
-    return dt * (base - 0.5 * row[a] - 0.5 * row[b])
-
-
-def triangle_quadrature(F: Sampled2D, s_idx: int, t_idx: int) -> float:
-    """Direct evaluation of the half triangle integral at apex (s_idx, t_idx)."""
-    vals = F.values
-    n_s = F.sgrid.n
-    n_t = F.tgrid.n
-    if not (0 <= s_idx <= n_s and 0 <= t_idx <= n_t):
-        raise IndexError(f"apex ({s_idx},{t_idx}) outside grid")
-    if s_idx + t_idx > n_s:
-        raise IndexError(
-            f"apex ({s_idx},{t_idx}) needs samples up to s-index {s_idx + t_idx}, "
-            f"grid has {n_s}"
-        )
-    dt = F.tgrid.dt
-    total = 0.0
-    for j in range(t_idx):
-        a = abs(s_idx - t_idx + j)
-        b = s_idx + t_idx - j
-        row = vals[:, j]
-        prefix = np.cumsum(row[: b + 1])
-        w = 0.5 * dt if j == 0 else dt
-        total += w * _row_term(prefix, row, a, b, dt)
-    return 0.5 * total
-
-
-def _running_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
-    """U[r] = dt (sum_{p<=r} v[p] - v[r]/2) down axis 0, so that U[b] - U[a]
-    is the composite trapezoid of v between the nodes a <= b."""
-    return dt * (np.cumsum(values, axis=0) - 0.5 * values)
-
-
-def triangle_field(values: np.ndarray, dt: float) -> np.ndarray:
-    """``triangle_quadrature`` at every apex (s_i, t_k) with i + k <= n_s, 0 elsewhere.
-
-    values[i, tau] samples F on the shared step dt.  With the running
-    trapezoids of the columns and V[r, tau] = w_tau U_tau[r] (w_0 = dt/2,
-    w_tau = dt), the direct sum is
-
-        2 W[i, k] = sum_{tau<k} V[i+k-tau, tau] - V[|i-k+tau|, tau].
-
-    The first term runs along the anti-diagonal u = i + k.  The second runs
-    along the diagonal d = i - k for tau >= k - i and, below that, along the
-    reflected anti-diagonal k - i.  So two prefix sums in tau, A on the
-    anti-diagonals and B on the diagonals, give every apex at O(n_s n_t) cost:
-
-        2 W[i, k] = A[k, i+k] - B[k, i-k] - A[k-i, k-i]   (the last for i < k).
-
-    Row 0 is exactly 0, its two A terms being one number; so is column 0.
-    The sums agree with the direct ones up to reassociation, within 1e-12 of
-    the largest value.
-    """
-    v = np.asarray(values, dtype=float)
-    n_s, n_t = v.shape[0] - 1, v.shape[1] - 1
-    w = np.full(n_t + 1, dt)
-    w[0] = 0.5 * dt
-    V = np.vstack([w * _running_trapezoid(v, dt), np.zeros(n_t + 1)])  # rows off 0..n_s read row -1
-    tau = np.arange(n_t + 1)[:, None]
-
-    def prefix(rows):  # P[k, c] = sum_{tau<k} V[rows[tau, c], tau]
-        P = np.zeros(rows.shape)
-        np.cumsum(V[np.where((rows >= 0) & (rows <= n_s), rows, -1), tau][:-1], axis=0, out=P[1:])
-        return P
-
-    A = prefix(np.arange(n_s + 1) - tau)  # column u: anti-diagonal i + k = u
-    B = prefix(np.arange(-n_t, n_s + 1) + tau)  # column n_t + d: diagonal i - k = d
-    i, k = np.arange(n_s + 1)[:, None], tau.ravel()
-    reflected = np.where(i < k, A[k, k][np.maximum(k - i, 0)], 0.0)
-    W = A[k, np.minimum(i + k, n_s)] - B[k, n_t + i - k] - reflected
-    return np.where(i + k <= n_s, 0.5 * W, 0.0)

@@ -15,26 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (
-    Sampled1D,
-    Sampled2D,
-    TimeGrid,
-    causal_convolve,
-    cumulative_integral,
-    triangle_field,
-    triangle_quadrature,
-)
+from .grid import Sampled1D, TimeGrid, causal_convolve, cumulative_integral
 from . import kernels
 from .kernels import build_kernel, solve_volterra
 from .forward import StringProblem, fd_oracle, solve_mild
-from .connecting import (
-    affine_source,
-    blago_solve,
-    gram_from_data,
-    gram_oracle,
-    hat_basis,
-    synthesize_table,
-)
+from .connecting import gram_from_data, gram_oracle, hat_basis, synthesize_table
 from .identify import (
     IdentifyConfig,
     pipeline,
@@ -162,33 +147,61 @@ def a4_connecting_identity() -> CriterionResult:
     )
 
 
-def _a5_gap(m: int, n: int = 8) -> float:
-    T_max, L = 0.5, 1.0
+def _general_kernel(grid2: TimeGrid):
+    t2 = grid2.nodes()
+    return build_kernel(
+        grid2,
+        "tabulated",
+        samples={
+            "N": 0.5 * (1.0 + np.exp(-2.0 * t2)),
+            "N1": -np.exp(-2.0 * t2),
+            "N2": 2.0 * np.exp(-2.0 * t2),
+            "N3": -4.0 * np.exp(-2.0 * t2),
+        },
+    )
+
+
+def _a5_gap(m: int, kernel) -> float:
+    """Relative gap at T_max between the data Gram and the forward-snapshot
+    Gram; kernel(grid) builds the relaxation kernel on a grid."""
+    T_max, L, n = 0.5, 1.0, 8
     dt = T_max / m
     grid, grid2 = TimeGrid(dt, m), TimeGrid(dt, 2 * m)
     qf = lambda x: 1.0 + 0.5 * np.sin(np.pi * x / L)
     basis = hat_basis(grid, n)
-    tab = synthesize_table(basis, build_kernel(grid2, "exp", rate=1.0), qf, L)
+    tab = synthesize_table(basis, kernel(grid2), qf, L)
     gram = gram_from_data(tab)
-    p = StringProblem(L, qf, build_kernel(grid, "exp", rate=1.0), T_max)
+    p = StringProblem(L, qf, kernel(grid), T_max)
     orc = gram_oracle(p, basis)
     return float(np.linalg.norm(gram.at(T_max) - orc.at(T_max)) / np.linalg.norm(orc.at(T_max)))
 
 
 def a5_connecting_oracle() -> CriterionResult:
-    """Data-side Gram against the forward-solver Gram, with refinement order."""
+    """Data-side Gram against the forward-solver Gram, with refinement order,
+    for an R'' == 0 kernel (closed-form diagonal) and a genuine-memory one
+    (the Green's-function march).  The march and the oracle share the
+    trapezoid error in x, so the second gap checks two independent solvers
+    against each other; it is not an accuracy bound."""
+    kinds = {"exp": lambda g: build_kernel(g, "exp", rate=1.0), "general": _general_kernel}
+    sizes = (64, 128, 256)
 
     def work():
-        gaps = {m: _a5_gap(m) for m in (64, 128, 256)}
-        orders = [np.log2(gaps[64] / gaps[128]), np.log2(gaps[128] / gaps[256])]
-        return gaps, min(orders)
+        runs = {}
+        for name, kernel in kinds.items():
+            gaps = [_a5_gap(m, kernel) for m in sizes]
+            runs[name] = gaps, min(np.log2(gaps[0] / gaps[1]), np.log2(gaps[1] / gaps[2]))
+        return runs
 
-    (gaps, order), secs = _timed(work)
-    measured = gaps[256]
-    passed = measured <= 5e-2 and order >= 1.0
+    runs, secs = _timed(work)
+    measured = max(gaps[-1] for gaps, _ in runs.values())
+    passed = all(gaps[-1] <= 5e-2 and order >= 1.0 for gaps, order in runs.values())
+    detail = "; ".join(
+        f"{name}: gaps {'/'.join(f'{g:.3e}' for g in gaps)}, order {order:.2f}"
+        for name, (gaps, order) in runs.items()
+    )
     return CriterionResult(
         "A5", passed, measured, 5e-2, secs,
-        detail=f"gaps {gaps}, empirical order {order:.2f} (need >= 1)",
+        detail=f"m = {'/'.join(map(str, sizes))}; {detail} (need order >= 1)",
     )
 
 
@@ -267,20 +280,6 @@ def _sub(name: str, violation: float, threshold: float) -> dict:
     }
 
 
-def _general_kernel(grid2: TimeGrid):
-    t2 = grid2.nodes()
-    return build_kernel(
-        grid2,
-        "tabulated",
-        samples={
-            "N": 0.5 * (1.0 + np.exp(-2.0 * t2)),
-            "N1": -np.exp(-2.0 * t2),
-            "N2": 2.0 * np.exp(-2.0 * t2),
-            "N3": -4.0 * np.exp(-2.0 * t2),
-        },
-    )
-
-
 def a8_invariants() -> CriterionResult:
     """Every module-level invariant at a fixed, fast instance."""
 
@@ -302,18 +301,6 @@ def a8_invariants() -> CriterionResult:
         subs.append(_sub("convolve commutes", np.max(np.abs(comm)) / scale, 1e-12))
         mono = np.min(np.diff(cumulative_integral(Sampled1D(g, np.abs(h1.values))).values))
         subs.append(_sub("cumulative monotone", max(0.0, -mono), 1e-15))
-
-        # grid: triangle field vs direct triangle
-        gs, gt = TimeGrid(0.02, 40), TimeGrid(0.02, 20)
-        F = Sampled2D(gs, gt, rng.standard_normal((gs.n + 1, gt.n + 1)))
-        # relative to the largest sampled value: a one-cell apex (k = 1) is a
-        # difference of running sums far larger than itself, so its error is
-        # round-off on the field's scale, not on its own
-        field_vals = triangle_field(F.values, gs.dt)
-        apexes = [(i, lev) for lev in range(1, gt.n + 1) for i in range(0, gs.n - lev + 1, 5)]
-        direct = np.array([triangle_quadrature(F, i, lev) for i, lev in apexes])
-        gap = np.abs(field_vals[tuple(np.transpose(apexes))] - direct)
-        subs.append(_sub("triangle field vs direct", np.max(gap) / np.max(np.abs(direct)), 1e-12))
 
         # kernel: resolvent residual + involution, on a kernel whose resolvent
         # is genuinely time dependent
@@ -343,7 +330,7 @@ def a8_invariants() -> CriterionResult:
         speed = np.max(np.abs(fl1.w.values[ahead])) / np.max(np.abs(f1.values))
         subs.append(_sub("finite speed", speed, 1e-10))
 
-        # connecting: H boundary values, Gram symmetry/PSD, march vs picard
+        # connecting: Gram symmetry/PSD on the genuine-memory march
         mq, nq = 64, 6
         Tq = 0.4
         dtq = Tq / mq
@@ -356,19 +343,6 @@ def a8_invariants() -> CriterionResult:
         Cq = gramq.at(Tq)
         evmin = float(np.linalg.eigvalsh(Cq)[0])
         subs.append(_sub("gram PSD", max(0.0, -evmin) / np.linalg.norm(Cq), 1e-8))
-
-        resq = kernels.resolvent(kerq)
-        E = basisq.sampled_on(gridq2)
-        fset = (Sampled1D(gridq2, E[1]), Sampled1D(gridq2, E[3]))
-        yset = (Sampled1D(gridq2, tabq.Y[1]), Sampled1D(gridq2, tabq.Y[3]))
-        Gf = affine_source(fset[0], fset[1], yset[0], yset[1], resq)
-        solm = blago_solve(Gf, resq, scheme="march")
-        hmax = np.max(np.abs(solm.H.values))
-        bc = max(np.max(np.abs(solm.H.values[0, :])), np.max(np.abs(solm.H.values[:, 0])))
-        subs.append(_sub("H boundary conditions", bc / hmax, 1e-10))
-        solp = blago_solve(Gf, resq, scheme="picard")
-        gap = np.max(np.abs(solm.diagonal() - solp.diagonal())) / max(np.max(np.abs(solp.diagonal())), 1e-30)
-        subs.append(_sub("march vs picard", gap, 5e-3))
 
         # identify: guard correctness on an oscillating target
         cfg = IdentifyConfig(xi_zero_guard=0.05)

@@ -10,7 +10,6 @@ from viscostring.grid import (
     convolve_values,
     cumulative_values,
     trap_weights,
-    triangle_quadrature,
 )
 from viscostring.kernels import build_kernel, resolvent
 from viscostring.forward import StringProblem, solve_mild
@@ -20,15 +19,13 @@ from viscostring.connecting import (
     _green,
     _march,
     _row0_density,
-    affine_source,
-    blago_solve,
     gram_from_data,
     gram_oracle,
     hat_basis,
     synthesize_table,
 )
 
-from conftest import _spy_march, bump, frob_rel, general_kernel
+from conftest import _spy_march, frob_rel, general_kernel, triangle_quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +206,20 @@ def test_synthesize_raises_when_q_overflows_the_solver():
 # ---------------------------------------------------------------------------
 
 
+def _factors(tab, res):
+    """The s-factors a = exp(-gamma s) y and c = exp(-gamma s) e of every
+    control, one column each, as ``gram_from_data`` builds them."""
+    es = np.exp(-res.gamma * tab.grid2.nodes())
+    return (es * tab.Y).T, (es * tab.basis.sampled_on(tab.grid2)).T
+
+
+def _affine_source(a, c, i, j, m):
+    """The affine term of the control pair (e_i, e_j) in closed form, s-major
+    with t on [0, t_m]: G_ij(s,t) = a_j(s) c_i(t) - c_j(s) a_i(t), which is
+    exp(-gamma(s+t)) [ f(t) y^g(s) - y^f(t) g(s) ] (connecting module docstring)."""
+    return np.outer(a[:, j], c[: m + 1, i]) - np.outer(c[:, j], a[: m + 1, i])
+
+
 def _chain_inputs(tab, basis, grid2, i, j):
     E = basis.sampled_on(grid2)
     return (
@@ -328,8 +339,7 @@ def test_affine_chain_matches_stepwise_discrete_chain():
     res = resolvent(ker)
     basis = hat_basis(grid, 4)
     tab = synthesize_table(basis, ker, lambda x: 0.5 + 0.4 * x, 1.0)
-    f, g, yf, yg = _chain_inputs(tab, basis, grid2, 1, 3)
-    closed = affine_source(f, g, yf, yg, res).values
+    closed = _affine_source(*_factors(tab, res), 1, 3, m)
     literal = stepwise(tab, basis, ker, res, grid, grid2, 1, 3)
     scale = np.max(np.abs(closed))
     assert np.max(np.abs(closed - literal)) <= 30.0 * dt**2 * scale
@@ -340,10 +350,8 @@ def test_affine_term_antisymmetric_for_equal_controls():
     # so its diagonal vanishes (this is where the classical antisymmetry of
     # the product-moment source survives the memory transforms)
     tab, basis, ker2, grid, grid2 = _wave_setup(m=64, n=4, kernel="exp")
-    res = resolvent(ker2)
-    f, _, yf, _ = _chain_inputs(tab, basis, grid2, 2, 2)
-    G = affine_source(f, f, yf, yf, res).values
     m = grid.n
+    G = _affine_source(*_factors(tab, resolvent(ker2)), 2, 2, m)
     square = G[: m + 1, :]
     assert np.max(np.abs(square + square.T)) <= 1e-12 * max(np.max(np.abs(G)), 1e-30)
     assert np.max(np.abs(np.diag(square))) <= 1e-12 * max(np.max(np.abs(G)), 1e-30)
@@ -355,50 +363,39 @@ def test_affine_term_antisymmetric_for_equal_controls():
 
 
 def test_blago_zero_source():
+    # no source: the band is empty at every level and the field stays 0
     m = 24
-    grid, grid2 = TimeGrid(0.01, m), TimeGrid(0.01, 2 * m)
-    res = resolvent(general_kernel(grid2))
-    G = Sampled2D(grid2, grid, np.zeros((2 * m + 1, m + 1)))
-    sol = blago_solve(G, res)
-    assert np.all(sol.W.values == 0.0)
-    assert np.all(sol.H.values == 0.0)
-
-
-def test_blago_quadrature_is_single_triangle_pass(rng):
-    # R2 == 0 (exponential family): W = (1/2) int_D G, one quadrature
-    m = 32
-    grid, grid2 = TimeGrid(0.01, m), TimeGrid(0.01, 2 * m)
-    res = resolvent(build_kernel(grid2, "exp", rate=1.0))
-    assert not np.any(res.K.values)
-    vals = rng.standard_normal((2 * m + 1, m + 1))
-    G = Sampled2D(grid2, grid, vals)
-    sol = blago_solve(G, res)  # auto -> quadrature
-    assert sol.scheme == "quadrature"
-    for (i, k) in [(m, m), (7, 5), (40, 20), (3, 9)]:
-        assert abs(sol.W.values[i, k] - triangle_quadrature(G, i, k)) <= 1e-12
+    grid2 = TimeGrid(0.01, 2 * m)
+    kmem = resolvent(general_kernel(grid2)).K.values
+    W = _march(np.zeros((m + 1, 2 * m + 1)), kmem, m, grid2.dt)
+    assert W.shape == (m + 1, 2 * m + 1) and np.all(W == 0.0)
 
 
 def test_blago_march_agrees_with_quadrature_when_memoryless():
+    # with K == 0 the identity is solved by the triangle quadrature of its
+    # source; the lozenge march approximates it to second order
     tab, basis, ker2, grid, grid2 = _wave_setup(m=96, n=3, kernel="exp")
     res = resolvent(ker2)
-    f, g, yf, yg = _chain_inputs(tab, basis, grid2, 0, 2)
-    G = affine_source(f, g, yf, yg, res)
-    a = blago_solve(G, res, scheme="quadrature")
-    b = blago_solve(G, res, scheme="march")
-    scale = np.max(np.abs(a.diagonal()))
-    assert np.max(np.abs(a.diagonal() - b.diagonal())) <= 5e-3 * scale
+    assert not np.any(res.K.values)
+    m = grid.n
+    G = _affine_source(*_factors(tab, res), 0, 2, m)
+    F = Sampled2D(grid2, grid, G)
+    weight = np.exp(2.0 * res.gamma * grid.nodes())  # H = exp(gamma(s+t)) W
+    quad = weight * [triangle_quadrature(F, k, k) for k in range(m + 1)]
+    march = weight * _march(G.T, res.K.values, m, grid.dt).diagonal()
+    assert np.max(np.abs(quad - march)) <= 5e-3 * np.max(np.abs(quad))
 
 
-def test_blago_march_agrees_with_picard_general_kernel():
-    tab, basis, ker2, grid, grid2 = _wave_setup(m=64, n=3, kernel="general",
-                                                q=lambda x: 0.3 + 0.4 * x)
+def test_blago_boundary_conditions():
+    # W(0, t) = 0 and W(s, 0) = 0, also for a pair whose source launches at t = 0
+    tab, basis, ker2, grid, grid2 = _wave_setup(m=48, n=3, kernel="general",
+                                                q=lambda x: 0.5 * np.ones_like(x))
     res = resolvent(ker2)
-    f, g, yf, yg = _chain_inputs(tab, basis, grid2, 0, 1)
-    G = affine_source(f, g, yf, yg, res)
-    a = blago_solve(G, res, scheme="march")
-    b = blago_solve(G, res, scheme="picard", tol=1e-13)
-    scale = np.max(np.abs(a.diagonal()))
-    assert np.max(np.abs(a.diagonal() - b.diagonal())) <= 2e-2 * scale
+    G = _affine_source(*_factors(tab, res), 0, 2, grid.n)
+    assert np.any(G[:, 0])
+    W = _march(G.T, res.K.values, grid.n, grid.dt)
+    assert np.max(np.abs(W)) > 0.0
+    assert np.all(W[0] == 0.0) and np.all(W[:, 0] == 0.0)
 
 
 @pytest.mark.parametrize("q", [2, 7])
@@ -509,8 +506,8 @@ def test_blago_march_matches_the_reference_march(rng, m):
     # random sources on the data trapezoid, with some levels empty and each
     # level zero below a random row, so the band edge moves in every way; the
     # last draw keeps level 0 only, whose seed reaches one row further down
-    grid, grid2 = TimeGrid(0.5 / m, m), TimeGrid(0.5 / m, 2 * m)
-    res = resolvent(general_kernel(grid2))
+    grid2 = TimeGrid(0.5 / m, 2 * m)
+    kmem = resolvent(general_kernel(grid2)).K.values
     rows = np.arange(2 * m + 1)[:, None]
     trapezoid = rows + np.arange(m + 1)[None, :] <= 2 * m
     for draw in range(5):
@@ -519,11 +516,10 @@ def test_blago_march_matches_the_reference_march(rng, m):
         vals[:, rng.random(m + 1) < 0.3] = 0.0
         if draw == 4:
             vals[:, 1:] = 0.0
-        sol = blago_solve(Sampled2D(grid2, grid, vals), res, scheme="march")
-        ref = _reference_march(lambda k: vals[: 2 * m - k + 1, k, None], res.K.values, m, grid2.dt)
-        ref = ref[:, :, 0].T
-        assert np.max(np.abs(sol.W.values - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1e-300)
-        assert np.all(sol.W.values[~trapezoid] == 0.0)
+        W = _march(vals.T, kmem, m, grid2.dt)
+        ref = _reference_march(lambda k: vals[: 2 * m - k + 1, k, None], kmem, m, grid2.dt)[:, :, 0]
+        assert np.max(np.abs(W - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1e-300)
+        assert np.all(W.T[~trapezoid] == 0.0)
 
 
 @pytest.mark.parametrize("lift", [0, 1])
@@ -565,66 +561,6 @@ def test_row0_density_matches_the_dense_solve(rng, lift):
     assert np.max(np.abs(rho - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_blago_quadrature_refuses_memory_kernel():
-    m = 16
-    grid, grid2 = TimeGrid(0.01, m), TimeGrid(0.01, 2 * m)
-    res = resolvent(general_kernel(grid2))
-    G = Sampled2D(grid2, grid, np.ones((2 * m + 1, m + 1)))
-    with pytest.raises(NumericalFailure):
-        blago_solve(G, res, scheme="quadrature")
-
-
-def test_blago_picard_iteration_budget_error():
-    m = 24
-    grid, grid2 = TimeGrid(0.02, m), TimeGrid(0.02, 2 * m)
-    res = resolvent(general_kernel(grid2))
-    S, T = np.meshgrid(grid2.nodes(), grid.nodes(), indexing="ij")
-    G = Sampled2D(grid2, grid, np.sin(S) * T)
-    with pytest.raises(NumericalFailure):
-        blago_solve(G, res, scheme="picard", tol=1e-16, max_iter=1)
-
-
-def test_blago_boundary_conditions():
-    tab, basis, ker2, grid, grid2 = _wave_setup(m=48, n=3, kernel="general",
-                                                q=lambda x: 0.5 * np.ones_like(x))
-    res = resolvent(ker2)
-    f, g, yf, yg = _chain_inputs(tab, basis, grid2, 0, 2)
-    G = affine_source(f, g, yf, yg, res)
-    sol = blago_solve(G, res, scheme="march")
-    hmax = np.max(np.abs(sol.H.values))
-    assert np.max(np.abs(sol.H.values[0, :])) <= 1e-10 * hmax
-    assert np.max(np.abs(sol.H.values[:, 0])) <= 1e-10 * hmax
-
-
-def test_blago_classical_product_moment_off_diagonal():
-    # memoryless case: H(s,t) = int_0^min(s,t) f(t-x) g(s-x) dx in closed form
-    m, T = 128, 0.5
-    dt = T / m
-    grid, grid2 = TimeGrid(dt, m), TimeGrid(dt, 2 * m)
-    ker = build_kernel(grid2, "const")
-    res = resolvent(ker)
-    t2 = grid2.nodes()
-    f_full = bump(t2, 0.05, 0.45)
-    g_full = bump(t2, 0.10, 0.40)
-    yf = -centered_difference(f_full, dt)
-    yg = -centered_difference(g_full, dt)
-    G = affine_source(
-        Sampled1D(grid2, f_full), Sampled1D(grid2, g_full),
-        Sampled1D(grid2, yf), Sampled1D(grid2, yg), res,
-    )
-    sol = blago_solve(G, res)
-
-    def closed(s, t):
-        x = np.linspace(0.0, min(s, t), 4001)
-        fa = np.interp(t - x, t2, f_full)
-        ga = np.interp(s - x, t2, g_full)
-        return np.trapezoid(fa * ga, x)
-
-    for (i, k) in [(m, m), (m // 2, m // 2), (3 * m // 2, m // 2), (m // 4, m // 2)]:
-        s, t = grid2.nodes()[i], grid.nodes()[k]
-        assert abs(sol.H.values[i, k] - closed(s, t)) <= 2e-4 * max(abs(closed(m * dt, m * dt)), 1e-12)
-
-
 # ---------------------------------------------------------------------------
 # Gram assembly
 # ---------------------------------------------------------------------------
@@ -638,37 +574,25 @@ def _symmetrized(raw):
 
 
 def _per_pair_gram(tab):
-    """Reference assembly: one affine source and one blago_solve per ordered
-    control pair, read on the diagonal; returns (symmetrized C, asymmetry)."""
-    res = resolvent(tab.kernel)
-    grid2 = tab.grid2
-    controls = [Sampled1D(grid2, e) for e in tab.basis.sampled_on(grid2)]
-    responses = [Sampled1D(grid2, y) for y in tab.Y]
-    n = tab.basis.n
-    raw = np.zeros((tab.basis.grid.n + 1, n, n))
-    for i in range(n):
-        for j in range(n):
-            G = affine_source(controls[i], controls[j], responses[i], responses[j], res)
-            raw[:, i, j] = blago_solve(G, res).diagonal()
-    return _symmetrized(raw)
-
-
-def _blocked_march_gram(tab):
-    """Reference assembly for K != 0: one march per pair (i, j), with the
-    rank-two source G_ij(s_r, t_k) = a_j(s_r) c_i(t_k) - c_j(s_r) a_i(t_k)
-    marched in full."""
+    """Reference assembly: every ordered pair's rank-two source solved on its
+    own and read on the diagonal, by one full march when K != 0 and by the
+    direct triangle quadrature at each diagonal apex when K == 0; returns
+    (symmetrized C, asymmetry) at every node."""
     basis = tab.basis
     m, dt = basis.grid.n, basis.grid.dt
     res = resolvent(tab.kernel)
-    es = np.exp(-res.gamma * tab.grid2.nodes())
-    a, c = (es * tab.Y).T, (es * basis.sampled_on(tab.grid2)).T
+    a, c = _factors(tab, res)
     kmem = res.K.values
     n, diag = basis.n, np.arange(m + 1)
     raw = np.zeros((m + 1, n, n))
     for j in range(n):
         for i in range(n):
-            src = np.outer(c[: m + 1, i], a[:, j]) - np.outer(a[: m + 1, i], c[:, j])
-            raw[:, i, j] = _march(src, kmem, m, dt)[diag, diag]
+            G = _affine_source(a, c, i, j, m)
+            if np.any(kmem):
+                raw[:, i, j] = _march(G.T, kmem, m, dt)[diag, diag]
+            else:
+                F = Sampled2D(tab.grid2, basis.grid, G)
+                raw[:, i, j] = [triangle_quadrature(F, k, k) for k in diag]
     raw *= np.exp(2.0 * res.gamma * basis.grid.nodes())[:, None, None]
     return _symmetrized(raw)
 
@@ -793,7 +717,7 @@ def test_gram_matches_blocked_march_reference():
         m=m, n=16, T_max=1.0, L=L, kernel="general", q=lambda x: 1.0 + 0.25 * np.sin(np.pi * x / L)
     )
     gram = gram_from_data(tab)
-    C, asym = _blocked_march_gram(tab)
+    C, asym = _per_pair_gram(tab)  # one full march per pair
     C, asym = C[basis.knot_nodes], asym[basis.knot_nodes]
     assert gram.C.shape == C.shape
     assert np.all(gram.C[0] == 0.0) and np.all(C[0] == 0.0)

