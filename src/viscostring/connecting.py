@@ -45,14 +45,11 @@ K != 0 one march of a unit point source in free space (no s = 0 boundary)
 serves every pair: the scheme is invariant under whole-step shifts in s and
 t, so each source term reads the same Green's function, and the boundary
 W(0,t) = 0 becomes one more source on s = 0 whose density solves a small
-triangular Toeplitz system (``_diagonal_march``).  The march (``_march``)
-touches at each level only the band inside the light cone of its source and
-sums its t-history near/far, one product per block of levels for the far
-part (Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)
-532-541), so each level costs one band matrix-vector product and the
-Green's function about 5 m^3 multiply-adds at m steps.  ``gram_oracle``
-computes the same Gram from forward-solver snapshots (it knows q;
-validation).
+triangular Toeplitz system (``_diagonal_march``).  That Green's function
+(``_green``) is the one march: level k touches the fixed band of 2m+1 rows
+inside the light cone of the source, one row lower per level, so it costs
+about 5 m^3 multiply-adds at m steps.  ``gram_oracle`` computes the same
+Gram from forward-solver snapshots (it knows q; validation).
 """
 
 from __future__ import annotations
@@ -329,77 +326,64 @@ def synthesize_table(
 _MARCH_BLOCK = 16  # levels whose t-history before the block is one matrix product
 
 
-def _march(src: np.ndarray, kmem: np.ndarray, n_t: int, dt: float) -> np.ndarray:
-    """Lozenge march of one source: W[k, i] = W(s_i, t_k) on levels 0..n_t.
+def _green(kmem: np.ndarray, m: int, dt: float) -> np.ndarray:
+    """Free-space Green's function of the lozenge scheme: G[l, m+1+d] is the
+    field at level l and row offset d of a unit source at offset 0, level 1.
 
-    src is level-major, src[k, i] the source at (s_i, t_k); levels past its
-    last carry none.  kmem is K on the s-window s_0..s_{n_s}.  Row 0 holds
-    W(0, t) = 0, and the live window shrinks by a row per level from the top:
-    level k+1 is updated on rows 1..n_s-k-1.  Per level
+    The one march of the two-variable wave identity.  Per level
 
         W[k+1, i] = W[k, i+1] + W[k, i-1] - W[k-1, i] + dt^2 Q(s_i, t_k),
-        Q = src + sum_{0<l<k} dt K(t_k - t_l) W[l, i] - sum_{j<i} dt K(s_i - s_j) W[k, j],
+        Q = delta + sum_{0<l<k} dt K(t_k - t_l) W[l, i] - sum_{j<i} dt K(s_i - s_j) W[k, j],
 
-    the memory trapezoids in t and s with their K(0)/2 end terms cancelled
-    and those at l = 0 and j = 0 vanishing with W(s,0) = W(0,t) = 0.
-
+    with delta the unit source at (s_{m+1}, t_1) and the memory trapezoids
+    in t and s with their K(0)/2 end terms cancelled (those at l = 0 vanish
+    with W(s, 0) = 0).  The march runs on rows d = -(m+1)..2m for m+2 levels.
     Band.  The field spreads down by one row per level and the s-memory only
-    reaches up, so every row below the light cone of the sources stays
-    exactly 0.  That lower edge is read off the source once, and level k
-    touches only the band between it and the top edge.  The s-memory is one
-    product with a strictly lower-triangular Toeplitz matrix of dt^3 K on the
-    band (built by one strided copy).
+    reaches up, so the support at level l starts at d = -(l-2) (the light
+    cone) and the bottom row is a zero ghost.  The live window shrinks by a
+    row per level from the top, leaving G exact on d <= 2m - l, which covers
+    every read of ``_diagonal_march``.  So level k reads the 2m+1 rows
+    a = m+1-k .. 3m+1-k and writes W[k+1] strictly between them, and lags
+    past 2m, where kmem (K on the doubled window) ends, are never read.  The
+    s-memory is one product with a strictly lower-triangular Toeplitz matrix
+    of dt^3 K on the band (built by one strided copy).
     t-history.  Split near/far as in ``forward.solve_mild`` (Hairer, Lubich
     and Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532-541, without
     FFTs): per block of ``_MARCH_BLOCK`` levels one product of a Toeplitz
     slice of dt^3 K with all earlier levels sums the history before the
-    block, and one small product per level adds the levels inside it.
-    Cost.  On a band of w rows level k takes about w^2 + k w multiply-adds,
-    one band matrix-vector product and a few vector operations.  The stencil
-    sum is formed before the small dt^2 Q term is added.  Folding the two
-    shifts into the band matrix would save one vector operation, but the
-    product would then round the O(1) stencil terms together with the memory
-    terms in an order that depends on the band's length, and the march would
-    lose its invariance under whole-step shifts of the source at round-off.
+    block, and one small product per level adds the levels inside it; the
+    source enters as dt^2 in the first block's history.
+    Cost.  About 5 m^3 multiply-adds: one band matrix-vector product per
+    level for the s-memory (4 m^3) and the blocked t-history (m^3).  The
+    stencil sum is formed before the small dt^2 Q term is added.  Folding
+    the two shifts into the band matrix would save one vector operation, but
+    the product would then round the O(1) stencil terms together with the
+    memory terms in an order that depends on the band, and the march would
+    lose its invariance under whole-step shifts at round-off.
     """
-    n_s, dt2 = len(kmem) - 1, dt * dt
-    W = np.zeros((n_t + 1, n_s + 1))
-    # Seed level 1 from the triangle quadrature itself: the tau = 0 row of the
-    # source is nonzero whenever a control launches with a slope
-    # (y(0+) = -f'(0+)), and the lozenge recursion alone would miss it.
-    row0 = src[0]
-    W[1, 1:n_s] = 0.25 * dt2 * (0.5 * row0[: n_s - 1] + row0[1:n_s] + 0.5 * row0[2:])
-    # A source at (s_r, t_l) reaches W[k+1] from row r-(k-l) up (r-1-k for the
-    # level-0 seed), so W[k+1] vanishes below row bands[k] + 1.  Level k reads
-    # W[k] on rows bands[k]..tops[k]-1 and updates W[k+1] strictly between.
-    lev = np.arange(len(src))
-    hit = src != 0
-    reach = np.minimum.accumulate(np.where(hit.any(axis=1), hit.argmax(axis=1), n_s + 1) + lev - (lev == 0))
-    k = np.arange(n_t)
-    tops = n_s + 1 - k
-    bands = np.maximum(reach[np.minimum(k, len(src) - 1)] - k, 1) - 1  # reach <= n_s: bands <= tops-2
-    width = int(np.max(tops[1:] - bands[1:], initial=2))
+    n_t, w, dt2 = m + 1, 2 * m + 1, dt * dt
+    W = np.zeros((m + 2, 3 * m + 2))
     hk = dt2 * dt * kmem
-    col = np.zeros(width)
-    col[1:] = -hk[1:width]
-    T = _lower_toeplitz_matrix(col)  # the s-memory: T[i, j] = -dt^3 K(s_i - s_j), j < i
+    col = np.zeros(w)
+    col[1:] = -hk[1:w]
+    T = _lower_toeplitz_matrix(col)[1:-1]  # the s-memory: T[i-1, j] = -dt^3 K(s_i - s_j), j < i
     B = min(_MARCH_BLOCK, n_t)
     near = _lower_toeplitz_matrix(np.r_[0.0, hk[1:B]])  # level k0+j reads levels k0..k0+j-1
     far = sliding_window_view(np.concatenate([hk[: n_t + 1], np.zeros(B)]), B)  # row r: hk[r : r+B]
     for k0 in range(1, n_t, B):
         k1 = min(k0 + B, n_t)
-        lo, hi = bands[k1 - 1] + 1, tops[k0] - 1  # rows the block updates
+        lo, hi = m + 3 - k1, 3 * m + 1 - k0  # rows the block updates
         F = far[k0 - 1 : 0 : -1, : k1 - k0].T @ W[1:k0, lo:hi]
-        S = src[k0:k1, lo:hi]
-        F[: len(S)] += dt2 * S
+        if k0 == 1:
+            F[0, m + 1 - lo] += dt2  # the unit source
         for k in range(k0, k1):
-            a, t = bands[k], tops[k]
-            Wk, out = W[k, a:t], W[k + 1, a + 1 : t - 1]
+            a = m + 1 - k
+            Wk, out = W[k, a : a + w], W[k + 1, a + 1 : a + w - 1]
             np.add(Wk[2:], Wk[:-2], out=out)
-            out -= W[k - 1, a + 1 : t - 1]
-            q = T[1 : t - a - 1, : t - a] @ Wk
-            q += near[k - k0, : k - k0] @ W[k0:k, a + 1 : t - 1]
-            q += F[k - k0, a + 1 - lo : t - 1 - lo]
+            out -= W[k - 1, a + 1 : a + w - 1]
+            q = T @ Wk
+            q += near[k - k0, : k - k0] @ W[k0:k, a + 1 : a + w - 1]
+            q += F[k - k0, a + 1 - lo : a + w - 1 - lo]
             out += q
     return W
 
@@ -473,29 +457,6 @@ def _diagonal_closed_form(a: np.ndarray, c: np.ndarray, nodes: np.ndarray, dt: f
     return raw
 
 
-def _green(kmem: np.ndarray, m: int, dt: float) -> np.ndarray:
-    """Free-space Green's function of the lozenge scheme: G[l, m+1+d] is the
-    field at level l and row offset d of a unit source at offset 0, level 1.
-
-    One march on rows d = -(m+1)..2m for m+2 levels.  Its support at level l
-    starts at d = -(l-2) (the light cone; the s-memory only reaches up); the
-    march reads that edge off the source and never writes below it, so the
-    bottom row is a zero ghost.  The live window shrinks by a row per level
-    from the top, leaving G exact on d <= 2m - l, which covers every read of
-    ``_diagonal_march``.  Each level is thus a band of 2m+1 rows, and lags
-    past 2m, where kmem (K on the doubled window) is padded with zeros, are
-    never read.  The march takes about 5 m^3 multiply-adds: one band
-    matrix-vector product per level for the s-memory (4 m^3) and the blocked
-    t-history (m^3).
-    """
-    n_s = 3 * m + 1
-    kpad = np.zeros(n_s + 1)
-    kpad[: 2 * m + 1] = kmem[: 2 * m + 1]
-    src = np.zeros((2, n_s + 1))
-    src[1, m + 1] = 1.0
-    return _march(src, kpad, m + 1, dt)
-
-
 def _row0_density(G: np.ndarray, m: int, phi: np.ndarray, seed: np.ndarray) -> tuple:
     """Row-0 source densities rho(1..m-1) that hold W(0, t_l) = 0 for l = 2..m.
 
@@ -520,9 +481,12 @@ def _row0_density(G: np.ndarray, m: int, phi: np.ndarray, seed: np.ndarray) -> t
 def _diagonal_march(a: np.ndarray, c: np.ndarray, kmem: np.ndarray, nodes: np.ndarray, dt: float) -> np.ndarray:
     """W_ij(t_k, t_k) at the nodes k when K != 0, from the free-space Green's function G.
 
-    The march is linear, and phi(s) delta_q (q >= 1) gives the delta_1 solution
-    delayed by q-1 levels.  So, with b_i(0) = 0 and the responses Psi_a, Psi_c
-    to a_j delta_1, c_j delta_1 and Psi0_c to c_j delta_0 (the level-1 seed),
+    The lozenge scheme is linear, and phi(s) delta_q (q >= 1) gives the
+    delta_1 solution delayed by q-1 levels.  So, with b_i(0) = 0 and the
+    responses Psi_a, Psi_c to a_j delta_1, c_j delta_1 and Psi0_c to
+    c_j delta_0 (a level-0 source enters as a level-1 seed, the tau = 0 row
+    of the triangle quadrature, nonzero whenever a control launches with a
+    slope, y(0+) = -f'(0+)),
     W_ij(t_k,t_k) + d_i(0) Psi0_c(s_k,t_k) = sum_{q>=1} [b_i(q) Psi_a - d_i(q) Psi_c](s_k,t_{k-q+1}).
 
     Each Psi is a half-space field (W(0,t) = 0).  Extended by zero below
@@ -536,9 +500,9 @@ def _diagonal_march(a: np.ndarray, c: np.ndarray, kmem: np.ndarray, nodes: np.nd
     with G[l+1] for the seed sigma/dt^2 = (c[r-1]/2 + c[r] + c[r+1]/2)/4, and
     rho from W(0,t_l) = 0 (``_row0_density``).  At horizon k the readout
     needs levels <= k+1 and source rows < 2k: a few BLAS-3 products on a
-    slice of G.  The cost is one banded march for G (``_green``, about
-    5 m^3 multiply-adds), one inverse and two products for rho, and the
-    readout products.
+    slice of G.  The cost is the one march, ``_green`` (a band of 2m+1
+    rows per level, about 5 m^3 multiply-adds), one inverse and two products
+    for rho, and the readout products.
     """
     n, m, o = a.shape[1], nodes[-1], nodes[-1] + 1
     G = _green(kmem, m, dt)

@@ -167,10 +167,11 @@ def _mild_march(
 ) -> tuple[np.ndarray, np.ndarray]:
     """March the transformed field on the cells x_i + t_k <= t_last of the cone.
 
-    Returns W, time-major (W[k, i] = W(x_i, t_k), zero off those cells), and
-    the boundary trace y on [0, T]; y(t_n) reads the anti-diagonal
-    x_i + t_k = t_n only, so any last >= m gives all of it.  Raises
-    NumericalFailure when y is not finite.  f and res must already be
+    Returns W, time-major (W[k, i] = W(x_i, t_k), zero off those cells) on
+    the rows some level touches (all m+1 for the whole cone, about m/2 + 2
+    for last = m), and the boundary trace y on [0, T]; y(t_n) reads the
+    anti-diagonal x_i + t_k = t_n only, so any last >= m gives all of it.
+    Raises NumericalFailure when y is not finite.  f and res must already be
     checked against p, as ``solve_mild`` checks them.
     """
     dt = p.dt
@@ -191,7 +192,7 @@ def _mild_march(
     ends = np.minimum(rows, m + 1 - level).tolist()
     rows = rows.tolist()
 
-    W = np.zeros((m + 1, m + 1))
+    W = np.zeros((m + 1, max(rows)))
     W[:, 0] = np.exp(-gamma * t) * f.values
     dt2 = dt * dt
     integral = np.zeros(m + 1)  # trapezoid sums of F along x_i + t_k = t_n, level by level

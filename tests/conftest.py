@@ -26,16 +26,16 @@ def general_kernel(grid: TimeGrid):
     )
 
 
-def _spy_march(monkeypatch):
-    """Record every call of connecting._march (src, kmem, n_t, dt) and its result."""
-    calls, real = [], connecting._march
+def _spy_green(monkeypatch):
+    """Record every call of connecting._green (kmem, m, dt) and its result."""
+    calls, real = [], connecting._green
 
-    def spy(src, kmem, n_t, dt):
-        W = real(src, kmem, n_t, dt)
-        calls.append(((src, kmem, n_t, dt), W))
-        return W
+    def spy(kmem, m, dt):
+        G = real(kmem, m, dt)
+        calls.append(((kmem, m, dt), G))
+        return G
 
-    monkeypatch.setattr(connecting, "_march", spy)
+    monkeypatch.setattr(connecting, "_green", spy)
     return calls
 
 

@@ -19,7 +19,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import bench  # noqa: E402
 from spans import NullTracer  # noqa: E402
 
-from conftest import _spy_march  # noqa: E402
+from conftest import _spy_green  # noqa: E402
 from viscostring import IdentifyConfig, default_horizons, load_bundle, pipeline  # noqa: E402
 from viscostring.connecting import gram_from_data, hat_basis, synthesize_table  # noqa: E402
 from viscostring.kernels import resolvent  # noqa: E402
@@ -63,6 +63,6 @@ def test_benchmark_workloads_sit_on_both_sides_of_the_memory_branch(monkeypatch,
     kernel = tiny.build_kernel(tiny.doubled_grid())
     assert bool(np.any(resolvent(kernel).K.values)) == (marches > 0)
     table = synthesize_table(hat_basis(tiny.grid(), tiny.n_basis), kernel, tiny.q(), tiny.L)
-    calls = _spy_march(monkeypatch)
+    calls = _spy_green(monkeypatch)
     gram_from_data(table)
     assert len(calls) == marches

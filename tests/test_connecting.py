@@ -17,7 +17,6 @@ from viscostring.connecting import (
     ControlBasis,
     ResponseTable,
     _green,
-    _march,
     _row0_density,
     gram_from_data,
     gram_oracle,
@@ -25,7 +24,7 @@ from viscostring.connecting import (
     synthesize_table,
 )
 
-from conftest import _spy_march, frob_rel, general_kernel, triangle_quadrature
+from conftest import _spy_green, frob_rel, general_kernel, triangle_quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -362,102 +361,6 @@ def test_affine_term_antisymmetric_for_equal_controls():
 # ---------------------------------------------------------------------------
 
 
-def test_blago_zero_source():
-    # no source: the band is empty at every level and the field stays 0
-    m = 24
-    grid2 = TimeGrid(0.01, 2 * m)
-    kmem = resolvent(general_kernel(grid2)).K.values
-    W = _march(np.zeros((m + 1, 2 * m + 1)), kmem, m, grid2.dt)
-    assert W.shape == (m + 1, 2 * m + 1) and np.all(W == 0.0)
-
-
-def test_blago_march_agrees_with_quadrature_when_memoryless():
-    # with K == 0 the identity is solved by the triangle quadrature of its
-    # source; the lozenge march approximates it to second order
-    tab, basis, ker2, grid, grid2 = _wave_setup(m=96, n=3, kernel="exp")
-    res = resolvent(ker2)
-    assert not np.any(res.K.values)
-    m = grid.n
-    G = _affine_source(*_factors(tab, res), 0, 2, m)
-    F = Sampled2D(grid2, grid, G)
-    weight = np.exp(2.0 * res.gamma * grid.nodes())  # H = exp(gamma(s+t)) W
-    quad = weight * [triangle_quadrature(F, k, k) for k in range(m + 1)]
-    march = weight * _march(G.T, res.K.values, m, grid.dt).diagonal()
-    assert np.max(np.abs(quad - march)) <= 5e-3 * np.max(np.abs(quad))
-
-
-def test_blago_boundary_conditions():
-    # W(0, t) = 0 and W(s, 0) = 0, also for a pair whose source launches at t = 0
-    tab, basis, ker2, grid, grid2 = _wave_setup(m=48, n=3, kernel="general",
-                                                q=lambda x: 0.5 * np.ones_like(x))
-    res = resolvent(ker2)
-    G = _affine_source(*_factors(tab, res), 0, 2, grid.n)
-    assert np.any(G[:, 0])
-    W = _march(G.T, res.K.values, grid.n, grid.dt)
-    assert np.max(np.abs(W)) > 0.0
-    assert np.all(W[0] == 0.0) and np.all(W[:, 0] == 0.0)
-
-
-@pytest.mark.parametrize("q", [2, 7])
-def test_march_invariant_under_whole_step_delays(rng, q):
-    # a premise of the Gram's Green's-function readout: phi(s) delta_q gives the
-    # delta_1 solution delayed by q-1 levels on the live rows
-    m = 48
-    grid2 = TimeGrid(0.4 / m, 2 * m)
-    kmem = resolvent(general_kernel(grid2)).K.values
-    n_s = len(kmem) - 1
-    phi = rng.standard_normal(n_s + 1)
-
-    def spike(level):
-        src = np.zeros((level + 1, n_s + 1))
-        src[level] = phi
-        return src
-
-    W1 = _march(spike(1), kmem, m, grid2.dt)
-    Wq = _march(spike(q), kmem, m, grid2.dt)
-    assert np.max(np.abs(W1)) > 0.0 and np.all(Wq[: q + 1] == 0.0)
-    for k in range(q + 1, m + 1):
-        live = n_s - k + 1
-        gap = np.max(np.abs(Wq[k, :live] - W1[k - q + 1, :live]))
-        assert gap <= 1e-15 * np.max(np.abs(W1[k - q + 1, :live]))
-
-
-def test_green_ignores_kernel_past_lag_2m(monkeypatch, rng):
-    # the free-space window spans 3m+2 rows, K is known to lag 2m only: the
-    # zero pad past it multiplies zero field, so any pad gives the same G
-    m = 24
-    grid2 = TimeGrid(0.4 / m, 2 * m)
-    kmem = resolvent(general_kernel(grid2)).K.values
-    calls = _spy_march(monkeypatch)
-    G = _green(kmem, m, grid2.dt)
-    (src, kpad, n_t, dt), W = calls[0]
-    assert len(calls) == 1 and np.array_equal(W, G)
-    assert np.array_equal(kpad[: 2 * m + 1], kmem) and np.all(kpad[2 * m + 1 :] == 0.0)
-    noisy = kpad.copy()
-    noisy[2 * m + 1 :] = rng.standard_normal(len(kpad) - 2 * m - 1)
-    assert np.array_equal(_march(src, noisy, n_t, dt), G)
-
-
-def test_march_invariant_under_whole_row_shifts():
-    # a unit source at two row offsets gives the same field relative to the
-    # source at every level before its light cone reaches row 1 (the s = 0
-    # clamp) and on the rows both live windows still hold
-    m, n_s = 40, 100
-    grid2 = TimeGrid(0.4 / m, n_s)
-    kmem = resolvent(general_kernel(grid2)).K.values
-    fields = []
-    for p in (23, 36):
-        src = np.zeros((2, n_s + 1))
-        src[1, p] = 1.0
-        fields.append((p, _march(src, kmem, m, grid2.dt)))
-    (p1, W1), (p2, W2) = fields
-    scale = np.max(np.abs(W1))
-    for lev in range(2, p1 + 1):
-        d = np.arange(-p1 + 1, n_s - lev - p2 + 1)  # offsets live in both windows
-        assert np.max(np.abs(W1[lev, p1 + d] - W2[lev, p2 + d])) <= 1e-14 * scale
-        assert np.all(W1[lev, : p1 - lev + 2] == 0.0)  # support starts at d = -(l-2)
-
-
 def _reference_march(source, kmem, n_t, dt):
     """The unbanded march, kept as the reference: W[k, i, b] = W_b(s_i, t_k).
 
@@ -481,6 +384,85 @@ def _reference_march(source, kmem, n_t, dt):
     return W
 
 
+def test_blago_march_agrees_with_quadrature_when_memoryless():
+    # with K == 0 the identity is solved by the triangle quadrature of its
+    # source; the lozenge march approximates it to second order
+    tab, basis, ker2, grid, grid2 = _wave_setup(m=96, n=3, kernel="exp")
+    res = resolvent(ker2)
+    assert not np.any(res.K.values)
+    m = grid.n
+    G = _affine_source(*_factors(tab, res), 0, 2, m)
+    F = Sampled2D(grid2, grid, G)
+    weight = np.exp(2.0 * res.gamma * grid.nodes())  # H = exp(gamma(s+t)) W
+    quad = weight * [triangle_quadrature(F, k, k) for k in range(m + 1)]
+    W = _reference_march(lambda k: G[: 2 * m - k + 1, k, None], res.K.values, m, grid.dt)
+    march = weight * W[:, :, 0].diagonal()
+    assert np.max(np.abs(quad - march)) <= 5e-3 * np.max(np.abs(quad))
+
+
+def test_blago_boundary_conditions():
+    # W(0, t) = 0 and W(s, 0) = 0, also for a pair whose source launches at t = 0
+    tab, basis, ker2, grid, grid2 = _wave_setup(m=48, n=3, kernel="general",
+                                                q=lambda x: 0.5 * np.ones_like(x))
+    res = resolvent(ker2)
+    G = _affine_source(*_factors(tab, res), 0, 2, grid.n)
+    assert np.any(G[:, 0])
+    m = grid.n
+    W = _reference_march(lambda k: G[: 2 * m - k + 1, k, None], res.K.values, m, grid.dt)[:, :, 0]
+    assert np.max(np.abs(W)) > 0.0
+    assert np.all(W[0] == 0.0) and np.all(W[:, 0] == 0.0)
+
+
+@pytest.mark.parametrize("q", [2, 7])
+def test_march_invariant_under_whole_step_delays(rng, q):
+    # a premise of the Gram's Green's-function readout: phi(s) delta_q gives the
+    # delta_1 solution delayed by q-1 levels on the live rows
+    m = 48
+    grid2 = TimeGrid(0.4 / m, 2 * m)
+    kmem = resolvent(general_kernel(grid2)).K.values
+    n_s = len(kmem) - 1
+    phi = rng.standard_normal((n_s + 1, 1))
+
+    def spike(level):
+        return _reference_march(lambda k: phi[: n_s - k + 1] * (k == level), kmem, m, grid2.dt)[:, :, 0]
+
+    W1, Wq = spike(1), spike(q)
+    assert np.max(np.abs(W1)) > 0.0 and np.all(Wq[: q + 1] == 0.0)
+    for k in range(q + 1, m + 1):
+        live = n_s - k + 1
+        gap = np.max(np.abs(Wq[k, :live] - W1[k - q + 1, :live]))
+        assert gap <= 1e-15 * np.max(np.abs(W1[k - q + 1, :live]))
+
+
+def test_green_ignores_kernel_past_lag_2m(rng):
+    # the free-space window spans 3m+2 rows, K is known to lag 2m only: the
+    # band of 2m+1 rows never reads a lag past it, so any tail gives the same G
+    m = 24
+    grid2 = TimeGrid(0.4 / m, 2 * m)
+    kmem = resolvent(general_kernel(grid2)).K.values
+    noisy = np.concatenate([kmem, rng.standard_normal(m + 1)])
+    assert np.array_equal(_green(noisy, m, grid2.dt), _green(kmem, m, grid2.dt))
+
+
+def test_march_invariant_under_whole_row_shifts():
+    # a unit source at two row offsets gives the same field relative to the
+    # source at every level before its light cone reaches row 1 (the s = 0
+    # clamp) and on the rows both live windows still hold
+    m, n_s = 40, 100
+    grid2 = TimeGrid(0.4 / m, n_s)
+    kmem = resolvent(general_kernel(grid2)).K.values
+    p1, p2 = 23, 36
+    units = np.zeros((n_s + 1, 2))
+    units[[p1, p2], [0, 1]] = 1.0
+    W = _reference_march(lambda k: units[: n_s - k + 1] * (k == 1), kmem, m, grid2.dt)
+    W1, W2 = W[:, :, 0], W[:, :, 1]
+    scale = np.max(np.abs(W1))
+    for lev in range(2, p1 + 1):
+        d = np.arange(-p1 + 1, n_s - lev - p2 + 1)  # offsets live in both windows
+        assert np.max(np.abs(W1[lev, p1 + d] - W2[lev, p2 + d])) <= 1e-14 * scale
+        assert np.all(W1[lev, : p1 - lev + 2] == 0.0)  # support starts at d = -(l-2)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 15, 16, 17, 33, 128])
 def test_green_matches_the_reference_march(m):
     # sizes straddle the march's block of 16 levels; G is read on d <= 2m - l
@@ -501,27 +483,6 @@ def test_green_matches_the_reference_march(m):
     assert np.all(G[np.broadcast_to(d < -(lev - 2), G.shape)] == 0.0)
 
 
-@pytest.mark.parametrize("m", [1, 2, 5, 16, 17, 40])
-def test_blago_march_matches_the_reference_march(rng, m):
-    # random sources on the data trapezoid, with some levels empty and each
-    # level zero below a random row, so the band edge moves in every way; the
-    # last draw keeps level 0 only, whose seed reaches one row further down
-    grid2 = TimeGrid(0.5 / m, 2 * m)
-    kmem = resolvent(general_kernel(grid2)).K.values
-    rows = np.arange(2 * m + 1)[:, None]
-    trapezoid = rows + np.arange(m + 1)[None, :] <= 2 * m
-    for draw in range(5):
-        vals = rng.standard_normal((2 * m + 1, m + 1))
-        vals[rows < rng.integers(0, 2 * m + 2, m + 1)] = 0.0
-        vals[:, rng.random(m + 1) < 0.3] = 0.0
-        if draw == 4:
-            vals[:, 1:] = 0.0
-        W = _march(vals.T, kmem, m, grid2.dt)
-        ref = _reference_march(lambda k: vals[: 2 * m - k + 1, k, None], kmem, m, grid2.dt)[:, :, 0]
-        assert np.max(np.abs(W - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1e-300)
-        assert np.all(W.T[~trapezoid] == 0.0)
-
-
 @pytest.mark.parametrize("lift", [0, 1])
 def test_row0_density_cancels_the_half_space_row1(rng, lift):
     # rho(l) = -W(s_1, t_l)/dt^2 for the half-space march of the same source:
@@ -532,11 +493,7 @@ def test_row0_density_cancels_the_half_space_row1(rng, lift):
     kmem = resolvent(general_kernel(grid2)).K.values
     phi = rng.standard_normal((2 * m + 1, 3))
     level = 1 - lift
-    src = np.zeros((level + 1, 2 * m + 1))
-    W = np.zeros((m + 1, 2 * m + 1, 3))
-    for b in range(3):
-        src[level] = phi[:, b]
-        W[:, :, b] = _march(src, kmem, m, dt)
+    W = _reference_march(lambda k: phi[: 2 * m - k + 1] * (k == level), kmem, m, dt)
     if lift:  # the seed the march builds from a level-0 source
         seed = np.zeros_like(phi)
         seed[1:-1] = 0.25 * (0.5 * phi[:-2] + phi[1:-1] + 0.5 * phi[2:])
@@ -575,53 +532,52 @@ def _symmetrized(raw):
 
 def _per_pair_gram(tab):
     """Reference assembly: every ordered pair's rank-two source solved on its
-    own and read on the diagonal, by one full march when K != 0 and by the
-    direct triangle quadrature at each diagonal apex when K == 0; returns
-    (symmetrized C, asymmetry) at every node."""
+    own and read on the diagonal, by the reference march (all n^2 pairs in
+    one batch) when K != 0 and by the direct triangle quadrature at each
+    diagonal apex when K == 0; returns (symmetrized C, asymmetry) at every node."""
     basis = tab.basis
     m, dt = basis.grid.n, basis.grid.dt
     res = resolvent(tab.kernel)
     a, c = _factors(tab, res)
     kmem = res.K.values
     n, diag = basis.n, np.arange(m + 1)
-    raw = np.zeros((m + 1, n, n))
-    for j in range(n):
-        for i in range(n):
-            G = _affine_source(a, c, i, j, m)
-            if np.any(kmem):
-                raw[:, i, j] = _march(G.T, kmem, m, dt)[diag, diag]
-            else:
-                F = Sampled2D(tab.grid2, basis.grid, G)
+    if np.any(kmem):
+        I, J = np.divmod(np.arange(n * n), n)  # batch column i*n + j holds the pair (i, j)
+        W = _reference_march(
+            lambda k: a[: 2 * m - k + 1, J] * c[k, I] - c[: 2 * m - k + 1, J] * a[k, I], kmem, m, dt
+        )
+        raw = W[diag, diag].reshape(m + 1, n, n)
+    else:
+        raw = np.zeros((m + 1, n, n))
+        for j in range(n):
+            for i in range(n):
+                F = Sampled2D(tab.grid2, basis.grid, _affine_source(a, c, i, j, m))
                 raw[:, i, j] = [triangle_quadrature(F, k, k) for k in diag]
     raw *= np.exp(2.0 * res.gamma * basis.grid.nodes())[:, None, None]
     return _symmetrized(raw)
 
 
 def _spike_march_gram(tab):
-    """Reference assembly for K != 0: per control j one march of each of three
-    t-spike sources (a_j and c_j at level 1, c_j at level 0 for the seed),
-    read against the t-factors of every i through whole-step delays:
+    """Reference assembly for K != 0: per control j the reference march of
+    each of three t-spike sources (a_j and c_j at level 1, c_j at level 0 for
+    the seed; all 3n in one batch), read against the t-factors of every i
+    through whole-step delays:
     W_ij(t_k,t_k) + a_i(0) Psi0_c(s_k,t_k) = sum_{q>=1} [c_i(q) Psi_a - a_i(q) Psi_c](s_k,t_{k-q+1})."""
     basis = tab.basis
     m, dt = basis.grid.n, basis.grid.dt
     res = resolvent(tab.kernel)
-    es = np.exp(-res.gamma * tab.grid2.nodes())
-    a, c = (es * tab.Y).T, (es * basis.sampled_on(tab.grid2)).T
+    a, c = _factors(tab, res)
     kmem = res.K.values
     n, n_s = basis.n, len(kmem) - 1
     k = np.arange(m + 1)
     lev = np.maximum(k[:, None] - k[None, 1:] + 1, 0)  # level k-q+1, q >= 1; W[0] = 0
-    raw = np.zeros((m + 1, n, n))
-    at1, at0 = np.zeros((2, n_s + 1)), np.zeros((1, n_s + 1))  # sources at level 1, level 0
-    for j in range(n):
-        at1[1] = a[:, j]
-        Wa = _march(at1, kmem, m, dt)
-        at1[1] = c[:, j]
-        Wc = _march(at1, kmem, m, dt)
-        at0[0] = c[:, j]
-        W0 = _march(at0, kmem, m, dt)
-        raw[:, :, j] = Wa[lev, k[:, None]] @ c[1 : m + 1] - Wc[lev, k[:, None]] @ a[1 : m + 1]
-        raw[:, :, j] -= W0[k, k, None] * a[0]
+    W = _reference_march(
+        lambda l: np.hstack([a * (l == 1), c * (l == 1), c * (l == 0)])[: n_s - l + 1], kmem, m, dt
+    )
+    Wa, Wc, W0 = W[:, :, :n], W[:, :, n : 2 * n], W[:, :, 2 * n :]
+    raw = np.einsum("kqj,qi->kij", Wa[lev, k[:, None]], c[1 : m + 1])
+    raw -= np.einsum("kqj,qi->kij", Wc[lev, k[:, None]], a[1 : m + 1])
+    raw -= W0[k, k][:, None, :] * a[0][:, None]
     raw *= np.exp(2.0 * res.gamma * basis.grid.nodes())[:, None, None]
     return _symmetrized(raw)
 
@@ -677,11 +633,11 @@ def test_gram_matches_per_pair_reference_at_edge_sizes(rng, m):
 @pytest.mark.parametrize("n", [3, 8])
 def test_general_gram_runs_one_single_column_march(monkeypatch, n):
     tab = _wave_setup(m=48, n=n, kernel="general", q=lambda x: 0.5 + 0.4 * x)[0]
-    calls = _spy_march(monkeypatch)
+    calls = _spy_green(monkeypatch)
     gram_from_data(tab)
     assert len(calls) == 1
-    (src, _, _, _), W = calls[0]
-    assert src.ndim == 2 and W.ndim == 2
+    (_, m, _), G = calls[0]
+    assert G.shape == (m + 2, 3 * m + 2)
 
 
 @pytest.mark.parametrize(
@@ -696,7 +652,7 @@ def test_gram_matches_per_pair_reference(monkeypatch, kernel, rate):
     tab, basis, ker2, grid, grid2 = _wave_setup(
         m=24, n=6, kernel=kernel, q=lambda x: 0.5 + 0.4 * x, rate=rate
     )
-    calls = _spy_march(monkeypatch)
+    calls = _spy_green(monkeypatch)
     gram = gram_from_data(tab)
     assert len(calls) == (kernel == "general")
     C, asym = _per_pair_gram(tab)

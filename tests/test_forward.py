@@ -3,6 +3,7 @@ import pytest
 
 from viscostring.errors import GridMismatchError, KernelValidationError
 from viscostring.grid import Sampled1D, TimeGrid, centered_difference
+from viscostring import forward
 from viscostring.kernels import build_kernel, resolvent, response_to_traction
 from viscostring.forward import (
     StringProblem,
@@ -336,12 +337,49 @@ def test_march_cut_at_the_last_anti_diagonal_keeps_the_trace(rng, kernel, m):
     vals[0] = 0.0
     f, res = Sampled1D(grid, vals), resolvent(ker)
     W, y = _mild_march(p, f, res, m)
+    W = np.pad(W, ((0, 0), (0, m + 1 - W.shape[1])))  # the cut stores only the rows it touches
     W_cone, y_cone = _mild_march(p, f, res, 2 * m)
     assert np.array_equal(y_cone, solve_mild(p, f, res=res).y.values)
     assert np.max(np.abs(y - y_cone)) <= 1e-15 * np.max(np.abs(y_cone))
     cut = np.add.outer(np.arange(m + 1), np.arange(m + 1)) <= m  # [k, i]: x_i + t_k <= T
     assert np.max(np.abs(W - W_cone)[cut]) <= 1e-15 * np.max(np.abs(W_cone))
     assert np.all(W[~cut] == 0.0)
+
+
+class _FullWidthField:
+    """numpy, except that a 2-D np.zeros is square: _mild_march then stores
+    its field on all m+1 rows, as a march that sizes it by m alone would."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def zeros(shape, *args, **kwargs):
+        if isinstance(shape, tuple) and len(shape) == 2:
+            shape = (shape[0], shape[0])
+        return np.zeros(shape, *args, **kwargs)
+
+
+@pytest.mark.parametrize("M", [8, 33, 64, 512])
+@pytest.mark.parametrize("kernel", ["exp", "general"])
+def test_spike_march_stores_only_the_rows_it_touches(monkeypatch, kernel, M):
+    # synthesize_table's spike march (cells x + t <= T) touches the rows
+    # i <= min(k+1, M-k) only, so its field has (M+3)//2 columns, not M+1,
+    # and its trace is the full-width march's bit for bit
+    dt = 1.0 / 256
+    grid = TimeGrid(dt, M)
+    ker = general_kernel(grid) if kernel == "general" else build_kernel(grid, "exp", rate=1.0)
+    p = StringProblem(M * dt, lambda x: 1.0 + 0.25 * np.sin(x), ker, M * dt)
+    spike = np.zeros(M + 1)
+    spike[1] = 1.0
+    f, res = Sampled1D(grid, spike), resolvent(ker)
+    W, y = _mild_march(p, f, res, M)
+    assert W.shape == (M + 1, (M + 3) // 2)
+    monkeypatch.setattr(forward, "np", _FullWidthField())
+    W_full, y_full = _mild_march(p, f, res, M)
+    assert W_full.shape == (M + 1, M + 1)
+    assert np.array_equal(y, y_full)
+    assert np.array_equal(W, W_full[:, : W.shape[1]]) and np.all(W_full[:, W.shape[1] :] == 0.0)
 
 
 def test_resolvent_on_the_horizon_window_is_bit_identical():
