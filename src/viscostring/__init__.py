@@ -31,7 +31,6 @@ from .kernels import (
     resolvent,
     response_to_traction,
     solve_volterra,
-    traction_to_response,
 )
 from .forward import (
     StringProblem,

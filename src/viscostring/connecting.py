@@ -76,7 +76,6 @@ from .forward import StringProblem, _mild_march, solve_mild
 __all__ = [
     "ControlBasis",
     "hat_basis",
-    "knot_basis",
     "pw_linear_products",
     "ResponseTable",
     "synthesize_table",
@@ -98,44 +97,48 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ControlBasis:
-    """Piecewise-linear hat controls on [0, T_max].
+    """Piecewise-linear hat controls on [0, T_max], given by their knot nodes.
 
-    n tents peaking at interior grid nodes close to the uniform lattice
-    i*T_max/(n+1), each vanishing at 0 (forward-solver requirement) and at
-    T_max.  Knots must be grid nodes so that every kink of a control (and of
-    its piecewise-constant response) sits on a quadrature node.
+    knot_nodes holds the n+2 grid-node indices of the knots, rising strictly
+    from 0 to grid.n; it is the one stored value, and the knot times and the
+    node samples derive from it.  The i-th tent rises from knots[i] to 1 at
+    knots[i+1] and falls to 0 at knots[i+2], so every control vanishes at 0
+    (forward-solver requirement) and at T_max, and every kink of a control
+    (and of its piecewise-constant response) sits on a quadrature node.
     Supports are nested: e_1..e_k span the controls supported in
     (0, knots[k+1]).
     """
 
     grid: TimeGrid
-    knots: np.ndarray
-    samples: np.ndarray = field(repr=False)
+    knot_nodes: np.ndarray
 
     def __post_init__(self):
-        s = np.array(self.samples, dtype=float)
-        kn = np.array(self.knots, dtype=float)
-        if s.ndim != 2 or s.shape[1] != self.grid.n + 1:
+        nodes = np.array(self.knot_nodes)
+        if not np.issubdtype(nodes.dtype, np.integer) or nodes.ndim != 1 or len(nodes) < 3:
+            raise GridMismatchError("basis knots must be at least 3 integer node indices")
+        nodes = nodes.astype(int)
+        if nodes[0] != 0 or nodes[-1] != self.grid.n or np.any(np.diff(nodes) < 1):
             raise GridMismatchError(
-                f"basis samples must be (n, {self.grid.n + 1}), got {s.shape}"
+                f"basis knots must rise strictly from node 0 to node {self.grid.n}"
             )
-        if kn.shape != (s.shape[0] + 2,) or np.any(np.diff(kn) <= 0):
-            raise GridMismatchError("basis needs n+2 strictly increasing knots")
-        for t in kn:
-            self.grid.index_of(t)  # raises for a knot that is not a grid node
-        if np.any(np.abs(s[:, 0]) > 0):
-            raise GridMismatchError("basis controls must vanish at t = 0")
-        object.__setattr__(self, "samples", _read_only(s))
-        object.__setattr__(self, "knots", _read_only(kn))
+        object.__setattr__(self, "knot_nodes", _read_only(nodes))
 
     @property
     def n(self) -> int:
-        return self.samples.shape[0]
+        return len(self.knot_nodes) - 2
 
-    @property
-    def spacing(self) -> float:
-        """Nominal center spacing T_max/(n+1) (knots are snapped to nodes)."""
-        return self.grid.t_max / (self.n + 1)
+    @cached_property
+    def knots(self) -> np.ndarray:
+        """Knot times knot_nodes * dt: the horizon lattice of the Gram."""
+        return _read_only(self.knot_nodes * self.grid.dt)
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        """(n, m+1) node values of the tents, exactly 0 at t = 0 and at
+        T_max, where the end knots sit."""
+        t, knots = self.grid.nodes(), self.knots
+        a, c, b = knots[:-2, None], knots[1:-1, None], knots[2:, None]
+        return _read_only(np.clip(np.minimum((t - a) / (c - a), (b - t) / (b - c)), 0.0, None))
 
     @cached_property
     def dual_abscissae(self) -> np.ndarray:
@@ -147,11 +150,6 @@ class ControlBasis:
         moments = pw_linear_products(self.samples, self.grid.nodes()[None, :], self.grid.dt)
         return _read_only(moments[:, 0] / self.element_masses)
 
-    @cached_property
-    def knot_nodes(self) -> np.ndarray:
-        """Grid-node indices of the knots: the horizon lattice of the Gram."""
-        return _read_only(np.round(self.knots / self.grid.dt).astype(int))
-
     def active(self, T: float) -> np.ndarray:
         """Indices 0..k-1 of the hats supported inside (0, T] (support end <= T + dt/2)."""
         tol = 0.5 * self.grid.dt
@@ -161,7 +159,8 @@ class ControlBasis:
     def mass_matrix(self) -> np.ndarray:
         """Exact L2(0, T_max) Gram of the basis (the samples are piecewise
         linear between nodes, so the cellwise Simpson sum is exact).  For a
-        uniform knot lattice this is tridiag(spacing/6, 2*spacing/3)."""
+        uniform knot lattice of spacing h = T_max/(n+1) this is
+        tridiag(h/6, 2h/3)."""
         return _read_only(pw_linear_products(self.samples, self.samples, self.grid.dt))
 
     @cached_property
@@ -194,25 +193,7 @@ def hat_basis(grid: TimeGrid, n: int) -> ControlBasis:
     """n interior tents with knots at the grid nodes nearest i*T_max/(n+1)."""
     if n < 1:
         raise GridMismatchError(f"basis size must be >= 1, got {n}")
-    knot_idx = np.round(np.arange(n + 2) * grid.n / (n + 1)).astype(int)
-    if np.any(np.diff(knot_idx) < 1):
-        raise GridMismatchError(
-            f"basis of size {n} does not fit on a grid of {grid.n} steps"
-        )
-    return knot_basis(grid, knot_idx)
-
-
-def knot_basis(grid: TimeGrid, knot_idx: np.ndarray) -> ControlBasis:
-    """Tents on the knot nodes knot_idx, which run strictly upward from 0 to grid.n."""
-    if knot_idx[0] != 0 or knot_idx[-1] != grid.n or np.any(np.diff(knot_idx) < 1):
-        raise GridMismatchError(f"basis knots must rise strictly from node 0 to node {grid.n}")
-    knots = knot_idx * grid.dt
-    t = grid.nodes()
-    a, c, b = knots[:-2, None], knots[1:-1, None], knots[2:, None]
-    samples = np.clip(np.minimum((t - a) / (c - a), (b - t) / (b - c)), 0.0, None)
-    samples[:, 0] = 0.0
-    samples[:, -1] = 0.0
-    return ControlBasis(grid=grid, knots=knots, samples=samples)
+    return ControlBasis(grid, np.round(np.arange(n + 2) * grid.n / (n + 1)).astype(int))
 
 
 @dataclass(frozen=True)

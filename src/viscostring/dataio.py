@@ -3,9 +3,10 @@
 A dataset bundle is a directory:
 
     manifest.txt    key=value text (format_version, L, T_max, dt, n_basis,
-                    kernel_kind, created_by, ...)
+                    kernel_kind, basis_knot_indices, created_by, ...)
     kernel.csv      t, N, N1, N2, N3 on the doubled window [0, 2*T_max]
-    basis.csv       t, e1..en   (controls, zero beyond T_max)
+    basis.csv       t, e1..en   (the hats of basis_knot_indices, zero
+                                beyond T_max)
     response.csv    t, y1..yn   (boundary responses on [0, 2*T_max])
     q_true.csv      x, q        (optional; synthetic ground truth on the dt
                                 lattice of [0, L])
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import ConfigError, DataFormatError, GridMismatchError
 from .grid import TimeGrid
 from .kernels import MemoryKernel, build_kernel
-from .connecting import ControlBasis, ResponseTable, hat_basis, knot_basis, synthesize_table
+from .connecting import ControlBasis, ResponseTable, hat_basis, synthesize_table
 from .identify import IdentifyConfig
 
 __all__ = [
@@ -422,7 +423,9 @@ def load_bundle(directory: str) -> tuple:
     unknown = set(kv) - _MANIFEST_KEYS
     if unknown:
         raise DataFormatError(f"unknown manifest keys: {sorted(unknown)}")
-    missing = {"format_version", "L", "T_max", "dt", "n_basis", "kernel_kind"} - set(kv)
+    missing = {
+        "format_version", "L", "T_max", "dt", "n_basis", "kernel_kind", "basis_knot_indices"
+    } - set(kv)
     if missing:
         raise DataFormatError(f"manifest lacks keys: {sorted(missing)}")
     if kv["format_version"] != FORMAT_VERSION:
@@ -464,13 +467,10 @@ def load_bundle(directory: str) -> tuple:
     else:
         raise DataFormatError(f"unknown kernel_kind {kind!r}")
 
-    if "basis_knot_indices" in kv:
-        knot_idx = np.array([int(s) for s in kv["basis_knot_indices"].split()])
-        if len(knot_idx) != n_basis + 2:
-            raise DataFormatError("basis_knot_indices length must be n_basis + 2")
-        basis = knot_basis(grid, knot_idx)
-    else:
-        basis = hat_basis(grid, n_basis)
+    knot_idx = np.array([int(s) for s in kv["basis_knot_indices"].split()])
+    if len(knot_idx) != n_basis + 2:
+        raise DataFormatError("basis_knot_indices length must be n_basis + 2")
+    basis = ControlBasis(grid, knot_idx)
     bcols = _read_csv(
         os.path.join(directory, "basis.csv"), ["t"] + [f"e{i + 1}" for i in range(n_basis)], grid2
     )

@@ -49,7 +49,6 @@ __all__ = [
     "solve_volterra",
     "resolvent",
     "response_to_traction",
-    "traction_to_response",
 ]
 
 
@@ -244,17 +243,3 @@ def response_to_traction(y: Sampled1D, k: MemoryKernel) -> Sampled1D:
     conv = convolve_values(k.N.values[: y.grid.n + 1], y.values, k.grid.dt)
     return Sampled1D(y.grid, -conv)
 
-
-def traction_to_response(sigma: Sampled1D, k: MemoryKernel) -> Sampled1D:
-    """Invert the traction relation: y + N'*y = -sigma'.
-
-    sigma(0) must vanish (measurement starts from rest); sigma' is taken by
-    centered differences (one-sided at the ends)."""
-    sigma.require_same_grid(k.N, "traction and kernel")
-    scale = np.max(np.abs(sigma.values))
-    if abs(sigma.values[0]) > 1e-9 * max(scale, 1.0):
-        raise KernelValidationError(
-            f"traction must start at 0, got sigma(0) = {sigma.values[0]}"
-        )
-    dsigma = centered_difference(sigma.values, sigma.grid.dt)
-    return solve_volterra(k.N1, Sampled1D(sigma.grid, -dsigma))

@@ -148,6 +148,8 @@ def a4_connecting_identity() -> CriterionResult:
 
 
 def _general_kernel(grid2: TimeGrid):
+    """C^3 kernel with a genuinely nonzero R'' (not in the exponential family):
+    N(t) = (1 + exp(-2t))/2."""
     t2 = grid2.nodes()
     return build_kernel(
         grid2,

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from viscostring import connecting
-from viscostring.grid import Sampled2D, TimeGrid
-from viscostring.kernels import build_kernel
+from viscostring.grid import Sampled2D
+from viscostring.verification import _general_kernel as general_kernel  # the kernel of A5, A8-A10
 
 
 def bump(t, a, b):
@@ -12,18 +12,6 @@ def bump(t, a, b):
     mask = (t > a) & (t < b)
     out[mask] = np.sin(np.pi * (t[mask] - a) / (b - a)) ** 2
     return out
-
-
-def general_kernel(grid: TimeGrid):
-    """C^3 kernel with a genuinely nonzero R'' (not in the exponential family):
-    N(t) = (1 + exp(-2t))/2."""
-    t = grid.nodes()
-    e = np.exp(-2.0 * t)
-    return build_kernel(
-        grid,
-        "tabulated",
-        samples={"N": 0.5 * (1.0 + e), "N1": -e, "N2": 2.0 * e, "N3": -4.0 * e},
-    )
 
 
 def _spy_green(monkeypatch):

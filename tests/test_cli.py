@@ -148,6 +148,20 @@ def _manifest(key, value):
     return [("manifest.txt", lambda text: re.sub(rf"(?m)^{key}=.*$", f"{key}={value}", text))]
 
 
+def _drop_key(key):
+    return [("manifest.txt", lambda text: re.sub(rf"(?m)^{key}=.*\n", "", text))]
+
+
+def _knots(edit):
+    """Rewrite the list of basis_knot_indices (as strings) with edit."""
+    def rewrite(text):
+        return re.sub(
+            r"(?m)^(basis_knot_indices=)(.*)$", lambda mo: mo[1] + " ".join(edit(mo[2].split())), text
+        )
+
+    return [("manifest.txt", rewrite)]
+
+
 def _cell(name, row, col, value):
     def edit(text):
         rows = text.split("\r\n")
@@ -191,6 +205,13 @@ BAD_INPUTS = [
     # 32 steps hold at most 31 hats; a huge n_basis fails before any header is built
     pytest.param("identify", CFG, _manifest("n_basis", "32"), 4, id="manifest-n-basis-32"),
     pytest.param("identify", CFG, _manifest("n_basis", "1000000"), 4, id="manifest-n-basis-huge"),
+    # the basis is built from the manifest knots, 0 2 5 ... 30 32 for CFG
+    pytest.param("identify", CFG, _drop_key("basis_knot_indices"), 4, id="knots-missing"),
+    pytest.param("identify", CFG, _knots(lambda k: ["1"] + k[1:]), 4, id="knots-first-not-0"),
+    pytest.param("identify", CFG, _knots(lambda k: k[:-1] + ["31"]), 4, id="knots-last-not-m"),
+    pytest.param("identify", CFG, _knots(lambda k: k[:2] + k[1:-2] + k[-1:]), 4, id="knots-repeated"),
+    pytest.param("identify", CFG, _knots(lambda k: k[:1] + k[2:]), 4, id="knots-n-basis-plus-1"),
+    pytest.param("identify", CFG, _knots(lambda k: k[:1] + ["1.5"] + k[2:]), 4, id="knots-non-integer"),
     pytest.param("identify", CFG, _cell("q_true.csv", 5, 1, "nan"), 4, id="q-true-nan-cell"),
     pytest.param("identify", CFG, _drop_row("q_true.csv", 7), 4, id="q-true-row-deleted"),
     # kernel.csv ends in CRLF, so row -2 is its last sample; the overflow

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from viscostring.forward import StringProblem, solve_mild
 from viscostring.connecting import (
     ControlBasis,
     ResponseTable,
+    _diagonal_closed_form,
+    _diagonal_march,
     _green,
     _row0_density,
     gram_from_data,
@@ -49,7 +53,7 @@ def test_hat_basis_mass_matrix_uniform_lattice():
     # 32 knot intervals on 256 steps: exactly uniform, closed form applies
     grid = TimeGrid(0.5 / 256, 256)
     basis = hat_basis(grid, 31)
-    delta = basis.spacing
+    delta = grid.t_max / 32
     ideal = (
         np.diag(np.full(31, 2 * delta / 3))
         + np.diag(np.full(30, delta / 6), 1)
@@ -73,14 +77,59 @@ def test_hat_basis_too_fine_rejected():
         hat_basis(TimeGrid(0.1, 10), 15)
 
 
-def test_control_basis_rejects_a_knot_between_grid_nodes():
-    # knot_nodes would round 0.3 dt away, and the Gram would then reject the
-    # basis's own knot; the basis must refuse it instead
+@pytest.mark.parametrize(
+    "knot_nodes",
+    [
+        np.array([0.0, 16.0, 32.0, 48.0, 64.0]),  # float, even with integral values
+        np.array([0, 16, 48, 32, 64]),  # not rising
+        np.array([0, 16, 16, 48, 64]),  # repeated
+        np.array([1, 16, 32, 48, 64]),  # does not start at node 0
+        np.array([0, 16, 32, 48, 63]),  # does not end at node m
+        np.array([0, 64]),  # too short: no hat
+        np.array([[0, 32, 64]]),  # not one-dimensional
+    ],
+    ids=["float", "non-rising", "repeated", "first-not-0", "last-not-m", "too-short", "2-d"],
+)
+def test_control_basis_rejects_bad_knot_nodes(knot_nodes):
+    with pytest.raises(GridMismatchError, match="basis knots"):
+        ControlBasis(TimeGrid(0.5 / 64, 64), knot_nodes)
+
+
+def test_control_basis_stores_only_its_knot_nodes():
     grid = TimeGrid(0.5 / 64, 64)
-    basis = hat_basis(grid, 3)
-    knots = basis.knots + np.array([0.0, 0.3 * grid.dt, 0.0, 0.0, 0.0])
-    with pytest.raises(GridMismatchError, match="not a node"):
-        ControlBasis(grid=grid, knots=knots, samples=basis.samples)
+    basis = ControlBasis(grid, [0, 20, 40, 64])
+    assert [f.name for f in dataclasses.fields(basis)] == ["grid", "knot_nodes"]
+    assert basis.knot_nodes.dtype == int and basis.n == 2
+    for derived in (basis.knot_nodes, basis.knots, basis.samples):
+        assert not derived.flags.writeable
+
+
+def _reference_hats(grid: TimeGrid, knot_idx: np.ndarray) -> tuple:
+    """Reference knots and samples: the tent formula on the knot times, with
+    the end columns set to 0 explicitly rather than left to the formula."""
+    knots = knot_idx * grid.dt
+    t = grid.nodes()
+    a, c, b = knots[:-2, None], knots[1:-1, None], knots[2:, None]
+    samples = np.clip(np.minimum((t - a) / (c - a), (b - t) / (b - c)), 0.0, None)
+    samples[:, 0] = 0.0
+    samples[:, -1] = 0.0
+    return knots, samples
+
+
+@pytest.mark.parametrize(
+    "m, n",
+    [(16, 15), (256, 32), (33, 5)],
+    ids=["one-step-hats", "A7-7-8-step-lattice", "odd-m"],
+)
+def test_derived_hats_match_the_stored_hats_bit_for_bit(m, n):
+    grid, grid2 = TimeGrid(0.5 / m, m), TimeGrid(0.5 / m, 2 * m)
+    basis = hat_basis(grid, n)
+    knots, samples = _reference_hats(grid, basis.knot_nodes)
+    assert basis.knots.tobytes() == knots.tobytes()
+    assert basis.samples.tobytes() == samples.tobytes()
+    extended = np.zeros((n, 2 * m + 1))
+    extended[:, : m + 1] = samples
+    assert basis.sampled_on(grid2).tobytes() == extended.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +164,7 @@ def test_response_table_shape_validation():
     with pytest.raises(GridMismatchError):
         ResponseTable(basis=basis, kernel=ker2, Y=tab.Y[:, :-1])
     bad = tab.Y.copy()
-    bad[2, 0] = 100.0 / basis.spacing
+    bad[2, 0] = 100.0 / (grid.t_max / (basis.n + 1))
     with pytest.raises(GridMismatchError):
         ResponseTable(basis=basis, kernel=ker2, Y=bad)
 
@@ -689,16 +738,25 @@ def test_gram_identity_case_is_mass_matrix():
     assert np.max(gram.asymmetry) <= 0.02
 
 
-def test_gram_zero_controls_zero_table():
-    m, n = 32, 3
-    dt = 0.5 / m
-    grid, grid2 = TimeGrid(dt, m), TimeGrid(dt, 2 * m)
-    knots = hat_basis(grid, n).knots
-    basis = ControlBasis(grid=grid, knots=knots, samples=np.zeros((n, m + 1)))
-    ker2 = build_kernel(grid2, "const")
-    tab = ResponseTable(basis=basis, kernel=ker2, Y=np.zeros((n, 2 * m + 1)))
-    gram = gram_from_data(tab)
-    assert np.all(gram.C == 0.0)
+def _gram_factors(tab):
+    """The factors a = exp(-gamma s) y and c = exp(-gamma s) e that
+    gram_from_data hands to the diagonal readouts, with K and the knots."""
+    res = resolvent(tab.kernel)
+    es = np.exp(-res.gamma * tab.grid2.nodes())
+    a, c = (es * tab.Y).T, (es * tab.basis.sampled_on(tab.grid2)).T
+    return a, c, res.K.values, tab.basis.knot_nodes, tab.basis.grid.dt
+
+
+@pytest.mark.parametrize("readout", ["closed_form", "march"])
+def test_diagonal_readouts_vanish_on_zero_factors(readout):
+    tab = _wave_setup(m=32, n=3, kernel="general")[0]
+    a, c, kmem, nodes, dt = _gram_factors(tab)
+    zero = np.zeros_like(a)
+    if readout == "closed_form":
+        raw = _diagonal_closed_form(zero, zero, nodes, dt)
+    else:
+        raw = _diagonal_march(zero, zero, kmem, nodes, dt)
+    assert raw.shape == (len(nodes), 3, 3) and np.all(raw == 0.0)
 
 
 def test_gram_memory_case_matches_oracle_at_all_horizons():
@@ -725,13 +783,19 @@ def test_gram_general_kernel_matches_oracle():
     assert frob_rel(gram.at(grid.t_max), orc.at(grid.t_max)) <= 1e-2
 
 
-def test_gram_bilinearity_under_basis_scaling():
-    tab, basis, ker2, grid, grid2 = _wave_setup(m=64, n=4, kernel="exp")
-    gram1 = gram_from_data(tab)
-    basis2 = ControlBasis(grid=grid, knots=basis.knots, samples=2.0 * basis.samples)
-    tab2 = ResponseTable(basis=basis2, kernel=ker2, Y=2.0 * tab.Y, meta=tab.meta)
-    gram2 = gram_from_data(tab2)
-    assert np.max(np.abs(gram2.C - 4.0 * gram1.C)) <= 1e-10 * np.max(np.abs(gram1.C))
+@pytest.mark.parametrize("readout", ["closed_form", "march"])
+def test_diagonal_readouts_are_bilinear_in_the_factors(readout):
+    # doubling every control doubles both factors and quadruples the Gram
+    kernel = "exp" if readout == "closed_form" else "general"
+    tab = _wave_setup(m=64, n=4, kernel=kernel)[0]
+    a, c, kmem, nodes, dt = _gram_factors(tab)
+    if readout == "closed_form":
+        raw1 = _diagonal_closed_form(a, c, nodes, dt)
+        raw2 = _diagonal_closed_form(2.0 * a, 2.0 * c, nodes, dt)
+    else:
+        raw1 = _diagonal_march(a, c, kmem, nodes, dt)
+        raw2 = _diagonal_march(2.0 * a, 2.0 * c, kmem, nodes, dt)
+    assert np.max(np.abs(raw2 - 4.0 * raw1)) <= 1e-10 * np.max(np.abs(raw1))
 
 
 def test_gram_oracle_symmetric_psd():
@@ -743,18 +807,6 @@ def test_gram_oracle_symmetric_psd():
     C = orc.at(grid.t_max)
     assert np.max(np.abs(C - C.T)) == 0.0
     assert np.linalg.eigvalsh(C)[0] >= -1e-12 * np.linalg.norm(C)
-
-
-def test_gram_oracle_zero_control():
-    m = 32
-    dt = 0.5 / m
-    grid = TimeGrid(dt, m)
-    knots = hat_basis(grid, 1).knots
-    basis = ControlBasis(grid=grid, knots=knots, samples=np.zeros((1, m + 1)))
-    ker = build_kernel(grid, "const")
-    p = StringProblem(1.0, lambda x: np.zeros_like(x), ker, grid.t_max)
-    orc = gram_oracle(p, basis)
-    assert np.all(orc.C == 0.0)
 
 
 def _per_pair_oracle(p, basis):

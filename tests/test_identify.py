@@ -11,8 +11,6 @@ from viscostring.grid import TimeGrid, trap_weights
 from viscostring.kernels import build_kernel
 from viscostring.forward import StringProblem
 from viscostring.connecting import (
-    ControlBasis,
-    ResponseTable,
     gram_from_data,
     gram_oracle,
     hat_basis,
@@ -285,18 +283,6 @@ def test_pipeline_basis_too_small_for_lattice(monkeypatch):
     tab9, _, _, _ = _identity_setup(n=9)
     with pytest.raises(AssertionError, match="gram_from_data called"):
         pipeline(tab9)
-
-
-def test_pipeline_scale_equivariance():
-    # doubling every control (and hence every response) must not change the
-    # reconstructed control function or the trace
-    tab, basis, ker2, grid = _identity_setup(m=128, n=12)
-    res1 = pipeline(tab)
-    basis2 = ControlBasis(grid=grid, knots=basis.knots, samples=2.0 * basis.samples)
-    tab2 = ResponseTable(basis=basis2, kernel=ker2, Y=2.0 * tab.Y, meta=tab.meta)
-    res2 = pipeline(tab2)
-    assert np.max(np.abs(res1.xi - res2.xi)) <= 1e-9
-    assert np.max(np.abs(res1.q_hat - res2.q_hat)) <= 1e-6
 
 
 def test_pipeline_monotone_refinement():
