@@ -1,23 +1,25 @@
 """Run configuration, dataset bundles and CSV serialization.
 
-A dataset bundle is a directory:
+A dataset bundle is a directory; it stores each value once:
 
-    manifest.txt    key=value text (format_version, L, T_max, dt, n_basis,
-                    kernel_kind, basis_knot_indices, created_by, ...)
-    kernel.csv      t, N, N1, N2, N3 on the doubled window [0, 2*T_max]
-    basis.csv       t, e1..en   (the hats of basis_knot_indices, zero
-                                beyond T_max)
+    manifest.txt    key=value text: format_version, L, dt, kernel_kind,
+                    kernel_rate (exp only), created_by, noise_sigma, seed, q_spec
+    basis.csv       node        (the n+2 knot nodes; the last is T_max/dt)
+    kernel.csv      t, N, N1, N2, N3 on [0, 2*T_max] if tabulated; the header
+                    line only for const and exp, which the manifest rebuilds
     response.csv    t, y1..yn   (boundary responses on [0, 2*T_max])
     q_true.csv      x, q        (optional; synthetic ground truth on the dt
                                 lattice of [0, L])
 
-All CSV files are RFC-4180 (comma separated, CRLF), floats in '%.17g' with a
-'.' decimal separator, so a save/load/save round trip is byte-identical.
+The t and x columns stay: they are the one check that the rows of the
+responses and of hand-made kernel files sit on the manifest's lattice.
+All CSV files are RFC-4180 (comma separated, CRLF), numbers in '%.17g' with
+a '.' decimal separator, so a save/load/save round trip is byte-identical.
 The reader parses each file in one C pass: ``csv`` takes the header line and
 one ``np.loadtxt`` call the body, whose parser rounds every cell as Python's
-``float`` does, so a load returns the written bits.  An A7-size bundle
-(n_basis = 32, dt = 1/256, T_max = 1, L = 2: ~37 000 cells) loads in ~9-14 ms
-on a 2-core Xeon (KVM) host, against ~20-22 ms with one ``float`` per cell.
+``float`` does, so a load returns the written bits.  An exp A7-size bundle
+(n_basis = 32, dt = 1/256, T_max = 1, L = 2: ~18 000 cells) loads in ~11 ms
+on a 2-core Xeon (KVM) host, and saves in ~17 ms.
 
 Outside input enters through two stages, and each failure is classified once
 at its entry point: config text raises ConfigError (CLI exit 2), file
@@ -52,7 +54,7 @@ __all__ = [
     "synthesize",
 ]
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 CREATED_BY = "viscostring-0.1.0"
 
 _CONFIG_KEYS = {
@@ -72,13 +74,10 @@ _CONFIG_KEYS = {
 _MANIFEST_KEYS = {
     "format_version",
     "L",
-    "T_max",
     "dt",
-    "n_basis",
     "kernel_kind",
     "kernel_rate",
     "created_by",
-    "basis_knot_indices",
     "noise_sigma",
     "seed",
     "q_spec",
@@ -309,25 +308,31 @@ def _write_csv(path: str, header: list, columns: list):
         fh.write((row * rows.shape[0]) % tuple(rows.ravel().tolist()))
 
 
-def _read_csv(path: str, header: list, grid: TimeGrid | None = None) -> list:
-    """Columns of a numeric CSV file with exactly this header.
-
-    The header line is read by ``csv``, the body by one ``np.loadtxt`` call,
-    whose C parser rounds each cell as Python's ``float`` does.  Every line
-    after the header must be one row: loadtxt skips a blank line, so a row
-    count short of the line count is rejected.  Every cell must be a finite
-    number; with a grid, the first column must be its nodes.  Any failure
-    raises DataFormatError.
-    """
+def _read_body(path: str, header: list) -> list:
+    """The lines after the header line of a CSV file whose header is exactly
+    this one (read by ``csv``); DataFormatError otherwise."""
     if not os.path.isfile(path):
         raise DataFormatError(f"missing file {path}")
     with _input_stage(DataFormatError, path), open(path, newline="") as fh:
         lines = list(fh)
         if not lines or next(csv.reader(lines[:1])) != header:
             raise DataFormatError(f"{path} must have the columns {','.join(header)}")
-        body = lines[1:]
-        if not any(line.rstrip("\r\n") for line in body):
-            raise DataFormatError(f"{path} has no data rows")
+    return lines[1:]
+
+
+def _read_csv(path: str, header: list, grid: TimeGrid | None = None) -> list:
+    """Columns of a numeric CSV file with exactly this header.
+
+    The body is parsed by one ``np.loadtxt`` call, whose C parser rounds
+    each cell as Python's ``float`` does.  Every line after the header must
+    be one row: loadtxt skips a blank line, so a row count short of the line
+    count is rejected.  Every cell must be a finite number; with a grid, the
+    first column must be its nodes.  Any failure raises DataFormatError.
+    """
+    body = _read_body(path, header)
+    if not any(line.rstrip("\r\n") for line in body):
+        raise DataFormatError(f"{path} has no data rows")
+    with _input_stage(DataFormatError, path):
         data = np.loadtxt(body, delimiter=",", comments=None, quotechar='"', ndmin=2)
     if len(data) != len(body):
         raise DataFormatError(f"{path}: blank line among the data rows")
@@ -369,12 +374,9 @@ def save_bundle(
     manifest = {
         "format_version": FORMAT_VERSION,
         "L": _format(L),
-        "T_max": _format(basis.grid.t_max),
         "dt": _format(basis.grid.dt),
-        "n_basis": str(basis.n),
         "kernel_kind": kernel.kind,
         "created_by": CREATED_BY,
-        "basis_knot_indices": " ".join(str(i) for i in basis.knot_nodes),
         "noise_sigma": _format(table.meta.get("noise_sigma", 0.0)),
         "seed": str(table.meta.get("seed", 0)),
     }
@@ -387,17 +389,11 @@ def save_bundle(
         fh.write("\n".join(lines) + "\n")
 
     t2 = grid2.nodes()
-    _write_csv(
-        os.path.join(directory, "kernel.csv"),
-        _KERNEL_HEADER,
-        [t2, kernel.N.values, kernel.N1.values, kernel.N2.values, kernel.N3.values],
-    )
-    ext = basis.sampled_on(grid2)
-    _write_csv(
-        os.path.join(directory, "basis.csv"),
-        ["t"] + [f"e{i + 1}" for i in range(basis.n)],
-        [t2] + [ext[i] for i in range(basis.n)],
-    )
+    kernel_columns = [t2, kernel.N.values, kernel.N1.values, kernel.N2.values, kernel.N3.values]
+    if kernel.kind != "tabulated":  # load_bundle rebuilds it from the manifest: no rows
+        kernel_columns = [c[:0] for c in kernel_columns]
+    _write_csv(os.path.join(directory, "kernel.csv"), _KERNEL_HEADER, kernel_columns)
+    _write_csv(os.path.join(directory, "basis.csv"), ["node"], [basis.knot_nodes])
     _write_csv(
         os.path.join(directory, "response.csv"),
         ["t"] + [f"y{i + 1}" for i in range(basis.n)],
@@ -420,27 +416,24 @@ def load_bundle(directory: str) -> tuple:
         raise DataFormatError(f"missing manifest {man_path}")
     with open(man_path) as fh:
         kv = _parse_kv_text(fh.read(), "manifest", DataFormatError)
+    # checked first, so that a bundle of another format names its version, not its keys
+    if kv.get("format_version", FORMAT_VERSION) != FORMAT_VERSION:
+        raise DataFormatError(
+            f"unsupported format_version {kv['format_version']!r}: synthesize the bundle again"
+        )
     unknown = set(kv) - _MANIFEST_KEYS
     if unknown:
         raise DataFormatError(f"unknown manifest keys: {sorted(unknown)}")
-    missing = {
-        "format_version", "L", "T_max", "dt", "n_basis", "kernel_kind", "basis_knot_indices"
-    } - set(kv)
+    missing = {"format_version", "L", "dt", "kernel_kind"} - set(kv)
     if missing:
         raise DataFormatError(f"manifest lacks keys: {sorted(missing)}")
-    if kv["format_version"] != FORMAT_VERSION:
-        raise DataFormatError(f"unsupported format_version {kv['format_version']!r}")
-    L, t_max, dt = (_finite_float(kv[k], k) for k in ("L", "T_max", "dt"))
+    L, dt = (_finite_float(kv[k], k) for k in ("L", "dt"))
     if dt <= 0:
         raise DataFormatError(f"manifest dt must be positive, got {kv['dt']}")
-    m = round(t_max / dt)
-    if m < 1 or abs(m * dt - t_max) > 1e-9:
-        raise DataFormatError("manifest dt does not divide T_max")
-    if 2.0 * t_max > L + 1e-12:
-        raise DataFormatError(f"manifest L = {L} is shorter than the data window 2*T_max")
-    n_basis = int(kv["n_basis"])
-    if not 1 <= n_basis <= m - 1:  # n_basis + 2 strictly increasing knots on [0, m]
-        raise DataFormatError(f"manifest n_basis = {n_basis} is outside 1 .. {m - 1}")
+    kind = kv["kernel_kind"]
+    if ("kernel_rate" in kv) != (kind == "exp"):  # never a default rate, never an ignored one
+        state = "lacks" if kind == "exp" else "must not hold"
+        raise DataFormatError(f"manifest of a {kind} kernel {state} kernel_rate")
     # carried into the table so that a re-save writes them back unchanged
     meta = {}
     if "noise_sigma" in kv:
@@ -450,36 +443,28 @@ def load_bundle(directory: str) -> tuple:
     for key, value in meta.items():
         if value < 0:
             raise DataFormatError(f"manifest {key} must be >= 0, got {kv[key]}")
-    grid = TimeGrid(dt, m)
-    grid2 = TimeGrid(dt, 2 * m)
 
-    kind = kv["kernel_kind"]
+    (column,) = _read_csv(os.path.join(directory, "basis.csv"), ["node"])
+    nodes = np.array([int(v) for v in column])  # exact for any finite cell
+    if np.any(nodes != column):
+        raise DataFormatError("basis.csv nodes must be integers")
+    basis = ControlBasis(TimeGrid(dt, int(nodes[-1])), nodes)
+    if 2.0 * basis.grid.t_max > L + 1e-12:
+        raise DataFormatError(f"manifest L = {L} is shorter than the data window 2*T_max")
+    grid2 = TimeGrid(dt, 2 * basis.grid.n)
+
     kernel_path = os.path.join(directory, "kernel.csv")
     if kind == "tabulated":
         kernel = _read_kernel_csv(kernel_path, grid2)
     elif kind in ("const", "exp"):
-        kernel = build_kernel(grid2, kind, rate=float(kv.get("kernel_rate", "1.0")))
-        # rebuilt analytically: the file must still agree with what it describes
-        stored = np.vstack(_read_csv(kernel_path, _KERNEL_HEADER, grid2)[1:])
-        built = np.vstack([kernel.N.values, kernel.N1.values, kernel.N2.values, kernel.N3.values])
-        if not np.all(np.abs(stored - built) <= 1e-12 * np.max(np.abs(built))):
-            raise DataFormatError(f"kernel.csv does not match the {kind} kernel of the manifest")
+        if _read_body(kernel_path, _KERNEL_HEADER):  # the manifest rebuilds it
+            raise DataFormatError(f"{kernel_path} of a {kind} kernel holds its header only")
+        kernel = build_kernel(grid2, kind, rate=float(kv.get("kernel_rate", 1.0)))
     else:
         raise DataFormatError(f"unknown kernel_kind {kind!r}")
 
-    knot_idx = np.array([int(s) for s in kv["basis_knot_indices"].split()])
-    if len(knot_idx) != n_basis + 2:
-        raise DataFormatError("basis_knot_indices length must be n_basis + 2")
-    basis = ControlBasis(grid, knot_idx)
-    bcols = _read_csv(
-        os.path.join(directory, "basis.csv"), ["t"] + [f"e{i + 1}" for i in range(n_basis)], grid2
-    )
-    # save_bundle writes the hats zero-extended to 2*T_max, and '%.17g' round-trips exactly
-    if not np.array_equal(np.vstack(bcols[1:]), basis.sampled_on(grid2)):
-        raise DataFormatError("basis.csv does not hold the hats of the manifest knots")
-
     rcols = _read_csv(
-        os.path.join(directory, "response.csv"), ["t"] + [f"y{i + 1}" for i in range(n_basis)], grid2
+        os.path.join(directory, "response.csv"), ["t"] + [f"y{i + 1}" for i in range(basis.n)], grid2
     )
     table = ResponseTable(basis=basis, kernel=kernel, Y=np.vstack(rcols[1:]), meta=meta)
 

@@ -54,6 +54,17 @@ def test_benchmark_operations_on_a_tiny_instance(tmp_path):
     assert bench.roundtrip(bundle, str(tmp_path / "resaved")) == ([], [])
 
 
+def test_benchmark_roundtrip_on_a_tiny_exp_bundle(tmp_path):
+    # an exp bundle's kernel.csv is its header line only; the harness
+    # compares it byte for byte with the re-saved copy like every other file
+    inst = bench.Instance("exp", n_basis=10, steps=32)
+    bundle = str(tmp_path / "bundle")
+    bench.synthesize_op(inst, 3, bundle, NullTracer())
+    with open(os.path.join(bundle, "kernel.csv"), "rb") as fh:
+        assert fh.read() == b"t,N,N1,N2,N3\r\n"
+    assert bench.roundtrip(bundle, str(tmp_path / "resaved")) == ([], [])
+
+
 @pytest.mark.parametrize("inst, marches", [(bench.EXP_A7, 0), (bench.GENERAL_HALF, 1)])
 def test_benchmark_workloads_sit_on_both_sides_of_the_memory_branch(monkeypatch, inst, marches):
     # exp-identify must keep the K == 0 closed-form Gram and general-identify

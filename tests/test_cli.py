@@ -10,6 +10,7 @@ from viscostring.cli import main
 from viscostring.connecting import hat_basis
 from viscostring.dataio import load_bundle, save_bundle
 from viscostring.grid import TimeGrid
+from viscostring.kernels import build_kernel
 import viscostring.forward
 import viscostring.kernels
 import viscostring.verification as verification
@@ -153,13 +154,12 @@ def _drop_key(key):
 
 
 def _knots(edit):
-    """Rewrite the list of basis_knot_indices (as strings) with edit."""
+    """Rewrite the knot nodes of basis.csv (its data rows, as strings) with edit."""
     def rewrite(text):
-        return re.sub(
-            r"(?m)^(basis_knot_indices=)(.*)$", lambda mo: mo[1] + " ".join(edit(mo[2].split())), text
-        )
+        header, *rows = text.split("\r\n")[:-1]  # the file ends in CRLF
+        return "\r\n".join([header] + edit(rows)) + "\r\n"
 
-    return [("manifest.txt", rewrite)]
+    return [("basis.csv", rewrite)]
 
 
 def _cell(name, row, col, value):
@@ -177,7 +177,20 @@ def _drop_row(name, row):
     return [(name, lambda text: "\r\n".join(r for i, r in enumerate(text.split("\r\n")) if i != row))]
 
 
-_TABULATED = _manifest("kernel_kind", "tabulated")  # kernel.csv becomes the kernel
+def _exp_kernel_csv():
+    """kernel.csv text of CFG's exp:1.0 kernel tabulated on its doubled grid."""
+    grid2 = TimeGrid(0.0078125, 64)
+    k = build_kernel(grid2, "exp", rate=1.0)
+    rows = np.column_stack([grid2.nodes(), k.N.values, k.N1.values, k.N2.values, k.N3.values])
+    return "t,N,N1,N2,N3\r\n" + "".join(",".join("%.17g" % v for v in row) + "\r\n" for row in rows)
+
+
+# the CFG bundle turned into a tabulated one: kernel.csv becomes the kernel
+_TABULATED = (
+    _drop_key("kernel_rate")
+    + _manifest("kernel_kind", "tabulated")
+    + [("kernel.csv", lambda text: _exp_kernel_csv())]
+)
 
 
 BAD_INPUTS = [
@@ -193,22 +206,26 @@ BAD_INPUTS = [
     pytest.param("identify", CFG, _manifest("dt", "nan"), 4, id="manifest-dt-nan"),
     pytest.param("identify", CFG, _manifest("L", "nan"), 4, id="manifest-L-nan"),
     pytest.param("identify", CFG, _manifest("L", "-5"), 4, id="manifest-L-below-window"),
-    pytest.param("identify", CFG, _cell("basis.csv", 5, 1, "nan"), 4, id="basis-nan-cell"),
-    # basis.csv must hold the hats of the manifest knots, zero beyond T_max
-    pytest.param("identify", CFG, _cell("basis.csv", 5, 1, "5.0"), 4, id="basis-cell-off-hat"),
-    pytest.param("identify", CFG, _cell("basis.csv", 50, 3, "0.25"), 4, id="basis-tail-nonzero"),
     # manifest values get the checks of their config twins
     pytest.param("identify", CFG, _manifest("dt", "0"), 4, id="manifest-dt-zero"),
     pytest.param("identify", CFG, _manifest("noise_sigma", "-1"), 4, id="manifest-noise-sigma-negative"),
     pytest.param("identify", CFG, _manifest("seed", "-3"), 4, id="manifest-seed-negative"),
-    pytest.param("identify", CFG, _manifest("n_basis", "0"), 4, id="manifest-n-basis-zero"),
-    # 32 steps hold at most 31 hats; a huge n_basis fails before any header is built
-    pytest.param("identify", CFG, _manifest("n_basis", "32"), 4, id="manifest-n-basis-32"),
-    pytest.param("identify", CFG, _manifest("n_basis", "1000000"), 4, id="manifest-n-basis-huge"),
-    # the basis is built from the manifest knots, 0 2 5 ... 30 32 for CFG
-    pytest.param("identify", CFG, _drop_key("basis_knot_indices"), 4, id="knots-missing"),
+    # kernel_rate goes with an exp kernel, and only with one
+    pytest.param("identify", CFG, _drop_key("kernel_rate"), 4, id="manifest-exp-without-rate"),
+    pytest.param("identify", CFG, _manifest("kernel_kind", "const"), 4, id="manifest-const-with-rate"),
+    # a const or exp kernel.csv is its header line only
+    pytest.param(
+        "identify", CFG, [("kernel.csv", lambda text: text + "0,1,-1,1,-1\r\n")], 4,
+        id="analytic-kernel-csv-with-row",
+    ),
+    # basis.csv is the basis: the knot nodes 0 2 5 ... 30 32 for CFG, the
+    # last one T_max/dt; response.csv must then sit on its doubled grid
+    pytest.param("identify", CFG, _cell("basis.csv", 5, 0, "nan"), 4, id="basis-nan-cell"),
+    pytest.param("identify", CFG, _knots(lambda k: []), 4, id="knots-missing"),
+    pytest.param("identify", CFG, _knots(lambda k: k[:1] + k[-1:]), 4, id="knots-fewer-than-3"),
     pytest.param("identify", CFG, _knots(lambda k: ["1"] + k[1:]), 4, id="knots-first-not-0"),
     pytest.param("identify", CFG, _knots(lambda k: k[:-1] + ["31"]), 4, id="knots-last-not-m"),
+    pytest.param("identify", CFG, _knots(lambda k: k[:-1] + ["65"]), 4, id="knots-last-beyond-L"),
     pytest.param("identify", CFG, _knots(lambda k: k[:2] + k[1:-2] + k[-1:]), 4, id="knots-repeated"),
     pytest.param("identify", CFG, _knots(lambda k: k[:1] + k[2:]), 4, id="knots-n-basis-plus-1"),
     pytest.param("identify", CFG, _knots(lambda k: k[:1] + ["1.5"] + k[2:]), 4, id="knots-non-integer"),
@@ -269,25 +286,27 @@ def test_q_spec_with_signed_exponent(tmp_path, capsys, q, code):
     assert np.allclose(q_true, 100.0 * np.sin(np.pi * x), rtol=0.0, atol=1e-12)
 
 
-def test_bad_tabulated_kernel_exit_code_4(tmp_path, cfg_path):
+def test_bad_tabulated_kernel_exit_code_4(tmp_path):
+    # a kernel = file: run writes a tabulated bundle whose kernel.csv is that file
+    kfile = tmp_path / "exp.csv"
+    kfile.write_bytes(_exp_kernel_csv().encode())
+    cfg = tmp_path / "tab.cfg"
+    cfg.write_text(CFG.replace("exp:1.0", f"file:{kfile}"))
     bundle = str(tmp_path / "bundle")
-    assert main(["synthesize", "--config", cfg_path, "--out", bundle]) == 0
-    man = os.path.join(bundle, "manifest.txt")
-    with open(man) as fh:
-        text = fh.read().replace("kernel_kind=exp", "kernel_kind=tabulated")
-    with open(man, "w") as fh:
-        fh.write(text)
+    assert main(["synthesize", "--config", str(cfg), "--out", bundle]) == 0
+    assert load_bundle(bundle)[2]["kernel_kind"] == "tabulated"
     kpath = os.path.join(bundle, "kernel.csv")
-    original = Path(kpath).read_bytes().decode()
-    assert main(["identify", bundle, "--config", cfg_path, "--out", str(tmp_path / "ok")]) == 0
+    original = Path(kpath).read_bytes()
+    assert original == kfile.read_bytes()
+    assert main(["identify", bundle, "--config", str(cfg), "--out", str(tmp_path / "ok")]) == 0
 
-    rows = original.split("\r\n")
+    rows = original.decode().split("\r\n")
     for bad in ("0.5", "nan"):  # an inconsistent N1 sample, a non-finite one
         cells = rows[5].split(",")
         cells[2] = bad
         with open(kpath, "w", newline="") as fh:
             fh.write("\r\n".join(rows[:5] + [",".join(cells)] + rows[6:]))
-        assert main(["identify", bundle, "--config", cfg_path]) == 4
+        assert main(["identify", bundle, "--config", str(cfg)]) == 4
         kcfg = tmp_path / "kfile.cfg"
         kcfg.write_text(CFG.replace("exp:1.0", f"file:{kpath}"))
         assert main(["synthesize", "--config", str(kcfg), "--out", str(tmp_path / "k")]) == 4
@@ -295,7 +314,7 @@ def test_bad_tabulated_kernel_exit_code_4(tmp_path, cfg_path):
 
 @pytest.mark.parametrize("kernel", ["const", "exp:1.0"])
 def test_tampered_analytic_kernel_csv_exit_code_4(tmp_path, kernel):
-    # const/exp kernels are rebuilt from the manifest; kernel.csv must agree
+    # const/exp kernels are rebuilt from the manifest; kernel.csv is its header only
     cfg = tmp_path / "k.cfg"
     cfg.write_text(CFG.replace("exp:1.0", kernel))
     bundle = str(tmp_path / "bundle")
@@ -306,12 +325,26 @@ def test_tampered_analytic_kernel_csv_exit_code_4(tmp_path, kernel):
     for name in ("manifest.txt", "kernel.csv", "basis.csv", "response.csv", "q_true.csv"):
         assert filecmp.cmp(os.path.join(bundle, name), os.path.join(copy, name), shallow=False), name
 
-    kpath = os.path.join(bundle, "kernel.csv")
-    rows = Path(kpath).read_bytes().decode().split("\r\n")
-    rows[2] = rows[2].split(",")[0] + ",5,5,5,5"
-    with open(kpath, "w", newline="") as fh:
-        fh.write("\r\n".join(rows))
+    # even the kernel's own t = 0 sample is one row too many
+    kpath = Path(bundle, "kernel.csv")
+    kpath.write_bytes(kpath.read_bytes() + b"0,1,0,0,0\r\n")
     assert main(["identify", bundle, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
+
+
+def test_format_1_bundle_exits_4_naming_its_version(tmp_path, cfg_path, capsys):
+    # a format-1 manifest also held T_max, n_basis and basis_knot_indices; the
+    # version is checked first, so the error names it and not those keys
+    bundle = str(tmp_path / "bundle")
+    assert main(["synthesize", "--config", cfg_path, "--out", bundle]) == 0
+    man = Path(bundle, "manifest.txt")
+    v1 = man.read_text().replace("format_version=2", "format_version=1")
+    knots = " ".join(str(i) for i in hat_basis(TimeGrid(0.0078125, 32), 12).knot_nodes)
+    man.write_text(v1 + f"T_max=0.25\nn_basis=12\nbasis_knot_indices={knots}\n")
+    capsys.readouterr()
+    assert main(["identify", bundle, "--config", cfg_path, "--out", str(tmp_path / "id")]) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "unsupported format_version '1'" in err, err
+    assert "T_max" not in err and not (tmp_path / "id").exists()
 
 
 def test_identify_report_with_zero_q_true(tmp_path):

@@ -16,6 +16,7 @@ from viscostring.errors import ConfigError, DataFormatError
 from viscostring.grid import TimeGrid
 from viscostring import dataio
 from viscostring.connecting import hat_basis, synthesize_table
+from viscostring.kernels import build_kernel
 from viscostring.dataio import (
     RunConfig,
     load_bundle,
@@ -273,6 +274,42 @@ def test_bundle_round_trip(tmp_path):
 
 
 _BUNDLE_FILES = ("manifest.txt", "kernel.csv", "basis.csv", "response.csv", "q_true.csv")
+
+
+@pytest.mark.parametrize("kernel", ["const", "exp:1.0", "file"])
+def test_bundle_format_2_stores_each_value_once(tmp_path, kernel):
+    if kernel == "file":  # the exp kernel as a table: a tabulated bundle
+        grid2 = _small_cfg().doubled_grid()
+        k = build_kernel(grid2, "exp", rate=1.0)
+        kfile = str(tmp_path / "exp.csv")
+        columns = [grid2.nodes(), k.N.values, k.N1.values, k.N2.values, k.N3.values]
+        dataio._write_csv(kfile, dataio._KERNEL_HEADER, columns)
+        kernel = f"file:{kfile}"
+    cfg = _small_cfg(kernel=kernel, q="const:1 + sin:0.25,1", noise_sigma=1e-4, seed=7)
+    out = str(tmp_path / "bundle")
+    synthesize(cfg, out)
+    table, q_true, manifest = load_bundle(out)
+    kind = table.kernel.kind
+
+    # nine manifest keys at most: no T_max, n_basis or basis_knot_indices,
+    # and kernel_rate exactly for an exp kernel
+    assert len(dataio._MANIFEST_KEYS) == 9
+    assert set(manifest) == dataio._MANIFEST_KEYS - ({"kernel_rate"} if kind != "exp" else set())
+    # basis.csv is the basis: its n+2 knot nodes, T_max/dt the last
+    nodes = Path(out, "basis.csv").read_text().splitlines()
+    assert nodes == ["node"] + [str(i) for i in hat_basis(cfg.time_grid(), cfg.n_basis).knot_nodes]
+    assert len(nodes) - 1 == cfg.n_basis + 2 and table.basis.grid.same_as(cfg.time_grid())
+    # an analytic kernel.csv is its header line only; a tabulated one is the file it came from
+    kernel_csv = Path(out, "kernel.csv").read_bytes()
+    if kind == "tabulated":
+        assert kernel_csv == Path(kfile).read_bytes()
+    else:
+        assert kernel_csv == b"t,N,N1,N2,N3\r\n"
+
+    out2 = str(tmp_path / "bundle2")
+    save_bundle(out2, table, q_true=q_true, L=cfg.L, q_spec=manifest.get("q_spec"))
+    for name in _BUNDLE_FILES:
+        assert filecmp.cmp(os.path.join(out, name), os.path.join(out2, name), shallow=False), name
 _coefficients = st.floats(-2.0, 2.0, allow_nan=False).map(repr)
 _round_trip_q_terms = st.one_of(
     _coefficients.map(lambda c: f"const:{c}"),
@@ -513,9 +550,8 @@ def test_a7_bundle_loads_identically_through_both_readers(tmp_path, monkeypatch)
     bundle = str(tmp_path / "a7")
     synthesize(cfg, bundle)
     grid2, x_grid = cfg.doubled_grid(), TimeGrid(cfg.dt, round(cfg.L / cfg.dt))
-    files = {
-        "kernel.csv": (dataio._KERNEL_HEADER, grid2),
-        "basis.csv": (["t"] + [f"e{i + 1}" for i in range(32)], grid2),
+    files = {  # kernel.csv of an exp kernel is its header line only
+        "basis.csv": (["node"], None),
         "response.csv": (["t"] + [f"y{i + 1}" for i in range(32)], grid2),
         "q_true.csv": (["x", "q"], x_grid),
     }
@@ -527,8 +563,7 @@ def test_a7_bundle_loads_identically_through_both_readers(tmp_path, monkeypatch)
     assert manifest == ref_manifest
     for a, b in (
         (table.Y, ref_table.Y),
-        (table.basis.samples, ref_table.basis.samples),
-        (table.kernel.N3.values, ref_table.kernel.N3.values),
+        (table.basis.knot_nodes, ref_table.basis.knot_nodes),
         (q_true, ref_q_true),
     ):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
