@@ -18,8 +18,8 @@ a '.' decimal separator, so a save/load/save round trip is byte-identical.
 The reader parses each file in one C pass: ``csv`` takes the header line and
 one ``np.loadtxt`` call the body, whose parser rounds every cell as Python's
 ``float`` does, so a load returns the written bits.  An exp A7-size bundle
-(n_basis = 32, dt = 1/256, T_max = 1, L = 2: ~18 000 cells) loads in ~11 ms
-on a 2-core Xeon (KVM) host, and saves in ~17 ms.
+(n_basis = 32, dt = 1/256, T_max = 1, L = 2: ~18 000 cells) loads in ~6 ms
+and saves in ~10 ms on a quiet 2-core Xeon (KVM) host.
 
 Outside input enters through two stages, and each failure is classified once
 at its entry point: config text raises ConfigError (CLI exit 2), file
