@@ -1,6 +1,7 @@
 """Command-line front end.
 
 Subcommands: synthesize, connect, identify, verify, resolvent, forward.
+connect and identify read their bundle only and take no --config.
 Exit codes: 0 success, 1 verification failures, 2 configuration error,
 3 numerical failure, 4 data-format error.  Input is classified where it is
 parsed (dataio); this module dispatches and writes files.
@@ -67,8 +68,7 @@ def cmd_connect(args) -> int:
 
 def cmd_identify(args) -> int:
     table, q_true, _ = load_bundle(args.bundle)
-    cfg = _load_config(args.config)
-    result = pipeline(table, cfg.identify_config())
+    result = pipeline(table)
     out = args.out or args.bundle
     os.makedirs(out, exist_ok=True)
 
@@ -171,10 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, bundle=False):
-        p.add_argument("--config", help="key=value configuration file")
-        p.add_argument("--out", help="output directory")
+        # a command reads either a bundle or a config, never both
         if bundle:
             p.add_argument("bundle", help="dataset bundle directory")
+        else:
+            p.add_argument("--config", help="key=value configuration file")
+        p.add_argument("--out", help="output directory")
 
     common(sub.add_parser("synthesize", help="generate a synthetic dataset bundle"))
     common(sub.add_parser("connect", help="connecting Gram matrices from a bundle"), bundle=True)

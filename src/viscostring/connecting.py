@@ -278,7 +278,7 @@ def synthesize_table(
     dt, M = grid2.dt, grid2.n
     spike = np.zeros(M + 1)
     spike[1] = 1.0
-    _, y1 = _mild_march(p, Sampled1D(grid2, spike), res, M)  # cells x + t <= 2 T_max
+    _, y1 = _mild_march(p, Sampled1D(grid2, spike), M)  # cells x + t <= 2 T_max
     h = y1 - res.gamma * spike + centered_difference(spike, dt)
     E = basis.sampled_on(grid2)
     z = np.zeros_like(E)
@@ -512,13 +512,14 @@ def gram_oracle(p: StringProblem, basis: ControlBasis) -> ConnectingGram:
     """
     if abs(p.T - basis.grid.t_max) > 1e-9:
         raise GridMismatchError("oracle problem horizon must equal the basis window")
-    res = resolvent(p.kernel)
     nodes = basis.knot_nodes
-    fields = (solve_mild(p, Sampled1D(basis.grid, e), res=res).w.values for e in basis.samples)
+    fields = (solve_mild(p, Sampled1D(basis.grid, e)).w.values for e in basis.samples)
     cols = np.stack([w[:, nodes] for w in fields])  # each field is read at the knots only
     raw = np.zeros((len(nodes), basis.n, basis.n))
     for j, k in enumerate(nodes):
         F = cols[:, : k + 1, j]
         S = (F * trap_weights(k + 1, basis.grid.dt)) @ F.T
         raw[j] = 0.5 * (S + S.T)  # exactly symmetric, as H^{ij} = H^{ji}
-    return ConnectingGram(C=raw, asymmetry=np.zeros(len(nodes)), basis=basis, gamma=res.gamma)
+    return ConnectingGram(
+        C=raw, asymmetry=np.zeros(len(nodes)), basis=basis, gamma=resolvent(p.kernel).gamma
+    )

@@ -34,7 +34,7 @@ import csv
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .errors import ConfigError, DataFormatError, GridMismatchError
 from .grid import TimeGrid
 from .kernels import MemoryKernel, build_kernel
 from .connecting import ControlBasis, ResponseTable, hat_basis, synthesize_table
-from .identify import IdentifyConfig
 
 __all__ = [
     "RunConfig",
@@ -56,20 +55,6 @@ __all__ = [
 
 FORMAT_VERSION = "2"
 CREATED_BY = "viscostring-0.1.0"
-
-_CONFIG_KEYS = {
-    "kernel",
-    "L",
-    "T_max",
-    "dt",
-    "n_basis",
-    "q",
-    "out",
-    "noise_sigma",
-    "seed",
-    "xi_zero_guard",
-    "control",
-}
 
 _MANIFEST_KEYS = {
     "format_version",
@@ -127,7 +112,6 @@ class RunConfig:
     out: str = "out"
     noise_sigma: float = 0.0
     seed: int = 0
-    xi_zero_guard: str = "auto"
     control: str = "sin2"
 
     def __post_init__(self):
@@ -181,12 +165,9 @@ class RunConfig:
         x = np.arange(round(self.L / self.dt) + 1) * self.dt
         return parse_q_spec(self.q, x, self.L)
 
-    @_input_stage(ConfigError, "bad identify setting")
-    def identify_config(self) -> IdentifyConfig:
-        """The identify settings of this config."""
-        return IdentifyConfig(
-            xi_zero_guard=None if self.xi_zero_guard == "auto" else float(self.xi_zero_guard)
-        )
+
+# every RunConfig field is a config key, parsed by the type of its default
+_CONFIG_KEYS = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def _parse_kv_text(text: str, what: str, error: type) -> dict:
@@ -209,18 +190,10 @@ def _parse_kv_text(text: str, what: str, error: type) -> dict:
 def parse_config(text: str) -> RunConfig:
     """Parse key=value configuration text; unknown keys are rejected."""
     kv = _parse_kv_text(text, "config", ConfigError)
-    unknown = set(kv) - _CONFIG_KEYS
+    unknown = kv.keys() - _CONFIG_KEYS.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in kv.items():
-        if key in ("L", "T_max", "dt", "noise_sigma"):
-            kwargs[key] = float(value)
-        elif key in ("n_basis", "seed"):
-            kwargs[key] = int(value)
-        else:
-            kwargs[key] = value
-    return RunConfig(**kwargs)
+    return RunConfig(**{key: _CONFIG_KEYS[key](value) for key, value in kv.items()})
 
 
 @_input_stage(ConfigError, "bad q spec")

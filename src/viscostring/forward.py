@@ -11,7 +11,10 @@ equation
     W(x,t) = exp(-gamma(t-x)) f(t-x) + (1/2) int_{D(x,t)} F,
     F(x,t) = (q(x) + alpha) W(x,t) + int_0^t K(t-s) W(x,s) ds,
 
-with D(x,t) the backward characteristic triangle.  Marching in time, the
+with D(x,t) the backward characteristic triangle.  gamma, alpha and K come
+from ``kernels.resolvent``, solved once per kernel on its whole grid; the
+march reads K on [0,T] only, where the causal Volterra solves give the
+values of the kernel cut to [0,T] bit for bit.  Marching in time, the
 triangle integral telescopes into the lozenge update
 
     W[i,k+1] = W[i+1,k] + W[i-1,k] - W[i,k-1] + dt^2 F[i,k]
@@ -49,14 +52,14 @@ differentiated model w_tt = Lw + int_0^t N'(t-s) Lw(s) ds on the full domain
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridMismatchError, KernelValidationError, NumericalFailure
 from .grid import Sampled1D, Sampled2D, TimeGrid, centered_difference
-from .kernels import MemoryKernel, ResolventData, resolvent, response_to_traction
+from .kernels import MemoryKernel, resolvent, response_to_traction
 
 __all__ = [
     "StringProblem",
@@ -147,14 +150,6 @@ def _memory_row(K: np.ndarray, W: np.ndarray, k: int, dt: float) -> np.ndarray:
     return dt * acc
 
 
-def _prefix(k: MemoryKernel, m: int) -> MemoryKernel:
-    """The kernel on its first m steps.  The resolvent's Volterra solves are
-    causal, so its values there are those of the whole kernel, bit for bit."""
-    grid = TimeGrid(k.grid.dt, m)
-    cut = lambda s: Sampled1D(grid, s.values[: m + 1])
-    return replace(k, grid=grid, N=cut(k.N), N1=cut(k.N1), N2=cut(k.N2), N3=cut(k.N3), M=cut(k.M))
-
-
 _BLOCK = 32  # levels whose memory history before the block is one matrix product
 
 
@@ -162,20 +157,19 @@ _OVERFLOW = "forward solution is not finite (the control or q overflows the solv
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow ends in NumericalFailure
-def _mild_march(
-    p: StringProblem, f: Sampled1D, res: ResolventData, last: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _mild_march(p: StringProblem, f: Sampled1D, last: int) -> tuple[np.ndarray, np.ndarray]:
     """March the transformed field on the cells x_i + t_k <= t_last of the cone.
 
     Returns W, time-major (W[k, i] = W(x_i, t_k), zero off those cells) on
     the rows some level touches (all m+1 for the whole cone, about m/2 + 2
     for last = m), and the boundary trace y on [0, T]; y(t_n) reads the
     anti-diagonal x_i + t_k = t_n only, so any last >= m gives all of it.
-    Raises NumericalFailure when y is not finite.  f and res must already be
-    checked against p, as ``solve_mild`` checks them.
+    Raises NumericalFailure when y is not finite.  f must already be checked
+    against p, as ``solve_mild`` checks it.
     """
     dt = p.dt
     m = f.grid.n
+    res = resolvent(p.kernel)
     gamma, alpha = res.gamma, res.alpha
     dK = dt * res.K.values[: m + 1]
     has_memory = bool(np.any(dK))
@@ -229,7 +223,7 @@ def _mild_march(
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow ends in NumericalFailure below
-def solve_mild(p: StringProblem, f: Sampled1D, res: ResolventData | None = None) -> WaveField:
+def solve_mild(p: StringProblem, f: Sampled1D) -> WaveField:
     """March the characteristic integral equation of the transformed field.
 
     Returns the complete WaveField (field, boundary response and traction),
@@ -246,11 +240,9 @@ def solve_mild(p: StringProblem, f: Sampled1D, res: ResolventData | None = None)
         raise GridMismatchError("kernel grid does not cover the horizon")
     _check_control(f)
 
-    if res is None:
-        res = resolvent(_prefix(p.kernel, m))  # the march reads K on [0, T] only
-    W, y = _mild_march(p, f, res, 2 * m)  # the whole cone: x_i <= t_k <= T
+    W, y = _mild_march(p, f, 2 * m)  # the whole cone: x_i <= t_k <= T
     tgrid = TimeGrid(dt, m)
-    W *= np.exp(res.gamma * tgrid.nodes())[:, None]
+    W *= np.exp(resolvent(p.kernel).gamma * tgrid.nodes())[:, None]
     y = Sampled1D(tgrid, y)
     sigma = response_to_traction(y, p.kernel)
     if not (np.all(np.isfinite(W)) and np.all(np.isfinite(sigma.values))):

@@ -29,14 +29,13 @@ and the abscissae are basis arrays, sliced to the active prefix.  The
 interpolating polynomial through the first few duals (Lagrange form) gives
 f(0+) (exactly so for affine controls, which is the memoryless case).
 Finally q(T) = -xi''(T)/xi(T) with xi'' from local quadratic fits over the
-horizon lattice and a zero guard on the denominator (continuity extension
-across guarded points; for positive q the target genuinely oscillates and
-crosses zero).
+horizon lattice and the zero guard |xi| > 5 dt on the denominator
+(continuity extension across guarded points; for positive q the target
+genuinely oscillates and crosses zero).
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -61,26 +60,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IdentifyConfig:
-    """Settings of the reconstruction.
-
-    xi_zero_guard: |xi| threshold below which q = xi''/xi is not evaluated
-        but interpolated from neighbors; None = 5*dt.
-
-    The readout is fixed: readout_points leading dual samples are
-    extrapolated to t = 0, and xi'' comes from local fits over
-    2*smoothing_halfwidth + 1 horizon samples.
-    """
+    """The fixed readout of the reconstruction: readout_points leading dual
+    samples are extrapolated to t = 0, and xi'' comes from local fits over
+    2*smoothing_halfwidth + 1 horizon samples.  It has no settings."""
 
     readout_points: ClassVar[int] = 3
     smoothing_halfwidth: ClassVar[int] = 3
-
-    xi_zero_guard: float | None = None
-
-    def __post_init__(self):
-        guard = self.xi_zero_guard
-        real = isinstance(guard, numbers.Real) and not isinstance(guard, bool)
-        if guard is not None and not (real and 0 < guard < np.inf):
-            raise ConfigError("xi_zero_guard must be positive and finite")
 
 
 def steering_rhs(k: MemoryKernel, basis: ControlBasis, T: float) -> np.ndarray:
@@ -225,7 +210,7 @@ def reconstruct_q(
     on smooth targets q lies closer to exact least squares than per-window
     ``np.polyfit`` does.
 
-    Where |xi| falls under the zero guard, q is linearly interpolated across
+    Where |xi| falls under the zero guard 5*dt, q is linearly interpolated across
     from the nearest guarded-clear neighbors (continuity extension).  A
     non-finite horizon or xi raises NumericalFailure naming the first one.
     Returns (q, guard_flags).
@@ -244,7 +229,7 @@ def reconstruct_q(
         raise NumericalFailure(
             f"non-finite input to the q readout at sample {i}: T = {h[i]}, xi = {v[i]}"
         )
-    eps = cfg.xi_zero_guard if cfg.xi_zero_guard is not None else 5.0 * dt
+    eps = 5.0 * dt
     lo = np.clip(np.arange(n) - w, 0, n - (2 * w + 1))
     window = lo[:, None] + np.arange(2 * w + 1)
     centered = lo == np.arange(n) - w
@@ -298,10 +283,10 @@ class ReconstructionResult:
             )
 
 
-def pipeline(tab: ResponseTable, cfg: IdentifyConfig | None = None) -> ReconstructionResult:
+def pipeline(tab: ResponseTable) -> ReconstructionResult:
     """Full data-driven reconstruction on the knot lattice: one Gram build
-    serves every horizon."""
-    cfg = cfg or IdentifyConfig()
+    serves every horizon.  It reads the bundle's table only."""
+    cfg = IdentifyConfig()
     basis = tab.basis
     horizons = default_horizons(basis, min_active=cfg.readout_points)
     window = 2 * cfg.smoothing_halfwidth + 1

@@ -29,6 +29,7 @@ finite-difference cross-check in the acceptance suite pins the choice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +77,30 @@ class MemoryKernel:
             np.max(np.abs(centered_difference(self.N2.values, dt) - self.N3.values)),
         ]
         return float(max(gaps))
+
+    @cached_property
+    def _resolvent(self) -> ResolventData:
+        """The resolvent on the whole grid, solved on first use (``resolvent``)."""
+        grid = self.grid
+        n1 = self.N1.values
+        r0 = n1[0]  # R(0) = rhs(0) of the first solve
+        gamma = 0.5 * r0
+        if self.kind in ("const", "exp"):
+            zero = Sampled1D(grid, np.zeros(grid.n + 1))
+            r = Sampled1D(grid, _volterra_values(n1, n1, grid.dt))
+            return ResolventData(
+                grid=grid, R=r, R1=zero, R2deriv=zero, gamma=gamma, alpha=0.25 * r0 * r0, K=zero
+            )
+        rhs1 = self.N2.values - r0 * n1
+        r1_0 = rhs1[0]  # R'(0)
+        alpha = r1_0 + 0.25 * r0 * r0
+        rhs2 = self.N3.values - r0 * self.N2.values - r1_0 * n1
+        r, r1, r2d = _volterra_values(n1, np.column_stack([n1, rhs1, rhs2]), grid.dt).T
+        kk = Sampled1D(grid, np.exp(-gamma * grid.nodes()) * r2d)
+        return ResolventData(
+            grid=grid, R=Sampled1D(grid, r), R1=Sampled1D(grid, r1), R2deriv=Sampled1D(grid, r2d),
+            gamma=gamma, alpha=alpha, K=kk,
+        )
 
 
 def build_kernel(
@@ -202,6 +227,11 @@ class ResolventData:
 def resolvent(k: MemoryKernel) -> ResolventData:
     """Resolvent R of N1 plus R', R'', gamma, alpha and K = exp(-gamma t) R''.
 
+    Solved once per kernel, on its whole grid, and kept on it: every later
+    call returns the same object.  The Volterra solves are causal, so on a
+    prefix window [0, T] the values are those of the kernel built on [0, T],
+    bit for bit.
+
     R'/R'' come from differentiating the resolvent identity:
         R'  + N1*R'  = N1'  - R(0) N1
         R'' + N1*R'' = N1'' - R(0) N1' - R'(0) N1
@@ -211,26 +241,11 @@ def resolvent(k: MemoryKernel) -> ResolventData:
     convolution per column).  For const
     and exp kernels N1' = -rate N1 and R(0) = -rate, so both derivative
     right-hand sides vanish and R', R'', K are exact zeros (a solve would leave
-    round-off); only R is solved there.  Tabulated kernels solve all three.
+    round-off), and alpha is R(0)^2/4 (the sampled N1'(0) = rate**2 may miss
+    rate*rate by an ulp); only R is solved there.  Tabulated kernels solve
+    all three.
     """
-    grid = k.grid
-    n1 = k.N1.values
-    r0 = n1[0]  # R(0) = rhs(0) of the first solve
-    rhs1 = k.N2.values - r0 * n1
-    r1_0 = rhs1[0]  # R'(0)
-    gamma = 0.5 * r0
-    alpha = r1_0 + 0.25 * r0 * r0
-    if k.kind in ("const", "exp"):
-        zero = Sampled1D(grid, np.zeros(grid.n + 1))
-        r = Sampled1D(grid, _volterra_values(n1, n1, grid.dt))
-        return ResolventData(grid=grid, R=r, R1=zero, R2deriv=zero, gamma=gamma, alpha=alpha, K=zero)
-    rhs2 = k.N3.values - r0 * k.N2.values - r1_0 * n1
-    r, r1, r2d = _volterra_values(n1, np.column_stack([n1, rhs1, rhs2]), grid.dt).T
-    kk = Sampled1D(grid, np.exp(-gamma * grid.nodes()) * r2d)
-    return ResolventData(
-        grid=grid, R=Sampled1D(grid, r), R1=Sampled1D(grid, r1), R2deriv=Sampled1D(grid, r2d),
-        gamma=gamma, alpha=alpha, K=kk,
-    )
+    return k._resolvent
 
 
 def response_to_traction(y: Sampled1D, k: MemoryKernel) -> Sampled1D:

@@ -347,9 +347,9 @@ def a8_invariants() -> CriterionResult:
         subs.append(_sub("gram PSD", max(0.0, -evmin) / np.linalg.norm(Cq), 1e-8))
 
         # identify: guard correctness on an oscillating target
-        cfg = IdentifyConfig(xi_zero_guard=0.05)
         hT = np.linspace(0.3, np.pi + 0.2, 40)
-        qv, guarded = reconstruct_q(hT, np.sin(hT), cfg, 1e-3)
+        # dt = 0.01 puts the zero guard 5*dt at 0.05
+        qv, guarded = reconstruct_q(hT, np.sin(hT), IdentifyConfig(), 0.01)
         near_zero = np.abs(np.sin(hT)) <= 0.05
         bad = np.any(near_zero & ~guarded) or not np.all(np.isfinite(qv))
         subs.append(_sub("zero guard engages", 1.0 if bad else 0.0, 0.5))

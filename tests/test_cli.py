@@ -1,6 +1,7 @@
 import filecmp
 import os
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ def test_synthesize_connect_identify_happy_path(tmp_path, cfg_path, capsys):
     assert main(["connect", bundle, "--out", out]) == 0
     assert os.path.isfile(os.path.join(out, "gram.csv"))
 
-    assert main(["identify", bundle, "--config", cfg_path, "--out", out]) == 0
+    assert main(["identify", bundle, "--out", out]) == 0
     with open(os.path.join(out, "results.csv")) as fh:
         assert fh.readline().strip() == "T,xi,q_hat,residual,guard_flag"
     report = Path(out, "report.txt").read_text()
@@ -55,7 +56,7 @@ def test_identify_without_q_true_omits_error_norms(tmp_path, cfg_path):
     main(["synthesize", "--config", cfg_path, "--out", bundle])
     os.remove(os.path.join(bundle, "q_true.csv"))
     out = str(tmp_path / "run")
-    assert main(["identify", bundle, "--config", cfg_path, "--out", out]) == 0
+    assert main(["identify", bundle, "--out", out]) == 0
     report = Path(out, "report.txt").read_text()
     assert "error" not in report or "omitted" in report
 
@@ -65,7 +66,7 @@ def test_corrupted_manifest_exit_code_4(tmp_path, cfg_path):
     main(["synthesize", "--config", cfg_path, "--out", bundle])
     with open(os.path.join(bundle, "manifest.txt"), "a") as fh:
         fh.write("garbage_key=1\n")
-    assert main(["identify", bundle, "--config", cfg_path]) == 4
+    assert main(["identify", bundle]) == 4
 
 
 def test_config_error_exit_code_2(tmp_path):
@@ -91,17 +92,6 @@ def test_config_error_exit_code_2(tmp_path):
     ):
         fwd.write_text(CFG + f"control = {control}\n")
         assert main(["forward", "--config", str(fwd), "--out", str(tmp_path / "fw")]) == 2
-    base = tmp_path / "base.cfg"
-    base.write_text(CFG)
-    bundle = str(tmp_path / "bundle")
-    assert main(["synthesize", "--config", str(base), "--out", bundle]) == 0
-    for line in (
-        "xi_zero_guard = abc",
-        "xi_zero_guard = inf",
-    ):
-        bad = tmp_path / "identify.cfg"
-        bad.write_text(CFG + line + "\n")
-        assert main(["identify", bundle, "--config", str(bad), "--out", str(tmp_path / "id")]) == 2
 
 
 @pytest.mark.parametrize(
@@ -111,19 +101,32 @@ def test_config_error_exit_code_2(tmp_path):
         ("readout_points", 3),
         ("smoothing_halfwidth", 3),
         ("tikhonov_lambda", "auto"),
+        ("xi_zero_guard", "auto"),
     ],
 )
-def test_retired_identify_key_exits_2(tmp_path, cfg_path, capsys, key, value):
-    # identify reads q on the knot lattice only and solves each horizon
-    # plainly; a retired setting is an unknown key, never silently ignored
-    bundle = str(tmp_path / "bundle")
-    assert main(["synthesize", "--config", cfg_path, "--out", bundle]) == 0
+def test_retired_identify_key_exits_2(tmp_path, capsys, key, value):
+    # identify reads q on the knot lattice only, solves each horizon plainly
+    # and guards |xi| > 5*dt; a retired setting is an unknown key, never
+    # silently ignored
     bad = tmp_path / "retired.cfg"
     bad.write_text(_config(**{key: value}))
-    capsys.readouterr()
-    assert main(["identify", bundle, "--config", str(bad), "--out", str(tmp_path / "id")]) == 2
+    assert main(["synthesize", "--config", str(bad), "--out", str(tmp_path / "b")]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and key in err, err
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("command", ["connect", "identify"])
+def test_bundle_command_takes_no_config(tmp_path, cfg_path, capsys, command):
+    # connect and identify read their bundle only: --config is an argparse error
+    bundle = str(tmp_path / "bundle")
+    assert main(["synthesize", "--config", cfg_path, "--out", bundle]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([command, bundle, "--config", cfg_path, "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_identify_needs_nine_hats(tmp_path, capsys):
@@ -133,7 +136,7 @@ def test_identify_needs_nine_hats(tmp_path, capsys):
     bundle = str(tmp_path / "bundle")
     assert main(["synthesize", "--config", str(cfg), "--out", bundle]) == 0
     capsys.readouterr()
-    assert main(["identify", bundle, "--config", str(cfg), "--out", str(tmp_path / "id")]) == 2
+    assert main(["identify", bundle, "--out", str(tmp_path / "id")]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "n_basis >= 9, got n_basis = 8" in err, err
 
@@ -252,12 +255,12 @@ BAD_INPUTS = [
 def test_bad_input_fails_at_the_boundary(tmp_path, capsys, command, config, tamper, code):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
-    args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
-    if tamper is not None:
-        base = tmp_path / "base.cfg"
-        base.write_text(CFG)
+    args = [command, "--out", str(tmp_path / "out")]
+    if tamper is None:
+        args[1:1] = ["--config", str(cfg)]
+    else:  # a bundle command reads the bundle alone; the config synthesizes it
         bundle = str(tmp_path / "bundle")
-        assert main(["synthesize", "--config", str(base), "--out", bundle]) == 0
+        assert main(["synthesize", "--config", str(cfg), "--out", bundle]) == 0
         for name, edit in tamper:
             path = tmp_path / "bundle" / name
             path.write_bytes(edit(path.read_bytes().decode()).encode())
@@ -298,7 +301,7 @@ def test_bad_tabulated_kernel_exit_code_4(tmp_path):
     kpath = os.path.join(bundle, "kernel.csv")
     original = Path(kpath).read_bytes()
     assert original == kfile.read_bytes()
-    assert main(["identify", bundle, "--config", str(cfg), "--out", str(tmp_path / "ok")]) == 0
+    assert main(["identify", bundle, "--out", str(tmp_path / "ok")]) == 0
 
     rows = original.decode().split("\r\n")
     for bad in ("0.5", "nan"):  # an inconsistent N1 sample, a non-finite one
@@ -306,7 +309,7 @@ def test_bad_tabulated_kernel_exit_code_4(tmp_path):
         cells[2] = bad
         with open(kpath, "w", newline="") as fh:
             fh.write("\r\n".join(rows[:5] + [",".join(cells)] + rows[6:]))
-        assert main(["identify", bundle, "--config", str(cfg)]) == 4
+        assert main(["identify", bundle]) == 4
         kcfg = tmp_path / "kfile.cfg"
         kcfg.write_text(CFG.replace("exp:1.0", f"file:{kpath}"))
         assert main(["synthesize", "--config", str(kcfg), "--out", str(tmp_path / "k")]) == 4
@@ -328,7 +331,7 @@ def test_tampered_analytic_kernel_csv_exit_code_4(tmp_path, kernel):
     # even the kernel's own t = 0 sample is one row too many
     kpath = Path(bundle, "kernel.csv")
     kpath.write_bytes(kpath.read_bytes() + b"0,1,0,0,0\r\n")
-    assert main(["identify", bundle, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
+    assert main(["identify", bundle, "--out", str(tmp_path / "run")]) == 4
 
 
 def test_format_1_bundle_exits_4_naming_its_version(tmp_path, cfg_path, capsys):
@@ -341,7 +344,7 @@ def test_format_1_bundle_exits_4_naming_its_version(tmp_path, cfg_path, capsys):
     knots = " ".join(str(i) for i in hat_basis(TimeGrid(0.0078125, 32), 12).knot_nodes)
     man.write_text(v1 + f"T_max=0.25\nn_basis=12\nbasis_knot_indices={knots}\n")
     capsys.readouterr()
-    assert main(["identify", bundle, "--config", cfg_path, "--out", str(tmp_path / "id")]) == 4
+    assert main(["identify", bundle, "--out", str(tmp_path / "id")]) == 4
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "unsupported format_version '1'" in err, err
     assert "T_max" not in err and not (tmp_path / "id").exists()
@@ -354,7 +357,7 @@ def test_identify_report_with_zero_q_true(tmp_path):
         cfg.write_text(CFG.replace("q = const:1", f"q = {q}"))
         bundle, out = str(tmp_path / f"bundle{q[-1]}"), str(tmp_path / f"run{q[-1]}")
         assert main(["synthesize", "--config", str(cfg), "--out", bundle]) == 0
-        assert main(["identify", bundle, "--config", str(cfg), "--out", out]) == 0
+        assert main(["identify", bundle, "--out", out]) == 0
         reports[q] = Path(out, "report.txt").read_text().splitlines()
     keys = lambda lines: [line.split("=")[0] for line in lines]
     assert keys(reports["const:1"]) == ["horizons", "n_basis", "max_abs_error", "rel_l2_error"]
@@ -364,22 +367,16 @@ def test_identify_report_with_zero_q_true(tmp_path):
     assert float(reports["const:0"][3].split("=")[1]) >= float(reports["const:0"][2].split("=")[1])
 
 
-def test_retired_threads_key_exits_2(tmp_path, cfg_path, capsys):
+def test_retired_threads_key_exits_2(tmp_path, capsys):
     # threads had no effect on any computation; like any unknown key it now
     # stops every config-reading command with one line naming it
-    bundle = str(tmp_path / "bundle")
-    assert main(["synthesize", "--config", cfg_path, "--out", bundle]) == 0
     retired = tmp_path / "retired.cfg"
     retired.write_text(CFG + "threads = 4\n")
-    capsys.readouterr()
-    for argv in (
-        ["synthesize", "--config", str(retired), "--out", str(tmp_path / "b2")],
-        ["identify", bundle, "--config", str(retired), "--out", str(tmp_path / "id")],
-    ):
-        assert main(argv) == 2
+    for command in ("synthesize", "resolvent", "forward"):
+        assert main([command, "--config", str(retired), "--out", str(tmp_path / command)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "threads" in err, err
-    assert not (tmp_path / "b2").exists() and not (tmp_path / "id").exists()
+        assert not (tmp_path / command).exists()
 
 
 def test_forward_and_resolvent_dumps(tmp_path, cfg_path):
@@ -438,8 +435,6 @@ def test_verify_reports_failure_exit_code(monkeypatch, capsys):
     # mutation smoke test: flipping the sign of alpha in the transform must
     # make the forward-oracle criterion fail, the report localize it, and the
     # CLI signal it through exit code 1
-    from dataclasses import replace
-
     true_resolvent = viscostring.kernels.resolvent
 
     def flipped(kernel):
@@ -456,9 +451,16 @@ def test_verify_reports_failure_exit_code(monkeypatch, capsys):
     assert "A3 FAIL" in out
 
 
-def test_numerical_failure_exit_code_3(tmp_path, cfg_path):
+def test_numerical_failure_exit_code_3(tmp_path, cfg_path, capsys):
+    # negated responses negate every Gram: the first horizon's is not
+    # positive definite, so identify stops at its guard
     bundle = str(tmp_path / "bundle")
-    main(["synthesize", "--config", cfg_path, "--out", bundle])
-    bad = tmp_path / "guard.cfg"
-    bad.write_text(CFG + "xi_zero_guard = 1e9\n")  # everything under guard
-    assert main(["identify", bundle, "--config", str(bad)]) == 3
+    assert main(["synthesize", "--config", cfg_path, "--out", bundle]) == 0
+    table, q_true, manifest = load_bundle(bundle)
+    negated = replace(table, Y=-table.Y)
+    save_bundle(bundle, negated, q_true=q_true, L=float(manifest["L"]), q_spec=manifest["q_spec"])
+    capsys.readouterr()
+    assert main(["identify", bundle, "--out", str(tmp_path / "id")]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "T=0.078125 is not positive definite" in err, err
+    assert not (tmp_path / "id").exists()

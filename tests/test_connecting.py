@@ -196,11 +196,8 @@ def test_single_step_launch_goes_through_gram(m, n, kernel):
 def _per_control_table(basis, kernel, q, L):
     """Reference synthesis: one forward solve per basis control (noiseless)."""
     grid2 = kernel.grid
-    res = resolvent(kernel)
     p = StringProblem(L=L, q=q, kernel=kernel, T=grid2.t_max)
-    return np.vstack(
-        [solve_mild(p, Sampled1D(grid2, c), res=res).y.values for c in basis.sampled_on(grid2)]
-    )
+    return np.vstack([solve_mild(p, Sampled1D(grid2, c)).y.values for c in basis.sampled_on(grid2)])
 
 
 @pytest.mark.parametrize("kernel", ["const", "exp", "general"])
@@ -812,9 +809,8 @@ def test_gram_oracle_symmetric_psd():
 def _per_pair_oracle(p, basis):
     """Reference oracle: per-pair products of the full forward fields with a
     running x-sum, read on the diagonal x = t at every node."""
-    res = resolvent(p.kernel)
     m, dt, n = basis.grid.n, basis.grid.dt, basis.n
-    fields = [solve_mild(p, Sampled1D(basis.grid, e), res=res).w.values for e in basis.samples]
+    fields = [solve_mild(p, Sampled1D(basis.grid, e)).w.values for e in basis.samples]
     raw = np.zeros((m + 1, n, n))
     idx = np.arange(m + 1)
     for i in range(n):

@@ -72,6 +72,26 @@ def test_parse_config_rejects_bad_syntax_and_duplicates():
         parse_config("L = 1\nL = 2\n")
 
 
+def test_config_keys_are_the_run_config_fields():
+    # each key is one RunConfig field, read by the type of its default
+    kinds = {key: parse.__name__ for key, parse in dataio._CONFIG_KEYS.items()}
+    assert kinds == {
+        "kernel": "str", "L": "float", "T_max": "float", "dt": "float", "n_basis": "int",
+        "q": "str", "out": "str", "noise_sigma": "float", "seed": "int", "control": "str",
+    }
+    for text, message in (
+        ("dt = abc", "bad config value: could not convert string to float: 'abc'"),
+        ("noise_sigma = x", "bad config value: could not convert string to float: 'x'"),
+        ("n_basis = 1.5", "bad config value: invalid literal for int() with base 10: '1.5'"),
+        ("seed = 1e3", "bad config value: invalid literal for int() with base 10: '1e3'"),
+        ("L = inf", "L must be finite, got inf"),
+        ("seed = -1", "seed must be >= 0, got -1"),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text + "\n")
+        assert str(exc.value) == message
+
+
 def test_config_window_and_lattice_validation():
     with pytest.raises(ConfigError):
         _small_cfg(T_max=0.6)  # 2*T_max > L
@@ -254,7 +274,7 @@ def test_readme_config_block_lists_every_key():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("A configuration is key=value text")[1].split("```")[1]
     keys = {line.split("=")[0].strip() for line in block.splitlines() if line.strip()}
-    assert keys == dataio._CONFIG_KEYS
+    assert keys == dataio._CONFIG_KEYS.keys()
 
 
 def test_bundle_round_trip(tmp_path):

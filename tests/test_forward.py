@@ -3,7 +3,8 @@ import pytest
 
 from viscostring.errors import GridMismatchError, KernelValidationError
 from viscostring.grid import Sampled1D, TimeGrid, centered_difference
-from viscostring import forward
+from viscostring import forward, kernels
+from viscostring.connecting import gram_from_data, gram_oracle, hat_basis, synthesize_table
 from viscostring.kernels import build_kernel, resolvent, response_to_traction
 from viscostring.forward import (
     StringProblem,
@@ -312,11 +313,11 @@ def test_light_cone_march_matches_reference(rng, kernel, m):
     res = resolvent(ker)
     if m == 1:  # too short for the trace's one-sided derivative, on both paths
         with pytest.raises(GridMismatchError):
-            solve_mild(p, f, res=res)
+            solve_mild(p, f)
         with pytest.raises(GridMismatchError):
             _reference_solve(p, f, res)
         return
-    fld = solve_mild(p, f, res=res)
+    fld = solve_mild(p, f)
     for got, want in zip((fld.w.values, fld.y.values, fld.sigma.values), _reference_solve(p, f, res)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -335,11 +336,11 @@ def test_march_cut_at_the_last_anti_diagonal_keeps_the_trace(rng, kernel, m):
     p = StringProblem(m * dt, lambda x: 1.0 + 0.3 * np.sin(3.0 * x), ker, m * dt)
     vals = rng.standard_normal(m + 1)
     vals[0] = 0.0
-    f, res = Sampled1D(grid, vals), resolvent(ker)
-    W, y = _mild_march(p, f, res, m)
+    f = Sampled1D(grid, vals)
+    W, y = _mild_march(p, f, m)
     W = np.pad(W, ((0, 0), (0, m + 1 - W.shape[1])))  # the cut stores only the rows it touches
-    W_cone, y_cone = _mild_march(p, f, res, 2 * m)
-    assert np.array_equal(y_cone, solve_mild(p, f, res=res).y.values)
+    W_cone, y_cone = _mild_march(p, f, 2 * m)
+    assert np.array_equal(y_cone, solve_mild(p, f).y.values)
     assert np.max(np.abs(y - y_cone)) <= 1e-15 * np.max(np.abs(y_cone))
     cut = np.add.outer(np.arange(m + 1), np.arange(m + 1)) <= m  # [k, i]: x_i + t_k <= T
     assert np.max(np.abs(W - W_cone)[cut]) <= 1e-15 * np.max(np.abs(W_cone))
@@ -372,23 +373,49 @@ def test_spike_march_stores_only_the_rows_it_touches(monkeypatch, kernel, M):
     p = StringProblem(M * dt, lambda x: 1.0 + 0.25 * np.sin(x), ker, M * dt)
     spike = np.zeros(M + 1)
     spike[1] = 1.0
-    f, res = Sampled1D(grid, spike), resolvent(ker)
-    W, y = _mild_march(p, f, res, M)
+    f = Sampled1D(grid, spike)
+    W, y = _mild_march(p, f, M)
     assert W.shape == (M + 1, (M + 3) // 2)
     monkeypatch.setattr(forward, "np", _FullWidthField())
-    W_full, y_full = _mild_march(p, f, res, M)
+    W_full, y_full = _mild_march(p, f, M)
     assert W_full.shape == (M + 1, M + 1)
     assert np.array_equal(y, y_full)
     assert np.array_equal(W, W_full[:, : W.shape[1]]) and np.all(W_full[:, W.shape[1] :] == 0.0)
 
 
 def test_resolvent_on_the_horizon_window_is_bit_identical():
-    # without res, solve_mild takes the resolvent of the kernel's [0, T]
-    # prefix only; the Volterra solves are causal, so nothing moves
+    # solve_mild reads the resolvent of the kernel's whole grid; the Volterra
+    # solves are causal, so a kernel sampled past T gives the field of the
+    # same kernel built on [0, T] bit for bit
     m, dt = 48, 1.0 / 64
-    ker = general_kernel(TimeGrid(dt, 2 * m + 5))
-    p = StringProblem(1.0, lambda x: 0.5 + 0.3 * x, ker, m * dt)
     f = Sampled1D.from_callable(TimeGrid(dt, m), lambda t: bump(t, 0.0, m * dt))
-    fld, ref = solve_mild(p, f), solve_mild(p, f, res=resolvent(ker))
+    fld, ref = (
+        solve_mild(StringProblem(1.0, lambda x: 0.5 + 0.3 * x, general_kernel(TimeGrid(dt, n)), m * dt), f)
+        for n in (2 * m + 5, m)
+    )
     for name in ("w", "y", "sigma"):
         assert np.array_equal(getattr(fld, name).values, getattr(ref, name).values), name
+
+
+def test_one_volterra_solve_serves_every_solver_on_a_kernel(monkeypatch):
+    # the kernel keeps its resolvent: synthesize_table, gram_from_data,
+    # gram_oracle and solve_mild all read the one solved on first use
+    calls, real = [], kernels._volterra_values
+
+    def spy(k, f, dt):
+        calls.append(f.shape)
+        return real(k, f, dt)
+
+    monkeypatch.setattr(kernels, "_volterra_values", spy)
+    m, dt, L = 16, 1.0 / 32, 1.0
+    grid, grid2 = TimeGrid(dt, m), TimeGrid(dt, 2 * m)
+    ker2 = general_kernel(grid2)
+    q = lambda x: 1.0 + 0.5 * x
+    basis = hat_basis(grid, 3)
+    gram_from_data(synthesize_table(basis, ker2, q, L))
+    p = StringProblem(L, q, ker2, grid.t_max)
+    gram_oracle(p, basis)
+    for e in basis.samples:
+        solve_mild(p, Sampled1D(grid, e))
+    assert calls == [(2 * m + 1, 3)]  # R, R' and R'' in one call
+    assert resolvent(ker2) is resolvent(ker2)

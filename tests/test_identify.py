@@ -37,17 +37,12 @@ def _identity_setup(m=128, n=8, T_max=0.5, L=1.0):
 
 
 def test_config_validation():
-    # non-finite values are config errors too, not silent nan/inf in a fit;
-    # wrong types are config errors, not a TypeError deep in a solve
-    for bad in (-1.0, np.inf, np.nan, "abc"):
-        with pytest.raises(ConfigError):
-            IdentifyConfig(xi_zero_guard=bad)
-    # numpy scalars are numbers like any other
-    IdentifyConfig(xi_zero_guard=np.float32(0.1))
     # the readout is fixed: the lattice depth and fit window are constants, not
-    # settings, and each horizon takes one plain solve
+    # settings, each horizon takes one plain solve, and the zero guard is 5*dt
     assert (IdentifyConfig().readout_points, IdentifyConfig().smoothing_halfwidth) == (3, 3)
-    for retired in ("horizons", "readout_points", "smoothing_halfwidth", "tikhonov_lambda"):
+    for retired in (
+        "horizons", "readout_points", "smoothing_halfwidth", "tikhonov_lambda", "xi_zero_guard",
+    ):
         with pytest.raises(TypeError):
             IdentifyConfig(**{retired: 3})
 
@@ -219,10 +214,9 @@ def test_reconstruct_q_closed_forms():
 
 
 def test_reconstruct_q_guard_interpolates_across_zero():
-    cfg = IdentifyConfig(xi_zero_guard=0.05)
     h = np.linspace(0.3, np.pi + 0.2, 40)
     xi = np.sin(h)
-    q, guarded = reconstruct_q(h, xi, cfg, 1e-3)
+    q, guarded = reconstruct_q(h, xi, IdentifyConfig(), 0.01)  # guard 5*dt = 0.05
     assert np.any(guarded)
     assert np.all(guarded == (np.abs(xi) <= 0.05) | np.isclose(np.abs(xi), 0.05))
     assert np.all(np.isfinite(q))
@@ -233,10 +227,9 @@ def test_reconstruct_q_guard_interpolates_across_zero():
 
 
 def test_reconstruct_q_degenerate_target():
-    cfg = IdentifyConfig(xi_zero_guard=0.5)
     h = np.linspace(0.1, 1.0, 12)
     with pytest.raises(NumericalFailure):
-        reconstruct_q(h, np.full_like(h, 0.01), cfg, 1e-3)
+        reconstruct_q(h, np.full_like(h, 0.01), IdentifyConfig(), 0.1)  # guard 0.5
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -443,7 +436,7 @@ def _polyfit_reconstruct(horizons, xi, cfg, dt):
     weights of reconstruct_q replaced."""
     h, v, w = np.asarray(horizons, float), np.asarray(xi, float), cfg.smoothing_halfwidth
     n = len(h)
-    eps = cfg.xi_zero_guard if cfg.xi_zero_guard is not None else 5.0 * dt
+    eps = 5.0 * dt
     q, guarded = np.empty(n), np.zeros(n, dtype=bool)
     for i in range(n):
         lo = min(max(0, i - w), n - (2 * w + 1))
@@ -477,7 +470,9 @@ def _rounded_lattice(n):
 )
 def test_reconstruct_q_matches_polyfit_loop_on_rounded_lattice(n, target, guard):
     h, dt = _rounded_lattice(n)
-    cfg = IdentifyConfig(xi_zero_guard=guard)
+    if guard is not None:
+        dt = guard / 5  # the guard is 5*dt, and 5 * (0.05/5) == 0.05
+    cfg = IdentifyConfig()
     q, guarded = reconstruct_q(h, target(h), cfg, dt)
     q_ref, guarded_ref = _polyfit_reconstruct(h, target(h), cfg, dt)
     assert np.array_equal(guarded, guarded_ref)
@@ -544,7 +539,7 @@ def test_identify_results_csv_columns(tmp_path):
     cfg.write_text("kernel = exp:1\nL = 1\nT_max = 0.5\ndt = 0.0078125\nn_basis = 12\nq = const:1\n")
     bundle, out = str(tmp_path / "bundle"), tmp_path / "run"
     assert main(["synthesize", "--config", str(cfg), "--out", bundle]) == 0
-    assert main(["identify", bundle, "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["identify", bundle, "--out", str(out)]) == 0
     lines = (out / "results.csv").read_bytes().decode().split("\r\n")
     assert lines[0] == "T,xi,q_hat,residual,guard_flag" and lines[-1] == ""
     rows = np.array([[float(c) for c in line.split(",")] for line in lines[1:-1]])

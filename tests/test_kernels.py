@@ -177,6 +177,17 @@ def test_resolvent_exponential_is_memoryless_at_any_rate(rate):
     assert res.alpha == rate**2 / 4
 
 
+def test_resolvent_exponential_alpha_is_r0_squared_over_4():
+    # at this rate the sampled N1'(0) = rate**2 and R(0) N1(0) = rate*rate
+    # differ by an ulp; R' is exactly zero, so alpha is R(0)^2/4 regardless
+    rate = 7.30728627489739
+    assert rate**2 != rate * rate
+    res = resolvent(build_kernel(TimeGrid(1e-3, 20), "exp", rate=rate))
+    r0 = res.R.values[0]
+    assert not np.any(res.R1.values)
+    assert res.alpha == 0.25 * r0 * r0 == 13.349108175825942
+
+
 def test_resolvent_constant_n1_closed_form():
     # N1 = c constant: R(t) = c exp(-c t)
     c = 0.7
