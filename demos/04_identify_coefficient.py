@@ -44,5 +44,5 @@ qt = q_true(result.horizons)
 rel = np.linalg.norm(result.q_hat - qt) / np.linalg.norm(qt)
 print(f"\nrelative L2 error of the reconstruction: {rel:.3e}")
 print(f"guard activations: {int(np.sum(result.guarded))}")
-cond = [d["condition"] for d in result.diagnostics]
-print(f"condition numbers of the steering systems: [{min(cond):.2f}, {max(cond):.2f}]")
+cond = result.condition
+print(f"condition numbers of the steering systems: [{cond.min():.2f}, {cond.max():.2f}]")

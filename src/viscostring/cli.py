@@ -2,8 +2,8 @@
 
 Subcommands: synthesize, connect, identify, verify, resolvent, forward.
 connect and identify read their bundle only and take no --config.
-Exit codes: 0 success, 1 verification failures, 2 configuration error,
-3 numerical failure, 4 data-format error.  Input is classified where it is
+Exit codes: 0 success, 1 verification failures, 2 configuration or usage
+error, 3 numerical failure, 4 data-format error.  Input is classified where it is
 parsed (dataio); this module dispatches and writes files.
 """
 
@@ -75,7 +75,7 @@ def cmd_identify(args) -> int:
     _write_csv(
         os.path.join(out, "results.csv"),
         ["T", "xi", "q_hat", "residual", "guard_flag"],
-        [np.array(column) for column in zip(*result.rows())],
+        [result.horizons, result.xi, result.q_hat, result.residual, result.guarded],
     )
     lines = [f"horizons={len(result.horizons)}", f"n_basis={table.basis.n}"]
     if q_true is not None:
@@ -122,9 +122,8 @@ def cmd_resolvent(args) -> int:
     t = kernel.grid.nodes()
     _write_csv(
         os.path.join(out, "resolvent.csv"),
-        ["t", "N", "N1", "R", "R1", "R2deriv", "K"],
-        [t, kernel.N.values, kernel.N1.values, res.R.values, res.R1.values,
-         res.R2deriv.values, res.K.values],
+        ["t", "N", "N1", "R", "K"],
+        [t, kernel.N.values, kernel.N1.values, res.R.values, res.K.values],
     )
     summary = (
         f"gamma={_format(res.gamma)}\nalpha={_format(res.alpha)}\n"
@@ -156,7 +155,7 @@ def cmd_forward(args) -> int:
     _write_csv(
         os.path.join(out, "boundary.csv"),
         ["t", "f", "y", "sigma"],
-        [t, field.f.values, field.y.values, field.sigma.values],
+        [t, f_vals, field.y.values, field.sigma.values],
     )
     print(f"forward run written to {out}")
     return 0
@@ -200,7 +199,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return exc.code
     try:
         return _HANDLERS[args.command](args)
     except ConfigError as exc:

@@ -387,7 +387,7 @@ class ConnectingGram:
     C: np.ndarray
     asymmetry: np.ndarray
     basis: ControlBasis
-    gamma: float = 0.0
+    gamma: float
 
     def at(self, T: float) -> np.ndarray:
         """The matrix at the knot horizon T; a grid node between knots raises."""

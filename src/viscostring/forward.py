@@ -110,16 +110,16 @@ class StringProblem:
 
 @dataclass(frozen=True)
 class WaveField:
-    """Solved field with its boundary data.
+    """Solved field with its boundary response.
 
     w is the physical field, sampled on the space grid of the solver (x in
     [0,T] for the mild solver, [0,L] for the finite-difference oracle); y is
-    the boundary derivative w_x(0,.) and sigma the traction.  The transform
-    constants stay with the kernel's resolvent, which the oracle never forms.
+    the boundary derivative w_x(0,.) and sigma the traction.  The control
+    stays with the caller, the transform constants with the kernel's
+    resolvent, which the oracle never forms.
     """
 
     w: Sampled2D
-    f: Sampled1D
     y: Sampled1D
     sigma: Sampled1D
 
@@ -248,7 +248,7 @@ def solve_mild(p: StringProblem, f: Sampled1D) -> WaveField:
     if not (np.all(np.isfinite(W)) and np.all(np.isfinite(sigma.values))):
         raise NumericalFailure(_OVERFLOW)
     # the field vanishes for x > t, so x in [0,T] suffices
-    return WaveField(w=Sampled2D(tgrid, tgrid, W.T), f=f, y=y, sigma=sigma)
+    return WaveField(w=Sampled2D(tgrid, tgrid, W.T), y=y, sigma=sigma)
 
 
 def _trace_x0(w: np.ndarray, dx: float) -> np.ndarray:
@@ -303,9 +303,4 @@ def fd_oracle(p: StringProblem, f: Sampled1D) -> WaveField:
     tgrid = TimeGrid(dt, m)
     xg = TimeGrid(dt, n_x)
     y = Sampled1D(tgrid, _trace_x0(w, dx))
-    return WaveField(
-        w=Sampled2D(xg, tgrid, w),
-        f=f,
-        y=y,
-        sigma=response_to_traction(y, p.kernel),
-    )
+    return WaveField(w=Sampled2D(xg, tgrid, w), y=y, sigma=response_to_traction(y, p.kernel))

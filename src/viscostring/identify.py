@@ -262,25 +262,15 @@ def default_horizons(basis: ControlBasis, min_active: int = 3) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Per-horizon target trace, reconstructed coefficient and diagnostics."""
+    """Per horizon: the target trace, the reconstructed coefficient, the zero
+    guard flag and the steering solve's relative residual and condition."""
 
     horizons: np.ndarray
     xi: np.ndarray
     q_hat: np.ndarray
     guarded: np.ndarray
-    diagnostics: list
-
-    def rows(self):
-        """(T, xi, q_hat, residual, guard_flag) per horizon."""
-        for i, T in enumerate(self.horizons):
-            d = self.diagnostics[i]
-            yield (
-                float(T),
-                float(self.xi[i]),
-                float(self.q_hat[i]),
-                d["residual"],
-                int(self.guarded[i]),
-            )
+    residual: np.ndarray
+    condition: np.ndarray
 
 
 def pipeline(tab: ResponseTable) -> ReconstructionResult:
@@ -297,17 +287,9 @@ def pipeline(tab: ResponseTable) -> ReconstructionResult:
         )
     gram = gram_from_data(tab)
 
-    xi = np.empty(len(horizons))
-    diags = []
+    xi, residual, condition = np.empty((3, len(horizons)))
     for i, T in enumerate(horizons):
         b = steering_rhs(tab.kernel, basis, float(T))
-        *_, xi[i], residual, condition = _steer(gram, float(T), b)
-        diags.append({"residual": residual, "condition": condition})
+        *_, xi[i], residual[i], condition[i] = _steer(gram, float(T), b)
     q, guarded = reconstruct_q(horizons, xi, cfg, basis.grid.dt)
-    return ReconstructionResult(
-        horizons=horizons,
-        xi=xi,
-        q_hat=q,
-        guarded=guarded,
-        diagnostics=diags,
-    )
+    return ReconstructionResult(horizons, xi, q, guarded, residual, condition)

@@ -14,10 +14,11 @@ perturbed wave equation uses
 
     gamma = R(0)/2,   alpha = R'(0) + R(0)^2/4,   K(t) = exp(-gamma t) R''(t).
 
-R' and R'' are obtained by differentiating the resolvent identity (two more
-Volterra right-hand sides with the same kernel), never by differencing R: the
-downstream chain needs R'' at full second-order accuracy.  Every Volterra
-system here is lower-triangular Toeplitz and is solved by
+R'' is obtained by differentiating the resolvent identity twice (one more
+Volterra right-hand side with the same kernel), never by differencing R: the
+downstream chain needs R'' at full second-order accuracy.  R' enters only
+through R'(0), which the differentiated identity gives with no solve.  Every
+Volterra system here is lower-triangular Toeplitz and is solved by
 ``grid.lower_toeplitz_solve``.
 
 Sign note: the perturbed-wave coefficient alpha is fixed to R'(0) + R(0)^2/4.
@@ -88,19 +89,14 @@ class MemoryKernel:
         if self.kind in ("const", "exp"):
             zero = Sampled1D(grid, np.zeros(grid.n + 1))
             r = Sampled1D(grid, _volterra_values(n1, n1, grid.dt))
-            return ResolventData(
-                grid=grid, R=r, R1=zero, R2deriv=zero, gamma=gamma, alpha=0.25 * r0 * r0, K=zero
-            )
-        rhs1 = self.N2.values - r0 * n1
-        r1_0 = rhs1[0]  # R'(0)
+            return ResolventData(R=r, gamma=gamma, alpha=0.25 * r0 * r0, K=zero)
+        n2 = self.N2.values
+        r1_0 = n2[0] - r0 * n1[0]  # R'(0)
         alpha = r1_0 + 0.25 * r0 * r0
-        rhs2 = self.N3.values - r0 * self.N2.values - r1_0 * n1
-        r, r1, r2d = _volterra_values(n1, np.column_stack([n1, rhs1, rhs2]), grid.dt).T
+        rhs2 = self.N3.values - r0 * n2 - r1_0 * n1
+        r, r2d = _volterra_values(n1, np.column_stack([n1, rhs2]), grid.dt).T
         kk = Sampled1D(grid, np.exp(-gamma * grid.nodes()) * r2d)
-        return ResolventData(
-            grid=grid, R=Sampled1D(grid, r), R1=Sampled1D(grid, r1), R2deriv=Sampled1D(grid, r2d),
-            gamma=gamma, alpha=alpha, K=kk,
-        )
+        return ResolventData(R=Sampled1D(grid, r), gamma=gamma, alpha=alpha, K=kk)
 
 
 def build_kernel(
@@ -207,43 +203,40 @@ def solve_volterra(kernel: Sampled1D, rhs: Sampled1D) -> Sampled1D:
 
 @dataclass(frozen=True)
 class ResolventData:
-    """Resolvent of N1 with derivatives and the transform constants.  R1,
-    R2deriv and K are exact zeros for const and exp kernels at any rate."""
+    """Resolvent R of N1 and what the transform reads of it: gamma = R(0)/2,
+    alpha = R'(0) + R(0)^2/4 and K = exp(-gamma t) R''.  K is an exact zero
+    for const and exp kernels at any rate."""
 
-    grid: TimeGrid
     R: Sampled1D
-    R1: Sampled1D
-    R2deriv: Sampled1D
     gamma: float
     alpha: float
     K: Sampled1D
 
     def residual(self, kernel: MemoryKernel) -> float:
         """sup-norm residual of R + N1*R - N1 at the discrete level."""
-        conv = convolve_values(kernel.N1.values, self.R.values, self.grid.dt)
+        conv = convolve_values(kernel.N1.values, self.R.values, self.R.grid.dt)
         return float(np.max(np.abs(self.R.values + conv - kernel.N1.values)))
 
 
 def resolvent(k: MemoryKernel) -> ResolventData:
-    """Resolvent R of N1 plus R', R'', gamma, alpha and K = exp(-gamma t) R''.
+    """Resolvent R of N1 plus gamma, alpha and K = exp(-gamma t) R''.
 
     Solved once per kernel, on its whole grid, and kept on it: every later
     call returns the same object.  The Volterra solves are causal, so on a
     prefix window [0, T] the values are those of the kernel built on [0, T],
     bit for bit.
 
-    R'/R'' come from differentiating the resolvent identity:
+    R'' comes from differentiating the resolvent identity twice:
         R'  + N1*R'  = N1'  - R(0) N1
         R'' + N1*R'' = N1'' - R(0) N1' - R'(0) N1
     Every solve returns v(0) = rhs(0), so R(0) = N1(0) and
-    R'(0) = N1'(0) - R(0) N1(0) are known before any solve: the three
-    right-hand sides share one Volterra call with kernel N1 (one inverse, one
-    convolution per column).  For const
-    and exp kernels N1' = -rate N1 and R(0) = -rate, so both derivative
-    right-hand sides vanish and R', R'', K are exact zeros (a solve would leave
-    round-off), and alpha is R(0)^2/4 (the sampled N1'(0) = rate**2 may miss
-    rate*rate by an ulp); only R is solved there.  Tabulated kernels solve
-    all three.
+    R'(0) = N1'(0) - R(0) N1(0) are known before any solve, and R' is never
+    solved for: the two right-hand sides of R and R'' share one Volterra
+    call with kernel N1 (one inverse, one convolution per column).  For const
+    and exp kernels N1' = -rate N1 and R(0) = -rate, so the R'' right-hand
+    side vanishes and K is an exact zero (a solve would leave round-off), and
+    alpha is R(0)^2/4 (the sampled N1'(0) = rate**2 may miss rate*rate by an
+    ulp); only R is solved there.  Tabulated kernels solve both.
     """
     return k._resolvent
 

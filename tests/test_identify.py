@@ -256,10 +256,8 @@ def test_pipeline_identity_case():
     result = pipeline(tab)
     assert np.max(np.abs(result.q_hat)) <= 0.05
     assert np.max(np.abs(result.xi - result.horizons)) <= 2e-2
-    for d in result.diagnostics:
-        assert d["residual"] <= 1e-4  # residual consistency invariant
-    rows = list(result.rows())
-    assert len(rows) == len(result.horizons)
+    assert np.all(result.residual <= 1e-4)  # residual consistency invariant
+    assert len(result.residual) == len(result.condition) == len(result.horizons)
 
 
 def test_pipeline_basis_too_small_for_lattice(monkeypatch):
@@ -525,8 +523,8 @@ def test_pipeline_xi_and_diagnostics_are_steering_control_bit_for_bit():
     for i, T in enumerate(res.horizons):
         sc = steering_control(gram, float(T), steering_rhs(ker2, basis, float(T)))
         assert np.float64(sc.xi).view(np.int64) == res.xi[i].view(np.int64)
-        assert list(res.diagnostics[i]) == ["residual", "condition"]
-        assert res.diagnostics[i] == {"residual": sc.residual, "condition": sc.diagnostics["condition"]}
+        assert res.residual[i] == sc.residual
+        assert res.condition[i] == sc.diagnostics["condition"]
     q_ref, _ = _polyfit_reconstruct(res.horizons, res.xi, IdentifyConfig(), grid.dt)
     assert np.max(np.abs(res.q_hat - q_ref)) <= 1e-12 * np.max(np.abs(q_ref))
 
@@ -544,7 +542,7 @@ def test_identify_results_csv_columns(tmp_path):
     assert lines[0] == "T,xi,q_hat,residual,guard_flag" and lines[-1] == ""
     rows = np.array([[float(c) for c in line.split(",")] for line in lines[1:-1]])
     res = pipeline(load_bundle(bundle)[0])
-    assert np.array_equal(rows[:, [0, 1, 3, 4]], np.array([row for row in res.rows()])[:, [0, 1, 3, 4]])
+    assert np.array_equal(rows[:, [0, 1, 3, 4]], np.column_stack([res.horizons, res.xi, res.residual, res.guarded]))
     q_ref, guarded = _polyfit_reconstruct(res.horizons, res.xi, IdentifyConfig(), 0.0078125)
     assert np.array_equal(rows[:, 4], guarded.astype(float))
     assert np.max(np.abs(rows[:, 2] - q_ref)) <= 1e-12 * np.max(np.abs(q_ref))

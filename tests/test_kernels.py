@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from viscostring.errors import GridMismatchError, KernelValidationError, NumericalFailure
 from viscostring.grid import Sampled1D, TimeGrid, convolve_values
 from viscostring.kernels import (
+    _volterra_values,
     build_kernel,
     resolvent,
     response_to_traction,
@@ -167,25 +168,41 @@ def test_resolvent_exponential_constant():
 
 @pytest.mark.parametrize("rate", [0.3, 1.7, 3.0, 7.5])
 def test_resolvent_exponential_is_memoryless_at_any_rate(rate):
-    # the R' and R'' equations have exactly vanishing right-hand sides; a
-    # non-dyadic rate must not leave round-off in K that selects the memory path
+    # the R'' equation has an exactly vanishing right-hand side; a non-dyadic
+    # rate must not leave round-off in K that selects the memory path
     g = TimeGrid(1e-3, 2000)
     res = resolvent(build_kernel(g, "exp", rate=rate))
-    for arr in (res.R1, res.R2deriv, res.K):
-        assert not np.any(arr.values)
+    assert not np.any(res.K.values)
     assert res.gamma == -rate / 2
     assert res.alpha == rate**2 / 4
 
 
 def test_resolvent_exponential_alpha_is_r0_squared_over_4():
     # at this rate the sampled N1'(0) = rate**2 and R(0) N1(0) = rate*rate
-    # differ by an ulp; R' is exactly zero, so alpha is R(0)^2/4 regardless
+    # differ by an ulp; R'(0) is exactly zero, so alpha is R(0)^2/4 regardless
     rate = 7.30728627489739
     assert rate**2 != rate * rate
     res = resolvent(build_kernel(TimeGrid(1e-3, 20), "exp", rate=rate))
     r0 = res.R.values[0]
-    assert not np.any(res.R1.values)
     assert res.alpha == 0.25 * r0 * r0 == 13.349108175825942
+
+
+def test_resolvent_two_columns_match_the_three_column_solve():
+    # R' is never solved for: the resolvent's one call takes the R and R''
+    # columns only.  With the R' column put back, the solve reproduces R, K
+    # and alpha bit for bit (each column is solved on its own).
+    g = TimeGrid(1.0 / 64, 128)
+    ker = general_kernel(g)
+    n1, n2, n3 = ker.N1.values, ker.N2.values, ker.N3.values
+    r0 = n1[0]
+    rhs1 = n2 - r0 * n1
+    rhs2 = n3 - r0 * n2 - rhs1[0] * n1
+    r, r1, r2d = _volterra_values(n1, np.column_stack([n1, rhs1, rhs2]), g.dt).T
+    res = resolvent(ker)
+    assert np.array_equal(res.R.values, r)
+    assert np.array_equal(res.K.values, np.exp(-res.gamma * g.nodes()) * r2d)
+    assert res.alpha == r1[0] + 0.25 * r0 * r0 == rhs1[0] + 0.25 * r0 * r0
+    assert np.any(res.K.values)
 
 
 def test_resolvent_constant_n1_closed_form():
