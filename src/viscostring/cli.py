@@ -43,9 +43,7 @@ def _load_config(path: str | None) -> RunConfig:
 
 
 def cmd_synthesize(args) -> int:
-    cfg = _load_config(args.config)
-    out = args.out or cfg.out
-    path = synthesize(cfg, out)
+    path = synthesize(_load_config(args.config), args.out)
     print(f"bundle written to {path}")
     return 0
 
@@ -117,11 +115,10 @@ def cmd_resolvent(args) -> int:
     cfg = _load_config(args.config)
     kernel = cfg.build_kernel2()
     res = _resolvent(kernel)
-    out = args.out or cfg.out
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     t = kernel.grid.nodes()
     _write_csv(
-        os.path.join(out, "resolvent.csv"),
+        os.path.join(args.out, "resolvent.csv"),
         ["t", "N", "N1", "R", "K"],
         [t, kernel.N.values, kernel.N1.values, res.R.values, res.K.values],
     )
@@ -129,10 +126,10 @@ def cmd_resolvent(args) -> int:
         f"gamma={_format(res.gamma)}\nalpha={_format(res.alpha)}\n"
         f"residual={_format(res.residual(kernel))}\n"
     )
-    with open(os.path.join(out, "resolvent.txt"), "w") as fh:
+    with open(os.path.join(args.out, "resolvent.txt"), "w") as fh:
         fh.write(summary)
     print(summary.strip())
-    print(f"kernel diagnostics written to {out}")
+    print(f"kernel diagnostics written to {args.out}")
     return 0
 
 
@@ -143,21 +140,20 @@ def cmd_forward(args) -> int:
     f_vals = parse_control_spec(cfg.control, grid, cfg.control_basis())
     p = StringProblem(cfg.L, cfg.q_values(), kernel2, cfg.T_max)
     field = solve_mild(p, Sampled1D(grid, f_vals))
-    out = args.out or cfg.out
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     x = field.xgrid.nodes()
     t = field.tgrid.nodes()
     _write_csv(
-        os.path.join(out, "field.csv"),
+        os.path.join(args.out, "field.csv"),
         ["x"] + [f"t={_format(tk)}" for tk in t],
         [x] + [field.w.values[:, k] for k in range(len(t))],
     )
     _write_csv(
-        os.path.join(out, "boundary.csv"),
+        os.path.join(args.out, "boundary.csv"),
         ["t", "f", "y", "sigma"],
         [t, f_vals, field.y.values, field.sigma.values],
     )
-    print(f"forward run written to {out}")
+    print(f"forward run written to {args.out}")
     return 0
 
 
@@ -170,12 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, bundle=False):
-        # a command reads either a bundle or a config, never both
+        # a command reads either a bundle or a config, never both, and writes
+        # into the bundle or to out/ unless --out says otherwise
         if bundle:
             p.add_argument("bundle", help="dataset bundle directory")
         else:
             p.add_argument("--config", help="key=value configuration file")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", default=None if bundle else "out", help="output directory")
 
     common(sub.add_parser("synthesize", help="generate a synthetic dataset bundle"))
     common(sub.add_parser("connect", help="connecting Gram matrices from a bundle"), bundle=True)

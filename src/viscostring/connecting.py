@@ -251,7 +251,7 @@ def synthesize_table(
     """Generate the response table with the forward solver (ground truth path).
 
     The simulation horizon is 2*T_max, so 2*T_max <= L is required for the
-    no-reflection window to be valid.
+    no-reflection window to be valid; StringProblem checks it.
 
     One forward solve serves every control.  The solver's trace is
     y = gamma f - f' + z with z = exp(gamma t) int F, and z is a causal
@@ -268,13 +268,8 @@ def synthesize_table(
     neither the physical field nor the traction.
     """
     grid2 = kernel.grid
-    t2 = grid2.t_max
-    if t2 > L + 1e-12:
-        raise GridMismatchError(
-            f"synthetic data needs 2*T_max = {t2} <= L = {L} (no-reflection window)"
-        )
+    p = StringProblem(L=L, q=q, kernel=kernel, T=grid2.t_max)
     res = resolvent(kernel)
-    p = StringProblem(L=L, q=q, kernel=kernel, T=t2)
     dt, M = grid2.dt, grid2.n
     spike = np.zeros(M + 1)
     spike[1] = 1.0
@@ -510,7 +505,7 @@ def gram_oracle(p: StringProblem, basis: ControlBasis) -> ConnectingGram:
 
     Knows the coefficient q; validation counterpart of ``gram_from_data``.
     """
-    if abs(p.T - basis.grid.t_max) > 1e-9:
+    if not p.tgrid.same_as(basis.grid):
         raise GridMismatchError("oracle problem horizon must equal the basis window")
     nodes = basis.knot_nodes
     fields = (solve_mild(p, Sampled1D(basis.grid, e)).w.values for e in basis.samples)

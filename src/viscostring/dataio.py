@@ -109,7 +109,6 @@ class RunConfig:
     dt: float = 1.0 / 256
     n_basis: int = 16
     q: str = "const:0"
-    out: str = "out"
     noise_sigma: float = 0.0
     seed: int = 0
     control: str = "sin2"
@@ -449,7 +448,7 @@ def load_bundle(directory: str) -> tuple:
     return table, q_true, kv
 
 
-def synthesize(cfg: RunConfig, directory: str | None = None) -> str:
+def synthesize(cfg: RunConfig, directory: str) -> str:
     """Generate the synthetic bundle described by a config; returns the path."""
     kernel2 = cfg.build_kernel2()
     basis = cfg.control_basis()
@@ -462,5 +461,4 @@ def synthesize(cfg: RunConfig, directory: str | None = None) -> str:
         noise_sigma=cfg.noise_sigma,
         seed=cfg.seed,
     )
-    out = directory if directory is not None else cfg.out
-    return save_bundle(out, table, q_true=q, L=cfg.L, q_spec=cfg.q)
+    return save_bundle(directory, table, q_true=q, L=cfg.L, q_spec=cfg.q)

@@ -5,8 +5,8 @@ Model:  w_t(x,t) = int_0^t N(t-s) [w_xx + q(x) w](x,s) ds  on (0,L),
 observed through the boundary derivative y(t) = w_x(0,t).
 
 ``solve_mild`` integrates the transformed field W = exp(-gamma t) w, which for
-T <= L (no reflection from x = L) satisfies the characteristic integral
-equation
+T <= L (no reflection from x = L, as ``StringProblem`` checks) satisfies the
+characteristic integral equation
 
     W(x,t) = exp(-gamma(t-x)) f(t-x) + (1/2) int_{D(x,t)} F,
     F(x,t) = (q(x) + alpha) W(x,t) + int_0^t K(t-s) W(x,s) ds,
@@ -72,10 +72,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StringProblem:
-    """Geometry, coefficient and kernel of one simulation instance.
+    """Geometry, coefficient and kernel of one simulation instance, checked once.
 
     q may be a callable of x or an array sampled at the x-nodes of [0,L]
-    (spacing = kernel grid step, shared so characteristics hit nodes).
+    (spacing = kernel grid step, shared so characteristics hit nodes).  L and
+    T lie on that lattice, T <= L (no reflection from x = L) and the kernel
+    grid reaches T; the solvers trust these checks and read p.tgrid.
     """
 
     L: float
@@ -85,15 +87,18 @@ class StringProblem:
 
     def __post_init__(self):
         dt = self.kernel.grid.dt
-        n_x = round(self.L / dt)
-        if abs(n_x * dt - self.L) > 1e-9 * max(1.0, self.L) or n_x < 1:
-            raise GridMismatchError(f"L={self.L} is not on the x-lattice of step {dt}")
-        if self.T > self.L + 1e-12:
-            raise KernelValidationError(
+        for name, value in (("L", self.L), ("T", self.T)):
+            steps = round(value / dt)
+            if steps < 1 or abs(steps * dt - value) > 1e-9 * max(1.0, value):
+                raise GridMismatchError(f"{name}={value} is not on the lattice of step {dt}")
+        if self.tgrid.n > self.n_x:
+            raise GridMismatchError(
                 f"horizon T={self.T} exceeds L={self.L}: the representation is only "
                 "valid before a reflection from the far end"
             )
-        x = np.arange(n_x + 1) * dt
+        if self.kernel.grid.n < self.tgrid.n:
+            raise GridMismatchError("kernel grid does not cover the horizon")
+        x = np.arange(self.n_x + 1) * dt
         qv = np.asarray(self.q(x), dtype=float) if callable(self.q) else np.array(self.q, dtype=float)
         if qv.shape != x.shape:
             raise GridMismatchError(f"q needs {x.shape[0]} samples on [0,L], got {qv.shape}")
@@ -106,6 +111,10 @@ class StringProblem:
     @property
     def n_x(self) -> int:
         return round(self.L / self.dt)
+
+    @property
+    def tgrid(self) -> TimeGrid:
+        return TimeGrid(self.dt, round(self.T / self.dt))
 
 
 @dataclass(frozen=True)
@@ -132,7 +141,10 @@ class WaveField:
         return self.w.tgrid
 
 
-def _check_control(f: Sampled1D):
+def _check_control(p: StringProblem, f: Sampled1D):
+    """The one check of a control: it lives on p.tgrid and starts at rest."""
+    if not f.grid.same_as(p.tgrid):
+        raise GridMismatchError(f"control must be sampled on [0,T] with step {p.dt}")
     scale = max(np.max(np.abs(f.values)), 1e-30)
     if abs(f.values[0]) > 1e-10 * scale:
         raise KernelValidationError(
@@ -167,8 +179,7 @@ def _mild_march(p: StringProblem, f: Sampled1D, last: int) -> tuple[np.ndarray, 
     Raises NumericalFailure when y is not finite.  f must already be checked
     against p, as ``solve_mild`` checks it.
     """
-    dt = p.dt
-    m = f.grid.n
+    dt, m = p.dt, p.tgrid.n
     res = resolvent(p.kernel)
     gamma, alpha = res.gamma, res.alpha
     dK = dt * res.K.values[: m + 1]
@@ -176,7 +187,7 @@ def _mild_march(p: StringProblem, f: Sampled1D, last: int) -> tuple[np.ndarray, 
     # row j of the window view is dK[j : j + _BLOCK], zero past lag m
     windows = sliding_window_view(np.concatenate([dK, np.zeros(_BLOCK)]), _BLOCK)
 
-    t = TimeGrid(dt, m).nodes()
+    t = p.tgrid.nodes()
     qa = p.q[: m + 1] + alpha
 
     # level k touches the rows i <= k+1 (its light cone and one beyond) with
@@ -227,21 +238,12 @@ def solve_mild(p: StringProblem, f: Sampled1D) -> WaveField:
     """March the characteristic integral equation of the transformed field.
 
     Returns the complete WaveField (field, boundary response and traction),
-    or raises NumericalFailure when any of them is not finite.
-    The control must satisfy f(0) = 0 and live on the time grid of [0,T].
+    or raises NumericalFailure when any of them is not finite.  StringProblem
+    has checked the horizon; the control must start at rest on p.tgrid.
     """
-    dt = p.dt
-    m = round(p.T / dt)
-    if abs(m * dt - p.T) > 1e-9:
-        raise GridMismatchError(f"T={p.T} is not on the time lattice of step {dt}")
-    if not (abs(f.grid.dt - dt) <= 1e-12 * dt and f.grid.n == m):
-        raise GridMismatchError(f"control must be sampled on [0,T] with step {dt}")
-    if p.kernel.grid.n < m:
-        raise GridMismatchError("kernel grid does not cover the horizon")
-    _check_control(f)
-
-    W, y = _mild_march(p, f, 2 * m)  # the whole cone: x_i <= t_k <= T
-    tgrid = TimeGrid(dt, m)
+    _check_control(p, f)
+    tgrid = p.tgrid
+    W, y = _mild_march(p, f, 2 * tgrid.n)  # the whole cone: x_i <= t_k <= T
     W *= np.exp(resolvent(p.kernel).gamma * tgrid.nodes())[:, None]
     y = Sampled1D(tgrid, y)
     sigma = response_to_traction(y, p.kernel)
@@ -271,13 +273,12 @@ def fd_oracle(p: StringProblem, f: Sampled1D) -> WaveField:
     on the full interval [0,L], Dirichlet at both ends, zero initial data.
 
     Runs at the characteristic step dx = dt (CFL number one, admissible since
-    the propagation speed is N(0) = 1).
+    the propagation speed is N(0) = 1).  Trusts the horizon and the control
+    as ``solve_mild`` does.
     """
-    dt = p.dt
-    m = round(p.T / dt)
-    if not (abs(f.grid.dt - dt) <= 1e-12 * dt and f.grid.n == m):
-        raise GridMismatchError(f"control must be sampled on [0,T] with step {dt}")
-    _check_control(f)
+    _check_control(p, f)
+    dt, tgrid = p.dt, p.tgrid
+    m = tgrid.n
     dx = dt  # equality is the validity edge of the CFL condition
 
     n_x = p.n_x
@@ -300,7 +301,6 @@ def fd_oracle(p: StringProblem, f: Sampled1D) -> WaveField:
         w[0, k + 1] = f.values[k + 1]
         w[n_x, k + 1] = 0.0
 
-    tgrid = TimeGrid(dt, m)
     xg = TimeGrid(dt, n_x)
     y = Sampled1D(tgrid, _trace_x0(w, dx))
     return WaveField(w=Sampled2D(xg, tgrid, w), y=y, sigma=response_to_traction(y, p.kernel))

@@ -1,14 +1,16 @@
 """Uniform grids, sampled functions and causal quadrature primitives.
 
-Everything downstream (kernel algebra, wave marching, the connecting-operator
-chain) is built from two quadratures implemented here:
+The layers downstream (kernel algebra, wave marching, the connecting-operator
+chain, the steering solve) call these primitives:
 
-  * causal_convolve     -- trapezoidal  int_0^t k(t-s) h(s) ds
-  * cumulative_integral -- trapezoidal  int_0^t h(r) dr
-
-and one solver, lower_toeplitz_solve, for the causal convolution systems
-(Volterra equations of the second kind) that the trapezoid rule turns into
-lower-triangular Toeplitz matrices.
+  * trap_weights and the trapezoid sums convolve_values (int_0^t k(t-s) h(s) ds,
+    with causal_convolve its Sampled1D form), cumulative_integral (int_0^t h(r)
+    dr) and _running_trapezoid (whose differences integrate between two nodes);
+  * centered_difference, a second-order first derivative;
+  * lower_toeplitz_solve, with the inverse it builds (_lower_toeplitz_inverse)
+    and the matrix of a first column (_lower_toeplitz_matrix), for the causal
+    convolution systems (Volterra equations of the second kind) that the
+    trapezoid rule turns into lower-triangular Toeplitz matrices.
 
 All quadrature is composite trapezoid (order 2).  Space and time grids share
 one step so that characteristics pass through nodes and the characteristic

@@ -41,7 +41,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, NumericalFailure
+from .errors import ConfigError, GridMismatchError, NumericalFailure
 from .grid import Sampled1D, TimeGrid, trap_weights
 from .kernels import MemoryKernel
 from .connecting import ConnectingGram, ControlBasis, ResponseTable, gram_from_data
@@ -73,7 +73,7 @@ def steering_rhs(k: MemoryKernel, basis: ControlBasis, T: float) -> np.ndarray:
     dt = basis.grid.dt
     idx = basis.grid.index_of(T)
     if k.grid.n < idx:
-        raise ConfigError("kernel grid does not cover the horizon")
+        raise GridMismatchError("kernel grid does not cover the horizon")
     m_rev = k.M.values[idx::-1]
     w = trap_weights(idx + 1, dt)
     return basis.samples[:, : idx + 1] @ (w * m_rev)

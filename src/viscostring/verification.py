@@ -19,7 +19,14 @@ from .grid import Sampled1D, TimeGrid, causal_convolve, cumulative_integral
 from . import kernels
 from .kernels import build_kernel, solve_volterra
 from .forward import StringProblem, fd_oracle, solve_mild
-from .connecting import gram_from_data, gram_oracle, hat_basis, synthesize_table
+from .connecting import (
+    ControlBasis,
+    ResponseTable,
+    gram_from_data,
+    gram_oracle,
+    hat_basis,
+    synthesize_table,
+)
 from .identify import (
     IdentifyConfig,
     pipeline,
@@ -367,18 +374,25 @@ def a8_invariants() -> CriterionResult:
     )
 
 
-def _memory_relative_error(n: int, m: int) -> float:
-    """relL2(q) on [0.1, 0.9] for the general kernel (R'' != 0), whose Gram
-    takes the marching branch that A4-A7 (R'' == 0 kernels) never reach."""
-    T_max, L = 1.0, 2.0
-    dt = T_max / m
-    grid, grid2 = TimeGrid(dt, m), TimeGrid(dt, 2 * m)
-    qf = lambda x: 1.0 + 0.25 * np.sin(np.pi * x / L)
-    tab = synthesize_table(hat_basis(grid, n), _general_kernel(grid2), qf, L)
+def _q_smooth(x):
+    """The coefficient of A9-A11 on L = 2."""
+    return 1.0 + 0.25 * np.sin(np.pi * x / 2.0)
+
+
+def _q_error(tab: ResponseTable) -> float:
+    """relL2(q) on [0.1, 0.9] of the reconstruction from tab (T_max = 1)."""
     res = pipeline(tab)
-    w = (res.horizons >= 0.1 * T_max) & (res.horizons <= 0.9 * T_max)
-    q_ref = qf(res.horizons[w])
+    w = (res.horizons >= 0.1) & (res.horizons <= 0.9)
+    q_ref = _q_smooth(res.horizons[w])
     return float(np.linalg.norm(res.q_hat[w] - q_ref) / np.linalg.norm(q_ref))
+
+
+def _memory_relative_error(n: int, m: int) -> float:
+    """relL2(q) for the general kernel (R'' != 0), whose Gram takes the
+    marching branch that A4-A7 (R'' == 0 kernels) never reach."""
+    dt = 1.0 / m
+    grid, grid2 = TimeGrid(dt, m), TimeGrid(dt, 2 * m)
+    return _q_error(synthesize_table(hat_basis(grid, n), _general_kernel(grid2), _q_smooth, 2.0))
 
 
 def a9_memory_end_to_end() -> CriterionResult:
@@ -401,6 +415,51 @@ def a10_memory_end_to_end_a7_size() -> CriterionResult:
     )
 
 
+def _refined_data_error(m: int, kernel) -> float:
+    """relL2(q) at n = m/8 from data synthesized on a grid twice as fine, with
+    the same hats, and read at every other node.  The data then do not share
+    the discretization of the inverse chain (the inverse crime of Kaipio and
+    Somersalo, J. Comput. Appl. Math. 198 (2007) 493-504); kernel(grid)
+    builds the relaxation kernel on a grid."""
+    dt = 1.0 / m
+    basis = hat_basis(TimeGrid(dt, m), m // 8)
+    fine = ControlBasis(TimeGrid(dt / 2, 2 * m), 2 * basis.knot_nodes)
+    Y = synthesize_table(fine, kernel(TimeGrid(dt / 2, 4 * m)), _q_smooth, 2.0).Y
+    return _q_error(ResponseTable(basis, kernel(TimeGrid(dt, 2 * m)), Y[:, ::2]))
+
+
+def a11_convergence() -> CriterionResult:
+    """q converges under grid refinement, for an R'' == 0 kernel and a
+    genuine-memory one, on the A9/A10 instance."""
+    # each kernel with its limit on relL2(q) at the finest grid
+    kinds = {
+        "exp": (lambda g: build_kernel(g, "exp", rate=1.0), 0.03),
+        "general": (_general_kernel, 0.05),
+    }
+    sizes = (128, 256, 512)
+
+    def work():
+        runs = {}
+        for name, (kernel, limit) in kinds.items():
+            errors = [_refined_data_error(m, kernel) for m in sizes]
+            # least-squares order in dt = 1/m
+            runs[name] = errors, -float(np.polyfit(np.log(sizes), np.log(errors), 1)[0]), limit
+        return runs
+
+    runs, secs = _timed(work)
+    measured = max(errors[-1] / limit for errors, _, limit in runs.values())
+    passed = measured <= 1.0 and all(slope >= 0.6 for _, slope, _ in runs.values())
+    detail = "; ".join(
+        f"{name}: relL2(q) {'/'.join(f'{e:.3e}' for e in errors)} "
+        f"(limit {limit} at m = {sizes[-1]}), slope {slope:.2f}"
+        for name, (errors, slope, limit) in runs.items()
+    )
+    return CriterionResult(
+        "A11", passed, measured, 1.0, secs,
+        detail=f"m = {'/'.join(map(str, sizes))}, n = m/8; {detail} (need slope >= 0.6)",
+    )
+
+
 CRITERIA = {
     "A1": a1_resolvent_analytic,
     "A2": a2_forward_exact,
@@ -412,6 +471,7 @@ CRITERIA = {
     "A8": a8_invariants,
     "A9": a9_memory_end_to_end,
     "A10": a10_memory_end_to_end_a7_size,
+    "A11": a11_convergence,
 }
 
 _NAMES = {
@@ -425,6 +485,7 @@ _NAMES = {
     "A8": "invariants",
     "A9": "memory",
     "A10": "memory-a7",
+    "A11": "convergence",
 }
 
 

@@ -72,3 +72,9 @@ def test_a9_memory_end_to_end_reconstruction():
 
 def test_a10_memory_end_to_end_at_a7_size():
     _run("A10")
+
+
+def test_a11_convergence():
+    # both kernels are gated, each with its errors and least-squares slope
+    detail = _run("A11").detail
+    assert "exp: relL2(q)" in detail and "general: relL2(q)" in detail, detail

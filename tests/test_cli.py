@@ -202,6 +202,7 @@ BAD_INPUTS = [
     pytest.param("synthesize", _config(dt="nan"), None, 2, id="dt-nan"),
     pytest.param("synthesize", _config(seed=-1, noise_sigma=1e-3), None, 2, id="seed-negative"),
     pytest.param("synthesize", _config(noise_sigma="nan"), None, 2, id="noise-sigma-nan"),
+    pytest.param("synthesize", _config(out="elsewhere"), None, 2, id="retired-out-key"),
     # bundle contents: exit 4
     pytest.param("identify", CFG, _manifest("kernel_rate", "abc"), 4, id="manifest-kernel-rate-abc"),
     pytest.param("identify", CFG, _manifest("dt", "nan"), 4, id="manifest-dt-nan"),

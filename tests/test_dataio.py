@@ -77,8 +77,12 @@ def test_config_keys_are_the_run_config_fields():
     kinds = {key: parse.__name__ for key, parse in dataio._CONFIG_KEYS.items()}
     assert kinds == {
         "kernel": "str", "L": "float", "T_max": "float", "dt": "float", "n_basis": "int",
-        "q": "str", "out": "str", "noise_sigma": "float", "seed": "int", "control": "str",
+        "q": "str", "noise_sigma": "float", "seed": "int", "control": "str",
     }
+    # the output directory is --out alone
+    with pytest.raises(ConfigError) as exc:
+        parse_config("out = elsewhere\n")
+    assert str(exc.value) == "unknown config keys: ['out']"
     for text, message in (
         ("dt = abc", "bad config value: could not convert string to float: 'abc'"),
         ("noise_sigma = x", "bad config value: could not convert string to float: 'x'"),

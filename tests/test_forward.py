@@ -27,12 +27,32 @@ def _wave_problem(m=64, T=0.5, L=1.0):
 def test_problem_validation():
     g = TimeGrid(0.01, 100)
     ker = build_kernel(g, "const")
-    with pytest.raises(KernelValidationError):
+    with pytest.raises(GridMismatchError):
         StringProblem(0.5, lambda x: np.zeros_like(x), ker, 0.9)  # T > L
     with pytest.raises(GridMismatchError):
         StringProblem(1.0, np.zeros(7), ker, 0.5)  # wrong q sampling
     with pytest.raises(GridMismatchError):
         StringProblem(1.0005, lambda x: np.zeros_like(x), ker, 0.5)  # off-lattice L
+
+
+def test_problem_checks_its_horizon_once():
+    # StringProblem holds every horizon rule; the solvers check only the control
+    dt = 1.0 / 64
+    zero = lambda x: np.zeros_like(x)
+    ker = build_kernel(TimeGrid(dt, 64), "const")
+    with pytest.raises(GridMismatchError, match="does not cover"):
+        StringProblem(1.0, zero, build_kernel(TimeGrid(dt, 16), "const"), 17 * dt)
+    with pytest.raises(GridMismatchError, match="lattice"):
+        StringProblem(1.0, zero, ker, 0.5 + 0.3 * dt)
+    with pytest.raises(GridMismatchError, match="exceeds"):
+        StringProblem(0.25, zero, ker, 0.5)
+    p = StringProblem(1.0, zero, ker, 0.5)
+    assert p.tgrid == TimeGrid(dt, 32)
+    for grid in (TimeGrid(dt, 31), TimeGrid(dt / 2, 64)):  # another horizon, another step
+        f = Sampled1D(grid, np.sin(np.pi * grid.nodes() / grid.t_max) ** 2)
+        for solver in (solve_mild, fd_oracle):
+            with pytest.raises(GridMismatchError, match="control must be sampled"):
+                solver(p, f)
 
 
 def test_control_must_start_at_zero():

@@ -64,6 +64,14 @@ def test_steering_rhs_vanishes_beyond_horizon():
     assert b[0] > 0.0
 
 
+def test_steering_rhs_needs_a_kernel_reaching_the_horizon():
+    # a grid mismatch, as in StringProblem; no config text reaches this check
+    grid = TimeGrid(1.0 / 64, 32)
+    short = build_kernel(TimeGrid(grid.dt, 31), "const")
+    with pytest.raises(GridMismatchError, match="does not cover"):
+        steering_rhs(short, hat_basis(grid, 3), grid.t_max)
+
+
 def test_steering_rhs_memory_kernel_vs_refined_quadrature():
     # M = 1 - exp(-t); compare the trapezoid moments against a 10x refined
     # quadrature of the exact integrand
