@@ -25,8 +25,10 @@ the march stores W time-major and level k touches only its light cone, the
 rows i <= k+1.  The memory trapezoid of F is split by levels: per block of
 ``_BLOCK`` levels one product of a Toeplitz slice of dt*K with the field of
 all earlier levels sums the history before the block, and one small product
-per level adds the levels inside it (the near/far split of Hairer, Lubich and
-Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532-541, without FFTs).
+per level adds the levels k0..k inside it, with the weights dt*[K_{k-k0}, ...,
+K_1, K_0/2] whose last entry is the l = k end of the trapezoid (the near/far
+split of Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)
+532-541, without FFTs).
 
 The boundary response needs no difference quotient.  Differentiating the
 triangle integral in x at x = 0+ (the interior and reflected characteristic
@@ -36,9 +38,10 @@ half cancel) gives
     y(t) = gamma f(t) - f'(t) + exp(gamma t) int_0^t F(xi, t-xi) dxi,
 
 and the march adds each level's F row into that anti-diagonal integral as it
-goes, so F is never stored.  y(t_n) reads the cells x_i + t_k <= t_n only,
-so the march (``_mild_march``) takes the last anti-diagonal its caller needs:
-``solve_mild`` asks for the whole cone, while the response table
+goes, so F is never stored: one buffer holds the row of the current level.
+y(t_n) reads the cells x_i + t_k <= t_n only, so the march (``_mild_march``)
+takes the last anti-diagonal its caller needs: ``solve_mild`` asks for the
+whole cone, while the response table
 (``connecting.synthesize_table``) reads only the trace on [0,T] and asks for
 x_i + t_k <= T, where level k touches the rows i <= min(k+1, m-k), half of
 the cone, and builds neither the physical field nor the traction.
@@ -178,14 +181,24 @@ def _mild_march(p: StringProblem, f: Sampled1D, last: int) -> tuple[np.ndarray, 
     anti-diagonal x_i + t_k = t_n only, so any last >= m gives all of it.
     Raises NumericalFailure when y is not finite.  f must already be checked
     against p, as ``solve_mild`` checks it.
+
+    Per level, F is formed in one reused buffer: (q+alpha) W, the block's
+    far-history row, and one near product of the levels k0..k whose last
+    weight is dK[0]/2.  Its first entry, the trapezoid end of anti-diagonal
+    t_k, is halved in place and the row goes into the integral in one slice
+    add; the W update, written in place into W[k+1], reads F[1:-1] only.
     """
     dt, m = p.dt, p.tgrid.n
     res = resolvent(p.kernel)
     gamma, alpha = res.gamma, res.alpha
-    dK = dt * res.K.values[: m + 1]
+    dK = np.concatenate([dt * res.K.values[: m + 1], np.zeros(_BLOCK)])  # zero past lag m
     has_memory = bool(np.any(dK))
-    # row j of the window view is dK[j : j + _BLOCK], zero past lag m
-    windows = sliding_window_view(np.concatenate([dK, np.zeros(_BLOCK)]), _BLOCK)
+    # row j of the window view is dK[j : j + _BLOCK]
+    windows = sliding_window_view(dK, _BLOCK)
+    # near weights by reversed lag, [dK[_BLOCK-1], ..., dK[1], dK[0]/2]: level k
+    # of a block at k0 reads the last k-k0+1 of them against levels k0..k
+    near = dK[_BLOCK - 1 :: -1].copy()
+    near[-1] *= 0.5  # the l = k end of the trapezoid
 
     t = p.tgrid.nodes()
     qa = p.q[: m + 1] + alpha
@@ -199,6 +212,7 @@ def _mild_march(p: StringProblem, f: Sampled1D, last: int) -> tuple[np.ndarray, 
 
     W = np.zeros((m + 1, max(rows)))
     W[:, 0] = np.exp(-gamma * t) * f.values
+    buf = np.empty(max(rows))  # F of the current level
     dt2 = dt * dt
     integral = np.zeros(m + 1)  # trapezoid sums of F along x_i + t_k = t_n, level by level
     # F(.,0) = (q+alpha) W(.,0) = 0 since f(0) = 0, so level 0 adds nothing
@@ -213,18 +227,18 @@ def _mild_march(p: StringProblem, f: Sampled1D, last: int) -> tuple[np.ndarray, 
         for k in range(k0, k1):
             r = rows[k]
             Wk = W[k, :r]
-            F = qa[:r] * Wk
+            F = np.multiply(qa[:r], Wk, out=buf[:r])
             if has_memory:
-                mem = 0.5 * dK[0] * Wk  # the l = k end of the trapezoid
-                mem[:c] += history[k - k0, :r]
-                if k > k0:
-                    mem += dK[k - k0 : 0 : -1] @ W[k0:k, :r]
-                F += mem
-            n = ends[k]
-            integral[k] += 0.5 * F[0]
-            integral[k + 1 : k + n] += F[1:n]
+                F[:c] += history[k - k0, :r]
+                F += near[_BLOCK - 1 - (k - k0) :] @ W[k0 : k + 1, :r]
+            F[0] *= 0.5  # the trapezoid end of anti-diagonal t_k; the W update reads F[1:-1]
+            integral[k : k + ends[k]] += F[: ends[k]]
             if k < m:
-                W[k + 1, 1 : r - 1] = Wk[2:] + Wk[:-2] - W[k - 1, 1 : r - 1] + dt2 * F[1:-1]
+                nxt = W[k + 1, 1 : r - 1]
+                np.add(Wk[2:], Wk[:-2], out=nxt)
+                nxt -= W[k - 1, 1 : r - 1]
+                F *= dt2
+                nxt += F[1:-1]
 
     fp = centered_difference(f.values, dt)
     y = gamma * f.values - fp + np.exp(gamma * t) * (dt * integral)
@@ -239,7 +253,9 @@ def solve_mild(p: StringProblem, f: Sampled1D) -> WaveField:
 
     Returns the complete WaveField (field, boundary response and traction),
     or raises NumericalFailure when any of them is not finite.  StringProblem
-    has checked the horizon; the control must start at rest on p.tgrid.
+    has checked the horizon; the control must start at rest on p.tgrid.  The
+    march's field is scaled in place, frozen and handed to the WaveField as
+    its transposed view, uncopied.
     """
     _check_control(p, f)
     tgrid = p.tgrid
@@ -249,6 +265,7 @@ def solve_mild(p: StringProblem, f: Sampled1D) -> WaveField:
     sigma = response_to_traction(y, p.kernel)
     if not (np.all(np.isfinite(W)) and np.all(np.isfinite(sigma.values))):
         raise NumericalFailure(_OVERFLOW)
+    W.flags.writeable = False  # W is private, so the field takes it uncopied
     # the field vanishes for x > t, so x in [0,T] suffices
     return WaveField(w=Sampled2D(tgrid, tgrid, W.T), y=y, sigma=sigma)
 

@@ -105,12 +105,24 @@ class Sampled1D:
             raise GridMismatchError(f"{what} live on different grids")
 
 
+def _frozen(v) -> bool:
+    """True for a read-only float64 array whose owning base is read-only."""
+    if not isinstance(v, np.ndarray) or v.dtype != np.float64 or v.flags.writeable:
+        return False
+    while isinstance(v.base, np.ndarray):
+        v = v.base
+    return v.base is None and not v.flags.writeable
+
+
 @dataclass(frozen=True)
 class Sampled2D:
     """Function of (s,t) sampled on a tensor grid; values[i, k] = F(s_i, t_k).
 
     Both grids must share the same step: the forward march steps along the
-    characteristics x +- t = const from node to node.
+    characteristics x +- t = const from node to node.  values is read-only.
+    A read-only float64 array whose owning base is read-only too is kept as
+    it is (the forward solver hands its private field over so); any other
+    input is copied, so later writes to it do not reach values.
     """
 
     sgrid: TimeGrid
@@ -118,7 +130,7 @@ class Sampled2D:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        v = self.values if _frozen(self.values) else np.array(self.values, dtype=float)
         if v.shape != (self.sgrid.n + 1, self.tgrid.n + 1):
             raise GridMismatchError(
                 f"expected shape {(self.sgrid.n + 1, self.tgrid.n + 1)}, got {v.shape}"

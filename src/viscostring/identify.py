@@ -120,7 +120,7 @@ def _steer(gram: ConnectingGram, T: float, b: np.ndarray) -> tuple:
     basis.grid.index_of(T)  # an off-grid horizon raises GridMismatchError first
     k = len(basis.active(T))  # the active set is the prefix 0..k-1
     if k == 0:
-        raise ConfigError(f"horizon T={T} is below the first basis support")
+        raise GridMismatchError(f"horizon T={T} is below the first basis support")
     C = gram.at(T)[:k, :k]
     b_a = np.asarray(b, dtype=float)[:k]
 
@@ -220,7 +220,7 @@ def reconstruct_q(
     w = cfg.smoothing_halfwidth
     n = len(h)
     if n < 2 * w + 1:
-        raise ConfigError(
+        raise GridMismatchError(
             f"need at least {2 * w + 1} horizon samples for halfwidth {w}, got {n}"
         )
     bad = np.flatnonzero(~(np.isfinite(h) & np.isfinite(v)))

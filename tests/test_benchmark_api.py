@@ -54,6 +54,23 @@ def test_benchmark_operations_on_a_tiny_instance(tmp_path):
     assert bench.roundtrip(bundle, str(tmp_path / "resaved")) == ([], [])
 
 
+def test_benchmark_forward_on_a_tiny_general_instance(tmp_path):
+    # the harness keeps the first field.w.values of a run and compares every
+    # later forward op with it, then reads forward_gap against the leapfrog
+    # oracle; a field whose layout or ownership changed must fail here first
+    inst = bench.Instance("general", n_basis=10, steps=32)
+    run = bench.Run(bench.Workload(synth=inst, ident=inst), 3, str(tmp_path))
+    run.setup()
+    for _ in range(2):
+        run.op("forward")
+    assert run.failures == [] and len(run.samples["forward"]) == 2
+    field = bench.forward_op(run.problem, run.control, NullTracer())
+    assert field.w.values.shape == (inst.steps + 1, inst.steps + 1)
+    assert np.array_equal(field.w.values, run.ref_w) and not np.shares_memory(field.w.values, run.ref_w)
+    gap = bench.forward_gap(run.problem, run.control, field)
+    assert 0.0 < gap <= inst.forward_gap_max
+
+
 def test_benchmark_roundtrip_on_a_tiny_exp_bundle(tmp_path):
     # an exp bundle's kernel.csv is its header line only; the harness
     # compares it byte for byte with the re-saved copy like every other file

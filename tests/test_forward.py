@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from viscostring.errors import GridMismatchError, KernelValidationError
 from viscostring.grid import Sampled1D, TimeGrid, centered_difference
@@ -365,6 +366,101 @@ def test_march_cut_at_the_last_anti_diagonal_keeps_the_trace(rng, kernel, m):
     cut = np.add.outer(np.arange(m + 1), np.arange(m + 1)) <= m  # [k, i]: x_i + t_k <= T
     assert np.max(np.abs(W - W_cone)[cut]) <= 1e-15 * np.max(np.abs(W_cone))
     assert np.all(W[~cut] == 0.0)
+
+
+def test_solve_mild_hands_over_its_frozen_field():
+    # the field is the march's own array, transposed and frozen, not a copy
+    p, tg = _wave_problem(m=32)
+    fld = solve_mild(p, Sampled1D.from_callable(tg, lambda t: bump(t, 0.0, 0.5)))
+    w, owner = fld.w.values, fld.w.values.base
+    assert owner is not None and owner.base is None
+    assert not w.flags.writeable and not owner.flags.writeable
+
+
+def _reference_level_loop(p, f, last):
+    """The level loop with the l = k end of the memory trapezoid as its own
+    term, beside the block's far history and the near product of the levels
+    k0..k-1, and F added to the anti-diagonal integral in two statements:
+    the march before one near product per level.  Returns (W, y) as
+    ``_mild_march`` does."""
+    dt, m = p.dt, p.tgrid.n
+    res = resolvent(p.kernel)
+    gamma, alpha = res.gamma, res.alpha
+    B = forward._BLOCK
+    dK = dt * res.K.values[: m + 1]
+    has_memory = bool(np.any(dK))
+    windows = sliding_window_view(np.concatenate([dK, np.zeros(B)]), B)
+    t = p.tgrid.nodes()
+    qa = p.q[: m + 1] + alpha
+    level = np.arange(m + 1)
+    rows = np.minimum(np.minimum(level + 2, m + 1), last + 1 - level)
+    ends = np.minimum(rows, m + 1 - level).tolist()
+    rows = rows.tolist()
+    W = np.zeros((m + 1, max(rows)))
+    W[:, 0] = np.exp(-gamma * t) * f.values
+    dt2 = dt * dt
+    integral = np.zeros(m + 1)
+    for k0 in range(1, m + 1, B):
+        k1 = min(k0 + B, m + 1)
+        if has_memory:
+            c = min(k0, last - k0 + 1)
+            history = windows[k0 - 1 : 0 : -1, : k1 - k0].T @ W[1:k0, :c]
+            history[:, 0] += 0.5 * dK[k0:k1] * W[0, 0]
+        for k in range(k0, k1):
+            r = rows[k]
+            Wk = W[k, :r]
+            F = qa[:r] * Wk
+            if has_memory:
+                mem = 0.5 * dK[0] * Wk
+                mem[:c] += history[k - k0, :r]
+                if k > k0:
+                    mem += dK[k - k0 : 0 : -1] @ W[k0:k, :r]
+                F += mem
+            n = ends[k]
+            integral[k] += 0.5 * F[0]
+            integral[k + 1 : k + n] += F[1:n]
+            if k < m:
+                W[k + 1, 1 : r - 1] = Wk[2:] + Wk[:-2] - W[k - 1, 1 : r - 1] + dt2 * F[1:-1]
+    fp = centered_difference(f.values, dt)
+    return W, gamma * f.values - fp + np.exp(gamma * t) * (dt * integral)
+
+
+@pytest.mark.parametrize("m", [1, 2, 31, 32, 33, 64, 65])
+@pytest.mark.parametrize("kernel", ["const", "exp", "general"])
+def test_one_near_product_per_level_matches_the_split_end_loop(rng, kernel, m):
+    # block edges (levels 1-32, 33-64, ...) and m < _BLOCK, whose near weights
+    # run past lag m.  Without memory the two loops do the same arithmetic;
+    # with it the fold reorders the memory sum, and W, y and sigma agree to
+    # round-off (the dt^2 F term of the W update is ~dt^2 of W, so a changed
+    # last bit of F seldom reaches W)
+    dt = 1.0 / 64
+    grid, kgrid = TimeGrid(dt, m), TimeGrid(dt, m + 2)  # a kernel needs 3 samples
+    ker = general_kernel(kgrid) if kernel == "general" else build_kernel(kgrid, kernel, rate=1.0)
+    p = StringProblem(m * dt, lambda x: 1.0 + 0.3 * np.sin(3.0 * x), ker, m * dt)
+    vals = rng.standard_normal(m + 1)
+    vals[0] = 0.0
+    spike = np.zeros(m + 1)
+    spike[min(1, m)] = 1.0
+    if m == 1:  # too short for the trace's one-sided derivative, in both loops
+        for march in (_mild_march, _reference_level_loop):
+            with pytest.raises(GridMismatchError):
+                march(p, Sampled1D(grid, vals), 2 * m)
+        return
+    def agree(got, want):
+        if kernel == "general":
+            return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        return np.array_equal(got, want)
+
+    fld = solve_mild(p, Sampled1D(grid, vals))
+    W_ref, y_ref = _reference_level_loop(p, Sampled1D(grid, vals), 2 * m)
+    w_ref = W_ref * np.exp(resolvent(ker).gamma * grid.nodes())[:, None]
+    sigma_ref = response_to_traction(Sampled1D(grid, y_ref), ker).values
+    assert agree(fld.w.values.T, w_ref)
+    assert agree(fld.y.values, y_ref) and agree(fld.sigma.values, sigma_ref)
+    # the spike march synthesize_table cuts at x + t <= T
+    _, y_cut = _mild_march(p, Sampled1D(grid, spike), m)
+    _, y_cut_ref = _reference_level_loop(p, Sampled1D(grid, spike), m)
+    assert agree(y_cut, y_cut_ref)
 
 
 class _FullWidthField:

@@ -192,3 +192,30 @@ def test_triangle_smooth_integrand_vs_bruteforce():
 def test_sampled2d_requires_shared_step():
     with pytest.raises(GridMismatchError):
         Sampled2D(TimeGrid(0.1, 4), TimeGrid(0.2, 4), np.zeros((5, 5)))
+
+
+def test_sampled2d_copies_what_it_does_not_own():
+    g = TimeGrid(0.25, 4)
+    src = np.arange(25.0).reshape(5, 5)
+    F = Sampled2D(g, g, src)
+    src[2, 3] = -1.0  # a writable input is copied: later writes do not reach values
+    assert F.values[2, 3] == 13.0 and not F.values.flags.writeable
+    view = src.T
+    view.flags.writeable = False  # read-only, but its owner is not: copied
+    assert not np.shares_memory(Sampled2D(g, g, view).values, src)
+    owner = np.ones((5, 5))
+    early = owner[:]
+    owner.flags.writeable = False  # a view taken before the owner froze stays writable: copied
+    assert not np.shares_memory(Sampled2D(g, g, early).values, owner)
+    ints = np.ones((5, 5), dtype=int)
+    ints.flags.writeable = False  # read-only, but not float64: converted
+    assert Sampled2D(g, g, ints).values.dtype == np.float64
+
+
+def test_sampled2d_keeps_a_frozen_array():
+    g = TimeGrid(0.25, 4)
+    frozen = np.ones((5, 5))
+    frozen.flags.writeable = False
+    assert Sampled2D(g, g, frozen).values is frozen
+    assert Sampled2D(g, g, frozen.T).values.base is frozen
+

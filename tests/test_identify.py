@@ -185,25 +185,27 @@ def test_gram_lookup_accepts_knots_and_rejects_a_node_between_knots():
 
 
 def test_steering_control_below_first_support():
+    # no config text reaches a horizon, so the error is a grid mismatch (not
+    # the exit-2 ConfigError of the CLI)
     tab, basis, ker2, grid = _identity_setup()
     gram = gram_from_data(tab)
-    with pytest.raises(ConfigError):
+    with pytest.raises(GridMismatchError, match="below the first basis support"):
         steering_control(gram, grid.dt, np.zeros(basis.n))
 
 
 @pytest.mark.parametrize("m, n", [(128, 8), (8, 6), (2, 1)])
-def test_steering_control_at_dt_is_a_config_error_before_the_knot_lookup(m, n):
+def test_steering_control_at_dt_is_below_the_first_support_before_the_knot_lookup(m, n):
     # T = dt is below the first support whether or not it is a knot (it is
-    # knots[1] when the first hat rises over one step); the ConfigError comes
-    # first either way, not the GridMismatchError of a node between knots
+    # knots[1] when the first hat rises over one step); that error comes
+    # first either way, not the off-knot error of a node between knots
     tab, basis, ker2, grid = _identity_setup(m=m, n=n)
     gram = gram_from_data(tab)
     if basis.knots[1] == grid.dt:
         assert np.array_equal(gram.at(grid.dt), gram.C[1])
     else:
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(GridMismatchError, match="not a knot"):
             gram.at(grid.dt)
-    with pytest.raises(ConfigError, match="below the first basis support"):
+    with pytest.raises(GridMismatchError, match="below the first basis support"):
         steering_control(gram, grid.dt, steering_rhs(ker2, basis, grid.dt))
 
 
@@ -254,9 +256,12 @@ def test_reconstruct_q_rejects_non_finite_input(bad, where):
 
 
 def test_reconstruct_q_needs_enough_samples():
+    # as centered_difference for too few samples: a grid mismatch, not config
     cfg = IdentifyConfig()
-    with pytest.raises(ConfigError):
+    with pytest.raises(GridMismatchError, match="need at least 7 horizon samples"):
         reconstruct_q(np.linspace(0.1, 1, 5), np.ones(5), cfg, 1e-3)
+    q, _ = reconstruct_q(np.linspace(0.1, 1, 7), np.linspace(0.1, 1, 7), cfg, 1e-3)
+    assert q.shape == (7,)
 
 
 def test_pipeline_identity_case():
