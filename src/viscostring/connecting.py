@@ -193,6 +193,10 @@ def hat_basis(grid: TimeGrid, n: int) -> ControlBasis:
     """n interior tents with knots at the grid nodes nearest i*T_max/(n+1)."""
     if n < 1:
         raise GridMismatchError(f"basis size must be >= 1, got {n}")
+    if n >= grid.n:  # checked before the knots are formed, whose number n sets
+        raise GridMismatchError(
+            f"basis size {n} needs {n + 2} distinct knots, but the grid has {grid.n + 1} nodes"
+        )
     return ControlBasis(grid, np.round(np.arange(n + 2) * grid.n / (n + 1)).astype(int))
 
 

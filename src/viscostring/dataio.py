@@ -76,7 +76,8 @@ def _input_stage(error: type, what: str):
     """Classify failures of code that turns outside input into objects.
 
     A ValueError (GridMismatchError, KernelValidationError, numpy's own), an
-    OverflowError from a float-to-int conversion or a malformed CSV file is
+    OverflowError from a float-to-int conversion, a MemoryError (numpy
+    refusing an array whose size the input sets) or a malformed CSV file is
     re-raised as `error`: ConfigError for config text, DataFormatError for
     file contents.  A ConfigError or DataFormatError passes unchanged, so a
     file named by a config keeps its file class.  Solver calls stay outside,
@@ -87,7 +88,7 @@ def _input_stage(error: type, what: str):
         yield
     except (ConfigError, DataFormatError):
         raise
-    except (ValueError, OverflowError, csv.Error) as exc:
+    except (ValueError, OverflowError, MemoryError, csv.Error) as exc:
         raise error(f"{what}: {exc}") from exc
 
 
@@ -160,6 +161,7 @@ class RunConfig:
             return _read_kernel_csv(spec[5:], grid)
         raise ConfigError(f"unknown kernel spec {spec!r} (const | exp:RATE | file:PATH)")
 
+    @_input_stage(ConfigError, "bad L")
     def q_values(self) -> np.ndarray:
         x = np.arange(round(self.L / self.dt) + 1) * self.dt
         return parse_q_spec(self.q, x, self.L)
@@ -424,6 +426,11 @@ def load_bundle(directory: str) -> tuple:
     if 2.0 * basis.grid.t_max > L + 1e-12:
         raise DataFormatError(f"manifest L = {L} is shorter than the data window 2*T_max")
     grid2 = TimeGrid(dt, 2 * basis.grid.n)
+    # read before the kernel is built: its row count checks grid2 before any
+    # array of grid2's size is formed
+    rcols = _read_csv(
+        os.path.join(directory, "response.csv"), ["t"] + [f"y{i + 1}" for i in range(basis.n)], grid2
+    )
 
     kernel_path = os.path.join(directory, "kernel.csv")
     if kind == "tabulated":
@@ -434,10 +441,6 @@ def load_bundle(directory: str) -> tuple:
         kernel = build_kernel(grid2, kind, rate=float(kv.get("kernel_rate", 1.0)))
     else:
         raise DataFormatError(f"unknown kernel_kind {kind!r}")
-
-    rcols = _read_csv(
-        os.path.join(directory, "response.csv"), ["t"] + [f"y{i + 1}" for i in range(basis.n)], grid2
-    )
     table = ResponseTable(basis=basis, kernel=kernel, Y=np.vstack(rcols[1:]), meta=meta)
 
     q_true = None

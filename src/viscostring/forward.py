@@ -37,14 +37,21 @@ half cancel) gives
 
     y(t) = gamma f(t) - f'(t) + exp(gamma t) int_0^t F(xi, t-xi) dxi,
 
-and the march adds each level's F row into that anti-diagonal integral as it
-goes, so F is never stored: one buffer holds the row of the current level.
+which the march sums as it goes.  It folds dt^2 into its weights,
+dt^2 (q+alpha) and dt^3 K, so a level's F row is the dt^2 F term of its
+update.  The rows of a block of ``_BLOCK`` levels are written into one small
+buffer, each shifted by its level so that a column is an anti-diagonal, and
+one sum over the buffer's rows per block, in level order, adds them to the
+integral.  y reads dt times the integral, the folded sums divided by dt once
+at the end.  Per level that leaves 4 numpy calls without memory and 7 with
+it.
+
 y(t_n) reads the cells x_i + t_k <= t_n only, so the march (``_mild_march``)
 takes the last anti-diagonal its caller needs: ``solve_mild`` asks for the
-whole cone, while the response table
-(``connecting.synthesize_table``) reads only the trace on [0,T] and asks for
-x_i + t_k <= T, where level k touches the rows i <= min(k+1, m-k), half of
-the cone, and builds neither the physical field nor the traction.
+whole cone, while the response table (``connecting.synthesize_table``) reads
+only the trace on [0,T] and asks for x_i + t_k <= T, where level k touches
+the rows i <= min(k+1, m-k), half of the cone, and builds neither the
+physical field nor the traction.
 
 ``fd_oracle`` is an independent check: a leapfrog discretization of the
 differentiated model w_tt = Lw + int_0^t N'(t-s) Lw(s) ds on the full domain
@@ -58,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import GridMismatchError, KernelValidationError, NumericalFailure
 from .grid import Sampled1D, Sampled2D, TimeGrid, centered_difference
@@ -182,16 +189,21 @@ def _mild_march(p: StringProblem, f: Sampled1D, last: int) -> tuple[np.ndarray, 
     Raises NumericalFailure when y is not finite.  f must already be checked
     against p, as ``solve_mild`` checks it.
 
-    Per level, F is formed in one reused buffer: (q+alpha) W, the block's
-    far-history row, and one near product of the levels k0..k whose last
-    weight is dK[0]/2.  Its first entry, the trapezoid end of anti-diagonal
-    t_k, is halved in place and the row goes into the integral in one slice
-    add; the W update, written in place into W[k+1], reads F[1:-1] only.
+    dt^2 is folded into the weights, qa = dt^2 (q+alpha) and dK = dt^3 K, so
+    a level's F row is the dt^2 F term of its W update.  It is formed in row
+    j+1 of the block buffer Z, shifted by j = k-k0 (column n-k0 of Z is
+    anti-diagonal t_n), from (q+alpha) W, the block's far-history row and
+    one near product of the levels k0..k whose last weight is dK[0]/2; the W
+    update, written in place into W[k+1], reads F[1:-1] only.  Row 0 of Z
+    carries the anti-diagonal sums of the earlier blocks, so after the block
+    the trapezoid ends F[0] are halved and one sum over the rows, which adds
+    them in level order, gives the new sums.
     """
     dt, m = p.dt, p.tgrid.n
+    dt2 = dt * dt
     res = resolvent(p.kernel)
-    gamma, alpha = res.gamma, res.alpha
-    dK = np.concatenate([dt * res.K.values[: m + 1], np.zeros(_BLOCK)])  # zero past lag m
+    gamma = res.gamma
+    dK = np.concatenate([(dt2 * dt) * res.K.values[: m + 1], np.zeros(_BLOCK)])  # zero past lag m
     has_memory = bool(np.any(dK))
     # row j of the window view is dK[j : j + _BLOCK]
     windows = sliding_window_view(dK, _BLOCK)
@@ -201,23 +213,28 @@ def _mild_march(p: StringProblem, f: Sampled1D, last: int) -> tuple[np.ndarray, 
     near[-1] *= 0.5  # the l = k end of the trapezoid
 
     t = p.tgrid.nodes()
-    qa = p.q[: m + 1] + alpha
+    qa = dt2 * (p.q[: m + 1] + res.alpha)
 
     # level k touches the rows i <= k+1 (its light cone and one beyond) with
-    # x_i + t_k <= t_last; the first ends[k] of them add to anti-diagonals <= T
+    # x_i + t_k <= t_last
     level = np.arange(m + 1)
-    rows = np.minimum(np.minimum(level + 2, m + 1), last + 1 - level)
-    ends = np.minimum(rows, m + 1 - level).tolist()
-    rows = rows.tolist()
+    rows = np.minimum(np.minimum(level + 2, m + 1), last + 1 - level).tolist()
+    R = max(rows)
 
-    W = np.zeros((m + 1, max(rows)))
+    W = np.zeros((m + 1, R))
     W[:, 0] = np.exp(-gamma * t) * f.values
-    buf = np.empty(max(rows))  # F of the current level
-    dt2 = dt * dt
-    integral = np.zeros(m + 1)  # trapezoid sums of F along x_i + t_k = t_n, level by level
+    # Z is 1-D reshaped; Fb[j, i] = Z[j+1, j+i] is F of level k0+j at row i.
+    # Cells a level leaves as an earlier block wrote them lie past anti-diagonal
+    # t_last >= t_m (rows shrink only at the cut), so they need no clearing
+    width = _BLOCK + R - 1
+    Z = np.zeros((_BLOCK + 1) * width).reshape(_BLOCK + 1, width)
+    Fb = as_strided(Z[1:], shape=(_BLOCK, R), strides=(Z.strides[0] + Z.itemsize, Z.itemsize))
+    # dt^2 times the trapezoid sums of F along x_i + t_k = t_n; those past t_m are unread
+    integral = np.zeros(m + 1 + width)
     # F(.,0) = (q+alpha) W(.,0) = 0 since f(0) = 0, so level 0 adds nothing
     for k0 in range(1, m + 1, _BLOCK):
         k1 = min(k0 + _BLOCK, m + 1)
+        Z[0] = integral[k0 : k0 + width]
         if has_memory:
             # memory of levels l = 1..k0-1 for the whole block, Toeplitz(dK)[k0:k1, 1:k0];
             # level l lives on rows i < l, and the block reads rows i <= last - k0
@@ -227,21 +244,20 @@ def _mild_march(p: StringProblem, f: Sampled1D, last: int) -> tuple[np.ndarray, 
         for k in range(k0, k1):
             r = rows[k]
             Wk = W[k, :r]
-            F = np.multiply(qa[:r], Wk, out=buf[:r])
+            F = np.multiply(qa[:r], Wk, out=Fb[k - k0, :r])
             if has_memory:
                 F[:c] += history[k - k0, :r]
                 F += near[_BLOCK - 1 - (k - k0) :] @ W[k0 : k + 1, :r]
-            F[0] *= 0.5  # the trapezoid end of anti-diagonal t_k; the W update reads F[1:-1]
-            integral[k : k + ends[k]] += F[: ends[k]]
             if k < m:
                 nxt = W[k + 1, 1 : r - 1]
                 np.add(Wk[2:], Wk[:-2], out=nxt)
                 nxt -= W[k - 1, 1 : r - 1]
-                F *= dt2
                 nxt += F[1:-1]
+        Fb[:, 0] *= 0.5  # the trapezoid end of anti-diagonals t_k0 .. t_k1-1
+        Z.sum(axis=0, out=integral[k0 : k0 + width])  # row by row, in level order
 
     fp = centered_difference(f.values, dt)
-    y = gamma * f.values - fp + np.exp(gamma * t) * (dt * integral)
+    y = gamma * f.values - fp + np.exp(gamma * t) * (integral[: m + 1] / dt)
     if not np.all(np.isfinite(y)):
         raise NumericalFailure(_OVERFLOW)
     return W, y

@@ -249,9 +249,9 @@ BAD_INPUTS = [
 ]
 
 
-@pytest.mark.filterwarnings("error")  # a stray numpy warning would reach stderr too
-@pytest.mark.parametrize("command, config, tamper, code", BAD_INPUTS)
-def test_bad_input_fails_at_the_boundary(tmp_path, capsys, command, config, tamper, code):
+def _run_bad_input(tmp_path, capsys, command, config, tamper):
+    """Exit code and stderr of a command on a config, or on the bundle it
+    synthesizes with the tamper applied."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     args = [command, "--out", str(tmp_path / "out")]
@@ -265,10 +265,47 @@ def test_bad_input_fails_at_the_boundary(tmp_path, capsys, command, config, tamp
             path.write_bytes(edit(path.read_bytes().decode()).encode())
         args.insert(1, bundle)
         capsys.readouterr()
-    assert main(args) == code
-    err = capsys.readouterr().err
+    return main(args), capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")  # a stray numpy warning would reach stderr too
+@pytest.mark.parametrize("command, config, tamper, code", BAD_INPUTS)
+def test_bad_input_fails_at_the_boundary(tmp_path, capsys, command, config, tamper, code):
+    got, err = _run_bad_input(tmp_path, capsys, command, config, tamper)
+    assert got == code
     assert len(err.splitlines()) == 1 and "Traceback" not in err, err
     assert not os.path.exists(tmp_path / "out")  # nothing is written on failure
+
+
+OVERSIZED_INPUTS = [
+    # sizes numpy refuses outright: the arrays would outgrow any address space
+    pytest.param(
+        "identify", CFG, _knots(lambda k: k[:-1] + ["100000000000000000"]) + _manifest("L", "1e300"),
+        4, "response.csv is not sampled on the grid of 200000000000000001 nodes", id="bundle-knot",
+    ),
+    pytest.param(
+        "synthesize", _config(n_basis=10**17), None, 2, "bad n_basis: basis size", id="n-basis"
+    ),
+    pytest.param(
+        "synthesize", _config(L="1e15", dt=1.0 / 256), None, 2, "bad L: Unable to allocate",
+        id="synthesize-L",
+    ),
+    pytest.param(
+        "forward", _config(L="1e15", dt=1.0 / 256), None, 2, "bad L: Unable to allocate",
+        id="forward-L",
+    ),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, config, tamper, code, message", OVERSIZED_INPUTS)
+def test_oversized_input_is_an_input_error(tmp_path, capsys, command, config, tamper, code, message):
+    # an input that sizes an array numpy cannot allocate exits with its
+    # input class, not with a MemoryError traceback and exit 1
+    got, err = _run_bad_input(tmp_path, capsys, command, config, tamper)
+    assert got == code and len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert message in err, err
+    assert not os.path.exists(tmp_path / "out")
 
 
 @pytest.mark.parametrize("q, code", [("const:1e+16", 3), ("sin:1e+2,1", 0)])

@@ -77,6 +77,16 @@ def test_hat_basis_too_fine_rejected():
         hat_basis(TimeGrid(0.1, 10), 15)
 
 
+def test_hat_basis_checks_its_size_before_forming_the_knots():
+    # n hats need n+2 distinct knots among the grid's n+1 nodes; a size numpy
+    # could not allocate knots for is a GridMismatchError, not a MemoryError
+    grid = TimeGrid(0.1, 10)
+    assert np.array_equal(hat_basis(grid, 9).knot_nodes, np.arange(11))
+    for n in (10, 10**17):
+        with pytest.raises(GridMismatchError, match="distinct knots"):
+            hat_basis(grid, n)
+
+
 @pytest.mark.parametrize(
     "knot_nodes",
     [

@@ -463,6 +463,48 @@ def test_one_near_product_per_level_matches_the_split_end_loop(rng, kernel, m):
     assert agree(y_cut, y_cut_ref)
 
 
+def _trace_from_field(p, f, W):
+    """gamma f - f' + e^{gamma t} dt Sigma, Sigma the trapezoid sum of (q+alpha) W
+    along each anti-diagonal x_i + t_k = t_n, added level by level from k = 0."""
+    dt, m = p.dt, p.tgrid.n
+    res = resolvent(p.kernel)
+    F = (p.q[: W.shape[1]] + res.alpha) * W
+    integral = np.zeros(m + 1)
+    for k in range(m + 1):
+        row = F[k, : m + 1 - k].copy()
+        row[0] *= 0.5
+        integral[k : k + len(row)] += row
+    t = p.tgrid.nodes()
+    fp = centered_difference(f.values, dt)
+    return res.gamma * f.values - fp + np.exp(res.gamma * t) * (dt * integral)
+
+
+@pytest.mark.parametrize("dt", [1.0 / 256, 1.0 / 100])
+@pytest.mark.parametrize("m", [forward._BLOCK - 1, forward._BLOCK, forward._BLOCK + 1, 2 * forward._BLOCK + 1])
+@pytest.mark.parametrize("kernel", ["const", "exp"])
+def test_block_summed_trace_is_the_level_ordered_anti_diagonal_sum(rng, kernel, m, dt):
+    # the march sums its dt^2-scaled F rows once per block; the sum over the
+    # block buffer's rows keeps the level order, and a power-of-two dt scales
+    # exactly, so the trace is the field's anti-diagonal sums bit for bit.
+    # The unit spike's trace past t_2 is e^{gamma t} dt Sigma alone, so there
+    # every bit of Sigma shows
+    grid = TimeGrid(dt, m)
+    ker = build_kernel(grid, kernel, rate=1.0)
+    p = StringProblem(m * dt, lambda x: 1.0 + 0.3 * np.sin(3.0 * x), ker, m * dt)
+    vals = rng.standard_normal(m + 1)
+    vals[0] = 0.0
+    spike = np.zeros(m + 1)
+    spike[1] = 1.0
+    for f in (Sampled1D(grid, spike), Sampled1D(grid, vals)):
+        for last in (2 * m, m):  # the whole cone and the spike cut
+            W, y = _mild_march(p, f, last)
+            want = _trace_from_field(p, f, W)
+            if dt == 1.0 / 256:
+                assert np.array_equal(y, want), last
+            else:
+                assert np.max(np.abs(y - want)) <= 1e-13 * np.max(np.abs(want)), last
+
+
 class _FullWidthField:
     """numpy, except that a 2-D np.zeros is square: _mild_march then stores
     its field on all m+1 rows, as a march that sizes it by m alone would."""
