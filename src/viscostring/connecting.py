@@ -76,7 +76,6 @@ from .forward import StringProblem, _mild_march, solve_mild
 __all__ = [
     "ControlBasis",
     "hat_basis",
-    "pw_linear_products",
     "ResponseTable",
     "synthesize_table",
     "ConnectingGram",
@@ -100,9 +99,10 @@ class ControlBasis:
     """Piecewise-linear hat controls on [0, T_max], given by their knot nodes.
 
     knot_nodes holds the n+2 grid-node indices of the knots, rising strictly
-    from 0 to grid.n; it is the one stored value, and the knot times and the
-    node samples derive from it.  The i-th tent rises from knots[i] to 1 at
-    knots[i+1] and falls to 0 at knots[i+2], so every control vanishes at 0
+    from 0 to grid.n; it is the one stored value, and the knot times, the
+    node samples, the masses, the mass matrix and the dual abscissae derive
+    from it.  The i-th tent rises from knots[i] to 1 at knots[i+1]
+    and falls to 0 at knots[i+2], so every control vanishes at 0
     (forward-solver requirement) and at T_max, and every kink of a control
     (and of its piecewise-constant response) sits on a quadrature node.
     Supports are nested: e_1..e_k span the controls supported in
@@ -142,13 +142,14 @@ class ControlBasis:
 
     @cached_property
     def dual_abscissae(self) -> np.ndarray:
-        """First-moment points of the elements: <t, e_i>/<1, e_i>.
+        """First-moment points of the elements: <t, e_i>/<1, e_i>, the
+        centroid (knots[i] + knots[i+1] + knots[i+2])/3 of the tent.
 
         A mass-weighted average <f, e_i>/<1, e_i> equals f at this abscissa
         exactly for affine f, which is what the steering readout relies on.
         """
-        moments = pw_linear_products(self.samples, self.grid.nodes()[None, :], self.grid.dt)
-        return _read_only(moments[:, 0] / self.element_masses)
+        k = self.knots
+        return _read_only((k[:-2] + k[1:-1] + k[2:]) / 3.0)
 
     def active(self, T: float) -> np.ndarray:
         """Indices 0..k-1 of the hats supported inside (0, T] (support end <= T + dt/2)."""
@@ -157,17 +158,18 @@ class ControlBasis:
 
     @cached_property
     def mass_matrix(self) -> np.ndarray:
-        """Exact L2(0, T_max) Gram of the basis (the samples are piecewise
-        linear between nodes, so the cellwise Simpson sum is exact).  For a
-        uniform knot lattice of spacing h = T_max/(n+1) this is
-        tridiag(h/6, 2h/3)."""
-        return _read_only(pw_linear_products(self.samples, self.samples, self.grid.dt))
+        """L2(0, T_max) Gram of the basis in closed form on the knot spacings
+        h = diff(knots): tridiagonal, <e_i, e_i> = (h_i + h_{i+1})/3 and
+        <e_i, e_{i+1}> = h_{i+1}/6 (tridiag(h/6, 2h/3) on a uniform lattice)."""
+        h = np.diff(self.knots)
+        off = h[1:-1] / 6.0
+        return _read_only(np.diag((h[:-1] + h[1:]) / 3.0) + np.diag(off, 1) + np.diag(off, -1))
 
     @cached_property
     def element_masses(self) -> np.ndarray:
-        """<1, e_i>, exact for the piecewise-linear samples."""
-        w = trap_weights(self.grid.n + 1, self.grid.dt)
-        return _read_only(self.samples @ w)
+        """<1, e_i> = (h_i + h_{i+1})/2, the area of the tent."""
+        h = np.diff(self.knots)
+        return _read_only((h[:-1] + h[1:]) / 2.0)
 
     def sampled_on(self, grid2: TimeGrid) -> np.ndarray:
         """Zero-extend the basis samples onto a longer grid (same step)."""
@@ -176,17 +178,6 @@ class ControlBasis:
         out = np.zeros((self.n, grid2.n + 1))
         out[:, : self.grid.n + 1] = self.samples
         return out
-
-
-def pw_linear_products(A: np.ndarray, B: np.ndarray, dt: float) -> np.ndarray:
-    """Exact pairwise L2 inner products of piecewise-linear node functions.
-
-    Rows of A and B are samples; on every cell the product is quadratic, so
-    the cellwise Simpson sum dt/6 * (2 v0 w0 + v0 w1 + v1 w0 + 2 v1 w1) is
-    exact."""
-    a0, a1 = A[:, :-1], A[:, 1:]
-    b0, b1 = B[:, :-1], B[:, 1:]
-    return (dt / 6.0) * (2.0 * a0 @ b0.T + a0 @ b1.T + a1 @ b0.T + 2.0 * a1 @ b1.T)
 
 
 def hat_basis(grid: TimeGrid, n: int) -> ControlBasis:
@@ -228,7 +219,7 @@ class ResponseTable:
         # controls that start flat, the launch slope for the first hat, read
         # with the one-sided stencil the forward trace uses (2/dt for a hat
         # that rises over a single step).
-        slopes = centered_difference(self.basis.samples, self.basis.grid.dt)[:, 0]
+        slopes = centered_difference(self.basis.samples[:, :3], self.basis.grid.dt)[:, 0]
         launch = float(np.max(np.abs(slopes)))
         scale = max(float(np.max(np.abs(y))), 1e-30)
         if np.max(np.abs(y[:, 0])) > 1.5 * launch + 1e-9 * scale:
@@ -490,14 +481,12 @@ def _diagonal_march(a: np.ndarray, c: np.ndarray, kmem: np.ndarray, nodes: np.nd
     seed = np.zeros_like(c)
     seed[1:-1] = 0.25 * (0.5 * c[:-2] + c[1:-1] + 0.5 * c[2:])
     rho, rho0 = _row0_density(G, m, phi, seed)
-    lev = np.arange(1, m + 1)
-    shift = np.maximum(lev[:, None] - lev[None, :-1] + 1, 0)  # G level l-l'+1; G[0] = G[1] = 0
     raw = np.zeros((len(nodes), n, n))
     for j, k in enumerate(nodes):
         if k == 0:  # W(s, 0) = 0
             continue
         rows = slice(o - k + 1, o + k)  # offsets k-r for the source rows r = 2k-1..1
-        H = G[shift[:k, : k - 1], o + k]
+        H = _lower_toeplitz_matrix(G[1 : k + 1, o + k])[:, : k - 1]  # H[l-1, l'-1] = G[l-l'+1]
         psi = G[1 : k + 1, rows] @ phi[2 * k - 1 : 0 : -1] + H @ rho[: k - 1]
         psi0 = G[k + 1, rows] @ seed[2 * k - 1 : 0 : -1] + H[-1] @ rho0[: k - 1]
         raw[j] = c[k:0:-1].T @ psi[:, :n] - a[k:0:-1].T @ psi[:, n:] - np.outer(a[0], psi0)

@@ -153,10 +153,13 @@ class RunConfig:
     @_input_stage(ConfigError, "bad kernel spec")
     def build_kernel2(self) -> MemoryKernel:
         spec, grid = self.kernel, self.doubled_grid()
-        if spec == "const":
-            return build_kernel(grid, "const")
-        if spec.startswith("exp:"):
-            return build_kernel(grid, "exp", rate=float(spec[4:]))
+        try:
+            if spec == "const":
+                return build_kernel(grid, "const")
+            if spec.startswith("exp:"):
+                return build_kernel(grid, "exp", rate=float(spec[4:]))
+        except MemoryError as exc:  # the spec sizes nothing; 2 T_max/dt sizes the doubled grid
+            raise ConfigError(f"bad T_max: {exc}") from exc
         if spec.startswith("file:"):
             return _read_kernel_csv(spec[5:], grid)
         raise ConfigError(f"unknown kernel spec {spec!r} (const | exp:RATE | file:PATH)")

@@ -56,6 +56,15 @@ def triangle_quadrature(F: Sampled2D, s_idx: int, t_idx: int) -> float:
     return 0.5 * total
 
 
+def simpson_products(A, B, dt):
+    """Exact pairwise L2 products of piecewise-linear node functions: the
+    cellwise Simpson sum dt/6 (2 v0 w0 + v0 w1 + v1 w0 + 2 v1 w1) of the rows.
+    The reference for the hat basis's closed-form products."""
+    a0, a1 = A[:, :-1], A[:, 1:]
+    b0, b1 = B[:, :-1], B[:, 1:]
+    return (dt / 6.0) * (2.0 * a0 @ b0.T + a0 @ b1.T + a1 @ b0.T + 2.0 * a1 @ b1.T)
+
+
 def frob_rel(A, B):
     return np.linalg.norm(A - B) / np.linalg.norm(B)
 

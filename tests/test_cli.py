@@ -294,6 +294,14 @@ OVERSIZED_INPUTS = [
         "forward", _config(L="1e15", dt=1.0 / 256), None, 2, "bad L: Unable to allocate",
         id="forward-L",
     ),
+    # the doubled grid of the kernel has 2 T_max/dt + 1 nodes; the spec is valid
+    *(
+        pytest.param(
+            command, _config(T_max="1e15", L="2e15", dt=1.0 / 256), None, 2,
+            "bad T_max: Unable to allocate", id=f"{command}-T_max",
+        )
+        for command in ("resolvent", "synthesize", "forward")
+    ),
 ]
 
 

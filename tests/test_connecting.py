@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from viscostring.errors import GridMismatchError, NumericalFailure
 from viscostring.grid import (
@@ -28,7 +30,13 @@ from viscostring.connecting import (
     synthesize_table,
 )
 
-from conftest import _spy_green, frob_rel, general_kernel, triangle_quadrature
+from conftest import (
+    _spy_green,
+    frob_rel,
+    general_kernel,
+    simpson_products,
+    triangle_quadrature,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +78,28 @@ def test_hat_basis_dual_abscissae_affine_exact():
     w = trap_weights(grid.n + 1, grid.dt)
     averages = (basis.samples * w) @ f / basis.element_masses
     assert np.max(np.abs(averages - (3.0 - 2.0 * basis.dual_abscissae))) <= 1e-12
+
+
+@st.composite
+def _rising_knot_nodes(draw):
+    m = draw(st.integers(2, 96))
+    interior = draw(st.lists(st.integers(1, m - 1), min_size=1, max_size=m - 1, unique=True))
+    return np.array([0, *sorted(interior), m])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rising_knot_nodes(), st.sampled_from([1.0 / 64, 0.01, 0.3]))
+@example(np.array([0, 1, 2]), 0.01)  # n = 1 on one-step tents
+@example(np.arange(12), 1.0 / 64)  # every tent one step wide
+def test_basis_products_from_the_knots_are_the_simpson_products_of_the_samples(nodes, dt):
+    basis = ControlBasis(TimeGrid(dt, int(nodes[-1])), nodes)
+    S, t = basis.samples, basis.grid.nodes()[None, :]
+    masses = simpson_products(S, np.ones_like(t), dt)[:, 0]
+    M = simpson_products(S, S, dt)
+    abscissae = simpson_products(S, t, dt)[:, 0] / masses
+    assert np.max(np.abs(basis.element_masses - masses) / masses) <= 1e-14
+    assert np.max(np.abs(basis.mass_matrix - M)) <= 1e-14 * np.max(np.abs(M))
+    assert np.max(np.abs(basis.dual_abscissae - abscissae) / abscissae) <= 1e-14
 
 
 def test_hat_basis_too_fine_rejected():
@@ -764,6 +794,37 @@ def test_diagonal_readouts_vanish_on_zero_factors(readout):
     else:
         raw = _diagonal_march(zero, zero, kmem, nodes, dt)
     assert raw.shape == (len(nodes), 3, 3) and np.all(raw == 0.0)
+
+
+def _shift_gather_march(a, c, kmem, nodes, dt):
+    """Reference diagonal march: each horizon's boundary-density matrix
+    gathered from G through a table of levels l-l'+1 (G[0] = G[1] = 0)."""
+    n, m, o = a.shape[1], nodes[-1], nodes[-1] + 1
+    G = _green(kmem, m, dt)
+    phi = np.hstack([a, c])
+    seed = np.zeros_like(c)
+    seed[1:-1] = 0.25 * (0.5 * c[:-2] + c[1:-1] + 0.5 * c[2:])
+    rho, rho0 = _row0_density(G, m, phi, seed)
+    lev = np.arange(1, m + 1)
+    shift = np.maximum(lev[:, None] - lev[None, :-1] + 1, 0)
+    raw = np.zeros((len(nodes), n, n))
+    for j, k in enumerate(nodes):
+        if k == 0:
+            continue
+        rows = slice(o - k + 1, o + k)
+        H = G[shift[:k, : k - 1], o + k]
+        psi = G[1 : k + 1, rows] @ phi[2 * k - 1 : 0 : -1] + H @ rho[: k - 1]
+        psi0 = G[k + 1, rows] @ seed[2 * k - 1 : 0 : -1] + H[-1] @ rho0[: k - 1]
+        raw[j] = c[k:0:-1].T @ psi[:, :n] - a[k:0:-1].T @ psi[:, n:] - np.outer(a[0], psi0)
+    return raw
+
+
+def test_diagonal_march_matches_the_shift_gather_bit_for_bit():
+    tab = _wave_setup(m=40, n=5, kernel="general", q=lambda x: 0.5 + 0.4 * x)[0]
+    a, c, kmem, nodes, dt = _gram_factors(tab)
+    raw = _diagonal_march(a, c, kmem, nodes, dt)
+    assert np.any(raw != 0.0)
+    assert raw.tobytes() == _shift_gather_march(a, c, kmem, nodes, dt).tobytes()
 
 
 def test_gram_memory_case_matches_oracle_at_all_horizons():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import viscostring.identify
-from conftest import general_kernel
+from conftest import general_kernel, simpson_products
 from viscostring.errors import ConfigError, GridMismatchError, NumericalFailure
 from viscostring.grid import TimeGrid, trap_weights
 from viscostring.kernels import build_kernel
@@ -14,7 +14,6 @@ from viscostring.connecting import (
     gram_from_data,
     gram_oracle,
     hat_basis,
-    pw_linear_products,
     synthesize_table,
 )
 from viscostring.identify import (
@@ -379,8 +378,8 @@ def _reference_readout(gram, T, b, cfg):
     residual = np.linalg.norm(C @ c_a - b[active]) / np.linalg.norm(b[active])
     masses = S @ trap_weights(basis.grid.n + 1, dt)
     t = basis.grid.nodes()[None, :].repeat(basis.n, axis=0)
-    tbars = (pw_linear_products(S, t, dt).diagonal() / masses)[active]
-    duals = (pw_linear_products(S, S, dt)[np.ix_(active, active)] @ c_a) / masses[active]
+    tbars = (simpson_products(S, t, dt).diagonal() / masses)[active]
+    duals = (simpson_products(S, S, dt)[np.ix_(active, active)] @ c_a) / masses[active]
 
     def extrapolate(tt, vv, t0):
         if len(tt) == 1:
