@@ -18,7 +18,6 @@ from viscostring import (
     TimeGrid,
     build_kernel,
     fd_oracle,
-    final_snapshot,
     solve_mild,
 )
 
@@ -45,12 +44,12 @@ print(f"grid: dt = {dt:.5f}, {m} steps, horizon T = {T}")
 print(f"field   relative L2 gap vs leapfrog oracle: {gap:.3e}")
 print(f"response relative L2 gap vs oracle trace:   {y_gap:.3e}")
 
-snap = final_snapshot(field)
-x = snap.grid.nodes()
-print("\nfinal snapshot w(x, T) (the state the control steered to):")
+w_T = field.w.values[:, -1]  # the last column of the field, on x in [0, T]
+x = field.xgrid.nodes()
+print("\nfinal state w(x, T) (the state the control steered to):")
 for i in range(0, len(x), len(x) // 10):
-    bar = "#" * int(40 * abs(snap.values[i]) / (np.max(np.abs(snap.values)) + 1e-30))
-    print(f"  x = {x[i]:.3f}  w = {snap.values[i]:+.4f}  {bar}")
+    bar = "#" * int(40 * abs(w_T[i]) / (np.max(np.abs(w_T)) + 1e-30))
+    print(f"  x = {x[i]:.3f}  w = {w_T[i]:+.4f}  {bar}")
 
 print("\nboundary data seen by the observer (t, f, y, traction):")
 for k in range(0, m + 1, m // 8):

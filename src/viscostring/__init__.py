@@ -36,7 +36,6 @@ from .forward import (
     StringProblem,
     WaveField,
     fd_oracle,
-    final_snapshot,
     solve_mild,
 )
 from .connecting import (

@@ -137,7 +137,7 @@ def cmd_forward(args) -> int:
     cfg = _load_config(args.config)
     kernel2 = cfg.build_kernel2()
     grid = cfg.time_grid()
-    f_vals = parse_control_spec(cfg.control, grid, cfg.control_basis())
+    f_vals = parse_control_spec(cfg.control, grid, cfg.n_basis)
     p = StringProblem(cfg.L, cfg.q_values(), kernel2, cfg.T_max)
     field = solve_mild(p, Sampled1D(grid, f_vals))
     os.makedirs(args.out, exist_ok=True)

@@ -33,8 +33,8 @@ a_j(s) b_i(t) - c_j(s) d_i(t) with a = exp(-gamma s) y, c = exp(-gamma s) e
 and b = c, d = a on [0, T_max].  When K == 0 (const and exp kernels at any
 rate; a tabulated K marches below on any nonzero sample) the diagonal is one
 triangle quadrature of G, and with the running trapezoids U_x(s_r) =
-dt (sum_{p<=r} x(s_p) - x(s_r)/2) of the s-factors (``grid._running_trapezoid``)
-it is, in ``_diagonal_closed_form``,
+int_0^{s_r} x of the s-factors (``grid.cumulative_values``; any constant
+offset of U would cancel in S) it is, in ``_diagonal_closed_form``,
 
     W_ij(t_k,t_k) = 1/2 sum_{tau<k} w_tau [b_i(tau) S_a,j(tau,k) - d_i(tau) S_c,j(tau,k)],
     S_x(tau,k) = U_x(s_{2k-tau}) - U_x(s_tau),   w_0 = dt/2,  w_tau = dt,
@@ -60,14 +60,14 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GridMismatchError
+from .errors import GridMismatchError, NumericalFailure
 from .grid import (
     Sampled1D,
     TimeGrid,
     centered_difference,
     _lower_toeplitz_inverse,
     _lower_toeplitz_matrix,
-    _running_trapezoid,
+    cumulative_values,
     trap_weights,
 )
 from .kernels import MemoryKernel, resolvent
@@ -280,9 +280,12 @@ def synthesize_table(
     Y = res.gamma * E - centered_difference(E, dt) + z
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
-        noise = noise_sigma * rng.standard_normal(Y.shape)
-        noise[:, 0] = 0.0
-        Y = Y + noise
+        with np.errstate(over="ignore"):  # an overflow ends in NumericalFailure below
+            noise = noise_sigma * rng.standard_normal(Y.shape)
+            noise[:, 0] = 0.0
+            Y = Y + noise
+        if not np.all(np.isfinite(Y)):
+            raise NumericalFailure(f"noise_sigma = {noise_sigma} overflows the response table")
     info = {"noise_sigma": noise_sigma, "seed": seed}
     if meta:
         info.update(meta)
@@ -420,7 +423,7 @@ def _diagonal_closed_form(a: np.ndarray, c: np.ndarray, nodes: np.ndarray, dt: f
     n, m = a.shape[1], nodes[-1]
     w = 0.5 * trap_weights(m + 1, dt)[:, None]  # w_tau / 2; tau = m is never summed
     bw, dw = w * c[: m + 1], w * a[: m + 1]
-    U = _running_trapezoid(np.hstack([a, c]), dt)
+    U = cumulative_values(np.hstack([a, c]), dt)
     raw = np.zeros((len(nodes), n, n))
     for j, k in enumerate(nodes):
         S = U[2 * k : k : -1] - U[:k]

@@ -237,19 +237,19 @@ def parse_q_spec(spec: str, x: np.ndarray, L: float) -> np.ndarray:
 
 
 @_input_stage(ConfigError, "bad control spec")
-def parse_control_spec(spec: str, grid: TimeGrid, basis: ControlBasis | None = None) -> np.ndarray:
+def parse_control_spec(spec: str, grid: TimeGrid, n_basis: int) -> np.ndarray:
     """Boundary control for single forward runs: sin2 | hat:I | poly:... .
 
-    Returns finite samples on the grid that start at rest (f(0) = 0); every
-    malformed spec raises ConfigError.
+    hat:I is the I-th of the n_basis hats on the grid, which only a hat
+    control builds.  Returns finite samples on the grid that start at rest
+    (f(0) = 0); every malformed spec raises ConfigError.
     """
     t = grid.nodes()
     T = grid.t_max
     if spec == "sin2":
         return np.sin(np.pi * t / T) ** 2
     if spec.startswith("hat:"):
-        if basis is None:
-            raise ConfigError("hat control needs a basis")
+        basis = hat_basis(grid, n_basis)
         i = int(spec[4:])
         if not (1 <= i <= basis.n):
             raise ConfigError(f"hat index {i} outside 1..{basis.n}")

@@ -75,7 +75,6 @@ __all__ = [
     "StringProblem",
     "WaveField",
     "solve_mild",
-    "final_snapshot",
     "fd_oracle",
 ]
 
@@ -164,11 +163,8 @@ def _check_control(p: StringProblem, f: Sampled1D):
 
 def _memory_row(K: np.ndarray, W: np.ndarray, k: int, dt: float) -> np.ndarray:
     """Trapezoid of int_0^{t_k} K(t_k - s) W(x, s) ds for every x at once."""
-    if k == 0:
-        return np.zeros(W.shape[0])
     acc = 0.5 * K[k] * W[:, 0] + 0.5 * K[0] * W[:, k]
-    if k > 1:
-        acc += W[:, 1:k] @ K[k - 1:0:-1]
+    acc += W[:, 1:k] @ K[k - 1:0:-1]  # an exact zero at k = 1
     return dt * acc
 
 
@@ -286,21 +282,6 @@ def solve_mild(p: StringProblem, f: Sampled1D) -> WaveField:
     return WaveField(w=Sampled2D(tgrid, tgrid, W.T), y=y, sigma=sigma)
 
 
-def _trace_x0(w: np.ndarray, dx: float) -> np.ndarray:
-    """One-sided second-order difference of the rows w[0..2] at x = 0."""
-    return (-3.0 * w[0, :] + 4.0 * w[1, :] - w[2, :]) / (2.0 * dx)
-
-
-def final_snapshot(field: WaveField, T: float | None = None) -> Sampled1D:
-    """Space slice w(., T) on [0, T_X] (T_X = T; zero beyond by finite speed)."""
-    tgrid = field.tgrid
-    k = tgrid.n if T is None else tgrid.index_of(T)
-    n_keep = min(k, field.xgrid.n)
-    xg = TimeGrid(tgrid.dt, max(n_keep, 1))
-    vals = field.w.values[: xg.n + 1, k]
-    return Sampled1D(xg, vals)
-
-
 def fd_oracle(p: StringProblem, f: Sampled1D) -> WaveField:
     """Independent leapfrog solution of w_tt = Lw + int_0^t N'(t-s) Lw(s) ds
     on the full interval [0,L], Dirichlet at both ends, zero initial data.
@@ -335,5 +316,5 @@ def fd_oracle(p: StringProblem, f: Sampled1D) -> WaveField:
         w[n_x, k + 1] = 0.0
 
     xg = TimeGrid(dt, n_x)
-    y = Sampled1D(tgrid, _trace_x0(w, dx))
+    y = Sampled1D(tgrid, centered_difference(w[:3].T, dx)[:, 0])
     return WaveField(w=Sampled2D(xg, tgrid, w), y=y, sigma=response_to_traction(y, p.kernel))

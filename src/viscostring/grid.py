@@ -4,8 +4,9 @@ The layers downstream (kernel algebra, wave marching, the connecting-operator
 chain, the steering solve) call these primitives:
 
   * trap_weights and the trapezoid sums convolve_values (int_0^t k(t-s) h(s) ds,
-    with causal_convolve its Sampled1D form), cumulative_integral (int_0^t h(r)
-    dr) and _running_trapezoid (whose differences integrate between two nodes);
+    with causal_convolve its Sampled1D form) and the one running trapezoid
+    cumulative_values (int_0^t h(r) dr down axis 0, whose differences integrate
+    between two nodes, with cumulative_integral its Sampled1D form);
   * centered_difference, a second-order first derivative;
   * lower_toeplitz_solve, with the inverse it builds (_lower_toeplitz_inverse)
     and the matrix of a first column (_lower_toeplitz_matrix), for the causal
@@ -176,21 +177,18 @@ def causal_convolve(k: Sampled1D, h: Sampled1D) -> Sampled1D:
 
 
 def cumulative_values(h: np.ndarray, dt: float) -> np.ndarray:
+    """Running trapezoid int_0^{t_r} h down axis 0, 0 at node 0: out[b] - out[a]
+    integrates h between the nodes a <= b, and column j of a 2-D input gives
+    the 1-D result of h[:, j] bit for bit."""
     out = np.empty_like(h, dtype=float)
     out[0] = 0.0
-    np.cumsum(0.5 * dt * (h[1:] + h[:-1]), out=out[1:])
+    np.cumsum(0.5 * dt * (h[1:] + h[:-1]), axis=0, out=out[1:])
     return out
 
 
 def cumulative_integral(h: Sampled1D) -> Sampled1D:
     """Running integral int_0^t h(r) dr by composite trapezoid; 0 at node 0."""
     return Sampled1D(h.grid, cumulative_values(h.values, h.grid.dt))
-
-
-def _running_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
-    """U[r] = dt (sum_{p<=r} v[p] - v[r]/2) down axis 0, so that U[b] - U[a]
-    is the composite trapezoid of v between the nodes a <= b."""
-    return dt * (np.cumsum(values, axis=0) - 0.5 * values)
 
 
 def centered_difference(values: np.ndarray, dt: float) -> np.ndarray:

@@ -203,6 +203,11 @@ BAD_INPUTS = [
     pytest.param("synthesize", _config(seed=-1, noise_sigma=1e-3), None, 2, id="seed-negative"),
     pytest.param("synthesize", _config(noise_sigma="nan"), None, 2, id="noise-sigma-nan"),
     pytest.param("synthesize", _config(out="elsewhere"), None, 2, id="retired-out-key"),
+    # a hat control needs a basis the grid holds: 16 hats need 18 of its 9 nodes
+    pytest.param(
+        "forward", "L = 1.0\nT_max = 0.5\ndt = 0.0625\ncontrol = hat:2\n", None, 2,
+        id="forward-hat-basis-too-large",
+    ),
     # bundle contents: exit 4
     pytest.param("identify", CFG, _manifest("kernel_rate", "abc"), 4, id="manifest-kernel-rate-abc"),
     pytest.param("identify", CFG, _manifest("dt", "nan"), 4, id="manifest-dt-nan"),
@@ -246,6 +251,10 @@ BAD_INPUTS = [
     ),
     # a finite control whose solution overflows: exit 3
     pytest.param("forward", _config(control="poly:0,1e308,1e308"), None, 3, id="forward-overflow"),
+    # noise that overflows the response table: exit 3
+    pytest.param(
+        "synthesize", _config(noise_sigma=1e308, n_basis=8), None, 3, id="noise-sigma-overflow"
+    ),
 ]
 
 
@@ -452,6 +461,17 @@ def test_forward_hat_control(tmp_path):
     t, f, y, sigma = np.loadtxt(os.path.join(out, "boundary.csv"), delimiter=",", skiprows=1, unpack=True)
     assert np.array_equal(f, hat_basis(TimeGrid(0.0078125, 32), 12).samples[1])
     assert np.all(np.isfinite(y)) and np.max(np.abs(y)) > 0.0
+
+
+def test_forward_reads_n_basis_only_for_a_hat_control(tmp_path, capsys):
+    # the default n_basis = 16 needs 18 knots, more than this grid's 9 nodes,
+    # but a sin2 control never builds the basis
+    cfg = tmp_path / "sin2.cfg"
+    cfg.write_text("L = 1.0\nT_max = 0.5\ndt = 0.0625\ncontrol = sin2\n")
+    out = tmp_path / "fw"
+    assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "boundary.csv").is_file()
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_filter_runs_single_criterion(tmp_path, capsys):

@@ -796,6 +796,24 @@ def test_diagonal_readouts_vanish_on_zero_factors(readout):
     assert raw.shape == (len(nodes), 3, 3) and np.all(raw == 0.0)
 
 
+def test_closed_form_matches_the_offset_running_trapezoid(rng):
+    # the running trapezoid dt (sum_{p<=r} v_p - v_r/2) is the trapezoid
+    # from 0 plus dt v_0/2, a constant offset that cancels in every S
+    m, n, dt = 48, 5, 1.0 / 96
+    a, c = rng.standard_normal((2, 2 * m + 1, n))
+    nodes = np.round(np.arange(n + 2) * m / (n + 1)).astype(int)
+    raw = _diagonal_closed_form(a, c, nodes, dt)
+    w = 0.5 * trap_weights(m + 1, dt)[:, None]
+    v = np.hstack([a, c])
+    U = dt * (np.cumsum(v, axis=0) - 0.5 * v)
+    ref = np.zeros_like(raw)
+    for j, k in enumerate(nodes):
+        S = U[2 * k : k : -1] - U[:k]
+        ref[j] = (w * c[: m + 1])[:k].T @ S[:, :n] - (w * a[: m + 1])[:k].T @ S[:, n:]
+    assert np.any(raw != 0.0)
+    assert np.max(np.abs(raw - ref)) <= 1e-14 * np.max(np.abs(raw))
+
+
 def _shift_gather_march(a, c, kmem, nodes, dt):
     """Reference diagonal march: each horizon's boundary-density matrix
     gathered from G through a table of levels l-l'+1 (G[0] = G[1] = 0)."""

@@ -125,16 +125,15 @@ def test_q_spec_from_file(tmp_path):
 
 def test_control_spec():
     g = TimeGrid(0.01, 100)
-    f = parse_control_spec("sin2", g)
+    f = parse_control_spec("sin2", g, 16)
     assert f[0] == 0.0 and abs(f[50] - 1.0) <= 1e-12
-    f2 = parse_control_spec("poly:0,1", g)
+    f2 = parse_control_spec("poly:0,1", g, 16)
     assert np.allclose(f2, g.nodes())
     with pytest.raises(ConfigError):
-        parse_control_spec("nope", g)
+        parse_control_spec("nope", g, 16)
 
 
 _FUZZ_GRID = TimeGrid(1.0 / 32, 64)  # T_max = 2, so polynomial terms can overflow
-_FUZZ_BASIS = hat_basis(_FUZZ_GRID, 5)
 _numbers = st.one_of(st.floats(), st.integers(-(10**6), 10**6), st.text(max_size=6))
 _control_specs = st.one_of(
     st.text(),
@@ -147,10 +146,11 @@ _control_specs = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(spec=_control_specs)
 def test_control_spec_fuzz_finite_or_config_error(spec):
-    # with or without a basis: a finite control on the grid, or ConfigError
-    for basis in (None, _FUZZ_BASIS):
+    # with a basis size the grid holds and one it cannot: a finite control
+    # on the grid, or ConfigError
+    for n_basis in (5, _FUZZ_GRID.n):
         try:
-            f = parse_control_spec(spec, _FUZZ_GRID, basis)
+            f = parse_control_spec(spec, _FUZZ_GRID, n_basis)
         except ConfigError:
             continue
         assert f.shape == (_FUZZ_GRID.n + 1,) and np.all(np.isfinite(f))

@@ -11,7 +11,6 @@ from viscostring.forward import (
     StringProblem,
     _mild_march,
     fd_oracle,
-    final_snapshot,
     solve_mild,
 )
 
@@ -79,7 +78,6 @@ def test_zero_control_zero_field():
     fld = solve_mild(p, Sampled1D(tg, np.zeros(tg.n + 1)))
     assert np.all(fld.w.values == 0.0)
     assert np.all(fld.y.values == 0.0)
-    assert np.all(final_snapshot(fld).values == 0.0)
 
 
 def test_finite_speed_exact_zeros():
@@ -194,18 +192,31 @@ def test_field_matches_fd_oracle_memory_kernel():
     assert gap <= 1e-2
 
 
+def test_fd_oracle_trace_is_the_one_sided_stencil_of_its_field():
+    # the oracle reads y off its own field by the second-order one-sided
+    # difference at x = 0, the end stencil of centered_difference
+    m, T, L = 40, 0.4, 1.0
+    dt = T / m
+    tg = TimeGrid(dt, m)
+    p = StringProblem(L, lambda x: 1.0 + 0.5 * np.sin(np.pi * x / L), general_kernel(tg), T)
+    f = Sampled1D.from_callable(tg, lambda t: np.sin(np.pi * t / T) ** 2)
+    b = fd_oracle(p, f)
+    w = b.w.values
+    assert np.array_equal(b.y.values, (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * dt))
+
+
 def test_final_snapshot_transport_and_front():
     p, tg = _wave_problem(m=64)
     T = tg.t_max
     f = Sampled1D.from_callable(tg, lambda t: t * (T - t))
     fld = solve_mild(p, f)
-    snap = final_snapshot(fld)
-    x = snap.grid.nodes()
-    assert np.max(np.abs(snap.values - np.interp(T - x, tg.nodes(), f.values))) <= 1e-12
+    w_T = fld.w.values[:, -1]
+    x = fld.xgrid.nodes()
+    assert np.max(np.abs(w_T - np.interp(T - x, tg.nodes(), f.values))) <= 1e-12
     # the wavefront value continues the control's t -> 0+ limit (here 0),
     # approached at O(dt) governed by the launch slope f'(0) = T
-    assert abs(snap.values[-1]) <= 1e-12
-    assert abs(snap.values[-2]) <= 1.5 * T * tg.dt
+    assert abs(w_T[-1]) <= 1e-12
+    assert abs(w_T[-2]) <= 1.5 * T * tg.dt
 
 
 def test_mild_strong_consistency_residual_shrinks():

@@ -9,6 +9,7 @@ from viscostring.grid import (
     causal_convolve,
     centered_difference,
     cumulative_integral,
+    cumulative_values,
     lower_toeplitz_solve,
 )
 
@@ -119,6 +120,16 @@ def test_cumulative_integral_cases():
     assert err <= 1e-7
     z = Sampled1D(g, np.zeros(g.n + 1))
     assert np.all(cumulative_integral(z).values == 0.0)
+
+
+def test_cumulative_values_runs_down_each_column_bit_for_bit(rng):
+    # the 2-D running trapezoid of the Gram's factor stack is the 1-D one of
+    # every column, so a kernel's M and a factor's U come from one primitive
+    h = rng.standard_normal((97, 7))
+    U = cumulative_values(h, 0.013)
+    assert U.shape == h.shape and np.all(U[0] == 0.0)
+    for j in range(h.shape[1]):
+        assert U[:, j].tobytes() == cumulative_values(h[:, j].copy(), 0.013).tobytes()
 
 
 def test_cumulative_integral_monotone(rng):
