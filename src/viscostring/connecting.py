@@ -151,11 +151,6 @@ class ControlBasis:
         k = self.knots
         return _read_only((k[:-2] + k[1:-1] + k[2:]) / 3.0)
 
-    def active(self, T: float) -> np.ndarray:
-        """Indices 0..k-1 of the hats supported inside (0, T] (support end <= T + dt/2)."""
-        tol = 0.5 * self.grid.dt
-        return np.nonzero(self.knots[2:] <= T + tol)[0]
-
     @cached_property
     def mass_matrix(self) -> np.ndarray:
         """L2(0, T_max) Gram of the basis in closed form on the knot spacings
@@ -412,6 +407,9 @@ def gram_from_data(tab: ResponseTable) -> ConnectingGram:
     raw *= np.exp(2.0 * res.gamma * basis.grid.nodes()[nodes])[:, None, None]
 
     sym = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
+    # a ratio of norms, taken on each matrix over its largest |entry| (no overflow)
+    peak = np.abs(raw).max(axis=(1, 2), keepdims=True)
+    raw /= np.where(peak > 0, peak, 1.0)
     norms = np.linalg.norm(raw, axis=(1, 2))
     gaps = np.linalg.norm(raw - np.transpose(raw, (0, 2, 1)), axis=(1, 2))
     asym = np.where(norms > 0, gaps / np.where(norms > 0, norms, 1.0), 0.0)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import GridMismatchError
 
@@ -225,11 +225,11 @@ def _lower_toeplitz_inverse(a: np.ndarray) -> np.ndarray:
 
 
 def _lower_toeplitz_matrix(first_col: np.ndarray) -> np.ndarray:
-    """The lower-triangular Toeplitz matrix L[i, j] = first_col[i-j] (j <= i),
-    built by one strided copy: row i is a window of the reversed, zero-padded column."""
+    """The lower-triangular Toeplitz matrix L[i, j] = first_col[i-j] (j <= i), one
+    copy of the view L[i, j] = padded[n-1+i-j] of the column after n-1 zeros."""
     n = len(first_col)
-    padded = np.concatenate([first_col[::-1], np.zeros(n - 1)])
-    return sliding_window_view(padded, n)[::-1].copy()
+    padded = np.concatenate([np.zeros(n - 1), first_col])
+    return as_strided(padded[n - 1 :], (n, n), (padded.itemsize, -padded.itemsize)).copy()
 
 
 def lower_toeplitz_solve(first_col, rhs) -> np.ndarray:

@@ -108,17 +108,18 @@ def _extrapolate(times: np.ndarray, values: np.ndarray, t0: float) -> float:
 
 
 def _steer(gram: ConnectingGram, T: float, b: np.ndarray) -> tuple:
-    """The guarded steering solve at the knot horizon T.
+    """The guarded steering solve at the knot horizon T on the hats 0..k-1 that
+    end by T: k counts knot_nodes[2:] at or below T's node, an integer rule.
 
     Returns (coefficients, duals, f0, xi, residual, condition): the active
     coefficients, their dual averages, f(0+) extrapolated from the leading
     duals, the target trace xi(T) = exp(gamma T) f(0+), the relative residual
     and the condition number of the active Gram.  A Gram whose least
-    eigenvalue is not above 1e-8 times its norm raises NumericalFailure.
+    eigenvalue is not above 1e-8 times its norm (taken on C over its largest
+    |entry|, whose squares cannot overflow) raises NumericalFailure.
     """
     basis = gram.basis
-    basis.grid.index_of(T)  # an off-grid horizon raises GridMismatchError first
-    k = len(basis.active(T))  # the active set is the prefix 0..k-1
+    k = int(basis.knot_nodes[2:].searchsorted(basis.grid.index_of(T), side="right"))
     if k == 0:
         raise GridMismatchError(f"horizon T={T} is below the first basis support")
     C = gram.at(T)[:k, :k]
@@ -126,11 +127,12 @@ def _steer(gram: ConnectingGram, T: float, b: np.ndarray) -> tuple:
 
     ev = np.linalg.eigvalsh(C)
     ev_min = float(ev[0])
-    c_norm = float(np.linalg.norm(C))
-    if ev_min <= 1e-8 * c_norm:
+    c_max = float(np.abs(C).max())
+    c_norm = float(np.linalg.norm(C / c_max)) if c_max > 0 else 0.0  # at most k
+    if ev_min <= 1e-8 * c_max * c_norm:
         raise NumericalFailure(
             f"Gram at T={T} is not positive definite beyond tolerance "
-            f"(min eigenvalue {ev_min:.3e}, norm {c_norm:.3e})"
+            f"(min eigenvalue {ev_min:.3e}, norm {c_max * c_norm:.3e})"
         )
 
     c_a = np.linalg.solve(C, b_a)

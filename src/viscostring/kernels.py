@@ -1,5 +1,7 @@
 """Relaxation kernel N(t), its resolvent and the derived transform constants.
 
+M(t) = int_0^t N and gamma = R(0)/2 are not stored: they are reads of N and R.
+
 The memory model repeatedly produces Volterra equations of the second kind
 with kernel N1 = N',
 
@@ -29,7 +31,7 @@ finite-difference cross-check in the acceptance suite pins the choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -56,17 +58,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MemoryKernel:
-    """Sampled relaxation kernel with its first three derivatives and
-    M(t) = int_0^t N."""
+    """Sampled relaxation kernel with its first three derivatives; M reads N."""
 
     grid: TimeGrid
     N: Sampled1D
     N1: Sampled1D
     N2: Sampled1D
     N3: Sampled1D
-    M: Sampled1D = field(repr=False)
     kind: str = "tabulated"
     rate: float | None = None
+
+    @cached_property
+    def M(self) -> Sampled1D:
+        return cumulative_integral(self.N)
 
     def consistency_residual(self) -> float:
         """Max mismatch between numerically differentiated samples and the
@@ -85,18 +89,17 @@ class MemoryKernel:
         grid = self.grid
         n1 = self.N1.values
         r0 = n1[0]  # R(0) = rhs(0) of the first solve
-        gamma = 0.5 * r0
         if self.kind in ("const", "exp"):
             zero = Sampled1D(grid, np.zeros(grid.n + 1))
             r = Sampled1D(grid, _volterra_values(n1, n1, grid.dt))
-            return ResolventData(R=r, gamma=gamma, alpha=0.25 * r0 * r0, K=zero)
+            return ResolventData(R=r, alpha=0.25 * r0 * r0, K=zero)
         n2 = self.N2.values
         r1_0 = n2[0] - r0 * n1[0]  # R'(0)
         alpha = r1_0 + 0.25 * r0 * r0
         rhs2 = self.N3.values - r0 * n2 - r1_0 * n1
         r, r2d = _volterra_values(n1, np.column_stack([n1, rhs2]), grid.dt).T
-        kk = Sampled1D(grid, np.exp(-gamma * grid.nodes()) * r2d)
-        return ResolventData(R=Sampled1D(grid, r), gamma=gamma, alpha=alpha, K=kk)
+        kk = Sampled1D(grid, np.exp(-0.5 * r0 * grid.nodes()) * r2d)
+        return ResolventData(R=Sampled1D(grid, r), alpha=alpha, K=kk)
 
 
 def build_kernel(
@@ -145,8 +148,7 @@ def build_kernel(
     else:
         raise KernelValidationError(f"unknown kernel kind {kind!r}")
 
-    # samples near the float limit overflow M and the difference check; the
-    # comparison below then sees inf or nan and rejects them
+    # near the float limit the difference check overflows to inf or nan and fails below
     with np.errstate(over="ignore", invalid="ignore"):
         kernel = MemoryKernel(
             grid=grid,
@@ -154,7 +156,6 @@ def build_kernel(
             N1=Sampled1D(grid, n1),
             N2=Sampled1D(grid, n2),
             N3=Sampled1D(grid, n3),
-            M=cumulative_integral(Sampled1D(grid, n)),
             kind=kind,
             rate=rate if kind == "exp" else None,
         )
@@ -204,13 +205,16 @@ def solve_volterra(kernel: Sampled1D, rhs: Sampled1D) -> Sampled1D:
 @dataclass(frozen=True)
 class ResolventData:
     """Resolvent R of N1 and what the transform reads of it: gamma = R(0)/2,
-    alpha = R'(0) + R(0)^2/4 and K = exp(-gamma t) R''.  K is an exact zero
-    for const and exp kernels at any rate."""
+    a read of R, alpha = R'(0) + R(0)^2/4 and K = exp(-gamma t) R''.  K is an
+    exact zero for const and exp kernels at any rate."""
 
     R: Sampled1D
-    gamma: float
     alpha: float
     K: Sampled1D
+
+    @property
+    def gamma(self) -> float:
+        return 0.5 * self.R.values[0]
 
     def residual(self, kernel: MemoryKernel) -> float:
         """sup-norm residual of R + N1*R - N1 at the discrete level."""

@@ -528,3 +528,26 @@ def test_numerical_failure_exit_code_3(tmp_path, cfg_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "T=0.078125 is not positive definite" in err, err
     assert not (tmp_path / "id").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_responses_whose_gram_squares_overflow(tmp_path, cfg_path, capsys):
+    # response rows after t = 0 scaled by 1e300: no norm squares the Gram
+    # entries, so connect writes the Gram quietly, and identify stops at the
+    # target trace, which falls under the zero guard
+    bundle = str(tmp_path / "bundle")
+    assert main(["synthesize", "--config", cfg_path, "--out", bundle]) == 0
+    table, q_true, manifest = load_bundle(bundle)
+    Y = table.Y.copy()
+    Y[:, 1:] *= 1e300
+    save_bundle(
+        bundle, replace(table, Y=Y), q_true=q_true, L=float(manifest["L"]), q_spec=manifest["q_spec"]
+    )
+    capsys.readouterr()
+    assert main(["connect", bundle, "--out", str(tmp_path / "gram")]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["identify", bundle, "--out", str(tmp_path / "id")]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "numerical failure: target identically degenerate: |xi| under guard everywhere"
+    ], err

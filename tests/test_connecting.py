@@ -51,10 +51,6 @@ def test_hat_basis_structure():
     assert np.all(basis.samples[:, 0] == 0.0)
     assert np.all(basis.samples[:, -1] == 0.0)
     assert np.all(np.diff(basis.knots) > 0)
-    # nested supports: at T = knots[k+1] exactly k elements are usable
-    for k in (3, 10, 32):
-        assert len(basis.active(basis.knots[k])) == k - 1
-    assert len(basis.active(grid.t_max)) == 32
 
 
 def test_hat_basis_mass_matrix_uniform_lattice():

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from viscostring.errors import GridMismatchError
 from viscostring.grid import (
     Sampled1D,
     Sampled2D,
     TimeGrid,
+    _lower_toeplitz_matrix,
     causal_convolve,
     centered_difference,
     cumulative_integral,
@@ -30,6 +32,17 @@ def test_lower_toeplitz_solve_matches_dense_solve(rng, n):
     x = lower_toeplitz_solve(col, rhs)
     ref = np.linalg.solve(_lower_toeplitz(col), rhs)
     assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [1, 2, 33, 257])
+def test_lower_toeplitz_matrix_is_the_sliding_window_copy(rng, n):
+    # the former construction: row i is a window of the reversed, zero-padded column
+    col = rng.standard_normal(n)
+    padded = np.concatenate([col[::-1], np.zeros(n - 1)])
+    ref = sliding_window_view(padded, n)[::-1].copy()
+    L = _lower_toeplitz_matrix(col)
+    assert L.shape == ref.shape and L.tobytes() == ref.tobytes()
+    assert L.flags.c_contiguous and L.flags.writeable
 
 
 def test_lower_toeplitz_solve_columns_are_the_one_column_solves(rng):

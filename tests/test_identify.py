@@ -1,15 +1,18 @@
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import viscostring.identify
+import viscostring.kernels
 from conftest import general_kernel, simpson_products
 from viscostring.errors import ConfigError, GridMismatchError, NumericalFailure
-from viscostring.grid import TimeGrid, trap_weights
+from viscostring.grid import Sampled1D, TimeGrid, trap_weights
+from viscostring.dataio import load_bundle, parse_q_spec, save_bundle
 from viscostring.kernels import build_kernel
-from viscostring.forward import StringProblem
+from viscostring.forward import StringProblem, solve_mild
 from viscostring.connecting import (
     gram_from_data,
     gram_oracle,
@@ -26,6 +29,12 @@ from viscostring.identify import (
 )
 
 
+def _active(basis, T):
+    """Indices 0..k-1 of the hats supported inside (0, T], by the float rule
+    support end <= T + dt/2 (the library counts them on knot node indices)."""
+    return np.nonzero(basis.knots[2:] <= T + 0.5 * basis.grid.dt)[0]
+
+
 def _identity_setup(m=128, n=8, T_max=0.5, L=1.0):
     dt = T_max / m
     grid, grid2 = TimeGrid(dt, m), TimeGrid(dt, 2 * m)
@@ -33,6 +42,26 @@ def _identity_setup(m=128, n=8, T_max=0.5, L=1.0):
     basis = hat_basis(grid, n)
     tab = synthesize_table(basis, ker2, lambda x: np.zeros_like(x), L)
     return tab, basis, ker2, grid
+
+
+def test_only_the_steering_moments_integrate_N(monkeypatch, tmp_path):
+    # M = int N is integrated on first read, and only steering_rhs reads it
+    calls, real = [], viscostring.kernels.cumulative_integral
+    monkeypatch.setattr(
+        viscostring.kernels, "cumulative_integral", lambda h: calls.append(h) or real(h)
+    )
+    m, T_max, L = 32, 0.25, 1.0
+    dt = T_max / m
+    grid, grid2 = TimeGrid(dt, m), TimeGrid(dt, 2 * m)
+    ker2 = build_kernel(grid2, "exp", rate=1.0)
+    tab = synthesize_table(hat_basis(grid, 12), ker2, lambda x: np.ones_like(x), L)
+    p = StringProblem(L, lambda x: np.ones_like(x), ker2, T_max)
+    solve_mild(p, Sampled1D(grid, np.sin(np.pi * grid.nodes() / T_max) ** 2))
+    assert calls == []
+    save_bundle(str(tmp_path), tab, L)
+    loaded, _, _ = load_bundle(str(tmp_path))
+    pipeline(loaded)
+    assert len(calls) == 1
 
 
 def test_config_validation():
@@ -118,7 +147,7 @@ def test_steering_control_lambda_to_zero_limit():
     gram = gram_from_data(tab)
     T = grid.t_max
     b = steering_rhs(ker2, basis, T)
-    active = basis.active(T)
+    active = _active(basis, T)
     C = gram.at(T)[np.ix_(active, active)]
     direct = np.linalg.solve(C, b[active])
     sc = steering_control(gram, T, b)
@@ -135,6 +164,38 @@ def test_steering_control_rejects_non_psd():
     bad = replace(gram, C=bad_C)
     with pytest.raises(NumericalFailure):
         steering_control(bad, grid.t_max, np.ones(basis.n))
+
+
+def test_steering_control_scales_with_a_gram_whose_squares_overflow():
+    # the guard's norm is taken on C over its largest |entry|: a Gram 2^1000
+    # times larger solves to 2^-1000 times the trace with the same residual
+    gram, basis, ker2 = _exp_gram_system()
+    big = replace(gram, C=gram.C * 2.0**1000)
+    for T in default_horizons(basis):
+        T = float(T)
+        b = steering_rhs(ker2, basis, T)
+        ref, got = steering_control(gram, T, b), steering_control(big, T, b)
+        assert got.xi == 2.0**-1000 * ref.xi
+        assert got.residual == ref.residual
+        cond = ref.diagnostics["condition"]
+        assert abs(got.diagnostics["condition"] - cond) <= 1e-12 * cond
+
+
+def test_responses_whose_gram_squares_overflow():
+    # exp A7 with the responses after t = 0 scaled by 2^1000: the asymmetry
+    # is a ratio of norms taken on each Gram over its largest |entry|, and the
+    # target trace 2^-1000 times the unscaled one falls under the zero guard
+    m, n, T_max, L = 256, 32, 1.0, 2.0
+    dt = T_max / m
+    grid, grid2 = TimeGrid(dt, m), TimeGrid(dt, 2 * m)
+    q = parse_q_spec("const:1 + sin:0.25,1", np.arange(round(L / dt) + 1) * dt, L)
+    tab = synthesize_table(hat_basis(grid, n), build_kernel(grid2, "exp", rate=1.0), q, L)
+    Y = tab.Y.copy()
+    Y[:, 1:] *= 2.0**1000
+    big = replace(tab, Y=Y)
+    assert np.all(np.isfinite(gram_from_data(big).asymmetry))
+    with pytest.raises(NumericalFailure, match="identically degenerate"):
+        pipeline(big)
 
 
 def test_steering_control_rejects_singular_gram():
@@ -346,7 +407,7 @@ def test_spectral_condition_matches_svd_condition():
     gram, basis, ker2 = _exp_gram_system()
     for T in default_horizons(basis):
         sc = steering_control(gram, float(T), steering_rhs(ker2, basis, float(T)))
-        active = basis.active(float(T))
+        active = _active(basis, float(T))
         C = gram.at(float(T))[np.ix_(active, active)]
         ref = np.linalg.cond(C)
         assert abs(sc.diagnostics["condition"] - ref) <= 1e-12 * ref
@@ -372,7 +433,7 @@ def _reference_readout(gram, T, b, cfg):
     polyfit extrapolation (the control starts at f(0+))."""
     basis = gram.basis
     S, dt = basis.samples, basis.grid.dt
-    active = basis.active(T)
+    active = _active(basis, T)
     C = gram.at(T)[np.ix_(active, active)]
     c_a = np.linalg.solve(C, b[active])
     residual = np.linalg.norm(C @ c_a - b[active]) / np.linalg.norm(b[active])
@@ -424,10 +485,10 @@ def test_readout_matches_per_call_reference(kernel):
     horizons = basis.knots[2:]  # every lattice horizon, down to one active hat
     for T in horizons:
         T = float(T)
-        k = len(basis.active(T))
-        assert np.array_equal(basis.active(T), np.arange(k))
+        k = len(_active(basis, T))
         b = steering_rhs(ker2, basis, T)
         sc = steering_control(gram, T, b, cfg)
+        assert len(sc.coefficients) == k
         ref = _reference_readout(gram, T, b, cfg)
         got = {
             "xi": sc.xi,

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viscostring.errors import GridMismatchError, KernelValidationError, NumericalFailure
-from viscostring.grid import Sampled1D, TimeGrid, convolve_values
+from viscostring.grid import Sampled1D, TimeGrid, convolve_values, cumulative_values
 from viscostring.kernels import (
+    MemoryKernel,
+    ResolventData,
     _volterra_values,
     build_kernel,
     resolvent,
@@ -22,6 +26,28 @@ def test_build_const_kernel():
     assert np.all(ker.N.values == 1.0)
     assert np.all(ker.N1.values == 0.0)
     assert np.allclose(ker.M.values, g.nodes(), atol=1e-12)
+
+
+def test_kernel_and_resolvent_store_no_derived_field():
+    # M = int N and gamma = R(0)/2 are reads of N and R, not stored beside them
+    names = [f.name for f in dataclasses.fields(MemoryKernel)]
+    assert names == ["grid", "N", "N1", "N2", "N3", "kind", "rate"]
+    assert [f.name for f in dataclasses.fields(ResolventData)] == ["R", "alpha", "K"]
+
+
+@pytest.mark.parametrize("spec", ["const", "exp:0.3", "exp:7.30728627489739", "general"])
+def test_M_and_gamma_are_reads_of_N_and_R(spec):
+    g = TimeGrid(1.0 / 128, 64)
+    if spec == "general":
+        k = general_kernel(g)
+    elif spec == "const":
+        k = build_kernel(g, "const")
+    else:
+        k = build_kernel(g, "exp", rate=float(spec.split(":")[1]))
+    assert k.M.values.tobytes() == cumulative_values(k.N.values, g.dt).tobytes()
+    assert k.M is k.M
+    # every Volterra solve returns v(0) = rhs(0), so R(0) = N1(0)
+    assert resolvent(k).gamma == 0.5 * k.N1.values[0]
 
 
 def test_build_exp_kernel_closed_forms():
