@@ -54,6 +54,7 @@ Gram from forward-solver snapshots (it knows q; validation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -229,6 +230,40 @@ class ResponseTable:
         return self.kernel.grid
 
 
+def _splitmix64(seed: int, count: int) -> np.ndarray:
+    """The first `count` SplitMix64 words of `seed`: word j (from 0) is
+    mix(seed + (j+1) * 0x9E3779B97F4A7C15 mod 2^64), the increment being
+    2^64 over the golden ratio (Steele, Lea and Flood, "Fast splittable
+    pseudorandom number generators", OOPSLA 2014).  The uint64 arithmetic
+    runs on arrays, where numpy wraps modulo 2^64 silently."""
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _gaussian(seed: int, shape: tuple) -> np.ndarray:
+    """Standard normal samples keyed by the seed and the C-order flat index.
+
+    Words 2c and 2c+1 of the seed's SplitMix64 stream give the cells 2c and
+    2c+1 by Box-Muller (Box and Muller, Ann. Math. Stat. 29 (1958) 610-611):
+    with u1 = ((w_2c >> 11) + 1) 2^-53 in (0, 1] and u2 = (w_2c+1 >> 11)
+    2^-53 in [0, 1), r = sqrt(-2 ln u1) and the pair is r cos(2 pi u2),
+    r sin(2 pi u2).  A cell's value depends on nothing but the seed and its
+    flat index, and needs no import of numpy.random.
+    """
+    size = math.prod(shape)
+    w = (_splitmix64(seed, size + size % 2) >> np.uint64(11)).astype(float).reshape(-1, 2)
+    r = np.sqrt(-2.0 * np.log((w[:, 0] + 1.0) * 2.0**-53))
+    theta = (2.0 * np.pi * 2.0**-53) * w[:, 1]
+    return np.column_stack([r * np.cos(theta), r * np.sin(theta)]).ravel()[:size].reshape(shape)
+
+
 def synthesize_table(
     basis: ControlBasis,
     kernel: MemoryKernel,
@@ -256,7 +291,18 @@ def synthesize_table(
     length times M.  h on [0, 2 T_max] reads only the cells x + t <= 2 T_max,
     so the spike's march stops there, half of its forward cone, and builds
     neither the physical field nor the traction.
+
+    Noise.  With noise_sigma > 0 every cell after t = 0 gets noise_sigma
+    times a standard normal sample, read by the cell's row-major flat index
+    from the SplitMix64 counter stream keyed by seed and turned into
+    normals by Box-Muller (``_gaussian``); a seed outside [0, 2**64) raises
+    ValueError.  The same seed gives the same table bit for bit.  Noisy
+    tables made while the noise came from numpy.random.default_rng(seed) do
+    not regenerate bit for bit from that seed; noise-free tables are
+    unchanged.
     """
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     grid2 = kernel.grid
     p = StringProblem(L=L, q=q, kernel=kernel, T=grid2.t_max)
     res = resolvent(kernel)
@@ -274,9 +320,8 @@ def synthesize_table(
             zr[a - 1 :] = np.convolve(e[a:b], h[: M + 2 - a])[: M + 2 - a]
     Y = res.gamma * E - centered_difference(E, dt) + z
     if noise_sigma > 0.0:
-        rng = np.random.default_rng(seed)
         with np.errstate(over="ignore"):  # an overflow ends in NumericalFailure below
-            noise = noise_sigma * rng.standard_normal(Y.shape)
+            noise = noise_sigma * _gaussian(seed, Y.shape)
             noise[:, 0] = 0.0
             Y = Y + noise
         if not np.all(np.isfinite(Y)):
@@ -394,17 +439,28 @@ def gram_from_data(tab: ResponseTable) -> ConnectingGram:
     read against the factors of every pair.  (i,j) and (j,i) are computed
     independently so the symmetry defect measures the discretization error
     of the data side; the returned matrices are the symmetrized averages.
+
+    Every entry is linear in the responses, so they enter scaled by the
+    power of two 2^-e that brings max|Y| into [1/2, 1) and the entries are
+    scaled back by 2^e: bit for bit the unscaled sums wherever those are
+    normal floats, while responses near the float limit no longer overflow
+    the factors or their running sums.  A Gram that is still not finite
+    raises NumericalFailure.
     """
     basis = tab.basis
     nodes, dt = basis.knot_nodes, basis.grid.dt
     res = resolvent(tab.kernel)
     es = np.exp(-res.gamma * tab.grid2.nodes())
-    a, c = (es * tab.Y).T, (es * basis.sampled_on(tab.grid2)).T
+    e = math.frexp(float(np.max(np.abs(tab.Y))))[1]
+    a, c = (es * np.ldexp(tab.Y, -e)).T, (es * basis.sampled_on(tab.grid2)).T
     if np.any(res.K.values):
         raw = _diagonal_march(a, c, res.K.values, nodes, dt)
     else:
         raw = _diagonal_closed_form(a, c, nodes, dt)
-    raw *= np.exp(2.0 * res.gamma * basis.grid.nodes()[nodes])[:, None, None]
+    with np.errstate(over="ignore"):  # an overflow ends in NumericalFailure below
+        raw = np.ldexp(raw, e) * np.exp(2.0 * res.gamma * basis.grid.nodes()[nodes])[:, None, None]
+    if not np.all(np.isfinite(raw)):
+        raise NumericalFailure("the Gram of these responses overflows")
 
     sym = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
     # a ratio of norms, taken on each matrix over its largest |entry| (no overflow)

@@ -13,6 +13,12 @@ A dataset bundle is a directory; it stores each value once:
 
 The t and x columns stay: they are the one check that the rows of the
 responses and of hand-made kernel files sit on the manifest's lattice.
+The manifest's noise_sigma and seed define the responses' noise: each cell
+after t = 0 carries noise_sigma times a standard normal read, by its
+row-major flat index, from the SplitMix64 counter stream of the seed
+(0 <= seed < 2**64) through Box-Muller (``connecting.synthesize_table``).
+Noisy bundles written while the noise came from numpy.random.default_rng
+do not regenerate bit for bit from their manifest seed.
 All CSV files are RFC-4180 (comma separated, CRLF), numbers in '%.17g' with
 a '.' decimal separator, so a save/load/save round trip is byte-identical.
 The reader parses each file in one C pass: ``csv`` takes the header line and
@@ -135,6 +141,8 @@ class RunConfig:
             raise ConfigError("noise_sigma must be >= 0")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.seed >= 2**64:  # the noise stream is keyed by a 64-bit word
+            raise ConfigError(f"seed must be < 2**64, got {self.seed}")
 
     @property
     def m(self) -> int:
@@ -420,6 +428,8 @@ def load_bundle(directory: str) -> tuple:
     for key, value in meta.items():
         if value < 0:
             raise DataFormatError(f"manifest {key} must be >= 0, got {kv[key]}")
+    if meta.get("seed", 0) >= 2**64:
+        raise DataFormatError(f"manifest seed must be < 2**64, got {kv['seed']}")
 
     (column,) = _read_csv(os.path.join(directory, "basis.csv"), ["node"])
     nodes = np.array([int(v) for v in column])  # exact for any finite cell
@@ -455,7 +465,10 @@ def load_bundle(directory: str) -> tuple:
 
 
 def synthesize(cfg: RunConfig, directory: str) -> str:
-    """Generate the synthetic bundle described by a config; returns the path."""
+    """Generate the synthetic bundle described by a config; returns the path.
+
+    cfg.noise_sigma and cfg.seed set the noise (module docstring), and the
+    manifest records both."""
     kernel2 = cfg.build_kernel2()
     basis = cfg.control_basis()
     q = cfg.q_values()

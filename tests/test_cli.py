@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from viscostring.cli import main
-from viscostring.connecting import hat_basis
+from viscostring.connecting import gram_from_data, hat_basis
 from viscostring.dataio import load_bundle, save_bundle
 from viscostring.grid import TimeGrid
 from viscostring.kernels import build_kernel
@@ -201,6 +201,8 @@ BAD_INPUTS = [
     pytest.param("synthesize", _config(q="poly:0,a"), None, 2, id="q-poly-a"),
     pytest.param("synthesize", _config(dt="nan"), None, 2, id="dt-nan"),
     pytest.param("synthesize", _config(seed=-1, noise_sigma=1e-3), None, 2, id="seed-negative"),
+    # the noise stream is keyed by a 64-bit word
+    pytest.param("synthesize", _config(seed=2**64, noise_sigma=1e-3), None, 2, id="seed-too-large"),
     pytest.param("synthesize", _config(noise_sigma="nan"), None, 2, id="noise-sigma-nan"),
     pytest.param("synthesize", _config(out="elsewhere"), None, 2, id="retired-out-key"),
     # a hat control needs a basis the grid holds: 16 hats need 18 of its 9 nodes
@@ -217,6 +219,7 @@ BAD_INPUTS = [
     pytest.param("identify", CFG, _manifest("dt", "0"), 4, id="manifest-dt-zero"),
     pytest.param("identify", CFG, _manifest("noise_sigma", "-1"), 4, id="manifest-noise-sigma-negative"),
     pytest.param("identify", CFG, _manifest("seed", "-3"), 4, id="manifest-seed-negative"),
+    pytest.param("identify", CFG, _manifest("seed", str(2**64)), 4, id="manifest-seed-too-large"),
     # kernel_rate goes with an exp kernel, and only with one
     pytest.param("identify", CFG, _drop_key("kernel_rate"), 4, id="manifest-exp-without-rate"),
     pytest.param("identify", CFG, _manifest("kernel_kind", "const"), 4, id="manifest-const-with-rate"),
@@ -551,3 +554,52 @@ def test_responses_whose_gram_squares_overflow(tmp_path, cfg_path, capsys):
     assert err.splitlines() == [
         "numerical failure: target identically degenerate: |xi| under guard everywhere"
     ], err
+
+
+def _scaled_bundle(tmp_path, cfg_text, peak):
+    """The bundle of cfg_text with its responses after t = 0 scaled to max|Y| = peak."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    bundle = str(tmp_path / "bundle")
+    assert main(["synthesize", "--config", str(cfg), "--out", bundle]) == 0
+    table, q_true, manifest = load_bundle(bundle)
+    Y = table.Y.copy()
+    Y[:, 1:] *= peak / np.max(np.abs(Y[:, 1:]))
+    save_bundle(
+        bundle, replace(table, Y=Y), q_true=q_true, L=float(manifest["L"]), q_spec=manifest["q_spec"]
+    )
+    return bundle, replace(table, Y=Y)
+
+
+@pytest.mark.filterwarnings("error")
+def test_responses_near_the_float_limit(tmp_path, capsys):
+    # max|Y| = 1.7e308: the factors exp(-gamma s) y and their running sums
+    # would overflow, so the Gram takes the responses scaled by a power of
+    # two; its entries stay finite, connect writes them quietly and they are
+    # the Gram of the scaled-down table times that power, bit for bit
+    bundle, table = _scaled_bundle(tmp_path, CFG, 1.7e308)
+    capsys.readouterr()
+    assert main(["connect", bundle, "--out", str(tmp_path / "gram")]) == 0
+    assert capsys.readouterr().err == ""
+    small = replace(table, Y=np.ldexp(table.Y, -600))
+    assert np.array_equal(gram_from_data(table).C, np.ldexp(gram_from_data(small).C, 600))
+    # identify stops with one line: the target trace falls under the zero guard
+    assert main(["identify", bundle, "--out", str(tmp_path / "id")]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "numerical failure: target identically degenerate: |xi| under guard everywhere"
+    ], err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["connect", "identify"])
+def test_responses_whose_gram_overflows(tmp_path, capsys, command):
+    # a long window (T_max = 8) whose Gram entries exceed max|Y| = 1.7e308:
+    # exit 3 and one stderr line, never exit 1 or a traceback
+    cfg = "kernel = exp:1.0\nL = 16.0\nT_max = 8.0\ndt = 0.25\nn_basis = 9\nq = const:1\n"
+    bundle, _ = _scaled_bundle(tmp_path, cfg, 1.7e308)
+    capsys.readouterr()
+    assert main([command, bundle, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["numerical failure: the Gram of these responses overflows"], err
+    assert not (tmp_path / "out").exists()

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from viscostring.connecting import (
     ResponseTable,
     _diagonal_closed_form,
     _diagonal_march,
+    _gaussian,
     _green,
     _row0_density,
+    _splitmix64,
     gram_from_data,
     gram_oracle,
     hat_basis,
@@ -250,14 +253,90 @@ def test_synthesize_matches_per_control_reference(kernel):
         Y = _per_control_table(basis, ker2, q, L)
         assert np.max(np.abs(tab.Y - Y)) <= 1e-13 * np.max(np.abs(Y))
 
-    # the noise step is unchanged: seeded Gaussian samples on top of the
-    # noiseless table, none at t = 0
+    # the noise step: seeded Gaussian samples of the reference stream on top
+    # of the noiseless table, none at t = 0; math.log may round a sample one
+    # ulp apart from numpy's log, which moves a sum by at most one ulp
     sigma, seed = 1e-3, 11
     noisy = synthesize_table(basis, ker2, q, L, noise_sigma=sigma, seed=seed, meta={"seed": seed})
-    noise = sigma * np.random.default_rng(seed).standard_normal(Y.shape)
+    noise = sigma * _gaussian_reference(seed, Y.shape)
     noise[:, 0] = 0.0
-    assert np.array_equal(noisy.Y, tab.Y + noise)
+    assert np.array_equal(noisy.Y[:, 0], tab.Y[:, 0])
+    assert np.all(np.abs(noisy.Y - (tab.Y + noise)) <= np.spacing(np.abs(tab.Y + noise)))
     assert noisy.meta == {"noise_sigma": sigma, "seed": seed}  # what a manifest records
+
+
+_MASK64 = 2**64 - 1
+
+
+def _splitmix64_reference(seed, count):
+    """SplitMix64 in Python integers: the state advances by the golden-ratio
+    increment and each word is its mixed state (Steele, Lea and Flood,
+    OOPSLA 2014)."""
+    words, state = [], seed
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        words.append(z ^ (z >> 31))
+    return words
+
+
+def _gaussian_reference(seed, shape):
+    """Box-Muller in Python floats: words 2c and 2c+1 give the flat cells 2c
+    and 2c+1, with u1 = ((w >> 11) + 1) 2^-53 and u2 = (w >> 11) 2^-53."""
+    size = math.prod(shape)
+    words = _splitmix64_reference(seed, size + size % 2)
+    out = []
+    for w1, w2 in zip(words[::2], words[1::2]):
+        r = math.sqrt(-2.0 * math.log(((w1 >> 11) + 1) * 2.0**-53))
+        theta = 2.0 * math.pi * ((w2 >> 11) * 2.0**-53)
+        out += [r * math.cos(theta), r * math.sin(theta)]
+    return np.array(out[:size]).reshape(shape)
+
+
+def test_noise_stream_is_splitmix64():
+    # the published first words of seed 0
+    assert [int(w) for w in _splitmix64(0, 3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F
+    ]
+    # every word, across the wrap-around of the state at the top of the range
+    for seed in (0, 11, 2**63 + 5, 2**64 - 1):
+        assert [int(w) for w in _splitmix64(seed, 257)] == _splitmix64_reference(seed, 257)
+
+
+@pytest.mark.parametrize("shape", [(1,), (3, 5), (4, 129)])
+def test_gaussian_is_box_muller_by_flat_index(shape):
+    got = _gaussian(11, shape)
+    assert got.shape == shape
+    np.testing.assert_allclose(got, _gaussian_reference(11, shape), rtol=1e-15, atol=0)
+    # a cell's sample depends on the seed and its flat index only
+    assert np.array_equal(got.ravel(), _gaussian(11, (1001,))[: got.size])
+
+
+def test_gaussian_is_deterministic_and_keyed_by_the_seed():
+    a = _gaussian(3, (8, 65))
+    assert np.array_equal(a, _gaussian(3, (8, 65)))
+    assert not np.any(a == _gaussian(4, (8, 65)))
+
+
+def test_gaussian_moments_and_tails():
+    # 8e5 samples: mean and standard deviation within 5 standard errors of
+    # 0 and 1, and the two-sided 3-sigma tail share 0.0027 within ~3.5 of its
+    # standard errors (5.8e-5)
+    z = _gaussian(2026, (800, 1000))
+    n = z.size
+    assert abs(z.mean()) <= 5.0 / math.sqrt(n)
+    assert abs(z.std() - 1.0) <= 5.0 / math.sqrt(2 * n)
+    assert 0.0025 <= np.mean(np.abs(z) > 3.0) <= 0.0029
+
+
+def test_synthesize_seed_outside_64_bits_raises():
+    tab, basis, ker2, grid, grid2 = _wave_setup(m=16, n=3)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must lie in"):
+            synthesize_table(basis, ker2, lambda x: 0.5 + 0.4 * x, 1.0, noise_sigma=1e-3, seed=seed)
+    top = synthesize_table(basis, ker2, lambda x: 0.5 + 0.4 * x, 1.0, noise_sigma=1e-3, seed=2**64 - 1)
+    assert np.all(np.isfinite(top.Y))
 
 
 @pytest.mark.parametrize("kernel", ["const", "exp", "general"])

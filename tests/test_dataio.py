@@ -3,6 +3,8 @@ import filecmp
 import io
 import operator
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import viscostring
 from viscostring.cli import main
 from viscostring.errors import ConfigError, DataFormatError
 from viscostring.grid import TimeGrid
@@ -90,6 +93,7 @@ def test_config_keys_are_the_run_config_fields():
         ("seed = 1e3", "bad config value: invalid literal for int() with base 10: '1e3'"),
         ("L = inf", "L must be finite, got inf"),
         ("seed = -1", "seed must be >= 0, got -1"),
+        ("seed = 18446744073709551616", "seed must be < 2**64, got 18446744073709551616"),
     ):
         with pytest.raises(ConfigError) as exc:
             parse_config(text + "\n")
@@ -410,6 +414,30 @@ def test_synthesize_with_noise_is_seeded(tmp_path):
     tc, _, _ = load_bundle(clean)
     diff = np.max(np.abs(ta.Y - tc.Y))
     assert 1e-5 <= diff <= 1e-2
+
+
+def test_noisy_synthesize_does_not_import_numpy_random(tmp_path):
+    # the noise stream is plain numpy: a fresh process that synthesizes a
+    # noisy bundle through the CLI never loads numpy.random
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("T_max = 0.25\ndt = 0.0625\nn_basis = 2\nnoise_sigma = 1e-3\nseed = 3\n")
+    code = (
+        "import sys\n"
+        "from viscostring.cli import main\n"
+        f"assert main(['synthesize', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'b')!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(viscostring.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_load_rejects_missing_and_corrupt(tmp_path):
