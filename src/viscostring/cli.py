@@ -30,7 +30,6 @@ from .dataio import (
     parse_control_spec,
     synthesize,
 )
-from .verification import format_report, run_all
 
 
 def _load_config(path: str | None) -> RunConfig:
@@ -99,6 +98,8 @@ def cmd_identify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verification import format_report, run_all  # the battery loads for verify only
+
     results = run_all(args.filter)
     if not results:
         raise ConfigError(f"filter {args.filter!r} matches no criterion")

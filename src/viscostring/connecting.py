@@ -295,14 +295,23 @@ def synthesize_table(
     Noise.  With noise_sigma > 0 every cell after t = 0 gets noise_sigma
     times a standard normal sample, read by the cell's row-major flat index
     from the SplitMix64 counter stream keyed by seed and turned into
-    normals by Box-Muller (``_gaussian``); a seed outside [0, 2**64) raises
-    ValueError.  The same seed gives the same table bit for bit.  Noisy
-    tables made while the noise came from numpy.random.default_rng(seed) do
-    not regenerate bit for bit from that seed; noise-free tables are
-    unchanged.
+    normals by Box-Muller (``_gaussian``).  A seed outside [0, 2**64), a
+    negative or non-finite noise_sigma, and meta keys noise_sigma or seed
+    that differ from the arguments raise ValueError, so the table's meta
+    records exactly the noise it drew.  The same seed gives the same table
+    bit for bit.  Noisy tables made while the noise came from
+    numpy.random.default_rng(seed) do not regenerate bit for bit from that
+    seed; noise-free tables are unchanged.
     """
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    info, meta = {"noise_sigma": noise_sigma, "seed": seed}, meta or {}
+    for key in info.keys() & meta.keys():
+        if meta[key] != info[key]:
+            raise ValueError(f"meta {key} = {meta[key]!r} differs from the argument {info[key]!r}")
+    info.update(meta)
     grid2 = kernel.grid
     p = StringProblem(L=L, q=q, kernel=kernel, T=grid2.t_max)
     res = resolvent(kernel)
@@ -326,9 +335,6 @@ def synthesize_table(
             Y = Y + noise
         if not np.all(np.isfinite(Y)):
             raise NumericalFailure(f"noise_sigma = {noise_sigma} overflows the response table")
-    info = {"noise_sigma": noise_sigma, "seed": seed}
-    if meta:
-        info.update(meta)
     return ResponseTable(basis=basis, kernel=kernel, Y=Y, meta=info)
 
 
@@ -458,16 +464,20 @@ def gram_from_data(tab: ResponseTable) -> ConnectingGram:
     else:
         raw = _diagonal_closed_form(a, c, nodes, dt)
     with np.errstate(over="ignore"):  # an overflow ends in NumericalFailure below
-        raw = np.ldexp(raw, e) * np.exp(2.0 * res.gamma * basis.grid.nodes()[nodes])[:, None, None]
+        np.ldexp(raw, e, out=raw)
+        raw *= np.exp(2.0 * res.gamma * basis.grid.nodes()[nodes])[:, None, None]
     if not np.all(np.isfinite(raw)):
         raise NumericalFailure("the Gram of these responses overflows")
 
-    sym = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
+    rawT = np.transpose(raw, (0, 2, 1))
+    sym = raw + rawT
+    sym *= 0.5
     # a ratio of norms, taken on each matrix over its largest |entry| (no overflow)
-    peak = np.abs(raw).max(axis=(1, 2), keepdims=True)
+    peak = np.maximum(raw.max(axis=(1, 2)), -raw.min(axis=(1, 2)))[:, None, None]
     raw /= np.where(peak > 0, peak, 1.0)
-    norms = np.linalg.norm(raw, axis=(1, 2))
-    gaps = np.linalg.norm(raw - np.transpose(raw, (0, 2, 1)), axis=(1, 2))
+    gap = raw - rawT
+    norms = np.sqrt(np.einsum("kij,kij->k", raw, raw))
+    gaps = np.sqrt(np.einsum("kij,kij->k", gap, gap))
     asym = np.where(norms > 0, gaps / np.where(norms > 0, norms, 1.0), 0.0)
     return ConnectingGram(C=sym, asymmetry=asym, basis=basis, gamma=res.gamma)
 

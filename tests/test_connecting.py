@@ -337,6 +337,17 @@ def test_synthesize_seed_outside_64_bits_raises():
             synthesize_table(basis, ker2, lambda x: 0.5 + 0.4 * x, 1.0, noise_sigma=1e-3, seed=seed)
     top = synthesize_table(basis, ker2, lambda x: 0.5 + 0.4 * x, 1.0, noise_sigma=1e-3, seed=2**64 - 1)
     assert np.all(np.isfinite(top.Y))
+    # the table's meta records exactly the noise it drew
+    for sigma in (-1e-3, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+            synthesize_table(basis, ker2, lambda x: 0.5 + 0.4 * x, 1.0, noise_sigma=sigma, seed=1)
+    for meta in ({"seed": 2}, {"noise_sigma": 0.0}, {"seed": 2, "noise_sigma": 0.0}):
+        with pytest.raises(ValueError, match="differs from the argument"):
+            synthesize_table(basis, ker2, lambda x: 0.5 + 0.4 * x, 1.0, noise_sigma=1e-3, seed=1, meta=meta)
+    tab = synthesize_table(
+        basis, ker2, lambda x: 0.5 + 0.4 * x, 1.0, noise_sigma=1e-3, seed=1, meta={"seed": 1, "run": "a"}
+    )
+    assert tab.meta == {"noise_sigma": 1e-3, "seed": 1, "run": "a"}
 
 
 @pytest.mark.parametrize("kernel", ["const", "exp", "general"])

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -416,6 +417,21 @@ def test_synthesize_with_noise_is_seeded(tmp_path):
     assert 1e-5 <= diff <= 1e-2
 
 
+def _last_line_of_fresh_python(code: str) -> str:
+    """Run code in a new interpreter that imports this viscostring; its last stdout line."""
+    src = str(Path(viscostring.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1]
+
+
 def test_noisy_synthesize_does_not_import_numpy_random(tmp_path):
     # the noise stream is plain numpy: a fresh process that synthesizes a
     # noisy bundle through the CLI never loads numpy.random
@@ -427,17 +443,13 @@ def test_noisy_synthesize_does_not_import_numpy_random(tmp_path):
         f"assert main(['synthesize', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'b')!r}]) == 0\n"
         "print('numpy.random' in sys.modules)\n"
     )
-    src = str(Path(viscostring.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    run = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "False"
+    assert _last_line_of_fresh_python(code) == "False"
+
+
+def test_cli_import_leaves_the_acceptance_battery_unloaded():
+    # only verify runs the battery, so only verify imports it
+    code = "import sys\nimport viscostring.cli\nprint('viscostring.verification' in sys.modules)\n"
+    assert _last_line_of_fresh_python(code) == "False"
 
 
 def test_load_rejects_missing_and_corrupt(tmp_path):
@@ -514,6 +526,46 @@ def test_write_csv_matches_csv_writer_bytes(tmp_path, rng, n_rows):
     dataio._write_csv(str(new), header, cols)
     _csv_writer_reference(str(ref), header, cols)
     assert new.read_bytes() == ref.read_bytes()
+
+
+def _single_string_reference(path, header, columns):
+    """The writer before blocked formatting: one '%' of the whole table."""
+    rows = np.column_stack(columns)
+    row = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.write((row * rows.shape[0]) % tuple(rows.ravel().tolist()))
+
+
+@pytest.mark.parametrize("n_cols", [1, 5, 33])
+@pytest.mark.parametrize("extra", [None, -1, 0, 1])
+def test_blocked_writer_matches_the_single_string_bytes(tmp_path, rng, n_cols, extra):
+    # around one block boundary (rows step - 1, step, step + 1) and with no
+    # rows at all, which writes the header line alone (an exp kernel.csv)
+    step = max(1, dataio._BLOCK_CELLS // n_cols)
+    n_rows = 0 if extra is None else step + extra
+    cols = list(rng.standard_normal((n_cols, n_rows)) * 10.0 ** rng.integers(-20, 20, (n_cols, n_rows)))
+    header = [f"c{j}" for j in range(n_cols)]
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    dataio._write_csv(str(new), header, cols)
+    _single_string_reference(str(ref), header, cols)
+    assert new.read_bytes() == ref.read_bytes()
+    if n_rows == 0:
+        assert new.read_bytes() == (",".join(header) + "\r\n").encode()
+
+
+def test_writer_transient_stays_one_block(tmp_path, rng):
+    # an exp A7 response table is 513 x 33 cells: the single-string writer
+    # peaked at ~1.27 MB of Python floats and text, one block at ~0.4 MB
+    cols = list(rng.standard_normal((33, 513)))
+    header = ["t"] + [f"y{j}" for j in range(1, 33)]
+    tracemalloc.start()
+    try:
+        dataio._write_csv(str(tmp_path / "response.csv"), header, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6e6, peak
 
 
 # ---------------------------------------------------------------------------
