@@ -18,6 +18,7 @@ from viscostring import (
     TimeGrid,
     build_kernel,
     fd_oracle,
+    response_to_traction,
     solve_mild,
 )
 
@@ -51,10 +52,11 @@ for i in range(0, len(x), len(x) // 10):
     bar = "#" * int(40 * abs(w_T[i]) / (np.max(np.abs(w_T)) + 1e-30))
     print(f"  x = {x[i]:.3f}  w = {w_T[i]:+.4f}  {bar}")
 
+sigma = response_to_traction(field.y, kernel)  # the traction -N*y on the support
 print("\nboundary data seen by the observer (t, f, y, traction):")
 for k in range(0, m + 1, m // 8):
     t = k * dt
     print(
         f"  t = {t:.3f}  f = {f.values[k]:+.4f}  y = {field.y.values[k]:+.4f}"
-        f"  sigma = {field.sigma.values[k]:+.4f}"
+        f"  sigma = {sigma.values[k]:+.4f}"
     )

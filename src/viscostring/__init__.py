@@ -16,14 +16,7 @@ from .errors import (
     KernelValidationError,
     NumericalFailure,
 )
-from .grid import (
-    Sampled1D,
-    Sampled2D,
-    TimeGrid,
-    causal_convolve,
-    centered_difference,
-    cumulative_integral,
-)
+from .grid import Sampled1D, Sampled2D, TimeGrid, centered_difference
 from .kernels import (
     MemoryKernel,
     ResolventData,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError, NumericalFailure
 from .grid import Sampled1D
-from .kernels import resolvent as _resolvent
+from .kernels import resolvent as _resolvent, response_to_traction
 from .forward import StringProblem, solve_mild
 from .connecting import gram_from_data
 from .identify import pipeline
@@ -141,6 +141,7 @@ def cmd_forward(args) -> int:
     f_vals = parse_control_spec(cfg.control, grid, cfg.n_basis)
     p = StringProblem(cfg.L, cfg.q_values(), kernel2, cfg.T_max)
     field = solve_mild(p, Sampled1D(grid, f_vals))
+    sigma = response_to_traction(field.y, kernel2)
     os.makedirs(args.out, exist_ok=True)
     x = field.xgrid.nodes()
     t = field.tgrid.nodes()
@@ -152,7 +153,7 @@ def cmd_forward(args) -> int:
     _write_csv(
         os.path.join(args.out, "boundary.csv"),
         ["t", "f", "y", "sigma"],
-        [t, f_vals, field.y.values, field.sigma.values],
+        [t, f_vals, field.y.values, sigma.values],
     )
     print(f"forward run written to {args.out}")
     return 0

@@ -504,7 +504,7 @@ def _row0_density(G: np.ndarray, m: int, phi: np.ndarray, seed: np.ndarray) -> t
     the system is lower-triangular Toeplitz,
     sum_{l'<l} G[l-l'+1, 0] rho(l') = -(free-space field at (0, t_l)), with
     first column G[2..m, 0] and diagonal G[2, 0] = dt^2.  The first column
-    of its inverse comes from the causal doubling of ``lower_toeplitz_solve``;
+    of its inverse comes from the causal doubling of the Volterra solve;
     its lower-triangular Toeplitz matrix (one strided copy) is built once and
     applied to the columns of phi and of seed by one product each.
     """

@@ -14,8 +14,8 @@ characteristic integral equation
 with D(x,t) the backward characteristic triangle.  gamma, alpha and K come
 from ``kernels.resolvent``, solved once per kernel on its whole grid; the
 march reads K on [0,T] only, where the causal Volterra solves give the
-values of the kernel cut to [0,T] bit for bit.  Marching in time, the
-triangle integral telescopes into the lozenge update
+values of the kernel cut to [0,T] (bit for bit from 12 steps on).  Marching
+in time, the triangle integral telescopes into the lozenge update
 
     W[i,k+1] = W[i+1,k] + W[i-1,k] - W[i,k-1] + dt^2 F[i,k]
 
@@ -50,14 +50,16 @@ y(t_n) reads the cells x_i + t_k <= t_n only, so the march (``_mild_march``)
 takes the last anti-diagonal its caller needs: ``solve_mild`` asks for the
 whole cone, while the response table (``connecting.synthesize_table``) reads
 only the trace on [0,T] and asks for x_i + t_k <= T, where level k touches
-the rows i <= min(k+1, m-k), half of the cone, and builds neither the
-physical field nor the traction.
+the rows i <= min(k+1, m-k), half of the cone, and builds no physical
+field.
 
 ``fd_oracle`` is an independent check: a leapfrog discretization of the
 differentiated model w_tt = Lw + int_0^t N'(t-s) Lw(s) ds on the full domain
 [0,L] with Dirichlet ends.  It never sees gamma/alpha/K, so agreement with
 ``solve_mild`` validates the whole transform chain.  Both return a
-``WaveField`` of physical quantities only.
+``WaveField`` of the field and its boundary response; the traction
+sigma = -N*y is a read of y and the kernel, computed by the caller that
+writes it (``kernels.response_to_traction``).
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import GridMismatchError, KernelValidationError, NumericalFailure
 from .grid import Sampled1D, Sampled2D, TimeGrid, centered_difference
-from .kernels import MemoryKernel, resolvent, response_to_traction
+from .kernels import MemoryKernel, resolvent
 
 __all__ = [
     "StringProblem",
@@ -132,14 +134,14 @@ class WaveField:
 
     w is the physical field, sampled on the space grid of the solver (x in
     [0,T] for the mild solver, [0,L] for the finite-difference oracle); y is
-    the boundary derivative w_x(0,.) and sigma the traction.  The control
-    stays with the caller, the transform constants with the kernel's
-    resolvent, which the oracle never forms.
+    the boundary derivative w_x(0,.).  The control stays with the caller, the
+    traction sigma = -N*y with ``kernels.response_to_traction``, the
+    transform constants with the kernel's resolvent, which the oracle never
+    forms.
     """
 
     w: Sampled2D
     y: Sampled1D
-    sigma: Sampled1D
 
     @property
     def xgrid(self) -> TimeGrid:
@@ -263,23 +265,21 @@ def _mild_march(p: StringProblem, f: Sampled1D, last: int) -> tuple[np.ndarray, 
 def solve_mild(p: StringProblem, f: Sampled1D) -> WaveField:
     """March the characteristic integral equation of the transformed field.
 
-    Returns the complete WaveField (field, boundary response and traction),
-    or raises NumericalFailure when any of them is not finite.  StringProblem
-    has checked the horizon; the control must start at rest on p.tgrid.  The
-    march's field is scaled in place, frozen and handed to the WaveField as
-    its transposed view, uncopied.
+    Returns the WaveField (field and boundary response), or raises
+    NumericalFailure when either is not finite.  StringProblem has checked
+    the horizon; the control must start at rest on p.tgrid.  The march's
+    field is scaled in place, frozen and handed to the WaveField as its
+    transposed view, uncopied.
     """
     _check_control(p, f)
     tgrid = p.tgrid
     W, y = _mild_march(p, f, 2 * tgrid.n)  # the whole cone: x_i <= t_k <= T
     W *= np.exp(resolvent(p.kernel).gamma * tgrid.nodes())[:, None]
-    y = Sampled1D(tgrid, y)
-    sigma = response_to_traction(y, p.kernel)
-    if not (np.all(np.isfinite(W)) and np.all(np.isfinite(sigma.values))):
+    if not np.all(np.isfinite(W)):
         raise NumericalFailure(_OVERFLOW)
     W.flags.writeable = False  # W is private, so the field takes it uncopied
     # the field vanishes for x > t, so x in [0,T] suffices
-    return WaveField(w=Sampled2D(tgrid, tgrid, W.T), y=y, sigma=sigma)
+    return WaveField(w=Sampled2D(tgrid, tgrid, W.T), y=Sampled1D(tgrid, y))
 
 
 def fd_oracle(p: StringProblem, f: Sampled1D) -> WaveField:
@@ -317,4 +317,4 @@ def fd_oracle(p: StringProblem, f: Sampled1D) -> WaveField:
 
     xg = TimeGrid(dt, n_x)
     y = Sampled1D(tgrid, centered_difference(w[:3].T, dx)[:, 0])
-    return WaveField(w=Sampled2D(xg, tgrid, w), y=y, sigma=response_to_traction(y, p.kernel))
+    return WaveField(w=Sampled2D(xg, tgrid, w), y=y)

@@ -1,17 +1,15 @@
 """Uniform grids, sampled functions and causal quadrature primitives.
 
 The layers downstream (kernel algebra, wave marching, the connecting-operator
-chain, the steering solve) call these primitives:
+chain, the steering solve) call these primitives on sample arrays:
 
-  * trap_weights and the trapezoid sums convolve_values (int_0^t k(t-s) h(s) ds,
-    with causal_convolve its Sampled1D form) and the one running trapezoid
-    cumulative_values (int_0^t h(r) dr down axis 0, whose differences integrate
-    between two nodes, with cumulative_integral its Sampled1D form);
+  * trap_weights and the trapezoid sums convolve_values (int_0^t k(t-s) h(s) ds)
+    and the one running trapezoid cumulative_values (int_0^t h(r) dr down
+    axis 0, whose differences integrate between two nodes);
   * centered_difference, a second-order first derivative;
-  * lower_toeplitz_solve, with the inverse it builds (_lower_toeplitz_inverse)
-    and the matrix of a first column (_lower_toeplitz_matrix), for the causal
-    convolution systems (Volterra equations of the second kind) that the
-    trapezoid rule turns into lower-triangular Toeplitz matrices.
+  * _lower_toeplitz_inverse (by causal doubling) and _lower_toeplitz_matrix,
+    for the lower-triangular Toeplitz systems into which the trapezoid rule
+    turns causal convolution equations (Volterra equations of the second kind).
 
 All quadrature is composite trapezoid (order 2).  Space and time grids share
 one step so that characteristics pass through nodes and the characteristic
@@ -32,10 +30,7 @@ __all__ = [
     "TimeGrid",
     "Sampled1D",
     "Sampled2D",
-    "causal_convolve",
-    "cumulative_integral",
     "centered_difference",
-    "lower_toeplitz_solve",
 ]
 
 #: relative slack used when matching grid steps / node times
@@ -170,12 +165,6 @@ def convolve_values(k: np.ndarray, h: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def causal_convolve(k: Sampled1D, h: Sampled1D) -> Sampled1D:
-    """int_0^t k(t-s) h(s) ds by composite trapezoid, on the shared grid."""
-    k.require_same_grid(h, "convolution operands")
-    return Sampled1D(k.grid, convolve_values(k.values, h.values, k.grid.dt))
-
-
 def cumulative_values(h: np.ndarray, dt: float) -> np.ndarray:
     """Running trapezoid int_0^{t_r} h down axis 0, 0 at node 0: out[b] - out[a]
     integrates h between the nodes a <= b, and column j of a 2-D input gives
@@ -184,11 +173,6 @@ def cumulative_values(h: np.ndarray, dt: float) -> np.ndarray:
     out[0] = 0.0
     np.cumsum(0.5 * dt * (h[1:] + h[:-1]), axis=0, out=out[1:])
     return out
-
-
-def cumulative_integral(h: Sampled1D) -> Sampled1D:
-    """Running integral int_0^t h(r) dr by composite trapezoid; 0 at node 0."""
-    return Sampled1D(h.grid, cumulative_values(h.values, h.grid.dt))
 
 
 def centered_difference(values: np.ndarray, dt: float) -> np.ndarray:
@@ -230,27 +214,3 @@ def _lower_toeplitz_matrix(first_col: np.ndarray) -> np.ndarray:
     n = len(first_col)
     padded = np.concatenate([np.zeros(n - 1), first_col])
     return as_strided(padded[n - 1 :], (n, n), (padded.itemsize, -padded.itemsize)).copy()
-
-
-def lower_toeplitz_solve(first_col, rhs) -> np.ndarray:
-    """Solve L x = rhs, L lower-triangular Toeplitz with the given first column.
-
-    rhs is 1-D or holds one right-hand side per column.  L^-1 is built once
-    by causal doubling (about 2 log2 n numpy calls), then applied by one
-    causal convolution per column: O(n^2) flops with no Python loop over the
-    n rows.  Column j of a 2-D solve equals the 1-D solve of rhs[:, j] bit for
-    bit, and a prefix of first_col and rhs gives a prefix of x bit for bit.
-    first_col[0] must be nonzero; callers guard it.
-    """
-    a = np.asarray(first_col, dtype=float)
-    f = np.asarray(rhs, dtype=float)
-    n = len(a)
-    if f.shape[0] != n or f.ndim not in (1, 2):
-        raise GridMismatchError(f"right-hand side of shape {f.shape} does not fit a {n}-row system")
-    b = _lower_toeplitz_inverse(a)
-    if f.ndim == 1:
-        return np.convolve(b, f)[:n]
-    out = np.empty(f.shape)
-    for j in range(f.shape[1]):
-        out[:, j] = np.convolve(b, f[:, j])[:n]
-    return out

@@ -1,6 +1,7 @@
 """Relaxation kernel N(t), its resolvent and the derived transform constants.
 
-M(t) = int_0^t N and gamma = R(0)/2 are not stored: they are reads of N and R.
+The grid, M(t) = int_0^t N and gamma = R(0)/2 are not stored: they are reads
+of N and R.
 
 The memory model repeatedly produces Volterra equations of the second kind
 with kernel N1 = N',
@@ -20,8 +21,9 @@ R'' is obtained by differentiating the resolvent identity twice (one more
 Volterra right-hand side with the same kernel), never by differencing R: the
 downstream chain needs R'' at full second-order accuracy.  R' enters only
 through R'(0), which the differentiated identity gives with no solve.  Every
-Volterra system here is lower-triangular Toeplitz and is solved by
-``grid.lower_toeplitz_solve``.
+Volterra system here is lower-triangular Toeplitz: ``_volterra_values`` builds
+its inverse once by causal doubling (``grid._lower_toeplitz_inverse``) and
+applies it by one causal convolution per right-hand side.
 
 Sign note: the perturbed-wave coefficient alpha is fixed to R'(0) + R(0)^2/4.
 Substituting w = exp(gamma t) W with gamma = R(0)/2 into the differentiated
@@ -40,10 +42,10 @@ from .errors import GridMismatchError, KernelValidationError, NumericalFailure
 from .grid import (
     Sampled1D,
     TimeGrid,
+    _lower_toeplitz_inverse,
     centered_difference,
     convolve_values,
-    cumulative_integral,
-    lower_toeplitz_solve,
+    cumulative_values,
 )
 
 __all__ = [
@@ -58,9 +60,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MemoryKernel:
-    """Sampled relaxation kernel with its first three derivatives; M reads N."""
+    """Sampled relaxation kernel with its first three derivatives; grid and M
+    read N."""
 
-    grid: TimeGrid
     N: Sampled1D
     N1: Sampled1D
     N2: Sampled1D
@@ -68,9 +70,13 @@ class MemoryKernel:
     kind: str = "tabulated"
     rate: float | None = None
 
+    @property
+    def grid(self) -> TimeGrid:
+        return self.N.grid
+
     @cached_property
     def M(self) -> Sampled1D:
-        return cumulative_integral(self.N)
+        return Sampled1D(self.grid, cumulative_values(self.N.values, self.grid.dt))
 
     def consistency_residual(self) -> float:
         """Max mismatch between numerically differentiated samples and the
@@ -151,7 +157,6 @@ def build_kernel(
     # near the float limit the difference check overflows to inf or nan and fails below
     with np.errstate(over="ignore", invalid="ignore"):
         kernel = MemoryKernel(
-            grid=grid,
             N=Sampled1D(grid, n),
             N1=Sampled1D(grid, n1),
             N2=Sampled1D(grid, n2),
@@ -172,8 +177,16 @@ def build_kernel(
 def _volterra_values(k: np.ndarray, f: np.ndarray, dt: float) -> np.ndarray:
     """Trapezoidal solution of v + k*v = f for one right-hand side f, or one
     per column of f.  Node 0 has diagonal 1, so v[0] = f[0]; nodes 1..n form a
-    lower-triangular Toeplitz system with first column (1 + dt k[0]/2, dt k[1],
-    ..., dt k[n-1]) and right-hand side f[1:] - (dt/2) k[1:] v[0]."""
+    lower-triangular Toeplitz system L with first column (1 + dt k[0]/2, dt k[1],
+    ..., dt k[n-1]) and right-hand side f[1:] - (dt/2) k[1:] v[0].
+
+    The first column b of L^-1 is built once by causal doubling (about
+    2 log2 n numpy calls) and applied by one causal convolution per column:
+    O(n^2) flops with no Python loop over the n rows.  Column j of a 2-D
+    solve equals the 1-D solve of f[:, j] bit for bit, and a prefix of k and
+    f gives a prefix of v bit for bit when it holds 12 or more rows (np.convolve
+    sums the last entry of a shorter system in another order).
+    """
     diag = 1.0 + 0.5 * dt * k[0]
     if abs(diag) < 1e-12:
         raise NumericalFailure(
@@ -181,20 +194,23 @@ def _volterra_values(k: np.ndarray, f: np.ndarray, dt: float) -> np.ndarray:
         )
     col = dt * k[:-1]
     col[0] = diag
-    head = k[1:, None] if f.ndim == 2 else k[1:]
-    v = np.empty(f.shape)
-    v[0] = f[0]
-    v[1:] = lower_toeplitz_solve(col, f[1:] - (0.5 * dt) * head * f[0])
-    return v
+    b = _lower_toeplitz_inverse(col)
+    f2 = f.reshape(len(f), -1)  # a 1-D f is one column
+    v = np.empty(f2.shape)
+    v[0] = f2[0]
+    v[1:] = f2[1:] - (0.5 * dt) * k[1:, None] * f2[0]
+    for j in range(v.shape[1]):
+        v[1:, j] = np.convolve(b, v[1:, j])[: len(b)]
+    return v.reshape(f.shape)
 
 
 def solve_volterra(kernel: Sampled1D, rhs: Sampled1D) -> Sampled1D:
     """Solve v + kernel * v = rhs (causal convolution) in the trapezoidal
     discretization of ``convolve_values``, exactly up to round-off.
 
-    The discrete system is lower-triangular Toeplitz and goes to
-    ``grid.lower_toeplitz_solve``: O(n^2) flops in about 2 log2 n numpy calls.
-    It is causal bit for bit: a prefix of kernel and rhs gives a prefix of v.
+    The discrete system is lower-triangular Toeplitz and ``_volterra_values``
+    solves it in O(n^2) flops and about 2 log2 n numpy calls.  It is causal:
+    a prefix of kernel and rhs gives a prefix of v (bit for bit from 12 rows).
     Raises NumericalFailure when the diagonal 1 + dt*kernel(0)/2 is ~0.
     """
     kernel.require_same_grid(rhs, "Volterra kernel and right-hand side")
@@ -228,7 +244,7 @@ def resolvent(k: MemoryKernel) -> ResolventData:
     Solved once per kernel, on its whole grid, and kept on it: every later
     call returns the same object.  The Volterra solves are causal, so on a
     prefix window [0, T] the values are those of the kernel built on [0, T],
-    bit for bit.
+    bit for bit from 12 steps on.
 
     R'' comes from differentiating the resolvent identity twice:
         R'  + N1*R'  = N1'  - R(0) N1
@@ -249,9 +265,13 @@ def response_to_traction(y: Sampled1D, k: MemoryKernel) -> Sampled1D:
     """Traction exerted on the support: sigma(t) = -int_0^t N(t-s) y(s) ds.
 
     y may live on a prefix window of the kernel grid (same step, no more
-    steps); sigma is returned on the window of y."""
+    steps); sigma is returned on the window of y.  Raises NumericalFailure
+    when the traction is not finite."""
     if not (y.grid.compatible_step(k.grid) and y.grid.n <= k.grid.n):
         raise GridMismatchError("response must live on a prefix window of the kernel grid")
-    conv = convolve_values(k.N.values[: y.grid.n + 1], y.values, k.grid.dt)
-    return Sampled1D(y.grid, -conv)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in NumericalFailure
+        sigma = -convolve_values(k.N.values[: y.grid.n + 1], y.values, k.grid.dt)
+    if not np.all(np.isfinite(sigma)):
+        raise NumericalFailure("traction is not finite (the response overflows the convolution)")
+    return Sampled1D(y.grid, sigma)
 

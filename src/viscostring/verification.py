@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Sampled1D, TimeGrid, causal_convolve, cumulative_integral
+from .grid import Sampled1D, TimeGrid, convolve_values, cumulative_values
 from . import kernels
 from .kernels import build_kernel, solve_volterra
 from .forward import StringProblem, fd_oracle, solve_mild
 from .connecting import (
     ControlBasis,
     ResponseTable,
+    _gaussian,
     gram_from_data,
     gram_oracle,
     hat_basis,
@@ -294,21 +295,19 @@ def a8_invariants() -> CriterionResult:
 
     def work():
         subs = []
-        rng = np.random.default_rng(7)
 
         # grid: bilinearity / commutativity / monotone cumulative
         g = TimeGrid(1e-2, 200)
-        k = Sampled1D(g, rng.standard_normal(g.n + 1))
-        h1 = Sampled1D(g, rng.standard_normal(g.n + 1))
-        h2 = Sampled1D(g, rng.standard_normal(g.n + 1))
-        lin = causal_convolve(k, Sampled1D(g, 2.0 * h1.values - 3.0 * h2.values)).values - (
-            2.0 * causal_convolve(k, h1).values - 3.0 * causal_convolve(k, h2).values
+        k, h1, h2 = _gaussian(7, (3, g.n + 1))
+        kh1 = convolve_values(k, h1, g.dt)
+        lin = convolve_values(k, 2.0 * h1 - 3.0 * h2, g.dt) - (
+            2.0 * kh1 - 3.0 * convolve_values(k, h2, g.dt)
         )
-        scale = np.max(np.abs(causal_convolve(k, h1).values)) + 1e-30
+        scale = np.max(np.abs(kh1)) + 1e-30
         subs.append(_sub("convolve bilinear", np.max(np.abs(lin)) / scale, 1e-12))
-        comm = causal_convolve(k, h1).values - causal_convolve(h1, k).values
+        comm = kh1 - convolve_values(h1, k, g.dt)
         subs.append(_sub("convolve commutes", np.max(np.abs(comm)) / scale, 1e-12))
-        mono = np.min(np.diff(cumulative_integral(Sampled1D(g, np.abs(h1.values))).values))
+        mono = np.min(np.diff(cumulative_values(np.abs(h1), g.dt)))
         subs.append(_sub("cumulative monotone", max(0.0, -mono), 1e-15))
 
         # kernel: resolvent residual + involution, on a kernel whose resolvent

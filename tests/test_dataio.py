@@ -434,13 +434,15 @@ def _last_line_of_fresh_python(code: str) -> str:
 
 def test_noisy_synthesize_does_not_import_numpy_random(tmp_path):
     # the noise stream is plain numpy: a fresh process that synthesizes a
-    # noisy bundle through the CLI never loads numpy.random
+    # noisy bundle through the CLI, and runs the battery's invariants (A8
+    # draws its test vectors from the same stream), never loads numpy.random
     cfg = tmp_path / "run.cfg"
     cfg.write_text("T_max = 0.25\ndt = 0.0625\nn_basis = 2\nnoise_sigma = 1e-3\nseed = 3\n")
     code = (
         "import sys\n"
         "from viscostring.cli import main\n"
         f"assert main(['synthesize', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'b')!r}]) == 0\n"
+        "assert main(['verify', '--filter', 'A8']) == 0\n"
         "print('numpy.random' in sys.modules)\n"
     )
     assert _last_line_of_fresh_python(code) == "False"

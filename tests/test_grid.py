@@ -8,30 +8,40 @@ from viscostring.grid import (
     Sampled2D,
     TimeGrid,
     _lower_toeplitz_matrix,
-    causal_convolve,
     centered_difference,
-    cumulative_integral,
+    convolve_values,
     cumulative_values,
-    lower_toeplitz_solve,
 )
+from viscostring.kernels import _volterra_values
 
 from conftest import triangle_quadrature
 
 
-def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
-    i = np.arange(len(col))
+def _trapezoid_operator(k: np.ndarray, dt: float) -> np.ndarray:
+    """Dense matrix of h -> convolve_values(k, h, dt): row j >= 1 weighs h[i]
+    by dt k[j-i], halved at i = 0 and i = j; row 0 is zero."""
+    i = np.arange(len(k))
     d = i[:, None] - i[None, :]
-    return np.where(d >= 0, col[np.maximum(d, 0)], 0.0)
+    A = np.where(d >= 0, dt * k[np.maximum(d, 0)], 0.0)
+    A[:, 0] *= 0.5
+    A[i, i] *= 0.5
+    A[0] = 0.0
+    return A
 
 
+# The lower-triangular Toeplitz solve of the trapezoid rule (the inverse by
+# causal doubling, one convolution per column) runs in kernels._volterra_values.
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 31, 64, 100, 257])
 def test_lower_toeplitz_solve_matches_dense_solve(rng, n):
-    col = rng.standard_normal(n) / n
-    col[0] = 1.0 + rng.random()
-    rhs = rng.standard_normal((n, 4))
-    x = lower_toeplitz_solve(col, rhs)
-    ref = np.linalg.solve(_lower_toeplitz(col), rhs)
-    assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+    dt = 1.0 / n
+    k = rng.standard_normal(n + 1)
+    k[0] = abs(k[0])  # diagonal 1 + dt k(0)/2 >= 1
+    f = rng.standard_normal((n + 1, 4))
+    A = _trapezoid_operator(k, dt)
+    assert np.allclose(A @ f[:, 0], convolve_values(k, f[:, 0], dt), rtol=0.0, atol=1e-14)
+    v = _volterra_values(k, f, dt)
+    ref = np.linalg.solve(np.eye(n + 1) + A, f)
+    assert np.max(np.abs(v - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n", [1, 2, 33, 257])
@@ -46,16 +56,19 @@ def test_lower_toeplitz_matrix_is_the_sliding_window_copy(rng, n):
 
 
 def test_lower_toeplitz_solve_columns_are_the_one_column_solves(rng):
-    n = 150
-    col = np.exp(-np.arange(n) / 30.0) * rng.standard_normal(n)
-    col[0] = 2.0
-    rhs = rng.standard_normal((n, 5))
-    x = lower_toeplitz_solve(col, rhs)
-    for j in range(rhs.shape[1]):
-        assert np.array_equal(x[:, j], lower_toeplitz_solve(col, rhs[:, j])), j
-    assert np.array_equal(lower_toeplitz_solve(col, rhs[:, :1]), x[:, :1])
-    with pytest.raises(GridMismatchError):
-        lower_toeplitz_solve(col, rhs[1:])
+    # column j of a 2-D solve is the 1-D solve of f[:, j], and a prefix of k
+    # and f gives a prefix of v (from 12 rows on), bit for bit
+    n, dt = 150, 1.0 / 64
+    k = np.exp(-np.arange(n + 1) / 30.0) * rng.standard_normal(n + 1)
+    k[0] = 2.0
+    f = rng.standard_normal((n + 1, 5))
+    v = _volterra_values(k, f, dt)
+    assert v.shape == f.shape
+    for j in range(f.shape[1]):
+        assert np.array_equal(v[:, j], _volterra_values(k, f[:, j], dt)), j
+    assert np.array_equal(_volterra_values(k, f[:, :1], dt), v[:, :1])
+    for p in (2, 13, 64, 65, 129):
+        assert np.array_equal(_volterra_values(k[:p], f[:p], dt), v[:p]), p
 
 
 def test_time_grid_basics():
@@ -83,56 +96,40 @@ def test_sampled1d_shape_validation():
 def test_convolve_unit_kernels_exact():
     # k = h = 1 on [0,1], dt = 0.25: the running integral of 1 is t exactly
     g = TimeGrid(0.25, 4)
-    one = Sampled1D(g, np.ones(5))
-    out = causal_convolve(one, one)
-    assert np.allclose(out.values, g.nodes(), atol=1e-15)
+    out = convolve_values(np.ones(5), np.ones(5), g.dt)
+    assert np.allclose(out, g.nodes(), atol=1e-15)
 
 
 def test_convolve_zero_kernel():
     g = TimeGrid(0.1, 30)
-    z = Sampled1D(g, np.zeros(31))
-    h = Sampled1D.from_callable(g, lambda t: np.cos(t))
-    assert np.all(causal_convolve(z, h).values == 0.0)
+    assert np.all(convolve_values(np.zeros(31), np.cos(g.nodes()), g.dt) == 0.0)
 
 
 def test_convolve_linear_kernel_closed_form():
     # k(t) = t, h = 1: int_0^t (t-s) ds = t^2/2; trapezoid is second order
     g = TimeGrid(1e-3, 1000)
-    k = Sampled1D.from_callable(g, lambda t: t)
-    h = Sampled1D(g, np.ones(g.n + 1))
-    err = np.max(np.abs(causal_convolve(k, h).values - g.nodes() ** 2 / 2))
+    err = np.max(np.abs(convolve_values(g.nodes(), np.ones(g.n + 1), g.dt) - g.nodes() ** 2 / 2))
     assert err <= 1e-6
 
 
-def test_convolve_grid_mismatch():
-    a = Sampled1D(TimeGrid(0.1, 10), np.ones(11))
-    b = Sampled1D(TimeGrid(0.1, 11), np.ones(12))
-    with pytest.raises(GridMismatchError):
-        causal_convolve(a, b)
-
-
 def test_convolve_bilinear_and_commutative(rng):
-    g = TimeGrid(0.01, 150)
-    k = Sampled1D(g, rng.standard_normal(g.n + 1))
-    h1 = Sampled1D(g, rng.standard_normal(g.n + 1))
-    h2 = Sampled1D(g, rng.standard_normal(g.n + 1))
-    combo = causal_convolve(k, Sampled1D(g, 2.5 * h1.values - 1.5 * h2.values)).values
-    parts = 2.5 * causal_convolve(k, h1).values - 1.5 * causal_convolve(k, h2).values
+    dt = 0.01
+    k, h1, h2 = rng.standard_normal((3, 151))
+    combo = convolve_values(k, 2.5 * h1 - 1.5 * h2, dt)
+    parts = 2.5 * convolve_values(k, h1, dt) - 1.5 * convolve_values(k, h2, dt)
     scale = np.max(np.abs(parts)) + 1e-30
     assert np.max(np.abs(combo - parts)) <= 1e-12 * scale
-    sym = causal_convolve(k, h1).values - causal_convolve(h1, k).values
+    sym = convolve_values(k, h1, dt) - convolve_values(h1, k, dt)
     assert np.max(np.abs(sym)) <= 1e-12 * scale
 
 
 def test_cumulative_integral_cases():
     g = TimeGrid(1e-3, 1500)
-    one = Sampled1D(g, np.ones(g.n + 1))
-    assert np.allclose(cumulative_integral(one).values, g.nodes(), atol=1e-12)
-    e = Sampled1D.from_callable(g, lambda t: np.exp(-t))
-    err = np.max(np.abs(cumulative_integral(e).values - (1 - np.exp(-g.nodes()))))
+    t = g.nodes()
+    assert np.allclose(cumulative_values(np.ones(g.n + 1), g.dt), t, atol=1e-12)
+    err = np.max(np.abs(cumulative_values(np.exp(-t), g.dt) - (1 - np.exp(-t))))
     assert err <= 1e-7
-    z = Sampled1D(g, np.zeros(g.n + 1))
-    assert np.all(cumulative_integral(z).values == 0.0)
+    assert np.all(cumulative_values(np.zeros(g.n + 1), g.dt) == 0.0)
 
 
 def test_cumulative_values_runs_down_each_column_bit_for_bit(rng):
@@ -146,9 +143,8 @@ def test_cumulative_values_runs_down_each_column_bit_for_bit(rng):
 
 
 def test_cumulative_integral_monotone(rng):
-    g = TimeGrid(0.05, 100)
-    h = Sampled1D(g, np.abs(rng.standard_normal(g.n + 1)))
-    assert np.all(np.diff(cumulative_integral(h).values) >= 0.0)
+    h = np.abs(rng.standard_normal(101))
+    assert np.all(np.diff(cumulative_values(h, 0.05)) >= 0.0)
 
 
 def test_centered_difference_quadratic_exact():

@@ -46,9 +46,9 @@ def _identity_setup(m=128, n=8, T_max=0.5, L=1.0):
 
 def test_only_the_steering_moments_integrate_N(monkeypatch, tmp_path):
     # M = int N is integrated on first read, and only steering_rhs reads it
-    calls, real = [], viscostring.kernels.cumulative_integral
+    calls, real = [], viscostring.kernels.cumulative_values
     monkeypatch.setattr(
-        viscostring.kernels, "cumulative_integral", lambda h: calls.append(h) or real(h)
+        viscostring.kernels, "cumulative_values", lambda h, dt: calls.append(h) or real(h, dt)
     )
     m, T_max, L = 32, 0.25, 1.0
     dt = T_max / m

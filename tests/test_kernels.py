@@ -29,9 +29,10 @@ def test_build_const_kernel():
 
 
 def test_kernel_and_resolvent_store_no_derived_field():
-    # M = int N and gamma = R(0)/2 are reads of N and R, not stored beside them
+    # grid = N.grid, M = int N and gamma = R(0)/2 are reads of N and R, not
+    # stored beside them
     names = [f.name for f in dataclasses.fields(MemoryKernel)]
-    assert names == ["grid", "N", "N1", "N2", "N3", "kind", "rate"]
+    assert names == ["N", "N1", "N2", "N3", "kind", "rate"]
     assert [f.name for f in dataclasses.fields(ResolventData)] == ["R", "alpha", "K"]
 
 
@@ -307,6 +308,10 @@ def test_traction_conversions_roundtrip():
     for wrong in (TimeGrid(1e-3, 1300), TimeGrid(2e-3, 300)):
         with pytest.raises(GridMismatchError):
             response_to_traction(Sampled1D(wrong, np.zeros(wrong.n + 1)), ker)
+
+    # a finite response whose traction overflows
+    with pytest.raises(NumericalFailure):
+        response_to_traction(Sampled1D(g, np.full(g.n + 1, 1e308)), kerw)
 
 
 def test_kernel_consistency_residual_scales():
