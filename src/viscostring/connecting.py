@@ -318,7 +318,8 @@ def synthesize_table(
     dt, M = grid2.dt, grid2.n
     spike = np.zeros(M + 1)
     spike[1] = 1.0
-    _, y1 = _mild_march(p, Sampled1D(grid2, spike), M)  # cells x + t <= 2 T_max
+    # cells x + t <= 2 T_max; only the trace is kept, so the field is freed here
+    y1 = _mild_march(p, Sampled1D(grid2, spike), M)[1]
     h = y1 - res.gamma * spike + centered_difference(spike, dt)
     E = basis.sampled_on(grid2)
     z = np.zeros_like(E)

@@ -468,7 +468,7 @@ def load_bundle(directory: str) -> tuple:
         kernel = build_kernel(grid2, kind, rate=float(kv.get("kernel_rate", 1.0)))
     else:
         raise DataFormatError(f"unknown kernel_kind {kind!r}")
-    table = ResponseTable(basis=basis, kernel=kernel, Y=np.vstack(rcols[1:]), meta=meta)
+    table = ResponseTable(basis=basis, kernel=kernel, Y=rcols[1:], meta=meta)
 
     q_true = None
     q_path = os.path.join(directory, "q_true.csv")

@@ -204,13 +204,17 @@ def reconstruct_q(
     evaluation point, so shifted windows use a cubic.
 
     The fits are Savitzky-Golay filters (Anal. Chem. 36 (1964) 1627-1639):
-    their weights depend on the horizons only.  Each degree takes one stacked
-    pseudo-inverse of its windows' Vandermonde matrices, columns scaled to
-    unit norm as ``np.polyfit`` scales them, and one batched product applies
-    the weights to xi minus its value at the evaluation point.  The fits
-    reproduce constants, so that shift changes only round-off, and lowers it:
-    on smooth targets q lies closer to exact least squares than per-window
-    ``np.polyfit`` does.
+    their weights depend on the horizons only.  Each degree takes one batched
+    QR factorization V = Q R of its windows' Vandermonde matrices, columns
+    scaled to unit norm as ``np.polyfit`` scales them; the weights are
+    R^-1 Q^T, and one batched product applies them to xi minus its value at
+    the evaluation point.  Householder QR is as stable for least squares as
+    the SVD behind a pseudo-inverse (Bjorck, Numerical Methods for Least
+    Squares Problems, SIAM 1996), and needs a smaller LAPACK driver; the
+    normal equations square the window's condition and lose digits against
+    exact least squares.  The fits reproduce constants, so that shift changes
+    only round-off, and lowers it: on smooth targets q lies closer to exact
+    least squares than per-window ``np.polyfit`` does.
 
     Where |xi| falls under the zero guard 5*dt, q is linearly interpolated across
     from the nearest guarded-clear neighbors (continuity extension).  A
@@ -240,7 +244,8 @@ def reconstruct_q(
         # Vandermonde of each window about its evaluation point, increasing powers
         V = (h[window[rows]] - h[rows, None])[:, :, None] ** np.arange(degree + 1)
         scale = np.sqrt(np.einsum("kjp,kjp->kp", V, V))
-        weights = np.linalg.pinv(V / scale[:, None, :]) / scale[:, :, None]
+        Q, R = np.linalg.qr(V / scale[:, None, :])
+        weights = np.linalg.solve(R, Q.transpose(0, 2, 1)) / scale[:, :, None]
         coef = np.einsum("kpj,kj->kp", weights[:, [0, 2]], v[window[rows]] - v[rows, None])
         xi_c[rows], xi_dd[rows] = v[rows] + coef[:, 0], 2.0 * coef[:, 1]
     clear = np.abs(xi_c) > eps

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import viscostring.connecting
 from viscostring.errors import GridMismatchError, NumericalFailure
 from viscostring.grid import (
     Sampled1D,
@@ -363,6 +365,32 @@ def test_synthesize_reads_q_on_the_backward_light_cone_only(kernel):
     # on shows (at x = T_max the field is on its front, where it vanishes)
     near = lambda x: np.where(x > T_max - grid.dt - 1e-9, 40.0 - 30.0 * np.cos(9.0 * x), q(x))
     assert not np.array_equal(synthesize_table(basis, ker2, near, 1.5).Y, tab.Y)
+
+
+@pytest.mark.parametrize("kernel", ["exp", "general"])
+def test_synthesize_frees_the_spike_field_before_the_noise_draw(kernel, monkeypatch):
+    # only the spike's trace is read, so its march's field must be gone
+    # before the table and the noise are formed
+    tab, basis, ker2, grid, grid2 = _wave_setup(m=32, n=5, kernel=kernel)
+    march, gaussian = viscostring.connecting._mild_march, viscostring.connecting._gaussian
+    fields, alive_at_draw = [], []
+
+    def tracked_march(*args):
+        W, y = march(*args)
+        fields.append(weakref.ref(W))
+        return W, y
+
+    def checked_gaussian(seed, shape):
+        alive_at_draw.extend(ref() is not None for ref in fields)
+        return gaussian(seed, shape)
+
+    monkeypatch.setattr(viscostring.connecting, "_mild_march", tracked_march)
+    monkeypatch.setattr(viscostring.connecting, "_gaussian", checked_gaussian)
+    noisy = synthesize_table(basis, ker2, lambda x: np.zeros_like(x), 1.0, noise_sigma=1e-3, seed=5)
+    assert len(fields) == 1 and alive_at_draw == [False]
+    monkeypatch.undo()
+    reference = synthesize_table(basis, ker2, lambda x: np.zeros_like(x), 1.0, noise_sigma=1e-3, seed=5)
+    assert np.array_equal(noisy.Y, reference.Y)
 
 
 def test_synthesize_raises_when_q_overflows_the_solver():

@@ -602,6 +602,28 @@ def test_pipeline_xi_and_diagnostics_are_steering_control_bit_for_bit():
     assert np.max(np.abs(res.q_hat - q_ref)) <= 1e-12 * np.max(np.abs(q_ref))
 
 
+def test_pipeline_runs_no_svd(tmp_path, monkeypatch):
+    # the q readout solves its least-squares fits by QR: neither an SVD nor a
+    # pseudo-inverse runs anywhere in pipeline, whose result is unchanged
+    grid, grid2 = TimeGrid(0.5 / 64, 64), TimeGrid(0.5 / 64, 128)
+    ker2 = build_kernel(grid2, "exp", rate=1.0)
+    save_bundle(str(tmp_path), synthesize_table(hat_basis(grid, 10), ker2, lambda x: 1.0 + 0.5 * x, 1.0), L=1.0)
+    expected = pipeline(load_bundle(str(tmp_path))[0])
+    pinv = np.linalg.pinv
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an SVD ran")
+
+    # the implementation module's globals too, where pinv looks up svd
+    for namespace in (vars(np.linalg), np.linalg.svd.__wrapped__.__globals__):
+        for name in ("svd", "pinv"):
+            monkeypatch.setitem(namespace, name, no_svd)
+    with pytest.raises(AssertionError, match="an SVD ran"):
+        pinv(np.eye(2))
+    res = pipeline(load_bundle(str(tmp_path))[0])
+    assert np.array_equal(res.q_hat, expected.q_hat) and np.array_equal(res.xi, expected.xi)
+
+
 def test_identify_results_csv_columns(tmp_path):
     from viscostring.cli import main
     from viscostring.dataio import load_bundle
