@@ -323,11 +323,10 @@ def synthesize_table(
     h = y1 - res.gamma * spike + centered_difference(spike, dt)
     E = basis.sampled_on(grid2)
     z = np.zeros_like(E)
-    for e, zr in zip(E, z):
-        nz = np.flatnonzero(e[1:]) + 1
-        if nz.size:  # z_k = sum_{a <= j < b} e_j h_{k-j+1}, zero before k = a - 1
-            a, b = nz[0], nz[-1] + 1
-            zr[a - 1 :] = np.convolve(e[a:b], h[: M + 2 - a])[: M + 2 - a]
+    nodes = basis.knot_nodes  # e_i is nonzero on nodes[i] < j < nodes[i + 2]
+    for e, zr, a, b in zip(E, z, nodes[:-2] + 1, nodes[2:]):
+        # z_k = sum_{a <= j < b} e_j h_{k-j+1}, zero before k = a - 1
+        zr[a - 1 :] = np.convolve(e[a:b], h[: M + 2 - a])[: M + 2 - a]
     Y = res.gamma * E - centered_difference(E, dt) + z
     if noise_sigma > 0.0:
         with np.errstate(over="ignore"):  # an overflow ends in NumericalFailure below

@@ -12,10 +12,10 @@ characteristic integral equation
     F(x,t) = (q(x) + alpha) W(x,t) + int_0^t K(t-s) W(x,s) ds,
 
 with D(x,t) the backward characteristic triangle.  gamma, alpha and K come
-from ``kernels.resolvent``, solved once per kernel on its whole grid; the
-march reads K on [0,T] only, where the causal Volterra solves give the
-values of the kernel cut to [0,T] (bit for bit from 12 steps on).  Marching
-in time, the triangle integral telescopes into the lozenge update
+from ``kernels.resolvent``, made once per kernel on its whole grid; the
+march reads K on [0,T] only, where a tabulated kernel's causal Volterra solve
+gives the values of the kernel cut to [0,T] (bit for bit from 12 steps on).
+Marching in time, the triangle integral telescopes into the lozenge update
 
     W[i,k+1] = W[i+1,k] + W[i-1,k] - W[i,k-1] + dt^2 F[i,k]
 

@@ -1,7 +1,7 @@
 """Relaxation kernel N(t), its resolvent and the derived transform constants.
 
-The grid, M(t) = int_0^t N and gamma = R(0)/2 are not stored: they are reads
-of N and R.
+The grid and M(t) = int_0^t N are not stored: they are reads of N, and so is
+an exp kernel's rate, -N1(0).
 
 The memory model repeatedly produces Volterra equations of the second kind
 with kernel N1 = N',
@@ -10,20 +10,21 @@ with kernel N1 = N',
 
 whose solution is v = F - R*F where R is the resolvent of N1:
 
-    R(t) + int_0^t N1(t-s) R(s) ds = N1(t).
+    R(t) + int_0^t N1(t-s) R(s) ds = N1(t),
 
-From R the exponential substitution that turns the memory model into a
-perturbed wave equation uses
+itself the Volterra equation with right-hand side N1, so R is
+``solve_volterra(N1, N1)``.  The exponential substitution that turns the
+memory model into a perturbed wave equation reads three things of R,
 
-    gamma = R(0)/2,   alpha = R'(0) + R(0)^2/4,   K(t) = exp(-gamma t) R''(t).
+    gamma = R(0)/2,   alpha = R'(0) + R(0)^2/4,   K(t) = exp(-gamma t) R''(t),
 
-R'' is obtained by differentiating the resolvent identity twice (one more
-Volterra right-hand side with the same kernel), never by differencing R: the
-downstream chain needs R'' at full second-order accuracy.  R' enters only
-through R'(0), which the differentiated identity gives with no solve.  Every
-Volterra system here is lower-triangular Toeplitz: ``_volterra_values`` builds
-its inverse once by causal doubling (``grid._lower_toeplitz_inverse``) and
-applies it by one causal convolution per right-hand side.
+and ``resolvent`` keeps these, not R: R(0) = N1(0) and R'(0) need no solve,
+and R'' solves one more Volterra right-hand side with kernel N1 (never a
+difference of R: the downstream chain needs R'' at full second-order
+accuracy), which vanishes for const and exp kernels.  Every Volterra system
+here is lower-triangular Toeplitz: ``_volterra_values`` builds its inverse by
+causal doubling (``grid._lower_toeplitz_inverse``) and applies it by one
+causal convolution.
 
 Sign note: the perturbed-wave coefficient alpha is fixed to R'(0) + R(0)^2/4.
 Substituting w = exp(gamma t) W with gamma = R(0)/2 into the differentiated
@@ -54,25 +55,31 @@ __all__ = [
     "build_kernel",
     "solve_volterra",
     "resolvent",
+    "resolvent_residual",
     "response_to_traction",
 ]
 
 
 @dataclass(frozen=True)
 class MemoryKernel:
-    """Sampled relaxation kernel with its first three derivatives; grid and M
-    read N."""
+    """Sampled relaxation kernel with its first three derivatives; grid, M
+    and rate read N and N1."""
 
     N: Sampled1D
     N1: Sampled1D
     N2: Sampled1D
     N3: Sampled1D
     kind: str = "tabulated"
-    rate: float | None = None
 
     @property
     def grid(self) -> TimeGrid:
         return self.N.grid
+
+    @property
+    def rate(self) -> float | None:
+        """An exp kernel's rate, -N1(0) (exact: N1(0) = -rate exp(-0.0));
+        None for const and tabulated kernels."""
+        return float(-self.N1.values[0]) if self.kind == "exp" else None
 
     @cached_property
     def M(self) -> Sampled1D:
@@ -91,21 +98,18 @@ class MemoryKernel:
 
     @cached_property
     def _resolvent(self) -> ResolventData:
-        """The resolvent on the whole grid, solved on first use (``resolvent``)."""
+        """gamma, alpha and K on the whole grid, made on first use (``resolvent``)."""
         grid = self.grid
         n1 = self.N1.values
-        r0 = n1[0]  # R(0) = rhs(0) of the first solve
+        r0 = n1[0]  # R(0) = rhs(0) of the resolvent identity
         if self.kind in ("const", "exp"):
             zero = Sampled1D(grid, np.zeros(grid.n + 1))
-            r = Sampled1D(grid, _volterra_values(n1, n1, grid.dt))
-            return ResolventData(R=r, alpha=0.25 * r0 * r0, K=zero)
+            return ResolventData(gamma=0.5 * r0, alpha=0.25 * r0 * r0, K=zero)
         n2 = self.N2.values
         r1_0 = n2[0] - r0 * n1[0]  # R'(0)
-        alpha = r1_0 + 0.25 * r0 * r0
         rhs2 = self.N3.values - r0 * n2 - r1_0 * n1
-        r, r2d = _volterra_values(n1, np.column_stack([n1, rhs2]), grid.dt).T
-        kk = Sampled1D(grid, np.exp(-0.5 * r0 * grid.nodes()) * r2d)
-        return ResolventData(R=Sampled1D(grid, r), alpha=alpha, K=kk)
+        kk = np.exp(-0.5 * r0 * grid.nodes()) * _volterra_values(n1, rhs2, grid.dt)
+        return ResolventData(gamma=0.5 * r0, alpha=r1_0 + 0.25 * r0 * r0, K=Sampled1D(grid, kk))
 
 
 def build_kernel(
@@ -162,7 +166,6 @@ def build_kernel(
             N2=Sampled1D(grid, n2),
             N3=Sampled1D(grid, n3),
             kind=kind,
-            rate=rate if kind == "exp" else None,
         )
         scale = np.max(np.abs(kernel.N2.values)) + np.max(np.abs(kernel.N3.values)) + 1.0
         bound = 100.0 * grid.dt**2 * scale + 1e-9
@@ -175,17 +178,16 @@ def build_kernel(
 
 
 def _volterra_values(k: np.ndarray, f: np.ndarray, dt: float) -> np.ndarray:
-    """Trapezoidal solution of v + k*v = f for one right-hand side f, or one
-    per column of f.  Node 0 has diagonal 1, so v[0] = f[0]; nodes 1..n form a
-    lower-triangular Toeplitz system L with first column (1 + dt k[0]/2, dt k[1],
-    ..., dt k[n-1]) and right-hand side f[1:] - (dt/2) k[1:] v[0].
+    """Trapezoidal solution of v + k*v = f for one right-hand side f.  Node 0
+    has diagonal 1, so v[0] = f[0]; nodes 1..n form a lower-triangular
+    Toeplitz system L with first column (1 + dt k[0]/2, dt k[1], ...,
+    dt k[n-1]) and right-hand side f[1:] - (dt/2) k[1:] v[0].
 
-    The first column b of L^-1 is built once by causal doubling (about
-    2 log2 n numpy calls) and applied by one causal convolution per column:
-    O(n^2) flops with no Python loop over the n rows.  Column j of a 2-D
-    solve equals the 1-D solve of f[:, j] bit for bit, and a prefix of k and
-    f gives a prefix of v bit for bit when it holds 12 or more rows (np.convolve
-    sums the last entry of a shorter system in another order).
+    The first column b of L^-1 is built by causal doubling (about 2 log2 n
+    numpy calls) and applied by one causal convolution: O(n^2) flops with no
+    Python loop over the n rows.  A prefix of k and f gives a prefix of v bit
+    for bit when it holds 12 or more rows (np.convolve sums the last entry of
+    a shorter system in another order).
     """
     diag = 1.0 + 0.5 * dt * k[0]
     if abs(diag) < 1e-12:
@@ -195,13 +197,10 @@ def _volterra_values(k: np.ndarray, f: np.ndarray, dt: float) -> np.ndarray:
     col = dt * k[:-1]
     col[0] = diag
     b = _lower_toeplitz_inverse(col)
-    f2 = f.reshape(len(f), -1)  # a 1-D f is one column
-    v = np.empty(f2.shape)
-    v[0] = f2[0]
-    v[1:] = f2[1:] - (0.5 * dt) * k[1:, None] * f2[0]
-    for j in range(v.shape[1]):
-        v[1:, j] = np.convolve(b, v[1:, j])[: len(b)]
-    return v.reshape(f.shape)
+    v = np.empty(f.shape)
+    v[0] = f[0]
+    v[1:] = np.convolve(b, f[1:] - (0.5 * dt) * k[1:] * f[0])[: len(b)]
+    return v
 
 
 def solve_volterra(kernel: Sampled1D, rhs: Sampled1D) -> Sampled1D:
@@ -220,45 +219,43 @@ def solve_volterra(kernel: Sampled1D, rhs: Sampled1D) -> Sampled1D:
 
 @dataclass(frozen=True)
 class ResolventData:
-    """Resolvent R of N1 and what the transform reads of it: gamma = R(0)/2,
-    a read of R, alpha = R'(0) + R(0)^2/4 and K = exp(-gamma t) R''.  K is an
-    exact zero for const and exp kernels at any rate."""
+    """What the transform reads of the resolvent R of N1: gamma = R(0)/2,
+    alpha = R'(0) + R(0)^2/4 and K = exp(-gamma t) R''.  K is an exact zero
+    for const and exp kernels at any rate.  R itself is
+    ``solve_volterra(N1, N1)``."""
 
-    R: Sampled1D
+    gamma: float
     alpha: float
     K: Sampled1D
 
-    @property
-    def gamma(self) -> float:
-        return 0.5 * self.R.values[0]
-
-    def residual(self, kernel: MemoryKernel) -> float:
-        """sup-norm residual of R + N1*R - N1 at the discrete level."""
-        conv = convolve_values(kernel.N1.values, self.R.values, self.R.grid.dt)
-        return float(np.max(np.abs(self.R.values + conv - kernel.N1.values)))
-
 
 def resolvent(k: MemoryKernel) -> ResolventData:
-    """Resolvent R of N1 plus gamma, alpha and K = exp(-gamma t) R''.
+    """gamma, alpha and K = exp(-gamma t) R'' of the resolvent R of N1.
 
-    Solved once per kernel, on its whole grid, and kept on it: every later
-    call returns the same object.  The Volterra solves are causal, so on a
-    prefix window [0, T] the values are those of the kernel built on [0, T],
-    bit for bit from 12 steps on.
+    Made once per kernel, on its whole grid, and kept on it: every later
+    call returns the same object.  The Volterra solve is causal, so on a
+    prefix window [0, T] a tabulated kernel's K is that of the kernel built
+    on [0, T], bit for bit from 12 steps on; const and exp kernels solve
+    nothing, so theirs is at every length.
 
     R'' comes from differentiating the resolvent identity twice:
         R'  + N1*R'  = N1'  - R(0) N1
         R'' + N1*R'' = N1'' - R(0) N1' - R'(0) N1
     Every solve returns v(0) = rhs(0), so R(0) = N1(0) and
-    R'(0) = N1'(0) - R(0) N1(0) are known before any solve, and R' is never
-    solved for: the two right-hand sides of R and R'' share one Volterra
-    call with kernel N1 (one inverse, one convolution per column).  For const
-    and exp kernels N1' = -rate N1 and R(0) = -rate, so the R'' right-hand
-    side vanishes and K is an exact zero (a solve would leave round-off), and
-    alpha is R(0)^2/4 (the sampled N1'(0) = rate**2 may miss rate*rate by an
-    ulp); only R is solved there.  Tabulated kernels solve both.
+    R'(0) = N1'(0) - R(0) N1(0) are known with no solve; a tabulated kernel
+    solves the one R'' right-hand side.  For const and exp kernels
+    N1' = -rate N1 and R(0) = -rate, so that right-hand side vanishes and K
+    is an exact zero (a solve would leave round-off), and alpha is R(0)^2/4
+    (the sampled N1'(0) = rate**2 may miss rate*rate by an ulp): nothing is
+    solved there.
     """
     return k._resolvent
+
+
+def resolvent_residual(k: MemoryKernel, R: Sampled1D) -> float:
+    """sup-norm residual of R + N1*R - N1 at the discrete level."""
+    conv = convolve_values(k.N1.values, R.values, R.grid.dt)
+    return float(np.max(np.abs(R.values + conv - k.N1.values)))
 
 
 def response_to_traction(y: Sampled1D, k: MemoryKernel) -> Sampled1D:

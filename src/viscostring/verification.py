@@ -66,8 +66,8 @@ def a1_resolvent_analytic() -> CriterionResult:
     def work():
         grid = TimeGrid(1e-3, 2000)
         ker = build_kernel(grid, "exp", rate=0.5)
-        res = kernels.resolvent(ker)
-        return float(np.max(np.abs(res.R.values + 0.5)))
+        R = solve_volterra(ker.N1, ker.N1)  # the resolvent identity R + N1*R = N1
+        return float(np.max(np.abs(R.values + 0.5)))
 
     measured, secs = _timed(work)
     passed = measured <= 1e-6 and secs < 1.0
@@ -314,9 +314,9 @@ def a8_invariants() -> CriterionResult:
         # is genuinely time dependent
         gk = TimeGrid(1e-4, 5000)
         ker = _general_kernel(gk)
-        res = kernels.resolvent(ker)
-        subs.append(_sub("resolvent residual", res.residual(ker), 1e-10))
-        invo = solve_volterra(Sampled1D(gk, -res.R.values), res.R)
+        R = solve_volterra(ker.N1, ker.N1)
+        subs.append(_sub("resolvent residual", kernels.resolvent_residual(ker, R), 1e-10))
+        invo = solve_volterra(Sampled1D(gk, -R.values), R)
         subs.append(_sub("resolvent involution", np.max(np.abs(invo.values - ker.N1.values)), 1e-8))
 
         # forward: finite speed + linearity on a memory kernel

@@ -455,6 +455,25 @@ def test_forward_and_resolvent_dumps(tmp_path, cfg_path):
     assert all(line.split(",")[4] == "0" for line in lines[1:])
 
 
+def test_exp_kernel_with_a_singular_volterra_diagonal(tmp_path, capsys):
+    # exp:4 at dt = 0.5 makes the Volterra diagonal 1 + dt N1(0)/2 zero.  The
+    # exp transform is exact and solves nothing, so synthesize and forward
+    # run; resolvent solves R + N1*R = N1 for its R column and exits 3
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kernel = exp:4\nL = 4\nT_max = 2\ndt = 0.5\nn_basis = 2\nq = const:1\n")
+    for command in ("synthesize", "forward"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        for path in out.glob("*.csv"):
+            cells = [float(c) for line in path.read_text().splitlines()[1:] for c in line.split(",")]
+            assert np.all(np.isfinite(cells)), path.name
+    capsys.readouterr()
+    assert main(["resolvent", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err and "singular" in err, err
+    assert not (tmp_path / "res").exists()
+
+
 def test_forward_hat_control(tmp_path):
     cfg = tmp_path / "hat.cfg"
     cfg.write_text(CFG + "control = hat:2\n")

@@ -18,7 +18,7 @@ from viscostring.grid import (
     cumulative_values,
     trap_weights,
 )
-from viscostring.kernels import build_kernel, resolvent
+from viscostring.kernels import build_kernel, resolvent, solve_volterra
 from viscostring.forward import StringProblem, solve_mild
 from viscostring.connecting import (
     ControlBasis,
@@ -510,7 +510,7 @@ def test_affine_chain_matches_stepwise_discrete_chain():
         f, g, yf, yg = E[i], E[j], tab.Y[i], tab.Y[j]
         n = ker.N.values
         n1 = ker.N1.values
-        R = res.R.values
+        R = solve_volterra(ker.N1, ker.N1).values  # the resolvent of N1
         # t-factors of Phi and their analytic derivative chain
         A = convolve_values(n, f, dt)[: m + 1]
         B = convolve_values(n, yf, dt)[: m + 1]

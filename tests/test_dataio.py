@@ -305,6 +305,20 @@ def test_bundle_round_trip(tmp_path):
 _BUNDLE_FILES = ("manifest.txt", "kernel.csv", "basis.csv", "response.csv", "q_true.csv")
 
 
+@pytest.mark.parametrize("rate", [0.3, 7.30728627489739])
+def test_exp_bundle_rate_round_trips(tmp_path, rate):
+    # kernel_rate is the kernel's -N1(0), exactly the rate it was built with,
+    # so save -> load -> save keeps every file byte for byte
+    cfg = _small_cfg(kernel=f"exp:{rate!r}")
+    out, out2 = str(tmp_path / "bundle"), str(tmp_path / "bundle2")
+    synthesize(cfg, out)
+    table, q_true, manifest = load_bundle(out)
+    assert table.kernel.rate == rate and manifest["kernel_rate"] == "%.17g" % rate
+    save_bundle(out2, table, q_true=q_true, L=cfg.L, q_spec=manifest.get("q_spec"))
+    for name in _BUNDLE_FILES:
+        assert filecmp.cmp(os.path.join(out, name), os.path.join(out2, name), shallow=False), name
+
+
 @pytest.mark.parametrize("kernel", ["const", "exp:1.0", "file"])
 def test_bundle_format_2_stores_each_value_once(tmp_path, kernel):
     if kernel == "file":  # the exp kernel as a table: a tabulated bundle

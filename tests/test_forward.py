@@ -568,9 +568,10 @@ def test_resolvent_on_the_horizon_window_is_bit_identical():
     assert np.array_equal(sigma, sigma_ref)
 
 
-def test_one_volterra_solve_serves_every_solver_on_a_kernel(monkeypatch):
-    # the kernel keeps its resolvent: synthesize_table, gram_from_data,
-    # gram_oracle and solve_mild all read the one solved on first use
+def _volterra_calls_of_every_solver(monkeypatch, ker2):
+    """Shapes of the right-hand sides kernels._volterra_values is called with
+    while synthesize_table, gram_from_data, gram_oracle and solve_mild run
+    on the kernel ker2 of the doubled grid."""
     calls, real = [], kernels._volterra_values
 
     def spy(k, f, dt):
@@ -578,9 +579,8 @@ def test_one_volterra_solve_serves_every_solver_on_a_kernel(monkeypatch):
         return real(k, f, dt)
 
     monkeypatch.setattr(kernels, "_volterra_values", spy)
-    m, dt, L = 16, 1.0 / 32, 1.0
-    grid, grid2 = TimeGrid(dt, m), TimeGrid(dt, 2 * m)
-    ker2 = general_kernel(grid2)
+    m, L = ker2.grid.n // 2, 1.0
+    grid = TimeGrid(ker2.grid.dt, m)
     q = lambda x: 1.0 + 0.5 * x
     basis = hat_basis(grid, 3)
     gram_from_data(synthesize_table(basis, ker2, q, L))
@@ -588,5 +588,21 @@ def test_one_volterra_solve_serves_every_solver_on_a_kernel(monkeypatch):
     gram_oracle(p, basis)
     for e in basis.samples:
         solve_mild(p, Sampled1D(grid, e))
-    assert calls == [(2 * m + 1, 2)]  # R and R'' in one call
     assert resolvent(ker2) is resolvent(ker2)
+    return calls
+
+
+def test_one_volterra_solve_serves_every_solver_on_a_kernel(monkeypatch):
+    # the kernel keeps its resolvent: synthesize_table, gram_from_data,
+    # gram_oracle and solve_mild all read the one made on first use, and a
+    # tabulated kernel solves only its R'' right-hand side for it
+    m, dt = 16, 1.0 / 32
+    calls = _volterra_calls_of_every_solver(monkeypatch, general_kernel(TimeGrid(dt, 2 * m)))
+    assert calls == [(2 * m + 1,)]
+
+
+@pytest.mark.parametrize("kind", ["const", "exp"])
+def test_const_and_exp_kernels_solve_no_volterra_system(monkeypatch, kind):
+    # gamma and alpha read N1(0) and K is an exact zero: nothing is solved
+    ker2 = build_kernel(TimeGrid(1.0 / 32, 32), kind, rate=1.3)
+    assert _volterra_calls_of_every_solver(monkeypatch, ker2) == []

@@ -30,18 +30,18 @@ def _trapezoid_operator(k: np.ndarray, dt: float) -> np.ndarray:
 
 
 # The lower-triangular Toeplitz solve of the trapezoid rule (the inverse by
-# causal doubling, one convolution per column) runs in kernels._volterra_values.
+# causal doubling, one convolution) runs in kernels._volterra_values.
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 31, 64, 100, 257])
 def test_lower_toeplitz_solve_matches_dense_solve(rng, n):
     dt = 1.0 / n
     k = rng.standard_normal(n + 1)
     k[0] = abs(k[0])  # diagonal 1 + dt k(0)/2 >= 1
-    f = rng.standard_normal((n + 1, 4))
     A = _trapezoid_operator(k, dt)
-    assert np.allclose(A @ f[:, 0], convolve_values(k, f[:, 0], dt), rtol=0.0, atol=1e-14)
-    v = _volterra_values(k, f, dt)
-    ref = np.linalg.solve(np.eye(n + 1) + A, f)
-    assert np.max(np.abs(v - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for f in rng.standard_normal((4, n + 1)):
+        assert np.allclose(A @ f, convolve_values(k, f, dt), rtol=0.0, atol=1e-14)
+        v = _volterra_values(k, f, dt)
+        ref = np.linalg.solve(np.eye(n + 1) + A, f)
+        assert np.max(np.abs(v - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n", [1, 2, 33, 257])
@@ -55,20 +55,16 @@ def test_lower_toeplitz_matrix_is_the_sliding_window_copy(rng, n):
     assert L.flags.c_contiguous and L.flags.writeable
 
 
-def test_lower_toeplitz_solve_columns_are_the_one_column_solves(rng):
-    # column j of a 2-D solve is the 1-D solve of f[:, j], and a prefix of k
-    # and f gives a prefix of v (from 12 rows on), bit for bit
+def test_lower_toeplitz_solve_of_a_prefix_is_the_prefix_of_the_solve(rng):
+    # a prefix of k and f gives a prefix of v (from 12 rows on), bit for bit
     n, dt = 150, 1.0 / 64
     k = np.exp(-np.arange(n + 1) / 30.0) * rng.standard_normal(n + 1)
     k[0] = 2.0
-    f = rng.standard_normal((n + 1, 5))
-    v = _volterra_values(k, f, dt)
-    assert v.shape == f.shape
-    for j in range(f.shape[1]):
-        assert np.array_equal(v[:, j], _volterra_values(k, f[:, j], dt)), j
-    assert np.array_equal(_volterra_values(k, f[:, :1], dt), v[:, :1])
-    for p in (2, 13, 64, 65, 129):
-        assert np.array_equal(_volterra_values(k[:p], f[:p], dt), v[:p]), p
+    for f in rng.standard_normal((5, n + 1)):
+        v = _volterra_values(k, f, dt)
+        assert v.shape == f.shape
+        for p in (2, 13, 64, 65, 129):
+            assert np.array_equal(_volterra_values(k[:p], f[:p], dt), v[:p]), p
 
 
 def test_time_grid_basics():

@@ -13,6 +13,7 @@ from viscostring.kernels import (
     _volterra_values,
     build_kernel,
     resolvent,
+    resolvent_residual,
     response_to_traction,
     solve_volterra,
 )
@@ -29,11 +30,18 @@ def test_build_const_kernel():
 
 
 def test_kernel_and_resolvent_store_no_derived_field():
-    # grid = N.grid, M = int N and gamma = R(0)/2 are reads of N and R, not
-    # stored beside them
+    # grid = N.grid, M = int N and rate = -N1(0) are reads of N and N1, not
+    # stored beside them; the resolvent keeps what the transform reads, not R
     names = [f.name for f in dataclasses.fields(MemoryKernel)]
-    assert names == ["N", "N1", "N2", "N3", "kind", "rate"]
-    assert [f.name for f in dataclasses.fields(ResolventData)] == ["R", "alpha", "K"]
+    assert names == ["N", "N1", "N2", "N3", "kind"]
+    assert [f.name for f in dataclasses.fields(ResolventData)] == ["gamma", "alpha", "K"]
+    g = TimeGrid(1.0 / 64, 32)
+    for rate in (0.3, 1.0, 7.30728627489739):
+        assert build_kernel(g, "exp", rate=rate).rate == rate
+    assert build_kernel(g, "const").rate is None and general_kernel(g).rate is None
+    # a rate that could disagree with the samples is no longer a field
+    with pytest.raises(TypeError):
+        dataclasses.replace(build_kernel(g, "exp", rate=1.0), rate=2.0)
 
 
 @pytest.mark.parametrize("spec", ["const", "exp:0.3", "exp:7.30728627489739", "general"])
@@ -170,15 +178,16 @@ def test_solve_volterra_resolvent_formula_cross_check():
     ker = general_kernel(g)
     rhs = Sampled1D.from_callable(g, lambda t: np.sin(2 * t) + 0.3 * t)
     v_direct = solve_volterra(ker.N1, rhs)
-    res = resolvent(ker)
-    v_formula = rhs.values - convolve_values(res.R.values, rhs.values, g.dt)
+    R = solve_volterra(ker.N1, ker.N1)
+    v_formula = rhs.values - convolve_values(R.values, rhs.values, g.dt)
     assert np.max(np.abs(v_direct.values - v_formula)) <= 1e-8
 
 
 def test_resolvent_wave_kernel_all_zero():
     g = TimeGrid(0.01, 200)
-    res = resolvent(build_kernel(g, "const"))
-    assert np.all(res.R.values == 0.0)
+    ker = build_kernel(g, "const")
+    res = resolvent(ker)
+    assert np.all(solve_volterra(ker.N1, ker.N1).values == 0.0)
     assert res.gamma == 0.0 and res.alpha == 0.0
     assert np.all(res.K.values == 0.0)
 
@@ -186,8 +195,9 @@ def test_resolvent_wave_kernel_all_zero():
 def test_resolvent_exponential_constant():
     # N = exp(-a t): substituting R = -a into the resolvent identity closes it
     g = TimeGrid(1e-3, 2000)
-    res = resolvent(build_kernel(g, "exp", rate=0.5))
-    assert np.max(np.abs(res.R.values + 0.5)) <= 1e-6
+    ker = build_kernel(g, "exp", rate=0.5)
+    res = resolvent(ker)
+    assert np.max(np.abs(solve_volterra(ker.N1, ker.N1).values + 0.5)) <= 1e-6
     assert res.gamma == -0.25
     assert res.alpha == 0.0625
     assert np.all(res.K.values == 0.0)
@@ -209,24 +219,25 @@ def test_resolvent_exponential_alpha_is_r0_squared_over_4():
     # differ by an ulp; R'(0) is exactly zero, so alpha is R(0)^2/4 regardless
     rate = 7.30728627489739
     assert rate**2 != rate * rate
-    res = resolvent(build_kernel(TimeGrid(1e-3, 20), "exp", rate=rate))
-    r0 = res.R.values[0]
+    ker = build_kernel(TimeGrid(1e-3, 20), "exp", rate=rate)
+    res = resolvent(ker)
+    r0 = ker.N1.values[0]  # R(0)
     assert res.alpha == 0.25 * r0 * r0 == 13.349108175825942
 
 
-def test_resolvent_two_columns_match_the_three_column_solve():
-    # R' is never solved for: the resolvent's one call takes the R and R''
-    # columns only.  With the R' column put back, the solve reproduces R, K
-    # and alpha bit for bit (each column is solved on its own).
+def test_resolvent_matches_one_solve_per_derivative():
+    # R and R' are never solved for: the resolvent solves the R'' right-hand
+    # side only.  The R, R' and R'' solves, each on its own, reproduce gamma,
+    # K and alpha bit for bit.
     g = TimeGrid(1.0 / 64, 128)
     ker = general_kernel(g)
     n1, n2, n3 = ker.N1.values, ker.N2.values, ker.N3.values
     r0 = n1[0]
     rhs1 = n2 - r0 * n1
     rhs2 = n3 - r0 * n2 - rhs1[0] * n1
-    r, r1, r2d = _volterra_values(n1, np.column_stack([n1, rhs1, rhs2]), g.dt).T
+    r, r1, r2d = (_volterra_values(n1, rhs, g.dt) for rhs in (n1, rhs1, rhs2))
     res = resolvent(ker)
-    assert np.array_equal(res.R.values, r)
+    assert res.gamma == 0.5 * r[0]
     assert np.array_equal(res.K.values, np.exp(-res.gamma * g.nodes()) * r2d)
     assert res.alpha == r1[0] + 0.25 * r0 * r0 == rhs1[0] + 0.25 * r0 * r0
     assert np.any(res.K.values)
@@ -247,8 +258,8 @@ def test_resolvent_constant_n1_closed_form():
             "N3": np.zeros_like(t),
         },
     )
-    res = resolvent(ker)
-    assert np.max(np.abs(res.R.values - c * np.exp(-c * t))) <= 1e-6
+    R = solve_volterra(ker.N1, ker.N1)
+    assert np.max(np.abs(R.values - c * np.exp(-c * t))) <= 1e-6
 
 
 @pytest.mark.parametrize("kind", ["const", "exp", "general"])
@@ -258,16 +269,15 @@ def test_resolvent_residual_small(kind):
         ker = general_kernel(g)
     else:
         ker = build_kernel(g, kind, rate=1.3)
-    res = resolvent(ker)
-    assert res.residual(ker) <= 1e-10
+    assert resolvent_residual(ker, solve_volterra(ker.N1, ker.N1)) <= 1e-10
 
 
 def test_resolvent_involution_returns_n1():
     # N1 = R + N1*R, so N1 solves v - R*v = R
     g = TimeGrid(2e-4, 5000)
     ker = build_kernel(g, "exp", rate=0.7)
-    res = resolvent(ker)
-    back = solve_volterra(Sampled1D(g, -res.R.values), res.R)
+    R = solve_volterra(ker.N1, ker.N1)
+    back = solve_volterra(Sampled1D(g, -R.values), R)
     assert np.max(np.abs(back.values - ker.N1.values)) <= 1e-8
 
 
@@ -275,8 +285,8 @@ def test_resolvent_convergence_order():
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
         g = TimeGrid(dt, round(2.0 / dt))
-        res = resolvent(build_kernel(g, "exp", rate=1.0))
-        errs.append(np.max(np.abs(res.R.values + 1.0)))
+        ker = build_kernel(g, "exp", rate=1.0)
+        errs.append(np.max(np.abs(solve_volterra(ker.N1, ker.N1).values + 1.0)))
     orders = [np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])]
     assert min(orders) >= 1.8
 
